@@ -12,6 +12,7 @@ package wavepim
 // output doubles as a compact reproduction report.
 
 import (
+	"fmt"
 	"testing"
 
 	"wavepim/internal/dg"
@@ -310,18 +311,13 @@ func BenchmarkMaxwellExtension(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-path benchmarks (bit-sliced substrate, worker-pool engine and
-// solvers). Scalar/sliced pairs do identical work per iteration (64 fp32
-// operations), so benchstat compares them directly.
+// Parallel-path benchmarks (lane-parallel NOR substrate, worker-pool engine
+// and solvers).
 // ---------------------------------------------------------------------------
 
-// benchFP32Operands builds a reproducible 64-lane operand batch covering
+// benchFP32Operands builds a reproducible n-lane operand batch covering
 // normal, subnormal and large-exponent inputs.
-func benchFP32Operands() (a, b []uint32) { return benchFP32OperandsN(nor.Lanes) }
-
-// benchFP32OperandsN is benchFP32Operands at an arbitrary batch size (the
-// slab benchmarks use nor.DefaultSlabWords full slabs).
-func benchFP32OperandsN(n int) (a, b []uint32) {
+func benchFP32Operands(n int) (a, b []uint32) {
 	a = make([]uint32, n)
 	b = make([]uint32, n)
 	x := uint32(0x2545F491)
@@ -338,76 +334,49 @@ func benchFP32OperandsN(n int) (a, b []uint32) {
 	return a, b
 }
 
-// BenchmarkNORFp32MulScalar multiplies 64 lane pairs through the scalar
-// gate path, one lane at a time.
-func BenchmarkNORFp32MulScalar(b *testing.B) {
-	av, bv := benchFP32Operands()
-	var c nor.Circuit
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for l := range av {
-			c.MulFP32(av[l], bv[l])
+// BenchmarkNORFp32 runs fp32 add and multiply through the scalar gate path
+// (one lane at a time, 64 lanes per iteration) and through the slab
+// substrate at K=1 and K=DefaultSlabWords (one full slab of K*64 lanes per
+// iteration). Iterations cover different lane counts, so every case
+// reports ns/lane, which compares directly across paths and widths.
+func BenchmarkNORFp32(b *testing.B) {
+	for _, op := range []struct {
+		name   string
+		scalar func(*nor.Circuit, uint32, uint32) uint32
+		slab   func(*nor.SlabCircuit, []uint32, []uint32, []uint32)
+	}{
+		{"add", (*nor.Circuit).AddFP32, (*nor.SlabCircuit).AddFP32Batch},
+		{"mul", (*nor.Circuit).MulFP32, (*nor.SlabCircuit).MulFP32Batch},
+	} {
+		b.Run(op.name+"/scalar", func(b *testing.B) {
+			av, bv := benchFP32Operands(nor.Lanes)
+			var c nor.Circuit
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l := range av {
+					op.scalar(&c, av[l], bv[l])
+				}
+			}
+			reportNsPerLane(b, len(av))
+		})
+		for _, k := range []int{1, nor.DefaultSlabWords} {
+			b.Run(fmt.Sprintf("%s/slab_k%d", op.name, k), func(b *testing.B) {
+				av, bv := benchFP32Operands(k * nor.Lanes)
+				c := nor.NewSlabCircuit(k)
+				out := make([]uint32, len(av))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op.slab(c, av, bv, out)
+				}
+				reportNsPerLane(b, len(av))
+			})
 		}
 	}
 }
 
-// BenchmarkNORFp32MulSliced multiplies the same 64 lane pairs in one
-// bit-sliced batch (one machine op evaluates all 64 lanes of each gate).
-func BenchmarkNORFp32MulSliced(b *testing.B) {
-	av, bv := benchFP32Operands()
-	var c nor.SlicedCircuit
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.MulFP32Lanes(av, bv)
-	}
-}
-
-// BenchmarkNORFp32AddScalar and BenchmarkNORFp32AddSliced are the add
-// counterparts.
-func BenchmarkNORFp32AddScalar(b *testing.B) {
-	av, bv := benchFP32Operands()
-	var c nor.Circuit
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for l := range av {
-			c.AddFP32(av[l], bv[l])
-		}
-	}
-}
-
-func BenchmarkNORFp32AddSliced(b *testing.B) {
-	av, bv := benchFP32Operands()
-	var c nor.SlicedCircuit
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AddFP32Lanes(av, bv)
-	}
-}
-
-// BenchmarkNORFp32MulSlab and BenchmarkNORFp32AddSlab run the multi-slab
-// substrate at its default width. One iteration processes
-// DefaultSlabWords*64 operand pairs (DefaultSlabWords x the scalar/sliced
-// benchmarks' 64), so the per-op speedup over the scalar bench is
-// scalar_ns * DefaultSlabWords / slab_ns — the derivation
-// scripts/bench_trajectory.sh performs.
-func BenchmarkNORFp32MulSlab(b *testing.B) {
-	av, bv := benchFP32OperandsN(nor.DefaultSlabWords * nor.Lanes)
-	c := nor.NewSlabCircuit(nor.DefaultSlabWords)
-	out := make([]uint32, len(av))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.MulFP32Batch(av, bv, out)
-	}
-}
-
-func BenchmarkNORFp32AddSlab(b *testing.B) {
-	av, bv := benchFP32OperandsN(nor.DefaultSlabWords * nor.Lanes)
-	c := nor.NewSlabCircuit(nor.DefaultSlabWords)
-	out := make([]uint32, len(av))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AddFP32Batch(av, bv, out)
-	}
+// reportNsPerLane reports the benchmark's elapsed time per processed lane.
+func reportNsPerLane(b *testing.B, lanesPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanesPerOp), "ns/lane")
 }
 
 // BenchmarkFunctionalAcousticStep measures a fully functional PIM

@@ -2,29 +2,78 @@ package nor
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
-// Multi-slab bit-sliced evaluation of the NOR substrate. SlicedCircuit
-// processes 64 lanes per machine op (one uint64 "word" per bit plane);
-// SlabCircuit widens each plane to a K-word slab, so one gate evaluation
-// drives K*64 lanes with a single tight loop over K contiguous words —
-// SIMDRAM's observation that bit-serial throughput scales with effective
-// SIMD width, applied to the software model. Per-gate bookkeeping
-// (function call, Stats update, plane allocation) is amortized K-fold,
-// and the slab loops are contiguous, branch-free and auto-vectorizable.
+// Lane-parallel ("bit-sliced") evaluation of the NOR substrate. A crossbar
+// evaluates one NOR per column per step but has CellsPerRow columns working
+// in parallel (Section 2.3); SlabCircuit mirrors that column parallelism in
+// software. A Word holds one bit of 64 independent gate networks ("lanes"),
+// and each bit plane is a K-word slab, so one gate evaluation drives K*64
+// lanes with a single tight loop over K contiguous words — SIMDRAM's
+// observation that bit-serial throughput scales with effective SIMD width,
+// applied to the software model. K=1 is the plain one-word bit-sliced
+// path; larger K amortizes per-gate bookkeeping (function call, Stats
+// update, plane allocation) K-fold.
 //
-// Equivalence contract: SlabCircuit mirrors SlicedCircuit word-column by
-// word-column. Running a K-slab gate is gate-for-gate identical to
-// running the single-word gate K times on the columns, so the exactness
-// chain scalar == sliced == slab holds for both outputs and Stats; the
-// property tests in slab_test.go enforce all three levels.
+// Equivalence contract with the scalar Circuit, at every K:
+//
+//   - Every SlabCircuit method mirrors the exact NOR decomposition of the
+//     corresponding Circuit method. For any lane selected by the mask, the
+//     gates evaluated are precisely the gates the scalar path evaluates for
+//     that lane's operands — including data-dependent control flow, which
+//     is expressed as lane masks instead of branches.
+//   - Stats accounting is exact, not approximate: a gate evaluated under a
+//     mask adds popcount(mask) NOREvals and Resets, and popcount(out&mask)
+//     Sets — the same totals the scalar path accrues when run once per
+//     lane. The property tests in slab_test.go enforce values and Stats
+//     for K in {1,2,3,4,8}.
+//
+// Masking discipline: gate outputs are computed across all lanes (the mask
+// only gates the accounting), so values flow correctly through lanes that
+// diverged earlier and reconverge via host-side plane merges.
 //
 // Memory: plane slabs are bump-allocated from an internal arena that the
-// Batch drivers reset between tiles, so steady-state slab evaluation does
-// no heap allocation. Tiles are sized at K*64 lanes — K is chosen so a
-// working set of ~200 live planes stays cache-resident (K=8 keeps it
+// Batch drivers reset between tiles, so slab words are recycled rather
+// than reallocated. Plane headers (SlabBits slices) and per-lane host
+// slices (exponents, shift amounts, packing buffers) are still heap
+// allocated on every tile. Tiles are sized at K*64 lanes — K is chosen so
+// a working set of ~200 live planes stays cache-resident (K=8 keeps it
 // around 12 KB, far inside L1d; see DefaultSlabWords).
+
+// Word is 64 lanes of one bit position.
+type Word = uint64
+
+// Lanes is the lane width of one Word.
+const Lanes = 64
+
+// LaneMask returns the word mask selecting the first n lanes.
+func LaneMask(n int) Word {
+	if n < 0 || n > Lanes {
+		panic(fmt.Sprintf("nor: lane count %d out of range [0,%d]", n, Lanes))
+	}
+	if n == Lanes {
+		return ^Word(0)
+	}
+	return Word(1)<<uint(n) - 1
+}
+
+func lanesToBits(v []float32) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32bits(x)
+	}
+	return out
+}
+
+func lanesFromBits(v []uint32) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = math.Float32frombits(x)
+	}
+	return out
+}
 
 // DefaultSlabWords is the slab width used when callers do not choose one:
 // wide enough to amortize per-gate overhead, narrow enough that one
@@ -98,8 +147,8 @@ func (c *SlabCircuit) zeroSlab() []Word { return c.zero }
 func (c *SlabCircuit) ResetArena() { c.off = 0 }
 
 // ---------------------------------------------------------------------------
-// Masks and packing (host-side, no gate cost — mirrors the sliced path's
-// free word operations)
+// Masks and packing (host-side, no gate cost — the scalar path's branch
+// predicates and operand moves are free too)
 // ---------------------------------------------------------------------------
 
 // SlabMask returns the mask slab selecting the first n of the circuit's
@@ -120,8 +169,8 @@ func (c *SlabCircuit) SlabMask(n int) []Word {
 	return m
 }
 
-// maskAnd, maskAndNot, maskOr and maskNot are host-side mask algebra
-// (the slab analogue of `a & b` etc. on sliced Word masks).
+// maskAnd, maskAndNot, maskOr and maskNot are host-side mask algebra:
+// `a & b` etc. applied word by word across the slab.
 func (c *SlabCircuit) maskAnd(a, b []Word) []Word {
 	o := c.grab()
 	for i := range o {
@@ -249,11 +298,9 @@ func (c *SlabCircuit) NOT(mask, a []Word) []Word { return c.nor1(mask, a) }
 // intermediate NOR output as its own slab (a memory round-trip per gate),
 // one loop per composite keeps the whole NOR chain of each word in
 // registers and writes only the final plane(s). The gates evaluated — and
-// therefore Stats — are exactly the scalar/sliced decompositions,
-// intermediate by intermediate (including re-evaluated duplicates like
-// the two NOT(a) gates inside a FullAdder); only the memory traffic
-// changes. This fusion is what makes the slab path beat the single-word
-// sliced path per lane rather than merely matching it.
+// therefore Stats — are exactly the scalar decompositions, intermediate by
+// intermediate (including re-evaluated duplicates like the two NOT(a)
+// gates inside a FullAdder); only the memory traffic changes.
 
 // OR is NOT(NOR(a,b)): 2 gates.
 func (c *SlabCircuit) OR(mask, a, b []Word) []Word {
@@ -293,7 +340,7 @@ func (c *SlabCircuit) AND(mask, a, b []Word) []Word {
 	return out
 }
 
-// XOR from five NORs, as in the scalar and sliced gates.
+// XOR from five NORs, as in the scalar gate.
 func (c *SlabCircuit) XOR(mask, a, b []Word) []Word {
 	out := c.grab()
 	var evals, sets int64
@@ -398,8 +445,8 @@ func (c *SlabCircuit) FullAdder(mask, a, b, cin []Word) (sum, carry []Word) {
 	return sum, carry
 }
 
-// plane returns s[i], or the zero slab past the end (the slab analogue of
-// the sliced path's zero-extension).
+// plane returns s[i], or the zero slab past the end (zero-extension of
+// the shorter operand, as in the scalar blocks).
 func (c *SlabCircuit) plane(s SlabBits, i int) []Word {
 	if i < len(s) {
 		return s[i]
@@ -455,8 +502,10 @@ func (c *SlabCircuit) MuxBits(mask, sel []Word, a, b SlabBits) SlabBits {
 }
 
 // ShiftRightBits shifts each lane right by its amount encoded in the sh
-// planes, ORing shifted-out bits into a sticky plane (same barrel
-// structure as the sliced shifter).
+// planes (a barrel shifter of MUX stages), ORing shifted-out bits into a
+// sticky plane. Lanes whose shift amount is zero pass through unchanged
+// with zero sticky, which is what lets divergent callers run the shifter
+// once under a mask.
 func (c *SlabCircuit) ShiftRightBits(mask []Word, a, sh SlabBits) (out SlabBits, sticky []Word) {
 	out = a.Clone()
 	sticky = c.zeroSlab()

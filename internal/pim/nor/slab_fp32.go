@@ -1,17 +1,24 @@
 package nor
 
 // Slab-parallel IEEE-754 binary32 addition and multiplication: up to K*64
-// independent operand pairs ride the lanes of each gate evaluation. This
-// is the sliced_fp32.go datapath widened word-for-word to K-word slabs —
-// the same gate decomposition, the same lane-mask control flow, the same
-// host-side bookkeeping — so results and Stats remain bit-identical to
-// the scalar and single-word sliced paths (slab_test.go property-tests
-// all slab widths against both).
+// independent operand pairs ride the lanes of each gate evaluation. The
+// control flow of the scalar datapath in fp32.go — special-case dispatch,
+// operand swap, alignment, normalization, subnormal handling — is
+// data-dependent per lane, so every branch becomes a lane mask: the gates
+// of a branch run once, accounted only for the lanes that take it, exactly
+// as the scalar path would per lane. Host-side bookkeeping (exponent
+// arithmetic, branch predicates read from gate outputs) stays host-side
+// here too, and costs no gates in either path.
+//
+// Results and accumulated Stats are bit-identical to running the scalar
+// AddFP32/MulFP32 once per lane, at every slab width; slab_test.go
+// property-tests both claims against random inputs including subnormals,
+// NaN and Inf.
 //
 // The Batch entry points process arbitrary-length operand vectors in
-// K*64-lane tiles, resetting the slab arena between tiles so the whole
-// datapath runs allocation-free after warm-up and its live planes stay
-// cache-resident.
+// K*64-lane tiles, resetting the slab arena between tiles so slab words
+// are recycled and the live planes stay cache-resident. Each tile still
+// heap-allocates its plane headers and per-lane host slices.
 
 // unpackedSlab holds the gate-extracted fields of one operand vector.
 type unpackedSlab struct {
@@ -59,7 +66,7 @@ func (c *SlabCircuit) unpackSlab(mask []Word, v []uint32) unpackedSlab {
 
 // packSlabOut assembles final bit patterns for the masked lanes into out,
 // using the same carry-propagating ((eRc-1)<<23) + M gate add as the
-// scalar and sliced packs.
+// scalar pack.
 func (c *SlabCircuit) packSlabOut(mask, sign []Word, eR []int, m SlabBits, out []uint32) {
 	eVals := make([]uint64, len(eR))
 	for l := range eR {
@@ -103,7 +110,8 @@ func (c *SlabCircuit) roundRNESlab(mask []Word, m SlabBits, guard, sticky []Word
 }
 
 // selSlabPlanes merges two plane vectors lane-wise: x where sel, y
-// elsewhere (host data movement, no gate cost).
+// elsewhere (host data movement, no gate cost — the lane-wise form of the
+// scalar operand swap).
 func (c *SlabCircuit) selSlabPlanes(sel []Word, x, y SlabBits) SlabBits {
 	n := len(x)
 	if len(y) > n {
@@ -480,8 +488,8 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 // ---------------------------------------------------------------------------
 
 // MulFP32Batch multiplies len(out) float32 bit-pattern pairs, processing
-// them in K*64-lane tiles (the arena resets between tiles, so the whole
-// batch runs allocation-free after warm-up).
+// them in K*64-lane tiles (the arena resets between tiles, so slab words
+// are reused from one tile to the next).
 func (c *SlabCircuit) MulFP32Batch(a, b, out []uint32) {
 	n := checkArgLens(a, b)
 	if len(out) != n {

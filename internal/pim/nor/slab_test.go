@@ -1,58 +1,85 @@
 package nor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// The slab substrate's contract is exact three-way equivalence: for any
-// batch and any slab width K, slab outputs and Stats match the
-// single-word sliced path, which in turn matches the scalar gate path run
-// once per lane. These tests enforce the full chain over random inputs
-// (same category mix as the sliced tests) and the shared edge-case table.
+// The slab substrate's contract is exact equivalence with the scalar gate
+// path: for any batch and any slab width K, slab outputs AND Stats
+// (NOREvals, Sets, Resets) match the scalar Circuit run once per lane.
+// These tests enforce both over random inputs skewed toward the hard
+// regions (subnormals, NaN, Inf, zeros, cancellation), the shared
+// edge-case table, and the integer blocks.
 
 var slabWidths = []int{1, 2, 3, 4, 8}
 
-// slicedLanes runs the single-word sliced datapath in 64-lane chunks,
-// returning outputs and total Stats — the middle link of the chain.
-func slicedLanes(op func(*SlicedCircuit, []uint32, []uint32) []uint32, a, b []uint32) ([]uint32, Stats) {
-	var c SlicedCircuit
-	out := make([]uint32, 0, len(a))
-	for lo := 0; lo < len(a); lo += Lanes {
-		hi := lo + Lanes
-		if hi > len(a) {
-			hi = len(a)
+// randFP32 draws a float32 bit pattern from a category mix that exercises
+// every datapath branch.
+func randFP32(rng *rand.Rand) uint32 {
+	switch rng.Intn(10) {
+	case 0: // special exponents: NaN, Inf
+		v := uint32(expMask) << 23
+		if rng.Intn(2) == 0 {
+			v |= uint32(rng.Intn(1 << 23)) // NaN when frac != 0
 		}
-		out = append(out, op(&c, a[lo:hi], b[lo:hi])...)
+		if rng.Intn(2) == 0 {
+			v |= 1 << signShift
+		}
+		return v
+	case 1: // zero and subnormals
+		v := uint32(rng.Intn(1 << 23))
+		if rng.Intn(2) == 0 {
+			v |= 1 << signShift
+		}
+		return v
+	case 2: // small exponents: results underflow to subnormals
+		return uint32(rng.Intn(40))<<23 | uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<signShift
+	case 3: // large exponents: results overflow to Inf
+		return uint32(215+rng.Intn(40))<<23 | uint32(rng.Intn(1<<23)) | uint32(rng.Intn(2))<<signShift
+	default: // anything
+		return rng.Uint32()
+	}
+}
+
+// scalarLanes runs the scalar datapath once per lane, returning the outputs
+// and the total Stats — the reference the slab path must match exactly.
+func scalarLanes(op func(*Circuit, uint32, uint32) uint32, a, b []uint32) ([]uint32, Stats) {
+	var c Circuit
+	out := make([]uint32, len(a))
+	for i := range a {
+		out[i] = op(&c, a[i], b[i])
 	}
 	return out, c.Stats
 }
 
-func checkSlabChain(t *testing.T, name string, k int, a, b []uint32,
+func checkLanesEqual(t *testing.T, name string, a, b, got, want []uint32, gotStats, wantStats Stats) {
+	t.Helper()
+	for l := range want {
+		if got[l] != want[l] {
+			t.Errorf("%s lane %d: (%08x, %08x) slab %08x, scalar %08x (%g op %g)",
+				name, l, a[l], b[l], got[l], want[l],
+				math.Float32frombits(a[l]), math.Float32frombits(b[l]))
+		}
+	}
+	if gotStats != wantStats {
+		t.Errorf("%s stats: slab %+v, scalar %+v", name, gotStats, wantStats)
+	}
+}
+
+// checkAgainstScalar compares a slab fp32 result and its Stats with the
+// scalar add (or mul) run once per lane.
+func checkAgainstScalar(t *testing.T, name string, k int, a, b []uint32,
 	mul bool, got []uint32, gotStats Stats) {
 	t.Helper()
-	scalarOp, slicedOp := (*Circuit).AddFP32, (*SlicedCircuit).AddFP32Lanes
+	op := (*Circuit).AddFP32
 	if mul {
-		scalarOp, slicedOp = (*Circuit).MulFP32, (*SlicedCircuit).MulFP32Lanes
+		op = (*Circuit).MulFP32
 	}
-	wantScalar, scalarStats := scalarLanes(scalarOp, a, b)
-	wantSliced, slicedStats := slicedLanes(slicedOp, a, b)
-	for l := range wantScalar {
-		if got[l] != wantScalar[l] {
-			t.Errorf("%s K=%d lane %d: (%08x, %08x) slab %08x, scalar %08x",
-				name, k, l, a[l], b[l], got[l], wantScalar[l])
-		}
-		if wantSliced[l] != wantScalar[l] {
-			t.Errorf("%s lane %d: sliced %08x disagrees with scalar %08x",
-				name, l, wantSliced[l], wantScalar[l])
-		}
-	}
-	if gotStats != scalarStats {
-		t.Errorf("%s K=%d stats: slab %+v, scalar %+v", name, k, gotStats, scalarStats)
-	}
-	if slicedStats != scalarStats {
-		t.Errorf("%s stats: sliced %+v, scalar %+v", name, slicedStats, scalarStats)
-	}
+	want, wantStats := scalarLanes(op, a, b)
+	checkLanesEqual(t, fmt.Sprintf("%s K=%d", name, k), a, b, got, want, gotStats, wantStats)
 }
 
 func TestSlabMulFP32Differential(t *testing.T) {
@@ -68,7 +95,7 @@ func TestSlabMulFP32Differential(t *testing.T) {
 			}
 			c.Stats = Stats{}
 			got := c.MulFP32Slab(a, b)
-			checkSlabChain(t, "MulFP32Slab", k, a, b, true, got, c.Stats)
+			checkAgainstScalar(t, "MulFP32Slab", k, a, b, true, got, c.Stats)
 		}
 	}
 }
@@ -92,7 +119,7 @@ func TestSlabAddFP32Differential(t *testing.T) {
 			}
 			c.Stats = Stats{}
 			got := c.AddFP32Slab(a, b)
-			checkSlabChain(t, "AddFP32Slab", k, a, b, false, got, c.Stats)
+			checkAgainstScalar(t, "AddFP32Slab", k, a, b, false, got, c.Stats)
 		}
 	}
 }
@@ -107,24 +134,25 @@ func TestSlabFP32EdgeCasesBatch(t *testing.T) {
 			b = append(b, y)
 		}
 	}
-	for _, k := range []int{1, 2, DefaultSlabWords} {
+	for _, k := range slabWidths {
 		c := NewSlabCircuit(k)
 		got := make([]uint32, len(a))
 		c.MulFP32Batch(a, b, got)
-		checkSlabChain(t, "MulFP32Batch", k, a, b, true, got, c.Stats)
+		checkAgainstScalar(t, "MulFP32Batch", k, a, b, true, got, c.Stats)
 
 		c.Stats = Stats{}
 		c.AddFP32Batch(a, b, got)
-		checkSlabChain(t, "AddFP32Batch", k, a, b, false, got, c.Stats)
+		checkAgainstScalar(t, "AddFP32Batch", k, a, b, false, got, c.Stats)
 	}
 }
 
-// Integer blocks: each slab block must match the sliced block per word
-// column, in both value and Stats.
+// Integer blocks: each slab block must match the scalar block per lane in
+// value, and the whole op sequence must match the scalar sequence run once
+// per lane in Stats.
 func TestSlabIntBlocksDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const width = 16
-	for _, k := range []int{1, 2, 4} {
+	for _, k := range slabWidths {
 		for trial := 0; trial < 6; trial++ {
 			n := 1 + rng.Intn(k*Lanes)
 			av := make([]uint64, n)
@@ -181,13 +209,16 @@ func TestSlabIntBlocksDifferential(t *testing.T) {
 				if got, want := lz.Lane(l), c.LeadingZeros(a).Uint(); got != want {
 					t.Fatalf("K=%d LeadingZeros lane %d: %d != %d", k, l, got, want)
 				}
-				if got, want := inc.Lane(l), (av[l]+1)&((1<<(width+1))-1); got != want {
+				if got, want := inc.Lane(l), c.IncBits(a).Uint(); got != want {
 					t.Fatalf("K=%d IncBits lane %d: %x != %x", k, l, got, want)
 				}
-				gotMux := muxed.Lane(l) // MUX: a where sel=0, b where sel=1
-				if wge && gotMux != bv[l] || !wge && gotMux != av[l] {
-					t.Fatalf("K=%d MuxBits lane %d: %x (ge=%v a=%x b=%x)", k, l, gotMux, wge, av[l], bv[l])
+				// MUX: a where sel=0, b where sel=1.
+				if got, want := muxed.Lane(l), c.MuxBits(wge, a, b).Uint(); got != want {
+					t.Fatalf("K=%d MuxBits lane %d: %x != %x (ge=%v)", k, l, got, want, wge)
 				}
+			}
+			if sc.Stats != c.Stats {
+				t.Fatalf("K=%d int block stats: slab %+v, scalar %+v", k, sc.Stats, c.Stats)
 			}
 		}
 	}
@@ -256,6 +287,20 @@ func TestSlabEdges(t *testing.T) {
 	got = c.AddFloat32Batch([]float32{1.5}, []float32{2.25})
 	if len(got) != 1 || got[0] != 3.75 {
 		t.Errorf("AddFloat32Batch: %v", got)
+	}
+	// Empty and single-lane batches at the one-word width.
+	c1 := NewSlabCircuit(1)
+	if got := c1.MulFloat32Batch(nil, nil); len(got) != 0 {
+		t.Errorf("K=1 empty mul batch: %v", got)
+	}
+	if got := c1.AddFloat32Batch(nil, nil); len(got) != 0 {
+		t.Errorf("K=1 empty add batch: %v", got)
+	}
+	if got := c1.MulFloat32Batch([]float32{3}, []float32{4}); len(got) != 1 || got[0] != 12 {
+		t.Errorf("K=1 MulFloat32Batch single: %v", got)
+	}
+	if got := c1.AddFloat32Batch([]float32{1.5}, []float32{2.25}); len(got) != 1 || got[0] != 3.75 {
+		t.Errorf("K=1 AddFloat32Batch single: %v", got)
 	}
 	// Pack/Lane roundtrip across word boundaries.
 	vals := make([]uint64, 150)

@@ -84,7 +84,8 @@ type Engine struct {
 	// ignore the setting.
 	SlabWords int
 	// norUnits pools one gather/compute unit per in-flight instruction,
-	// so the slab path stays allocation-free under the worker pool.
+	// so staging buffers and slab arenas are reused under the worker
+	// pool (each tile still allocates plane headers and host slices).
 	norUnits sync.Pool
 	// norEvals/norSets/norResets accumulate gate-level activity from the
 	// slab path (atomically: block programs run concurrently).

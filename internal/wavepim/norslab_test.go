@@ -11,50 +11,61 @@ import (
 // WithNORSlab is a pure substrate swap: a run whose arithmetic goes
 // gate-by-gate through the slab NOR datapath must reproduce the default
 // (host-float) run bit-for-bit — state, clock, energy, and instruction
-// accounting — while recording real gate activity.
+// accounting — while recording real gate activity. K=1 is the one-word
+// bit-sliced width; DefaultSlabWords is the tuned one.
 func TestSessionNORSlabBitIdentical(t *testing.T) {
 	base := sessionForTest(t)
 	if err := base.Run(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-
-	slab := sessionForTest(t, WithNORSlab(nor.DefaultSlabWords))
-	if slab.Engine().SlabWords != nor.DefaultSlabWords {
-		t.Fatalf("engine SlabWords = %d, want %d", slab.Engine().SlabWords, nor.DefaultSlabWords)
-	}
-	if err := slab.Run(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-
-	m := base.cfg.mesh
-	qa, qb := dg.NewAcousticState(m), dg.NewAcousticState(m)
-	base.Acoustic().ReadState(qa)
-	slab.Acoustic().ReadState(qb)
-	for v, sl := range qa.Slices() {
-		for i := range sl {
-			if sl[i] != qb.Slices()[v][i] {
-				t.Fatalf("var %d node %d: host %v, slab %v", v, i, sl[i], qb.Slices()[v][i])
-			}
-		}
-	}
-	if a, b := base.Engine().Now(), slab.Engine().Now(); a != b {
-		t.Fatalf("clock: host %v, slab %v", a, b)
-	}
-	if a, b := base.Engine().TotalEnergy, slab.Engine().TotalEnergy; a != b {
-		t.Fatalf("energy: host %v, slab %v", a, b)
-	}
-	if a, b := base.Engine().InstrCount, slab.Engine().InstrCount; a != b {
-		t.Fatalf("instr count: host %v, slab %v", a, b)
-	}
-
 	if st := base.Engine().NORGateStats(); st != (nor.Stats{}) {
 		t.Fatalf("host-float run recorded gate activity: %+v", st)
 	}
-	st := slab.Engine().NORGateStats()
-	if st.NOREvals == 0 || st.Resets == 0 {
-		t.Fatalf("slab run recorded no gate activity: %+v", st)
-	}
-	if st.Resets != st.NOREvals {
-		t.Fatalf("every NOR pre-resets its output: evals %d, resets %d", st.NOREvals, st.Resets)
+	m := base.cfg.mesh
+	qa := dg.NewAcousticState(m)
+	base.Acoustic().ReadState(qa)
+
+	var firstStats nor.Stats
+	for _, k := range []int{1, nor.DefaultSlabWords} {
+		slab := sessionForTest(t, WithNORSlab(k))
+		if slab.Engine().SlabWords != k {
+			t.Fatalf("engine SlabWords = %d, want %d", slab.Engine().SlabWords, k)
+		}
+		if err := slab.Run(context.Background(), 2); err != nil {
+			t.Fatal(err)
+		}
+
+		qb := dg.NewAcousticState(m)
+		slab.Acoustic().ReadState(qb)
+		for v, sl := range qa.Slices() {
+			for i := range sl {
+				if sl[i] != qb.Slices()[v][i] {
+					t.Fatalf("K=%d var %d node %d: host %v, slab %v", k, v, i, sl[i], qb.Slices()[v][i])
+				}
+			}
+		}
+		if a, b := base.Engine().Now(), slab.Engine().Now(); a != b {
+			t.Fatalf("K=%d clock: host %v, slab %v", k, a, b)
+		}
+		if a, b := base.Engine().TotalEnergy, slab.Engine().TotalEnergy; a != b {
+			t.Fatalf("K=%d energy: host %v, slab %v", k, a, b)
+		}
+		if a, b := base.Engine().InstrCount, slab.Engine().InstrCount; a != b {
+			t.Fatalf("K=%d instr count: host %v, slab %v", k, a, b)
+		}
+
+		st := slab.Engine().NORGateStats()
+		if st.NOREvals == 0 || st.Resets == 0 {
+			t.Fatalf("K=%d slab run recorded no gate activity: %+v", k, st)
+		}
+		if st.Resets != st.NOREvals {
+			t.Fatalf("K=%d: every NOR pre-resets its output: evals %d, resets %d", k, st.NOREvals, st.Resets)
+		}
+		// Gate totals are per lane, so the slab width must not change them.
+		if firstStats == (nor.Stats{}) {
+			firstStats = st
+		} else if st != firstStats {
+			t.Fatalf("K=%d gate stats %+v differ from K=1 %+v", k, st, firstStats)
+		}
 	}
 }

@@ -5,11 +5,7 @@
 # come out of TestClusterLoadGuard (internal/cluster/load_test.go) as a
 # fixed-field-order JSON document.
 #
-# Modes:
-#   scripts/cluster_load_guard.sh            run the guard (CI: -race, 0 errors)
-#   RECORD=1 scripts/cluster_load_guard.sh   also fold the result into the
-#                                            newest BENCH_pr*.json as its
-#                                            "cluster" section
+# Usage: scripts/cluster_load_guard.sh   (CI: -race, 0 errors)
 #
 # Env: JOBS (default 200) — must stay >= 200 for the committed guarantee.
 set -euo pipefail
@@ -30,11 +26,9 @@ if ! CLUSTER_LOAD=1 CLUSTER_LOAD_JOBS="$JOBS" CLUSTER_LOAD_OUT="$RESULT" \
 fi
 grep -E 'cluster load:' "$LOG" || true
 
-RESULT="$RESULT" JOBS="$JOBS" RECORD="${RECORD:-}" python3 - <<'EOF'
-import glob
+RESULT="$RESULT" JOBS="$JOBS" python3 - <<'EOF'
 import json
 import os
-import re
 import sys
 
 res = json.load(open(os.environ["RESULT"]))
@@ -48,18 +42,4 @@ if res["jobs"] < 200:
     sys.exit(f"cluster load guard: {res['jobs']} jobs is below the 200-job guarantee")
 print(f"cluster load guard: {res['jobs']} jobs, 0 errors, "
       f"{res['throughput_jobs_per_sec']:.1f} jobs/s, p99 {res['p99_ms']:.1f}ms")
-
-if os.environ["RECORD"]:
-    files = sorted(glob.glob("BENCH_pr*.json"),
-                   key=lambda f: int(re.search(r"pr(\d+)", f).group(1)))
-    if not files:
-        sys.exit("cluster load guard: RECORD=1 but no BENCH_pr*.json exists "
-                 "(run scripts/bench_trajectory.sh first)")
-    target = files[-1]
-    doc = json.load(open(target))
-    doc["cluster"] = res  # loadResult's fixed field order carries through
-    with open(target, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(f"cluster load guard: recorded into {target}")
 EOF
