@@ -264,10 +264,11 @@ func BenchmarkDGElasticStage(b *testing.B) {
 func BenchmarkFunctionalPIMStep(b *testing.B) {
 	m := mesh.New(1, 4, true)
 	mat := material.Acoustic{Kappa: 2.25, Rho: 1}
-	fa, err := wp.NewFunctionalAcoustic(m, mat, dg.RiemannFlux, 1e-3)
+	s, err := wp.NewSession(wp.WithMesh(m), wp.WithAcousticMaterial(mat), wp.WithFlux(dg.RiemannFlux), wp.WithDt(1e-3))
 	if err != nil {
 		b.Fatal(err)
 	}
+	fa := s.Acoustic()
 	q := dg.NewAcousticState(m)
 	dg.PlaneWaveX(m, mat, 1, q)
 	fa.Load(q)
@@ -393,10 +394,11 @@ func BenchmarkFunctionalAcousticStep(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			m := mesh.New(1, 4, true)
 			mat := material.Acoustic{Kappa: 2.25, Rho: 1}
-			fa, err := wp.NewFunctionalAcoustic(m, mat, dg.RiemannFlux, 1e-3)
+			s, err := wp.NewSession(wp.WithMesh(m), wp.WithAcousticMaterial(mat), wp.WithFlux(dg.RiemannFlux), wp.WithDt(1e-3))
 			if err != nil {
 				b.Fatal(err)
 			}
+			fa := s.Acoustic()
 			fa.Engine.Workers = cfg.workers
 			q := dg.NewAcousticState(m)
 			dg.PlaneWaveX(m, mat, 1, q)

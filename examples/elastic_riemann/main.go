@@ -73,10 +73,16 @@ func main() {
 	qr := dg.NewElasticState(small)
 	dg.PlaneWavePX(small, rock, 1, qr)
 	qPim := qr.Copy()
-	fe, err := wavepim.NewFunctionalElastic(small, rock, dg.RiemannFlux, sdt)
+	s, err := wavepim.NewSession(
+		wavepim.WithEquation(opcount.ElasticRiemann),
+		wavepim.WithMesh(small),
+		wavepim.WithElasticMaterial(rock),
+		wavepim.WithDt(sdt),
+	)
 	if err != nil {
 		panic(err)
 	}
+	fe := s.Elastic()
 	fe.Load(qPim)
 	refIt.Run(qr, 0, sdt, 3)
 	fe.Run(3)

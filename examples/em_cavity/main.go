@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"wavepim/internal/dg"
+	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/report"
@@ -69,10 +70,16 @@ func main() {
 	qr := dg.NewMaxwellState(small)
 	dg.PlaneWaveEM(small, diel, 1, qr)
 	qPim := qr.Copy()
-	fm, err := wavepim.NewFunctionalMaxwell(small, diel, dg.RiemannFlux, sdt)
+	sess, err := wavepim.NewSession(
+		wavepim.WithEquation(opcount.Maxwell),
+		wavepim.WithMesh(small),
+		wavepim.WithDielectric(diel),
+		wavepim.WithDt(sdt),
+	)
 	if err != nil {
 		panic(err)
 	}
+	fm := sess.Maxwell()
 	fm.Load(qPim)
 	refIt.Run(qr, sdt, 3)
 	fm.Run(3)

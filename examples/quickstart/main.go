@@ -40,10 +40,16 @@ func main() {
 	fmt.Printf("reference dG solver: %d elements, dt=%.2e, %d steps\n", m.NumElem, dt, steps)
 
 	// --- 2. The same simulation inside PIM crossbars ---
-	fa, err := wavepim.NewFunctionalAcoustic(m, water, dg.RiemannFlux, dt)
+	s, err := wavepim.NewSession(
+		wavepim.WithMesh(m),
+		wavepim.WithAcousticMaterial(water),
+		wavepim.WithFlux(dg.RiemannFlux),
+		wavepim.WithDt(dt),
+	)
 	if err != nil {
 		panic(err)
 	}
+	fa := s.Acoustic()
 	fa.Load(qPim)
 	fa.Run(steps)
 	got := dg.NewAcousticState(m)

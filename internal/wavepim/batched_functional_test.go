@@ -58,10 +58,7 @@ func TestFunctionalBatchedTracksResidentRun(t *testing.T) {
 	q, _ := acousticStates(t, m)
 	dt := 1e-3
 
-	resident, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resident := functionalForTest(t, m, dt, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
 	resident.Load(q.Copy())
 	batched, err := NewFunctionalAcousticBatched(m, fnMat, dg.RiemannFlux, dt, 1)
 	if err != nil {
@@ -76,5 +73,16 @@ func TestFunctionalBatchedTracksResidentRun(t *testing.T) {
 	batched.ReadState(b)
 	if e := maxRelErr(a.P, b.P); e > 1e-5 {
 		t.Errorf("batched vs resident pressure rel err %g (want float32 round-off only)", e)
+	}
+}
+
+// A batch size that is not a positive divisor of the slice count is an
+// error, never a panic.
+func TestFunctionalBatchedRejectsBadBatchSize(t *testing.T) {
+	m := mesh.New(1, 4, true) // 2 z-slices
+	for _, spb := range []int{0, -1, 3} {
+		if _, err := NewFunctionalAcousticBatched(m, fnMat, dg.RiemannFlux, 1e-3, spb); err == nil {
+			t.Errorf("slicesPerBatch=%d: want an error", spb)
+		}
 	}
 }

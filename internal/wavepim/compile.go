@@ -334,32 +334,6 @@ func boolToF(v bool) float32 {
 	return 0
 }
 
-// LoadAcousticState writes the four variables of element e into its block
-// and zeroes the auxiliaries.
-func (c *Compiler) LoadAcousticState(b BlockWriter, q *dg.AcousticState, e int) {
-	nn := c.nn()
-	for n := 0; n < nn; n++ {
-		b.SetFloat(n, AcColP, float32(q.P[e*nn+n]))
-		for d := 0; d < 3; d++ {
-			b.SetFloat(n, AcColVX+d, float32(q.V[d][e*nn+n]))
-		}
-		for v := 0; v < 4; v++ {
-			b.SetFloat(n, AcColAux+v, 0)
-		}
-	}
-}
-
-// ReadAcousticState reads the variables of element e back from its block.
-func (c *Compiler) ReadAcousticState(b BlockWriter, q *dg.AcousticState, e int) {
-	nn := c.nn()
-	for n := 0; n < nn; n++ {
-		q.P[e*nn+n] = float64(b.GetFloat(n, AcColP))
-		for d := 0; d < 3; d++ {
-			q.V[d][e*nn+n] = float64(b.GetFloat(n, AcColVX+d))
-		}
-	}
-}
-
 // ReadAcousticContrib reads the contribution (RHS) columns of element e.
 func (c *Compiler) ReadAcousticContrib(b BlockWriter, rhs *dg.AcousticState, e int) {
 	nn := c.nn()

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"wavepim/internal/dg"
-	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
-	"wavepim/internal/pim/chip"
 	"wavepim/internal/pim/isa"
 	"wavepim/internal/pim/sim"
 )
@@ -327,90 +325,9 @@ func (c *Compiler) LoadElasticConstants(b BlockWriter, m *mesh.Mesh, mat materia
 
 // FunctionalElastic executes the four-block elastic mapping functionally.
 type FunctionalElastic struct {
-	Mesh   *mesh.Mesh
-	Mat    material.Elastic
-	Comp   *Compiler
-	Place  *Placement
-	Engine *sim.Engine
-	Dt     float64
-
-	// plan holds the cached compilation artifacts (programs, dup/fetch
-	// schedules, program->block maps). CacheHit reports whether this
-	// system skipped compilation entirely.
-	plan     *elasticPlan
-	CacheHit bool
+	*system
+	Mat material.Elastic
 }
-
-// NewFunctionalElastic builds the elastic functional system. It is a thin
-// veneer over NewSession — new code should use the Session API directly.
-func NewFunctionalElastic(m *mesh.Mesh, mat material.Elastic, flux dg.FluxType, dt float64) (*FunctionalElastic, error) {
-	eq := opcount.ElasticRiemann
-	if flux == dg.CentralFlux {
-		eq = opcount.ElasticCentral
-	}
-	s, err := NewSession(
-		WithEquation(eq),
-		WithMesh(m),
-		WithElasticMaterial(mat),
-		WithFlux(flux),
-		WithDt(dt),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return s.Elastic(), nil
-}
-
-// newFunctionalElasticOn is NewFunctionalElastic on a caller-chosen chip
-// configuration (the Session's WithChip path).
-func newFunctionalElasticOn(cfg chip.Config, m *mesh.Mesh, mat material.Elastic, flux dg.FluxType, dt float64) (*FunctionalElastic, error) {
-	if !m.Periodic {
-		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
-	}
-	if m.NumElem*4 > cfg.NumBlocks() {
-		return nil, fmt.Errorf("wavepim: %d elements need %d blocks, chip %s has %d", m.NumElem, m.NumElem*4, cfg.Name, cfg.NumBlocks())
-	}
-	ch, err := newChip(cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan := Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4, Chip: cfg}
-	f := &FunctionalElastic{
-		Mesh: m, Mat: mat,
-		Comp:   NewCompiler(plan, m.Np, flux),
-		Place:  NewPlacement(ElasticFourBlock, m.EPerAxis, true),
-		Engine: newFunctionalEngine(ch),
-		Dt:     dt,
-	}
-	eq := opcount.ElasticCentral
-	if flux == dg.RiemannFlux {
-		eq = opcount.ElasticRiemann
-	}
-	key := PlanKey{Eq: eq, Flux: flux, Np: m.Np, EPerAxis: m.EPerAxis, Chip: cfg.Name, Topo: cfg.Interconnect.String()}
-	f.plan, f.CacheHit = elasticPlanFor(key, f.Comp, m, f.Place)
-	return f, nil
-}
-
-func (f *FunctionalElastic) roleBlock(e int, role BlockRole) int {
-	ex, ey, ez := f.Mesh.ElemCoords(e)
-	return f.Place.BlockFor(ex, ey, ez, role)
-}
-
-// varSlices maps a role to the reference-state slices its three variable
-// columns hold, in column order.
-func elasticVarSlices(q *dg.ElasticState, role BlockRole) [3][]float64 {
-	switch role {
-	case RoleStressDiag:
-		return [3][]float64{q.S[dg.SXX], q.S[dg.SYY], q.S[dg.SZZ]}
-	case RoleStressShear:
-		return [3][]float64{q.S[dg.SXY], q.S[dg.SXZ], q.S[dg.SYZ]}
-	case RoleVelocity:
-		return [3][]float64{q.V[0], q.V[1], q.V[2]}
-	}
-	panic("wavepim: role has no variables")
-}
-
-var elasticComputeRoles = []BlockRole{RoleStressDiag, RoleStressShear, RoleVelocity}
 
 // Load writes constants and the initial state with the same material
 // everywhere.
@@ -422,86 +339,114 @@ func (f *FunctionalElastic) Load(q *dg.ElasticState) {
 // solids cost nothing extra: each element's blocks hold their own
 // material-derived constants).
 func (f *FunctionalElastic) LoadField(q *dg.ElasticState, field *material.ElasticField) {
-	nn := f.Mesh.NodesPerEl
 	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, role := range elasticComputeRoles {
-			b := f.Engine.Chip.Block(f.roleBlock(e, role))
+		ex, ey, ez := f.Mesh.ElemCoords(e)
+		for _, role := range []BlockRole{RoleStressDiag, RoleStressShear, RoleVelocity} {
+			b := f.Engine.Chip.Block(f.Place.BlockFor(ex, ey, ez, role))
 			f.Comp.LoadElasticConstants(b, f.Mesh, field.ByElem[e], f.Dt, role)
-			src := elasticVarSlices(q, role)
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					b.SetFloat(n, ExColVar0+v, float32(src[v][e*nn+n]))
-					b.SetFloat(n, ExColAux+v, 0)
-				}
-			}
 		}
 	}
-}
-
-// Step runs one five-stage time-step. Every program and transfer
-// schedule comes precompiled from the plan cache — before the cache this
-// loop recompiled the three flux programs per element per face per stage
-// and rebuilt the dup/fetch schedules per stage, the dominant host-side
-// cost of a functional elastic run.
-func (f *FunctionalElastic) Step() {
-	eng := f.Engine
-	for s := 0; s < dg.NumStages; s++ {
-		// 1. Cross-block variable duplication (Figure 8's inter-block
-		// memcpy, heavier for elastic).
-		eng.Sequence(eng.ExecTransfers("dup-vars", f.plan.dup))
-
-		// 2. Volume on all three compute blocks concurrently.
-		eng.Sequence(eng.ExecBlocks("volume", f.plan.volProgs))
-
-		// 3. Flux, face by face.
-		for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-			eng.Sequence(eng.ExecTransfers(fmt.Sprintf("flux-fetch-%v", face), f.plan.fetch[face]))
-			eng.Sequence(eng.ExecBlocks(fmt.Sprintf("flux-%v", face), f.plan.fluxProgs[face]))
-		}
-
-		// 4. Integration on all blocks.
-		eng.Sequence(eng.ExecBlocks("integration", f.plan.integProgs[s]))
-	}
-}
-
-// Run executes n time-steps.
-func (f *FunctionalElastic) Run(n int) {
-	for i := 0; i < n; i++ {
-		f.Step()
-	}
+	f.writeVars(q.Slices())
 }
 
 // ReadState extracts the variables.
-func (f *FunctionalElastic) ReadState(q *dg.ElasticState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, role := range elasticComputeRoles {
-			b := f.Engine.Chip.Block(f.roleBlock(e, role))
-			dst := elasticVarSlices(q, role)
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					dst[v][e*nn+n] = float64(b.GetFloat(n, ExColVar0+v))
-				}
-			}
-		}
-	}
-}
+func (f *FunctionalElastic) ReadState(q *dg.ElasticState) { f.readVars(q.Slices()) }
 
-// WriteState rewrites only the solver variables (and zeroes the RK
-// auxiliaries), leaving constants untouched — the restore half of a
-// checkpoint rollback (exact at step boundaries since LSRK5A[0] = 0).
-func (f *FunctionalElastic) WriteState(q *dg.ElasticState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, role := range elasticComputeRoles {
-			b := f.Engine.Chip.Block(f.roleBlock(e, role))
-			src := elasticVarSlices(q, role)
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					b.SetFloat(n, ExColVar0+v, float32(src[v][e*nn+n]))
-					b.SetFloat(n, ExColAux+v, 0)
-				}
-			}
+// elasticStepPlan compiles the four-block elastic time-step: the
+// cross-block variable duplication (Figure 8's inter-block memcpy,
+// heavier for elastic), Volume on all three compute blocks concurrently,
+// then each face's neighbor fetch and Flux.
+func elasticStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
+	nn := m.NodesPerEl
+	riemann := c.Flux == dg.RiemannFlux
+	diag := blocksFor(m, place, RoleStressDiag)
+	shear := blocksFor(m, place, RoleStressShear)
+	vel := blocksFor(m, place, RoleVelocity)
+	p := &stepPlan{vars: append(append(
+		columnVars(diag, 3, ExColVar0, ExColAux),
+		columnVars(shear, 3, ExColVar0, ExColAux)...),
+		columnVars(vel, 3, ExColVar0, ExColAux)...)}
+
+	volDiag := c.VolumeElasticDiag()
+	volShear := c.VolumeElasticShear()
+	volVel := c.VolumeElasticVel()
+	var dup []sim.RowTransfer
+	volProgs := make(map[int][]isa.Instr, 3*m.NumElem)
+	for e := 0; e < m.NumElem; e++ {
+		bd, bs, bv := diag[e], shear[e], vel[e]
+		volProgs[bd] = volDiag
+		volProgs[bs] = volShear
+		volProgs[bv] = volVel
+		for v := 0; v < 3; v++ {
+			dup = append(dup, columnTransfer(bv, bd, ExColVar0+v, ExColRemote+v, nn)...)
+			dup = append(dup, columnTransfer(bv, bs, ExColVar0+v, ExColRemote+v, nn)...)
+			dup = append(dup, columnTransfer(bd, bv, ExColVar0+v, ExColRemote+v, nn)...)
+			dup = append(dup, columnTransfer(bs, bv, ExColVar0+v, ExColRemote+3+v, nn)...)
 		}
 	}
+	p.rhs = append(p.rhs, phase{name: "dup-vars", transfers: dup}, phase{name: "volume", progs: volProgs})
+
+	for face := mesh.Face(0); face < mesh.NumFaces; face++ {
+		a := face.Axis()
+		myRows := m.FaceNodes(face)
+		nbRows := m.FaceNodes(face.Opposite())
+		fluxDiag := c.FluxElasticDiag(face)
+		fluxShear := c.FluxElasticShear(face)
+		fluxVel := c.FluxElasticVel(face)
+		var fetch []sim.RowTransfer
+		fluxProgs := make(map[int][]isa.Instr, 3*m.NumElem)
+		move := func(srcBlk, srcOff, dstBlk, dstOff int) {
+			for g := range myRows {
+				fetch = append(fetch, sim.RowTransfer{
+					SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
+					DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
+			}
+		}
+		for e := 0; e < m.NumElem; e++ {
+			nb, ok := m.Neighbor(e, face)
+			if !ok {
+				continue
+			}
+			bd, bs, bv := diag[e], shear[e], vel[e]
+			nbd, nbs, nbv := diag[nb], shear[nb], vel[nb]
+			move(nbv, ExColVar0+int(a), bd, ExColNbr0)
+			if riemann {
+				move(nbd, ExColVar0+int(a), bd, ExColNbr1)
+			}
+			for idx, j := range otherAxes(a) {
+				move(nbv, ExColVar0+j, bs, ExColNbr0+idx)
+				if riemann {
+					move(nbs, ExColVar0+shearVar(int(a), j), bs, ExColD+1+idx)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if i == int(a) {
+					move(nbd, ExColVar0+i, bv, ExColD+1+i)
+				} else {
+					move(nbs, ExColVar0+shearVar(i, int(a)), bv, ExColD+1+i)
+				}
+				if riemann {
+					move(nbv, ExColVar0+i, bv, ExColD+4+i)
+				}
+			}
+			fluxProgs[bd] = fluxDiag
+			fluxProgs[bs] = fluxShear
+			fluxProgs[bv] = fluxVel
+		}
+		p.rhs = append(p.rhs,
+			phase{name: fmt.Sprintf("flux-fetch-%v", face), transfers: fetch},
+			phase{name: fmt.Sprintf("flux-%v", face), progs: fluxProgs})
+	}
+
+	for s := range p.integ {
+		integ := c.IntegrationElastic(s)
+		progs := make(map[int][]isa.Instr, 3*m.NumElem)
+		for e := 0; e < m.NumElem; e++ {
+			progs[diag[e]] = integ
+			progs[shear[e]] = integ
+			progs[vel[e]] = integ
+		}
+		p.integ[s] = phase{name: "integration", progs: progs}
+	}
+	return p
 }

@@ -114,71 +114,21 @@ func (c *Compiler) IntegrationExpanded(stage int) []isa.Instr {
 // Expanded functional system
 // ---------------------------------------------------------------------------
 
-// FunctionalAcousticExpanded executes the four-block E_p acoustic mapping
-// functionally, verifying the expansion technique end to end.
-type FunctionalAcousticExpanded struct {
-	Mesh   *mesh.Mesh
-	Mat    material.Acoustic
-	Comp   *Compiler
-	Place  *Placement
-	Engine *sim.Engine
-	Dt     float64
-}
-
-// NewFunctionalAcousticExpanded builds the expanded functional system.
-func NewFunctionalAcousticExpanded(m *mesh.Mesh, mat material.Acoustic, flux dg.FluxType, dt float64) (*FunctionalAcousticExpanded, error) {
-	if !m.Periodic {
-		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
-	}
-	chipCfg, err := chipFor(m.NumElem * 4)
+// NewFunctionalAcousticExpanded builds the functional acoustic system on
+// the four-block E_p layout, verifying the expansion technique end to end.
+// Its step plan is built per system, not cached: PlanKey has no layout
+// dimension to tell it apart from the one-block plan.
+func NewFunctionalAcousticExpanded(m *mesh.Mesh, mat material.Acoustic, flux dg.FluxType, dt float64) (*FunctionalAcoustic, error) {
+	cfg, err := chipFor(m.NumElem * 4)
 	if err != nil {
 		return nil, err
 	}
-	ch, err := newChip(chipCfg)
+	plan := Plan{Tech: ExpandParallel, Layout: AcousticFourBlock, SlotsPerElem: 4}
+	sys, err := newSystem(cfg, m, flux, dt, plan, nil, expandedStepPlan)
 	if err != nil {
 		return nil, err
 	}
-	plan := Plan{Tech: ExpandParallel, Layout: AcousticFourBlock, SlotsPerElem: 4, Chip: chipCfg}
-	return &FunctionalAcousticExpanded{
-		Mesh:   m,
-		Mat:    mat,
-		Comp:   NewCompiler(plan, m.Np, flux),
-		Place:  NewPlacement(AcousticFourBlock, m.EPerAxis, true),
-		Engine: newFunctionalEngine(ch),
-		Dt:     dt,
-	}, nil
-}
-
-// roleBlock resolves the block of (element, role).
-func (f *FunctionalAcousticExpanded) roleBlock(e int, role BlockRole) int {
-	ex, ey, ez := f.Mesh.ElemCoords(e)
-	return f.Place.BlockFor(ex, ey, ez, role)
-}
-
-// Load writes constants and the initial state.
-func (f *FunctionalAcousticExpanded) Load(q *dg.AcousticState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, role := range []BlockRole{RolePressure, RoleVelX, RoleVelY, RoleVelZ} {
-			b := f.Engine.Chip.Block(f.roleBlock(e, role))
-			f.Comp.LoadAcousticConstants(b, f.Mesh, f.Mat, f.Dt)
-			var src []float64
-			switch role {
-			case RolePressure:
-				src = q.P
-			case RoleVelX:
-				src = q.V[0]
-			case RoleVelY:
-				src = q.V[1]
-			case RoleVelZ:
-				src = q.V[2]
-			}
-			for n := 0; n < nn; n++ {
-				b.SetFloat(n, ExColVar0, float32(src[e*nn+n]))
-				b.SetFloat(n, ExColAux, 0)
-			}
-		}
-	}
+	return &FunctionalAcoustic{system: sys, Mat: mat}, nil
 }
 
 // columnTransfer builds per-row transfers copying a full column between two
@@ -192,133 +142,104 @@ func columnTransfer(src, dst, srcOff, dstOff, rows int) []sim.RowTransfer {
 	return out
 }
 
-// Step runs one five-stage time-step.
-func (f *FunctionalAcousticExpanded) Step() {
-	eng := f.Engine
-	m := f.Mesh
+// expandedStepPlan compiles the four-block E_p acoustic time-step.
+func expandedStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
 	nn := m.NodesPerEl
-	velRoles := []BlockRole{RoleVelX, RoleVelY, RoleVelZ}
+	pres := blocksFor(m, place, RolePressure)
+	var vel [3][]int
+	for a, role := range []BlockRole{RoleVelX, RoleVelY, RoleVelZ} {
+		vel[a] = blocksFor(m, place, role)
+	}
+	p := &stepPlan{vars: columnVars(pres, 1, ExColVar0, ExColAux)}
+	for a := range vel {
+		p.vars = append(p.vars, columnVars(vel[a], 1, ExColVar0, ExColAux)...)
+	}
 
-	for s := 0; s < dg.NumStages; s++ {
-		// 1. Duplicate p into the velocity blocks.
-		var dup []sim.RowTransfer
-		for e := 0; e < m.NumElem; e++ {
-			p := f.roleBlock(e, RolePressure)
-			for _, role := range velRoles {
-				dup = append(dup, columnTransfer(p, f.roleBlock(e, role), ExColVar0, ExColRemote+0, nn)...)
-			}
+	// 1. Duplicate p into the velocity blocks.
+	var dup []sim.RowTransfer
+	for e := 0; e < m.NumElem; e++ {
+		for a := range vel {
+			dup = append(dup, columnTransfer(pres[e], vel[a][e], ExColVar0, ExColRemote+0, nn)...)
 		}
-		eng.Sequence(eng.ExecTransfers("dup-p", dup))
+	}
+	// 2. Velocity-block Volume (all three axes in parallel).
+	volV := make(map[int][]isa.Instr, 3*m.NumElem)
+	for a := range vel {
+		prog := c.VolumeVBlock(mesh.Axis(a))
+		for e := 0; e < m.NumElem; e++ {
+			volV[vel[a][e]] = prog
+		}
+	}
+	// 3. Ship div pieces to the pressure block; combine there.
+	var div []sim.RowTransfer
+	volP := make(map[int][]isa.Instr, m.NumElem)
+	volPProg := c.VolumePBlock()
+	for e := 0; e < m.NumElem; e++ {
+		for a := range vel {
+			div = append(div, columnTransfer(vel[a][e], pres[e], ExColAccDiv, ExColRemote+a, nn)...)
+		}
+		volP[pres[e]] = volPProg
+	}
+	p.rhs = append(p.rhs,
+		phase{name: "dup-p", transfers: dup},
+		phase{name: "volume-v", progs: volV},
+		phase{name: "div-pieces", transfers: div},
+		phase{name: "volume-p", progs: volP})
 
-		// 2. Velocity-block Volume (all three axes in parallel).
-		progs := make(map[int][]isa.Instr)
-		for e := 0; e < m.NumElem; e++ {
-			for a, role := range velRoles {
-				progs[f.roleBlock(e, role)] = f.volumeV(a)
-			}
-		}
-		eng.Sequence(eng.ExecBlocks("volume-v", progs))
-
-		// 3. Ship div pieces to the pressure block; combine there.
-		var div []sim.RowTransfer
-		for e := 0; e < m.NumElem; e++ {
-			p := f.roleBlock(e, RolePressure)
-			for a, role := range velRoles {
-				div = append(div, columnTransfer(f.roleBlock(e, role), p, ExColAccDiv, ExColRemote+a, nn)...)
-			}
-		}
-		eng.Sequence(eng.ExecTransfers("div-pieces", div))
-		pprogs := make(map[int][]isa.Instr)
-		for e := 0; e < m.NumElem; e++ {
-			pprogs[f.roleBlock(e, RolePressure)] = f.volumeP()
-		}
-		eng.Sequence(eng.ExecBlocks("volume-p", pprogs))
-
-		// 4. Flux: two sign phases; within each, the three axis blocks
-		// work in parallel (Figure 9).
-		for signIdx := 0; signIdx < 2; signIdx++ {
-			var fetch []sim.RowTransfer
-			fprogs := make(map[int][]isa.Instr)
-			for a := mesh.AxisX; a <= mesh.AxisZ; a++ {
-				face := mesh.Face(2*int(a) + signIdx)
-				myRows := m.FaceNodes(face)
-				nbRows := m.FaceNodes(face.Opposite())
-				for e := 0; e < m.NumElem; e++ {
-					nb, ok := m.Neighbor(e, face)
-					if !ok {
-						continue
-					}
-					dst := f.roleBlock(e, velRoles[a])
-					srcP := f.roleBlock(nb, RolePressure)
-					srcV := f.roleBlock(nb, velRoles[a])
-					for g := range myRows {
-						fetch = append(fetch,
-							sim.RowTransfer{SrcBlock: srcP, SrcRow: nbRows[g], SrcOff: ExColVar0,
-								DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr0, Words: 1},
-							sim.RowTransfer{SrcBlock: srcV, SrcRow: nbRows[g], SrcOff: ExColVar0,
-								DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr1, Words: 1})
-					}
-					fprogs[dst] = f.fluxV(face, signIdx == 0)
+	// 4. Flux: two sign phases; within each, the three axis blocks work
+	// in parallel (Figure 9).
+	for signIdx := 0; signIdx < 2; signIdx++ {
+		var fetch []sim.RowTransfer
+		progs := make(map[int][]isa.Instr, 3*m.NumElem)
+		for a := mesh.AxisX; a <= mesh.AxisZ; a++ {
+			face := mesh.Face(2*int(a) + signIdx)
+			myRows := m.FaceNodes(face)
+			nbRows := m.FaceNodes(face.Opposite())
+			prog := c.FluxVBlock(face, signIdx == 0)
+			for e := 0; e < m.NumElem; e++ {
+				nb, ok := m.Neighbor(e, face)
+				if !ok {
+					continue
 				}
-			}
-			eng.Sequence(eng.ExecTransfers(fmt.Sprintf("flux-fetch-%d", signIdx), fetch))
-			eng.Sequence(eng.ExecBlocks(fmt.Sprintf("flux-%d", signIdx), fprogs))
-		}
-		// Gather the pressure pieces.
-		var gather []sim.RowTransfer
-		gprogs := make(map[int][]isa.Instr)
-		for e := 0; e < m.NumElem; e++ {
-			p := f.roleBlock(e, RolePressure)
-			for a, role := range velRoles {
-				gather = append(gather, columnTransfer(f.roleBlock(e, role), p, ExColRemote+1, ExColRemote+3+a, nn)...)
-			}
-			gprogs[p] = f.fluxGather()
-		}
-		eng.Sequence(eng.ExecTransfers("flux-p-pieces", gather))
-		eng.Sequence(eng.ExecBlocks("flux-p-gather", gprogs))
-
-		// 5. Integration on all four blocks in parallel.
-		iprogs := make(map[int][]isa.Instr)
-		integ := f.Comp.IntegrationExpanded(s)
-		for e := 0; e < m.NumElem; e++ {
-			for _, role := range []BlockRole{RolePressure, RoleVelX, RoleVelY, RoleVelZ} {
-				iprogs[f.roleBlock(e, role)] = integ
+				dst := vel[a][e]
+				for g := range myRows {
+					fetch = append(fetch,
+						sim.RowTransfer{SrcBlock: pres[nb], SrcRow: nbRows[g], SrcOff: ExColVar0,
+							DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr0, Words: 1},
+						sim.RowTransfer{SrcBlock: vel[a][nb], SrcRow: nbRows[g], SrcOff: ExColVar0,
+							DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr1, Words: 1})
+				}
+				progs[dst] = prog
 			}
 		}
-		eng.Sequence(eng.ExecBlocks("integration", iprogs))
+		p.rhs = append(p.rhs,
+			phase{name: fmt.Sprintf("flux-fetch-%d", signIdx), transfers: fetch},
+			phase{name: fmt.Sprintf("flux-%d", signIdx), progs: progs})
 	}
-}
-
-// Cached program templates.
-func (f *FunctionalAcousticExpanded) volumeV(a int) []isa.Instr {
-	return f.Comp.VolumeVBlock(mesh.Axis(a))
-}
-func (f *FunctionalAcousticExpanded) volumeP() []isa.Instr { return f.Comp.VolumePBlock() }
-func (f *FunctionalAcousticExpanded) fluxV(face mesh.Face, first bool) []isa.Instr {
-	return f.Comp.FluxVBlock(face, first)
-}
-func (f *FunctionalAcousticExpanded) fluxGather() []isa.Instr { return f.Comp.FluxPBlockGather() }
-
-// Run executes n time-steps.
-func (f *FunctionalAcousticExpanded) Run(n int) {
-	for i := 0; i < n; i++ {
-		f.Step()
-	}
-}
-
-// ReadState extracts the variables.
-func (f *FunctionalAcousticExpanded) ReadState(q *dg.AcousticState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		pb := f.Engine.Chip.Block(f.roleBlock(e, RolePressure))
-		for n := 0; n < nn; n++ {
-			q.P[e*nn+n] = float64(pb.GetFloat(n, ExColVar0))
+	// Gather the pressure pieces.
+	var gather []sim.RowTransfer
+	gatherProgs := make(map[int][]isa.Instr, m.NumElem)
+	gatherProg := c.FluxPBlockGather()
+	for e := 0; e < m.NumElem; e++ {
+		for a := range vel {
+			gather = append(gather, columnTransfer(vel[a][e], pres[e], ExColRemote+1, ExColRemote+3+a, nn)...)
 		}
-		for a, role := range []BlockRole{RoleVelX, RoleVelY, RoleVelZ} {
-			vb := f.Engine.Chip.Block(f.roleBlock(e, role))
-			for n := 0; n < nn; n++ {
-				q.V[a][e*nn+n] = float64(vb.GetFloat(n, ExColVar0))
+		gatherProgs[pres[e]] = gatherProg
+	}
+	p.rhs = append(p.rhs,
+		phase{name: "flux-p-pieces", transfers: gather},
+		phase{name: "flux-p-gather", progs: gatherProgs})
+
+	// 5. Integration on all four blocks in parallel.
+	for s := range p.integ {
+		integ := c.IntegrationExpanded(s)
+		progs := make(map[int][]isa.Instr, 4*m.NumElem)
+		for _, v := range p.vars {
+			for _, blk := range v.blocks {
+				progs[blk] = integ
 			}
 		}
+		p.integ[s] = phase{name: "integration", progs: progs}
 	}
+	return p
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"wavepim/internal/dg"
-	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
-	"wavepim/internal/pim/chip"
 	"wavepim/internal/pim/isa"
 	"wavepim/internal/pim/sim"
 )
@@ -194,160 +192,98 @@ func (c *Compiler) LoadMaxwellConstants(b BlockWriter, m *mesh.Mesh, mat materia
 	b.SetFloat(RowRK, 10, float32(dt))
 }
 
-// FunctionalMaxwell executes the Maxwell mapping functionally.
+// FunctionalMaxwell executes the Maxwell mapping functionally (four-slot
+// elements, two compute blocks each).
 type FunctionalMaxwell struct {
-	Mesh   *mesh.Mesh
-	Mat    material.Dielectric
-	Comp   *Compiler
-	Place  *Placement
-	Engine *sim.Engine
-	Dt     float64
-
-	// plan holds the cached compilation artifacts (programs, dup/fetch
-	// schedules, program->block maps). CacheHit reports whether this
-	// system skipped compilation entirely.
-	plan     *maxwellPlan
-	CacheHit bool
-}
-
-// NewFunctionalMaxwell builds the system (four-slot elements, two compute
-// blocks each). It is a thin veneer over NewSession — new code should use
-// the Session API directly.
-func NewFunctionalMaxwell(m *mesh.Mesh, mat material.Dielectric, flux dg.FluxType, dt float64) (*FunctionalMaxwell, error) {
-	s, err := NewSession(
-		WithEquation(opcount.Maxwell),
-		WithMesh(m),
-		WithDielectric(mat),
-		WithFlux(flux),
-		WithDt(dt),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return s.Maxwell(), nil
-}
-
-// newFunctionalMaxwellOn is NewFunctionalMaxwell on a caller-chosen chip
-// configuration (the Session's WithChip path).
-func newFunctionalMaxwellOn(cfg chip.Config, m *mesh.Mesh, mat material.Dielectric, flux dg.FluxType, dt float64) (*FunctionalMaxwell, error) {
-	if !m.Periodic {
-		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
-	}
-	if m.NumElem*4 > cfg.NumBlocks() {
-		return nil, fmt.Errorf("wavepim: %d elements need %d blocks, chip %s has %d", m.NumElem, m.NumElem*4, cfg.Name, cfg.NumBlocks())
-	}
-	ch, err := newChip(cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan := Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4, Chip: cfg}
-	f := &FunctionalMaxwell{
-		Mesh: m, Mat: mat,
-		Comp:   NewCompiler(plan, m.Np, flux),
-		Place:  NewPlacement(ElasticFourBlock, m.EPerAxis, true),
-		Engine: newFunctionalEngine(ch),
-		Dt:     dt,
-	}
-	key := PlanKey{Eq: opcount.Maxwell, Flux: flux, Np: m.Np, EPerAxis: m.EPerAxis, Chip: cfg.Name, Topo: cfg.Interconnect.String()}
-	f.plan, f.CacheHit = maxwellPlanFor(key, f.Comp, m, f.Place)
-	return f, nil
-}
-
-func (f *FunctionalMaxwell) blockOf(e int, eBlock bool) int {
-	ex, ey, ez := f.Mesh.ElemCoords(e)
-	base := f.Place.ElemSlot(ex, ey, ez)
-	if eBlock {
-		return base
-	}
-	return base + 1
+	*system
+	Mat material.Dielectric
 }
 
 // Load writes constants and the initial state.
 func (f *FunctionalMaxwell) Load(q *dg.MaxwellState) {
-	nn := f.Mesh.NodesPerEl
 	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, eBlock := range []bool{true, false} {
-			blk := f.Engine.Chip.Block(f.blockOf(e, eBlock))
-			f.Comp.LoadMaxwellConstants(blk, f.Mesh, f.Mat, f.Dt, eBlock)
-			src := q.E
-			if !eBlock {
-				src = q.H
-			}
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					blk.SetFloat(n, ExColVar0+v, float32(src[v][e*nn+n]))
-					blk.SetFloat(n, ExColAux+v, 0)
-				}
-			}
-		}
+		ex, ey, ez := f.Mesh.ElemCoords(e)
+		base := f.Place.ElemSlot(ex, ey, ez)
+		f.Comp.LoadMaxwellConstants(f.Engine.Chip.Block(base), f.Mesh, f.Mat, f.Dt, true)
+		f.Comp.LoadMaxwellConstants(f.Engine.Chip.Block(base+1), f.Mesh, f.Mat, f.Dt, false)
 	}
-}
-
-// Step runs one five-stage time-step. Every program and transfer
-// schedule comes precompiled from the plan cache — before the cache this
-// loop recompiled the flux programs per element per face per stage and
-// rebuilt the dup/fetch schedules per stage.
-func (f *FunctionalMaxwell) Step() {
-	eng := f.Engine
-	for s := 0; s < dg.NumStages; s++ {
-		// Cross-block field duplication.
-		eng.Sequence(eng.ExecTransfers("dup-fields", f.plan.dup))
-
-		eng.Sequence(eng.ExecBlocks("volume", f.plan.volProgs))
-
-		for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-			eng.Sequence(eng.ExecTransfers(fmt.Sprintf("flux-fetch-%v", face), f.plan.fetch[face]))
-			eng.Sequence(eng.ExecBlocks(fmt.Sprintf("flux-%v", face), f.plan.fluxProgs[face]))
-		}
-
-		eng.Sequence(eng.ExecBlocks("integration", f.plan.integProgs[s]))
-	}
-}
-
-// Run executes n steps.
-func (f *FunctionalMaxwell) Run(n int) {
-	for i := 0; i < n; i++ {
-		f.Step()
-	}
+	f.writeVars(q.Slices())
 }
 
 // ReadState extracts the fields.
-func (f *FunctionalMaxwell) ReadState(q *dg.MaxwellState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, eBlock := range []bool{true, false} {
-			blk := f.Engine.Chip.Block(f.blockOf(e, eBlock))
-			dst := q.E
-			if !eBlock {
-				dst = q.H
-			}
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					dst[v][e*nn+n] = float64(blk.GetFloat(n, ExColVar0+v))
-				}
-			}
-		}
-	}
-}
+func (f *FunctionalMaxwell) ReadState(q *dg.MaxwellState) { f.readVars(q.Slices()) }
 
-// WriteState rewrites only the solver variables (and zeroes the RK
-// auxiliaries), leaving constants untouched — the restore half of a
-// checkpoint rollback (exact at step boundaries since LSRK5A[0] = 0).
-func (f *FunctionalMaxwell) WriteState(q *dg.MaxwellState) {
-	nn := f.Mesh.NodesPerEl
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for _, eBlock := range []bool{true, false} {
-			blk := f.Engine.Chip.Block(f.blockOf(e, eBlock))
-			src := q.E
-			if !eBlock {
-				src = q.H
-			}
-			for v := 0; v < 3; v++ {
-				for n := 0; n < nn; n++ {
-					blk.SetFloat(n, ExColVar0+v, float32(src[v][e*nn+n]))
-					blk.SetFloat(n, ExColAux+v, 0)
-				}
-			}
+// maxwellStepPlan compiles the Maxwell time-step: cross-block field
+// duplication, Volume on both compute blocks, then each face's neighbor
+// fetch and Flux. E lives in slot 0 of each element, H in slot 1.
+func maxwellStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
+	nn := m.NodesPerEl
+	eBlocks := make([]int, m.NumElem)
+	hBlocks := make([]int, m.NumElem)
+	for e := range eBlocks {
+		ex, ey, ez := m.ElemCoords(e)
+		eBlocks[e] = place.ElemSlot(ex, ey, ez)
+		hBlocks[e] = eBlocks[e] + 1
+	}
+	p := &stepPlan{vars: append(
+		columnVars(eBlocks, 3, ExColVar0, ExColAux),
+		columnVars(hBlocks, 3, ExColVar0, ExColAux)...)}
+
+	volE := c.VolumeMaxwell(true)
+	volH := c.VolumeMaxwell(false)
+	var dup []sim.RowTransfer
+	volProgs := make(map[int][]isa.Instr, 2*m.NumElem)
+	for e := 0; e < m.NumElem; e++ {
+		eb, hb := eBlocks[e], hBlocks[e]
+		volProgs[eb] = volE
+		volProgs[hb] = volH
+		for v := 0; v < 3; v++ {
+			dup = append(dup, columnTransfer(hb, eb, ExColVar0+v, ExColRemote+v, nn)...)
+			dup = append(dup, columnTransfer(eb, hb, ExColVar0+v, ExColRemote+v, nn)...)
 		}
 	}
+	p.rhs = append(p.rhs, phase{name: "dup-fields", transfers: dup}, phase{name: "volume", progs: volProgs})
+
+	for face := mesh.Face(0); face < mesh.NumFaces; face++ {
+		a := int(face.Axis())
+		bb, cc := (a+1)%3, (a+2)%3
+		myRows := m.FaceNodes(face)
+		nbRows := m.FaceNodes(face.Opposite())
+		fluxE := c.FluxMaxwell(face, true)
+		fluxH := c.FluxMaxwell(face, false)
+		var fetch []sim.RowTransfer
+		fluxProgs := make(map[int][]isa.Instr, 2*m.NumElem)
+		move := func(srcBlk, srcOff, dstBlk, dstOff int) {
+			for g := range myRows {
+				fetch = append(fetch, sim.RowTransfer{
+					SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
+					DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
+			}
+		}
+		for e := 0; e < m.NumElem; e++ {
+			nb, _ := m.Neighbor(e, face)
+			for _, dst := range []int{eBlocks[e], hBlocks[e]} {
+				move(eBlocks[nb], ExColVar0+bb, dst, ExColNbr0)
+				move(eBlocks[nb], ExColVar0+cc, dst, ExColNbr1)
+				move(hBlocks[nb], ExColVar0+bb, dst, ExColD+1)
+				move(hBlocks[nb], ExColVar0+cc, dst, ExColD+2)
+			}
+			fluxProgs[eBlocks[e]] = fluxE
+			fluxProgs[hBlocks[e]] = fluxH
+		}
+		p.rhs = append(p.rhs,
+			phase{name: fmt.Sprintf("flux-fetch-%v", face), transfers: fetch},
+			phase{name: fmt.Sprintf("flux-%v", face), progs: fluxProgs})
+	}
+
+	for s := range p.integ {
+		integ := c.IntegrationElastic(s) // three variables per block
+		progs := make(map[int][]isa.Instr, 2*m.NumElem)
+		for e := 0; e < m.NumElem; e++ {
+			progs[eBlocks[e]] = integ
+			progs[hBlocks[e]] = integ
+		}
+		p.integ[s] = phase{name: "integration", progs: progs}
+	}
+	return p
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wavepim/internal/dg"
+	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 )
@@ -43,10 +44,7 @@ func TestFunctionalElasticMatchesReference(t *testing.T) {
 		it := dg.NewElasticIntegrator(ref)
 		dt := ref.MaxStableDt(0.3)
 
-		fe, err := NewFunctionalElastic(m, elMat, flux, dt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fe := functionalForTest(t, m, dt, WithEquation(opcount.ElasticRiemann), WithElasticMaterial(elMat), WithFlux(flux)).Elastic()
 		fe.Load(qPim)
 
 		const steps = 2

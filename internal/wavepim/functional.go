@@ -2,112 +2,19 @@ package wavepim
 
 import (
 	"fmt"
-	"runtime"
 
 	"wavepim/internal/dg"
-	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
-	"wavepim/internal/pim/chip"
-	"wavepim/internal/pim/sim"
+	"wavepim/internal/pim/isa"
 )
 
-// chipFor picks the smallest evaluation chip configuration with at least n
-// blocks (functional meshes are small, so this is almost always 512 MB).
-// It errors when even the largest configuration is too small — callers
-// must not silently run on a chip that cannot hold the model.
-func chipFor(nBlocks int) (chip.Config, error) {
-	for _, cfg := range chip.AllConfigs() {
-		if cfg.NumBlocks() >= nBlocks {
-			return cfg, nil
-		}
-	}
-	largest := chip.AllConfigs()[len(chip.AllConfigs())-1]
-	return chip.Config{}, fmt.Errorf(
-		"wavepim: no chip configuration fits %d blocks (largest, %s, has %d); batch the model instead",
-		nBlocks, largest.Name, largest.NumBlocks())
-}
-
-// newChip wraps chip.New for the functional constructors.
-func newChip(cfg chip.Config) (*chip.Chip, error) { return chip.New(cfg) }
-
-// newFunctionalEngine builds a functional engine with its worker pool sized
-// to the machine, so per-block functional execution uses every core. The
-// engine's merge order makes results identical to a serial run.
-func newFunctionalEngine(ch *chip.Chip) *sim.Engine {
-	e := sim.New(ch, true)
-	e.Workers = runtime.GOMAXPROCS(0)
-	return e
-}
-
-// FunctionalAcoustic is a fully functional PIM execution of the acoustic
-// simulation on the naive one-block layout: every float32 value lives in
-// crossbar cells and every kernel runs as compiled PIM instructions. It
-// exists to verify, node for node, that the compiled Wave-PIM programs
-// compute the same semi-discrete system as the internal/dg reference
-// solver.
+// FunctionalAcoustic is the functional acoustic system: the one-block
+// layout a Session builds, or the four-block expanded layout of
+// NewFunctionalAcousticExpanded.
 type FunctionalAcoustic struct {
-	Mesh   *mesh.Mesh
-	Mat    material.Acoustic
-	Comp   *Compiler
-	Place  *Placement
-	Engine *sim.Engine
-	Dt     float64
-
-	// plan holds every compiled artifact (programs, transfer schedules,
-	// program->block maps), shared read-only through the process-wide
-	// plan cache. CacheHit reports whether this system skipped
-	// compilation entirely.
-	plan     *acousticPlan
-	CacheHit bool
-}
-
-// NewFunctionalAcoustic builds the functional system on a 512MB chip. The
-// mesh must be periodic (every element has six neighbors, as in the
-// paper's benchmark meshes) and small enough to fit without batching. It
-// is a thin veneer over NewSession — new code should use the Session API
-// directly (WithChip, WithTopology, WithObs, ...).
-func NewFunctionalAcoustic(m *mesh.Mesh, mat material.Acoustic, flux dg.FluxType, dt float64) (*FunctionalAcoustic, error) {
-	s, err := NewSession(
-		WithEquation(opcount.Acoustic),
-		WithMesh(m),
-		WithAcousticMaterial(mat),
-		WithFlux(flux),
-		WithDt(dt),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return s.Acoustic(), nil
-}
-
-// newFunctionalAcousticOn is NewFunctionalAcoustic on a caller-chosen chip
-// configuration (the Session's WithChip path).
-func newFunctionalAcousticOn(cfg chip.Config, m *mesh.Mesh, mat material.Acoustic, flux dg.FluxType, dt float64) (*FunctionalAcoustic, error) {
-	if !m.Periodic {
-		return nil, fmt.Errorf("wavepim: functional acoustic requires a periodic mesh")
-	}
-	if m.NumElem > cfg.NumBlocks() {
-		return nil, fmt.Errorf("wavepim: %d elements exceed the functional chip's %d blocks", m.NumElem, cfg.NumBlocks())
-	}
-	ch, err := chip.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan := Plan{Tech: Naive, Layout: AcousticOneBlock, SlotsPerElem: 1,
-		Chip: cfg, SlicesPerBatch: m.NumSlices(), NumSlices: m.NumSlices(), Batches: 1,
-		ElemsPerSlice: m.EPerAxis * m.EPerAxis}
-	f := &FunctionalAcoustic{
-		Mesh:   m,
-		Mat:    mat,
-		Comp:   NewCompiler(plan, m.Np, flux),
-		Place:  NewPlacement(AcousticOneBlock, m.EPerAxis, true),
-		Engine: newFunctionalEngine(ch),
-		Dt:     dt,
-	}
-	key := PlanKey{Eq: opcount.Acoustic, Flux: flux, Np: m.Np, EPerAxis: m.EPerAxis, Chip: cfg.Name, Topo: cfg.Interconnect.String()}
-	f.plan, f.CacheHit = acousticPlanFor(key, f.Comp, m, f.Place)
-	return f, nil
+	*system
+	Mat material.Acoustic
 }
 
 // Load writes constants and the initial state into the chip, with the
@@ -118,66 +25,53 @@ func (f *FunctionalAcoustic) Load(q *dg.AcousticState) {
 
 // LoadField writes constants and state with per-element materials (the
 // paper's model: "We consider constant materials within an element" —
-// every element's block holds its own material-derived constants, which
-// is what makes layered media free on the PIM side).
+// every element's blocks hold their own material-derived constants,
+// which is what makes layered media free on the PIM side).
 func (f *FunctionalAcoustic) LoadField(q *dg.AcousticState, field *material.AcousticField) {
-	for e, blk := range f.plan.blocks {
-		b := f.Engine.Chip.Block(blk)
-		f.Comp.LoadAcousticConstants(b, f.Mesh, field.ByElem[e], f.Dt)
-		f.Comp.LoadAcousticState(b, q, e)
+	vars := f.plan.vars
+	for e := 0; e < f.Mesh.NumElem; e++ {
+		for v, loc := range vars {
+			// On the one-block layout every variable shares p's block.
+			if v > 0 && loc.blocks[e] == vars[0].blocks[e] {
+				continue
+			}
+			f.Comp.LoadAcousticConstants(f.Engine.Chip.Block(loc.blocks[e]), f.Mesh, field.ByElem[e], f.Dt)
+		}
 	}
-}
-
-// RHSOnce executes Volume plus all six Flux sub-phases, leaving the RHS in
-// the contribution columns (no integration). Used by kernel-level
-// verification tests. All programs and schedules come precompiled from
-// the plan cache — nothing is built per call.
-func (f *FunctionalAcoustic) RHSOnce() {
-	e := f.Engine
-	e.Sequence(e.ExecBlocks("volume", f.plan.volProgs))
-	for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-		e.Sequence(e.ExecTransfers(fmt.Sprintf("flux-fetch-%v", face), f.plan.fetch[face]))
-		e.Sequence(e.ExecBlocks(fmt.Sprintf("flux-%v", face), f.plan.fluxProgs[face]))
-	}
-}
-
-// Step executes one full five-stage time-step.
-func (f *FunctionalAcoustic) Step() {
-	e := f.Engine
-	for s := 0; s < dg.NumStages; s++ {
-		f.RHSOnce()
-		e.Sequence(e.ExecBlocks(fmt.Sprintf("integration-%d", s), f.plan.integProgs[s]))
-	}
-}
-
-// Run executes n time-steps.
-func (f *FunctionalAcoustic) Run(n int) {
-	for i := 0; i < n; i++ {
-		f.Step()
-	}
+	f.writeVars(q.Slices())
 }
 
 // ReadState extracts the current variables into q.
-func (f *FunctionalAcoustic) ReadState(q *dg.AcousticState) {
-	for e, blk := range f.plan.blocks {
-		f.Comp.ReadAcousticState(f.Engine.Chip.Block(blk), q, e)
-	}
-}
+func (f *FunctionalAcoustic) ReadState(q *dg.AcousticState) { f.readVars(q.Slices()) }
 
-// ReadRHS extracts the contribution columns into rhs.
+// ReadRHS extracts the contribution columns of the one-block layout into
+// rhs.
 func (f *FunctionalAcoustic) ReadRHS(rhs *dg.AcousticState) {
-	for e, blk := range f.plan.blocks {
+	for e, blk := range f.plan.vars[0].blocks {
 		f.Comp.ReadAcousticContrib(f.Engine.Chip.Block(blk), rhs, e)
 	}
 }
 
-// WriteState rewrites only the solver variables (and zeroes the RK
-// auxiliaries), leaving the constant rows untouched — the restore half of
-// a checkpoint rollback. Zeroing the auxiliaries at a step boundary is
-// exact: LSRK5A[0] = 0, so the first stage of the next step overwrites
-// them regardless of history.
-func (f *FunctionalAcoustic) WriteState(q *dg.AcousticState) {
-	for e, blk := range f.plan.blocks {
-		f.Comp.LoadAcousticState(f.Engine.Chip.Block(blk), q, e)
+// acousticStepPlan compiles the one-block acoustic time-step: Volume,
+// then each face's neighbor fetch and Flux, on every element block.
+func acousticStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
+	blocks := blocksFor(m, place, RoleAll)
+	progsFor := func(prog []isa.Instr) map[int][]isa.Instr {
+		out := make(map[int][]isa.Instr, len(blocks))
+		for _, blk := range blocks {
+			out[blk] = prog
+		}
+		return out
 	}
+	p := &stepPlan{vars: columnVars(blocks, 4, AcColP, AcColAux)}
+	p.rhs = append(p.rhs, phase{name: "volume", progs: progsFor(c.VolumeOneBlock())})
+	for f := mesh.Face(0); f < mesh.NumFaces; f++ {
+		p.rhs = append(p.rhs,
+			phase{name: fmt.Sprintf("flux-fetch-%v", f), transfers: c.FluxTransfersOneBlock(m, place, f, true)},
+			phase{name: fmt.Sprintf("flux-%v", f), progs: progsFor(c.FluxOneBlock(f))})
+	}
+	for s := range p.integ {
+		p.integ[s] = phase{name: fmt.Sprintf("integration-%d", s), progs: progsFor(c.IntegrationOneBlock(s))}
+	}
+	return p
 }

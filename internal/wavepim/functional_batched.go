@@ -6,6 +6,7 @@ import (
 	"wavepim/internal/dg"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
+	"wavepim/internal/pim/chip"
 	"wavepim/internal/pim/isa"
 	"wavepim/internal/pim/sim"
 )
@@ -43,7 +44,7 @@ func NewFunctionalAcousticBatched(m *mesh.Mesh, mat material.Acoustic, flux dg.F
 	if !m.Periodic {
 		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
 	}
-	if m.NumSlices()%slicesPerBatch != 0 || slicesPerBatch < 1 {
+	if slicesPerBatch < 1 || m.NumSlices()%slicesPerBatch != 0 {
 		return nil, fmt.Errorf("wavepim: %d slices not divisible by %d per batch", m.NumSlices(), slicesPerBatch)
 	}
 	elemsPB := m.EPerAxis * m.EPerAxis * slicesPerBatch
@@ -51,7 +52,7 @@ func NewFunctionalAcousticBatched(m *mesh.Mesh, mat material.Acoustic, flux dg.F
 	if err != nil {
 		return nil, err
 	}
-	ch, err := newChip(cfg)
+	ch, err := chip.New(cfg)
 	if err != nil {
 		return nil, err
 	}

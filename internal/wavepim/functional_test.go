@@ -64,10 +64,7 @@ func TestFunctionalAcousticRHSMatchesReference(t *testing.T) {
 		ref.RHS(q, want)
 
 		// PIM functional RHS.
-		fa, err := NewFunctionalAcoustic(m, fnMat, flux, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fa := functionalForTest(t, m, 1e-3, WithAcousticMaterial(fnMat), WithFlux(flux)).Acoustic()
 		fa.Load(q)
 		fa.RHSOnce()
 		got := dg.NewAcousticState(m)
@@ -93,10 +90,7 @@ func TestFunctionalAcousticFullStepsMatchReference(t *testing.T) {
 	it := dg.NewAcousticIntegrator(ref)
 	dt := ref.MaxStableDt(0.3)
 
-	fa, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := functionalForTest(t, m, dt, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
 	fa.Load(qPim)
 
 	const steps = 3
@@ -127,19 +121,16 @@ func TestFunctionalAcousticFullStepsMatchReference(t *testing.T) {
 // needs transfers; Volume dominates instruction count).
 func TestCompiledProgramShapes(t *testing.T) {
 	m := mesh.New(1, 4, true)
-	fa, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vol := len(fa.plan.volume)
-	flux := len(fa.plan.flux[0])
-	integ := len(fa.plan.integ[0])
+	c := NewCompiler(Plan{Layout: AcousticOneBlock}, m.Np, dg.RiemannFlux)
+	vol := len(c.VolumeOneBlock())
+	flux := len(c.FluxOneBlock(0))
+	integ := len(c.IntegrationOneBlock(0))
 	if vol <= flux || vol <= integ {
 		t.Errorf("Volume (%d instrs) should be the largest kernel (flux %d, integ %d)", vol, flux, integ)
 	}
 	// Riemann flux is strictly larger than central flux.
-	fa2, _ := NewFunctionalAcoustic(m, fnMat, dg.CentralFlux, 1e-3)
-	if len(fa2.plan.flux[0]) >= flux {
-		t.Errorf("central flux (%d) should be smaller than Riemann (%d)", len(fa2.plan.flux[0]), flux)
+	central := NewCompiler(Plan{Layout: AcousticOneBlock}, m.Np, dg.CentralFlux)
+	if n := len(central.FluxOneBlock(0)); n >= flux {
+		t.Errorf("central flux (%d) should be smaller than Riemann (%d)", n, flux)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wavepim/internal/dg"
+	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 )
@@ -42,10 +43,7 @@ func TestFunctionalAcousticHeterogeneousLayers(t *testing.T) {
 	it := dg.NewAcousticIntegrator(ref)
 	dt := ref.MaxStableDt(0.25)
 
-	fa, err := NewFunctionalAcoustic(m, slow, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := functionalForTest(t, m, dt, WithAcousticMaterial(slow), WithFlux(dg.RiemannFlux)).Acoustic()
 	fa.LoadField(qPim, field)
 
 	const steps = 3
@@ -100,10 +98,7 @@ func TestFunctionalElasticHeterogeneousLayers(t *testing.T) {
 	it := dg.NewElasticIntegrator(ref)
 	dt := ref.MaxStableDt(0.25)
 
-	fe, err := NewFunctionalElastic(m, soft, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fe := functionalForTest(t, m, dt, WithEquation(opcount.ElasticRiemann), WithElasticMaterial(soft), WithFlux(dg.RiemannFlux)).Elastic()
 	fe.LoadField(qPim, field)
 
 	const steps = 2

@@ -69,7 +69,7 @@ func lutFetchProgram(lutBlock int) []isa.Instr {
 	return prog
 }
 
-// LoadWithLUT loads the functional acoustic system the Section 4.3 way:
+// LoadWithLUT loads the one-block acoustic system the Section 4.3 way:
 // geometry constants (dshape, masks, RK table) are model constants written
 // at setup, but every material-derived value is fetched from the reserved
 // LUT block by OpLUT instructions executed on the chip.
@@ -89,11 +89,10 @@ func (f *FunctionalAcoustic) LoadWithLUT(q *dg.AcousticState, field *material.Ac
 
 	progs := make(map[int][]isa.Instr, m.NumElem)
 	prog := lutFetchProgram(lutBlock)
-	for e, blk := range f.plan.blocks {
+	for e, blk := range f.plan.vars[0].blocks {
 		b := f.Engine.Chip.Block(blk)
-		// Geometry constants and state as usual.
+		// Geometry constants as usual.
 		f.Comp.LoadAcousticConstants(b, m, field.ByElem[e], f.Dt)
-		f.Comp.LoadAcousticState(b, q, e)
 		// Scrub the material-derived words and seed them with LUT indices
 		// instead (proving the subsequent values really come from the LUT).
 		for k := 0; k < lutFluxEntries; k++ {
@@ -104,6 +103,7 @@ func (f *FunctionalAcoustic) LoadWithLUT(q *dg.AcousticState, field *material.Ac
 		}
 		progs[blk] = prog
 	}
+	f.writeVars(q.Slices())
 	// The chip fetches its own constants.
 	f.Engine.Sequence(f.Engine.ExecBlocks("lut-consts", progs))
 }
@@ -111,7 +111,7 @@ func (f *FunctionalAcoustic) LoadWithLUT(q *dg.AcousticState, field *material.Ac
 // VerifyLUTLoaded is a test hook: it checks one block's fetched constant
 // against the direct computation.
 func (f *FunctionalAcoustic) VerifyLUTLoaded(e int, field *material.AcousticField) bool {
-	b := f.Engine.Chip.Block(f.plan.blocks[e])
+	b := f.Engine.Chip.Block(f.plan.vars[0].blocks[e])
 	vals := f.Comp.acousticLUTValues(f.Mesh, field.ByElem[e])
 	for k := 0; k < lutFluxEntries; k++ {
 		if b.GetFloat(RowFluxConsts, k) != vals[k] {

@@ -23,16 +23,10 @@ func TestLUTLoadedConstantsMatchDirectLoad(t *testing.T) {
 		field.ByElem[e].Kappa = 2.0 + 0.1*float64(e)
 	}
 
-	direct, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := functionalForTest(t, m, dt, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
 	direct.LoadField(q.Copy(), field)
 
-	viaLUT, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viaLUT := functionalForTest(t, m, dt, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
 	viaLUT.LoadWithLUT(qPim, field)
 
 	// Every block's fetched constants match the host computation exactly.
@@ -69,10 +63,7 @@ func TestLUTLoadedConstantsMatchDirectLoad(t *testing.T) {
 func TestLUTLoadCharged(t *testing.T) {
 	m := mesh.New(1, 4, true)
 	q, _ := acousticStates(t, m)
-	fa, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa := functionalForTest(t, m, 1e-3, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
 	fa.LoadWithLUT(q, material.UniformAcoustic(m.NumElem, fnMat))
 	if fa.Engine.TotalTime() <= 0 || fa.Engine.TotalEnergy <= 0 {
 		t.Error("LUT constant loading must consume time and energy")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wavepim/internal/dg"
+	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 )
@@ -41,10 +42,7 @@ func TestFunctionalMaxwellMatchesReference(t *testing.T) {
 		it := dg.NewMaxwellIntegrator(ref)
 		dt := ref.MaxStableDt(0.3)
 
-		fm, err := NewFunctionalMaxwell(m, emMat, flux, dt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fm := functionalForTest(t, m, dt, WithEquation(opcount.Maxwell), WithDielectric(emMat), WithFlux(flux)).Maxwell()
 		fm.Load(qPim)
 
 		const steps = 2

@@ -6,22 +6,19 @@ import (
 
 	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
-	"wavepim/internal/mesh"
-	"wavepim/internal/pim/isa"
-	"wavepim/internal/pim/sim"
 )
 
-// Compiled-plan cache. Every compilation artifact a functional system
-// needs per Step() — block programs, transfer schedules, the program->
-// block maps, and the LUT fetch program — is a pure function of
-// (equation, flux, element order, mesh extent, chip config). The cache
-// builds that artifact set once per process and shares it across
-// sessions: repeated Session construction (and every wavepimd job after
-// the first) skips block-program compilation and LUT construction
-// entirely, and Step() never recompiles. Entries are immutable after
-// build — programs and transfer lists are only ever read (concurrent map
-// reads from many sessions' engines are safe), so no copying or locking
-// happens on the hot path.
+// Compiled-plan cache. A layout's stepPlan — every block program,
+// transfer schedule and program->block map a functional system replays
+// per Step() — is a pure function of (equation, flux, element order, mesh
+// extent, chip config). The cache builds one stepPlan per key once per
+// process and shares it across sessions: repeated Session construction
+// (and every wavepimd job after the first) skips block-program
+// compilation entirely, and Step() never recompiles. Entries are
+// immutable after build — programs and transfer lists are only ever read
+// (concurrent map reads from many sessions' engines are safe), so no
+// copying or locking happens on the hot path. The expanded acoustic plan
+// is built per system and not cached: PlanKey has no layout dimension.
 
 // PlanKey identifies one compiled artifact set. All fields are part of
 // the content address: two keys with equal fields share one entry.
@@ -132,259 +129,4 @@ func resetPlanCache() {
 	planCache.mu.Unlock()
 	planCache.hits.Store(0)
 	planCache.misses.Store(0)
-}
-
-// ---------------------------------------------------------------------------
-// Acoustic artifact set
-// ---------------------------------------------------------------------------
-
-// acousticPlan is the immutable per-key artifact set of the one-block
-// acoustic system.
-type acousticPlan struct {
-	blocks []int // element -> block id
-	volume []isa.Instr
-	flux   [mesh.NumFaces][]isa.Instr
-	fetch  [mesh.NumFaces][]sim.RowTransfer
-	integ  [dg.NumStages][]isa.Instr
-
-	volProgs   map[int][]isa.Instr
-	fluxProgs  [mesh.NumFaces]map[int][]isa.Instr
-	integProgs [dg.NumStages]map[int][]isa.Instr
-
-	lutFetch []isa.Instr // OpLUT constant fetch (LUT block = NumElem)
-	lutProgs map[int][]isa.Instr
-}
-
-// acousticPlanFor returns (building on first use) the acoustic artifacts.
-func acousticPlanFor(key PlanKey, c *Compiler, m *mesh.Mesh, place *Placement) (*acousticPlan, bool) {
-	v, hit := cachedPlan(key, func() any {
-		p := &acousticPlan{}
-		p.blocks = make([]int, m.NumElem)
-		for e := range p.blocks {
-			ex, ey, ez := m.ElemCoords(e)
-			p.blocks[e] = place.BlockFor(ex, ey, ez, RoleAll)
-		}
-		progsFor := func(prog []isa.Instr) map[int][]isa.Instr {
-			out := make(map[int][]isa.Instr, len(p.blocks))
-			for _, blk := range p.blocks {
-				out[blk] = prog
-			}
-			return out
-		}
-		p.volume = c.VolumeOneBlock()
-		p.volProgs = progsFor(p.volume)
-		for f := mesh.Face(0); f < mesh.NumFaces; f++ {
-			p.flux[f] = c.FluxOneBlock(f)
-			p.fluxProgs[f] = progsFor(p.flux[f])
-			p.fetch[f] = c.FluxTransfersOneBlock(m, place, f, true)
-		}
-		for s := 0; s < dg.NumStages; s++ {
-			p.integ[s] = c.IntegrationOneBlock(s)
-			p.integProgs[s] = progsFor(p.integ[s])
-		}
-		p.lutFetch = lutFetchProgram(m.NumElem)
-		p.lutProgs = progsFor(p.lutFetch)
-		return p
-	})
-	return v.(*acousticPlan), hit
-}
-
-// ---------------------------------------------------------------------------
-// Elastic artifact set
-// ---------------------------------------------------------------------------
-
-// elasticPlan is the immutable per-key artifact set of the four-block
-// elastic system. Before this cache existed, Step() recompiled the three
-// flux programs per element per face per stage and rebuilt every
-// transfer schedule per stage — the dominant host-side cost of a
-// functional elastic run.
-type elasticPlan struct {
-	volProgs   map[int][]isa.Instr
-	fluxProgs  [mesh.NumFaces]map[int][]isa.Instr
-	integProgs [dg.NumStages]map[int][]isa.Instr
-	dup        []sim.RowTransfer
-	fetch      [mesh.NumFaces][]sim.RowTransfer
-}
-
-// elasticPlanFor returns (building on first use) the elastic artifacts.
-func elasticPlanFor(key PlanKey, c *Compiler, m *mesh.Mesh, place *Placement) (*elasticPlan, bool) {
-	roleBlock := func(e int, role BlockRole) int {
-		ex, ey, ez := m.ElemCoords(e)
-		return place.BlockFor(ex, ey, ez, role)
-	}
-	v, hit := cachedPlan(key, func() any {
-		p := &elasticPlan{}
-		nn := m.NodesPerEl
-		riemann := c.Flux == dg.RiemannFlux
-
-		volDiag := c.VolumeElasticDiag()
-		volShear := c.VolumeElasticShear()
-		volVel := c.VolumeElasticVel()
-		p.volProgs = make(map[int][]isa.Instr, 3*m.NumElem)
-		for e := 0; e < m.NumElem; e++ {
-			bd := roleBlock(e, RoleStressDiag)
-			bs := roleBlock(e, RoleStressShear)
-			bv := roleBlock(e, RoleVelocity)
-			p.volProgs[bd] = volDiag
-			p.volProgs[bs] = volShear
-			p.volProgs[bv] = volVel
-			for v := 0; v < 3; v++ {
-				p.dup = append(p.dup, columnTransfer(bv, bd, ExColVar0+v, ExColRemote+v, nn)...)
-				p.dup = append(p.dup, columnTransfer(bv, bs, ExColVar0+v, ExColRemote+v, nn)...)
-				p.dup = append(p.dup, columnTransfer(bd, bv, ExColVar0+v, ExColRemote+v, nn)...)
-				p.dup = append(p.dup, columnTransfer(bs, bv, ExColVar0+v, ExColRemote+3+v, nn)...)
-			}
-		}
-
-		for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-			a := face.Axis()
-			myRows := m.FaceNodes(face)
-			nbRows := m.FaceNodes(face.Opposite())
-			fluxDiag := c.FluxElasticDiag(face)
-			fluxShear := c.FluxElasticShear(face)
-			fluxVel := c.FluxElasticVel(face)
-			p.fluxProgs[face] = make(map[int][]isa.Instr, 3*m.NumElem)
-			move := func(srcBlk, srcOff, dstBlk, dstOff int) {
-				for g := range myRows {
-					p.fetch[face] = append(p.fetch[face], sim.RowTransfer{
-						SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
-						DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
-				}
-			}
-			for e := 0; e < m.NumElem; e++ {
-				nb, ok := m.Neighbor(e, face)
-				if !ok {
-					continue
-				}
-				bd := roleBlock(e, RoleStressDiag)
-				bs := roleBlock(e, RoleStressShear)
-				bv := roleBlock(e, RoleVelocity)
-				nbd := roleBlock(nb, RoleStressDiag)
-				nbs := roleBlock(nb, RoleStressShear)
-				nbv := roleBlock(nb, RoleVelocity)
-				move(nbv, ExColVar0+int(a), bd, ExColNbr0)
-				if riemann {
-					move(nbd, ExColVar0+int(a), bd, ExColNbr1)
-				}
-				for idx, j := range otherAxes(a) {
-					move(nbv, ExColVar0+j, bs, ExColNbr0+idx)
-					if riemann {
-						move(nbs, ExColVar0+shearVar(int(a), j), bs, ExColD+1+idx)
-					}
-				}
-				for i := 0; i < 3; i++ {
-					if i == int(a) {
-						move(nbd, ExColVar0+i, bv, ExColD+1+i)
-					} else {
-						move(nbs, ExColVar0+shearVar(i, int(a)), bv, ExColD+1+i)
-					}
-					if riemann {
-						move(nbv, ExColVar0+i, bv, ExColD+4+i)
-					}
-				}
-				p.fluxProgs[face][bd] = fluxDiag
-				p.fluxProgs[face][bs] = fluxShear
-				p.fluxProgs[face][bv] = fluxVel
-			}
-		}
-
-		for s := 0; s < dg.NumStages; s++ {
-			integ := c.IntegrationElastic(s)
-			p.integProgs[s] = make(map[int][]isa.Instr, 3*m.NumElem)
-			for e := 0; e < m.NumElem; e++ {
-				for _, role := range elasticComputeRoles {
-					p.integProgs[s][roleBlock(e, role)] = integ
-				}
-			}
-		}
-		return p
-	})
-	return v.(*elasticPlan), hit
-}
-
-// ---------------------------------------------------------------------------
-// Maxwell artifact set
-// ---------------------------------------------------------------------------
-
-// maxwellPlan is the immutable per-key artifact set of the two-compute-
-// block Maxwell system. The same per-stage recompilation and schedule
-// rebuilding as elastic used to happen here.
-type maxwellPlan struct {
-	volProgs   map[int][]isa.Instr
-	fluxProgs  [mesh.NumFaces]map[int][]isa.Instr
-	integProgs [dg.NumStages]map[int][]isa.Instr
-	dup        []sim.RowTransfer
-	fetch      [mesh.NumFaces][]sim.RowTransfer
-}
-
-// maxwellPlanFor returns (building on first use) the Maxwell artifacts.
-func maxwellPlanFor(key PlanKey, c *Compiler, m *mesh.Mesh, place *Placement) (*maxwellPlan, bool) {
-	blockOf := func(e int, eBlock bool) int {
-		ex, ey, ez := m.ElemCoords(e)
-		base := place.ElemSlot(ex, ey, ez)
-		if eBlock {
-			return base
-		}
-		return base + 1
-	}
-	v, hit := cachedPlan(key, func() any {
-		p := &maxwellPlan{}
-		nn := m.NodesPerEl
-
-		volE := c.VolumeMaxwell(true)
-		volH := c.VolumeMaxwell(false)
-		p.volProgs = make(map[int][]isa.Instr, 2*m.NumElem)
-		for e := 0; e < m.NumElem; e++ {
-			eb, hb := blockOf(e, true), blockOf(e, false)
-			p.volProgs[eb] = volE
-			p.volProgs[hb] = volH
-			for v := 0; v < 3; v++ {
-				p.dup = append(p.dup, columnTransfer(hb, eb, ExColVar0+v, ExColRemote+v, nn)...)
-				p.dup = append(p.dup, columnTransfer(eb, hb, ExColVar0+v, ExColRemote+v, nn)...)
-			}
-		}
-
-		for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-			a := int(face.Axis())
-			bb, cc := (a+1)%3, (a+2)%3
-			myRows := m.FaceNodes(face)
-			nbRows := m.FaceNodes(face.Opposite())
-			fluxE := c.FluxMaxwell(face, true)
-			fluxH := c.FluxMaxwell(face, false)
-			p.fluxProgs[face] = make(map[int][]isa.Instr, 2*m.NumElem)
-			move := func(srcBlk, srcOff, dstBlk, dstOff int) {
-				for g := range myRows {
-					p.fetch[face] = append(p.fetch[face], sim.RowTransfer{
-						SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
-						DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
-				}
-			}
-			for e := 0; e < m.NumElem; e++ {
-				nb, _ := m.Neighbor(e, face)
-				for _, eBlock := range []bool{true, false} {
-					dst := blockOf(e, eBlock)
-					move(blockOf(nb, true), ExColVar0+bb, dst, ExColNbr0)
-					move(blockOf(nb, true), ExColVar0+cc, dst, ExColNbr1)
-					move(blockOf(nb, false), ExColVar0+bb, dst, ExColD+1)
-					move(blockOf(nb, false), ExColVar0+cc, dst, ExColD+2)
-					if eBlock {
-						p.fluxProgs[face][dst] = fluxE
-					} else {
-						p.fluxProgs[face][dst] = fluxH
-					}
-				}
-			}
-		}
-
-		for s := 0; s < dg.NumStages; s++ {
-			integ := c.IntegrationElastic(s) // three variables per block
-			p.integProgs[s] = make(map[int][]isa.Instr, 2*m.NumElem)
-			for e := 0; e < m.NumElem; e++ {
-				p.integProgs[s][blockOf(e, true)] = integ
-				p.integProgs[s][blockOf(e, false)] = integ
-			}
-		}
-		return p
-	})
-	return v.(*maxwellPlan), hit
 }

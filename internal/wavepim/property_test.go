@@ -30,10 +30,7 @@ func TestFunctionalRHSMatchesOnRandomStates(t *testing.T) {
 		want := dg.NewAcousticState(m)
 		ref.RHS(q, want)
 
-		fa, err := NewFunctionalAcoustic(m, mat, dg.RiemannFlux, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fa := functionalForTest(t, m, 1e-3, WithAcousticMaterial(mat), WithFlux(dg.RiemannFlux)).Acoustic()
 		fa.Load(q)
 		fa.RHSOnce()
 		got := dg.NewAcousticState(m)
@@ -59,10 +56,7 @@ func TestFunctionalRHSLinearity(t *testing.T) {
 	q, _ := acousticStates(t, m)
 
 	rhs1 := dg.NewAcousticState(m)
-	fa1, err := NewFunctionalAcoustic(m, mat, dg.CentralFlux, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa1 := functionalForTest(t, m, 1e-3, WithAcousticMaterial(mat), WithFlux(dg.CentralFlux)).Acoustic()
 	fa1.Load(q)
 	fa1.RHSOnce()
 	fa1.ReadRHS(rhs1)
@@ -71,10 +65,7 @@ func TestFunctionalRHSLinearity(t *testing.T) {
 	scaled := q.Copy()
 	scaled.Scale(a)
 	rhs2 := dg.NewAcousticState(m)
-	fa2, err := NewFunctionalAcoustic(m, mat, dg.CentralFlux, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fa2 := functionalForTest(t, m, 1e-3, WithAcousticMaterial(mat), WithFlux(dg.CentralFlux)).Acoustic()
 	fa2.Load(scaled)
 	fa2.RHSOnce()
 	fa2.ReadRHS(rhs2)

@@ -21,8 +21,7 @@ import (
 
 // Session is the unified entry point to a functional Wave-PIM run. It owns
 // the chip, the execution engine, the compiled solver for one equation, and
-// the observability sink, replacing the NewFunctionalAcoustic /
-// NewFunctionalElastic / NewFunctionalMaxwell constructor sprawl:
+// the observability sink:
 //
 //	s, err := wavepim.NewSession(
 //		wavepim.WithEquation(opcount.Acoustic),
@@ -32,13 +31,12 @@ import (
 //	)
 //	s.Acoustic().Load(q)
 //	err = s.Run(ctx, steps)
-//
-// The legacy constructors remain as thin wrappers over the same machinery.
 type Session struct {
 	cfg sessionConfig
-	eng *sim.Engine
+	sys *system
+	eng *sim.Engine // sys.Engine
 
-	// exactly one of these is non-nil, per cfg.eq
+	// the typed view of sys: exactly one of these is non-nil, per cfg.eq
 	ac *FunctionalAcoustic
 	el *FunctionalElastic
 	mx *FunctionalMaxwell
@@ -279,43 +277,46 @@ func NewSession(opts ...Option) (*Session, error) {
 		return nil, err
 	}
 
-	s := &Session{cfg: cfg}
+	// Each equation's layout: its compiler plan, its step-plan builder, and
+	// the equation its plan is cached under (elastic's follows the flux).
+	var (
+		plan  Plan
+		build planBuilder
+		keyEq = cfg.eq
+	)
 	switch cfg.eq {
 	case opcount.Acoustic:
-		chipCfg := chip.Config512MB()
-		if cfg.chip != nil {
-			chipCfg = *cfg.chip
-		}
-		chipCfg = cfg.applyTopology(chipCfg, topoKind)
-		s.ac, err = newFunctionalAcousticOn(chipCfg, cfg.mesh, cfg.acMat, cfg.flux, cfg.dt)
-		if err == nil {
-			s.eng = s.ac.Engine
-		}
+		plan, build = Plan{Tech: Naive, Layout: AcousticOneBlock, SlotsPerElem: 1}, acousticStepPlan
 	case opcount.ElasticCentral, opcount.ElasticRiemann:
-		chipCfg, cerr := sessionChip(cfg, cfg.mesh.NumElem*4)
-		if cerr != nil {
-			return nil, cerr
-		}
-		chipCfg = cfg.applyTopology(chipCfg, topoKind)
-		s.el, err = newFunctionalElasticOn(chipCfg, cfg.mesh, cfg.elMat, cfg.flux, cfg.dt)
-		if err == nil {
-			s.eng = s.el.Engine
+		plan, build = Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4}, elasticStepPlan
+		keyEq = opcount.ElasticRiemann
+		if cfg.flux == dg.CentralFlux {
+			keyEq = opcount.ElasticCentral
 		}
 	case opcount.Maxwell:
-		chipCfg, cerr := sessionChip(cfg, cfg.mesh.NumElem*4)
-		if cerr != nil {
-			return nil, cerr
-		}
-		chipCfg = cfg.applyTopology(chipCfg, topoKind)
-		s.mx, err = newFunctionalMaxwellOn(chipCfg, cfg.mesh, cfg.diel, cfg.flux, cfg.dt)
-		if err == nil {
-			s.eng = s.mx.Engine
-		}
+		plan, build = Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4}, maxwellStepPlan
 	default:
 		return nil, fmt.Errorf("wavepim: unknown equation %v", cfg.eq)
 	}
+	chipCfg, err := sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem)
 	if err != nil {
 		return nil, err
+	}
+	chipCfg = cfg.applyTopology(chipCfg, topoKind)
+	key := PlanKey{Eq: keyEq, Flux: cfg.flux, Np: cfg.mesh.Np, EPerAxis: cfg.mesh.EPerAxis,
+		Chip: chipCfg.Name, Topo: chipCfg.Interconnect.String()}
+	sys, err := newSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, build)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{cfg: cfg, sys: sys, eng: sys.Engine}
+	switch cfg.eq {
+	case opcount.Acoustic:
+		s.ac = &FunctionalAcoustic{system: sys, Mat: cfg.acMat}
+	case opcount.Maxwell:
+		s.mx = &FunctionalMaxwell{system: sys, Mat: cfg.diel}
+	default:
+		s.el = &FunctionalElastic{system: sys, Mat: cfg.elMat}
 	}
 	if cfg.workers > 0 {
 		s.eng.Workers = cfg.workers
@@ -360,7 +361,7 @@ func (s *Session) setupFaults() error {
 		s.eng.Chip.SetBlockHook(func(b *xbar.Block) { b.Faults = inj.ForBlock(b.ID) })
 	}
 	if rec.SpareBlocks > 0 {
-		maxID := s.place().MaxBlockID()
+		maxID := s.sys.Place.MaxBlockID()
 		nb := s.eng.Chip.Config.NumBlocks()
 		if maxID+rec.SpareBlocks >= nb {
 			return fmt.Errorf("wavepim: chip %s cannot reserve %d spare blocks: layout uses ids up to %d of %d",
@@ -373,17 +374,6 @@ func (s *Session) setupFaults() error {
 		s.eng.SparePool = pool
 	}
 	return nil
-}
-
-// place returns the active system's block placement.
-func (s *Session) place() *Placement {
-	switch {
-	case s.ac != nil:
-		return s.ac.Place
-	case s.el != nil:
-		return s.el.Place
-	}
-	return s.mx.Place
 }
 
 // sessionChip resolves the chip configuration: the pinned one, else the
@@ -439,15 +429,7 @@ func (s *Session) Topology() string { return s.eng.Chip.Config.Interconnect.Stri
 // from the process-wide plan cache (true for every session after the
 // first with the same equation, flux, order, mesh extent and chip —
 // construction then skips block-program compilation entirely).
-func (s *Session) PlanCacheHit() bool {
-	switch {
-	case s.ac != nil:
-		return s.ac.CacheHit
-	case s.el != nil:
-		return s.el.CacheHit
-	}
-	return s.mx.CacheHit
-}
+func (s *Session) PlanCacheHit() bool { return s.sys.CacheHit }
 
 // Acoustic returns the compiled acoustic system, or nil if the session was
 // built for another equation. Use it to load initial state and read
@@ -461,16 +443,7 @@ func (s *Session) Elastic() *FunctionalElastic { return s.el }
 func (s *Session) Maxwell() *FunctionalMaxwell { return s.mx }
 
 // Step executes one five-stage time-step.
-func (s *Session) Step() {
-	switch {
-	case s.ac != nil:
-		s.ac.Step()
-	case s.el != nil:
-		s.el.Step()
-	case s.mx != nil:
-		s.mx.Step()
-	}
-}
+func (s *Session) Step() { s.sys.Step() }
 
 // ErrDeadline reports that Run stopped because the context deadline
 // expired. Step is the last fully completed time-step, so a caller can
@@ -487,13 +460,12 @@ func (e *ErrDeadline) Error() string {
 
 func (e *ErrDeadline) Unwrap() error { return e.Err }
 
-// fieldCheckpoint is one solver-state snapshot for rollback-and-retry.
+// fieldCheckpoint is one solver-state snapshot for rollback-and-retry:
+// one slice per state variable, in the step plan's variable order.
 type fieldCheckpoint struct {
 	step   int
 	normSq float64
-	ac     *dg.AcousticState
-	el     *dg.ElasticState
-	mx     *dg.MaxwellState
+	vars   [][]float64
 }
 
 // Run executes n time-steps under ctx. Cancellation is honored both at
@@ -615,7 +587,7 @@ func (s *Session) runSteps(ctx context.Context, n int) error {
 			continue
 		}
 		cand := s.captureState(i)
-		if err := dg.CheckHealth(i, ck.normSq, rec.BlowupFactor, s.stateSlices(cand)...); err != nil {
+		if err := dg.CheckHealth(i, ck.normSq, rec.BlowupFactor, cand.vars...); err != nil {
 			if rollbacks >= rec.MaxRollbacks {
 				return fmt.Errorf("wavepim: %v: %w", err, fault.ErrUnrecoverable)
 			}
@@ -623,7 +595,7 @@ func (s *Session) runSteps(ctx context.Context, n int) error {
 			if s.eng.Faults != nil {
 				s.eng.Faults.NoteRollback()
 			}
-			s.restoreState(ck)
+			s.sys.writeVars(ck.vars)
 			ph := s.chargeCheckpoint("sim.fault.rollback")
 			if sink := s.cfg.sink; sink != nil {
 				sink.CounterVec("sim.fault.rung_events", "rung").With("rollback").Inc()
@@ -659,59 +631,20 @@ func (s *Session) runErr(err error, completedSteps int) error {
 
 // captureState reads the current field state off the chip.
 func (s *Session) captureState(step int) fieldCheckpoint {
-	ck := fieldCheckpoint{step: step}
-	switch {
-	case s.ac != nil:
-		ck.ac = dg.NewAcousticState(s.cfg.mesh)
-		s.ac.ReadState(ck.ac)
-	case s.el != nil:
-		ck.el = dg.NewElasticState(s.cfg.mesh)
-		s.el.ReadState(ck.el)
-	case s.mx != nil:
-		ck.mx = dg.NewMaxwellState(s.cfg.mesh)
-		s.mx.ReadState(ck.mx)
+	ck := fieldCheckpoint{step: step, vars: make([][]float64, len(s.sys.plan.vars))}
+	for v := range ck.vars {
+		ck.vars[v] = make([]float64, s.cfg.mesh.NumElem*s.cfg.mesh.NodesPerEl)
 	}
-	ck.normSq = dg.NormSq(s.stateSlices(ck)...)
+	s.sys.readVars(ck.vars)
+	ck.normSq = dg.NormSq(ck.vars...)
 	return ck
-}
-
-// stateSlices returns the variable arrays of a checkpoint.
-func (s *Session) stateSlices(ck fieldCheckpoint) [][]float64 {
-	switch {
-	case ck.ac != nil:
-		return ck.ac.Slices()
-	case ck.el != nil:
-		return ck.el.Slices()
-	case ck.mx != nil:
-		return ck.mx.Slices()
-	}
-	return nil
-}
-
-// restoreState writes a checkpoint's fields back onto the chip.
-func (s *Session) restoreState(ck fieldCheckpoint) {
-	switch {
-	case ck.ac != nil:
-		s.ac.WriteState(ck.ac)
-	case ck.el != nil:
-		s.el.WriteState(ck.el)
-	case ck.mx != nil:
-		s.mx.WriteState(ck.mx)
-	}
 }
 
 // chargeCheckpoint accounts a checkpoint store (or rollback load+rewrite)
 // as an off-chip DRAM transaction of the state's size on the simulated
 // timeline, returning the committed phase (its Dur is the rung's cost).
 func (s *Session) chargeCheckpoint(name string) sim.Phase {
-	nvars := 4 // acoustic
-	switch {
-	case s.el != nil:
-		nvars = 9
-	case s.mx != nil:
-		nvars = 6
-	}
-	bytes := int64(s.cfg.mesh.NumElem*s.cfg.mesh.NodesPerEl*nvars) * 4
+	bytes := int64(s.cfg.mesh.NumElem*s.cfg.mesh.NodesPerEl*len(s.sys.plan.vars)) * 4
 	return s.eng.Sequence(s.eng.ExecDRAM(name, bytes))
 }
 

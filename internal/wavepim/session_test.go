@@ -20,18 +20,23 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// functionalForTest builds a Session on m with time-step dt; opts select
+// the equation, material and flux.
+func functionalForTest(t *testing.T, m *mesh.Mesh, dt float64, opts ...Option) *Session {
+	t.Helper()
+	s, err := NewSession(append([]Option{WithMesh(m), WithDt(dt)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // sessionForTest builds a small instrumented acoustic session with a
 // loaded plane wave.
 func sessionForTest(t *testing.T, opts ...Option) *Session {
 	t.Helper()
 	m := mesh.New(1, 4, true)
-	s, err := NewSession(append([]Option{
-		WithMesh(m),
-		WithDt(1e-3),
-	}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := functionalForTest(t, m, 1e-3, opts...)
 	q := dg.NewAcousticState(m)
 	dg.PlaneWaveX(m, fnMat, 1, q)
 	s.Acoustic().Load(q)
@@ -39,19 +44,16 @@ func sessionForTest(t *testing.T, opts ...Option) *Session {
 }
 
 // TestSessionMatchesLegacyAcoustic is the API-redesign differential: a
-// Session run and the legacy constructor produce bit-identical state and
-// identical engine accounting.
+// Session run and the functional system's own Run loop produce
+// bit-identical state and identical engine accounting.
 func TestSessionMatchesLegacyAcoustic(t *testing.T) {
 	m := mesh.New(1, 4, true)
 	q0 := dg.NewAcousticState(m)
 	dg.PlaneWaveX(m, fnMat, 1, q0)
 
-	legacy, err := NewFunctionalAcoustic(m, fnMat, dg.RiemannFlux, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Load(q0)
-	legacy.Run(2)
+	direct := functionalForTest(t, m, 1e-3, WithAcousticMaterial(fnMat), WithFlux(dg.RiemannFlux)).Acoustic()
+	direct.Load(q0)
+	direct.Run(2)
 
 	s := sessionForTest(t)
 	if err := s.Run(context.Background(), 2); err != nil {
@@ -59,18 +61,18 @@ func TestSessionMatchesLegacyAcoustic(t *testing.T) {
 	}
 
 	qa, qb := dg.NewAcousticState(m), dg.NewAcousticState(m)
-	legacy.ReadState(qa)
+	direct.ReadState(qa)
 	s.Acoustic().ReadState(qb)
 	for i := range qa.P {
 		if qa.P[i] != qb.P[i] {
-			t.Fatalf("P[%d]: legacy %v, session %v", i, qa.P[i], qb.P[i])
+			t.Fatalf("P[%d]: system %v, session %v", i, qa.P[i], qb.P[i])
 		}
 	}
-	if a, b := legacy.Engine.Now(), s.Engine().Now(); a != b {
-		t.Fatalf("clock: legacy %v, session %v", a, b)
+	if a, b := direct.Engine.Now(), s.Engine().Now(); a != b {
+		t.Fatalf("clock: system %v, session %v", a, b)
 	}
-	if a, b := legacy.Engine.InstrCount, s.Engine().InstrCount; a != b {
-		t.Fatalf("instr count: legacy %v, session %v", a, b)
+	if a, b := direct.Engine.InstrCount, s.Engine().InstrCount; a != b {
+		t.Fatalf("instr count: system %v, session %v", a, b)
 	}
 }
 
@@ -259,5 +261,27 @@ func TestSessionEquations(t *testing.T) {
 	}
 	if mx.Maxwell() == nil {
 		t.Fatal("maxwell session must expose the Maxwell system")
+	}
+}
+
+// TestSessionAcousticAutoSizesChip: without WithChip an acoustic session
+// runs on the smallest chip with one block per element, so meshes up to
+// refine 4 keep the 512 MB chip (and their digests) and larger ones fit.
+func TestSessionAcousticAutoSizesChip(t *testing.T) {
+	for _, tc := range []struct {
+		refine int
+		want   string
+	}{
+		{1, "PIM-512MB"},
+		{4, "PIM-512MB"},
+		{5, "PIM-8GB"},
+	} {
+		s, err := NewSession(WithMesh(mesh.New(tc.refine, 2, true)), WithDt(1e-4))
+		if err != nil {
+			t.Fatalf("refine %d: %v", tc.refine, err)
+		}
+		if got := s.Engine().Chip.Config.Name; got != tc.want {
+			t.Errorf("refine %d: chip %s, want %s", tc.refine, got, tc.want)
+		}
 	}
 }
