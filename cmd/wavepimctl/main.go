@@ -11,8 +11,7 @@
 //	curl -s localhost:9090/v1/jobs/demo-1
 //	curl -s localhost:9090/v1/metrics | grep 'worker="w1"'
 //
-// Endpoints (versioned under /v1; the legacy unversioned paths answer
-// 308 permanent redirects):
+// Endpoints (all under /v1; the pre-/v1 unversioned paths answer 404):
 //
 //	POST /v1/jobs             submit a job; 202 + {"id": ...}. Resubmitting a
 //	                          finished job's id (or a content-identical spec)

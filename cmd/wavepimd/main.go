@@ -11,9 +11,7 @@
 //	curl -s -X POST localhost:8080/v1/runs -d '{"equation":"acoustic","steps":4,"faults":"seed=4,flip=1e-5,stuck=1e-6"}'
 //	curl -s localhost:8080/v1/metrics | grep sim_fault_rung_events
 //
-// Endpoints (versioned under /v1; the legacy unversioned paths answer
-// 308 permanent redirects, so curl -L and Go's default client keep
-// working):
+// Endpoints (all under /v1; the pre-/v1 unversioned paths answer 404):
 //
 //	POST /v1/runs              submit a job (JobSpec JSON); 202 + {"id": ...}
 //	                           (resubmitting a client-supplied id: 200 + same id)

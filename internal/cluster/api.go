@@ -7,11 +7,7 @@ import (
 )
 
 // The versioned HTTP surface. Every coordinator and worker endpoint lives
-// under /v1; the pre-versioning unversioned paths remain mounted as
-// permanent redirects (308, method- and body-preserving) so old clients
-// keep working, while new clients — and every internal control-plane
-// call — hit /v1 directly. DESIGN.md §11 documents the surface and the
-// migration table.
+// under /v1; DESIGN.md §12 documents the surface.
 
 // APIPrefix is the path prefix of the current API version.
 const APIPrefix = "/v1"
@@ -51,23 +47,4 @@ func WriteAPIError(w http.ResponseWriter, status int, code string, retryable boo
 		Message:   fmt.Sprintf(format, args...),
 		Retryable: retryable,
 	})
-}
-
-// RedirectV1 serves a legacy unversioned route: a permanent redirect to
-// the same path under /v1. 308 (not 301) so POST bodies survive the hop.
-func RedirectV1(w http.ResponseWriter, req *http.Request) {
-	target := APIPrefix + req.URL.Path
-	if q := req.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	http.Redirect(w, req, target, http.StatusPermanentRedirect)
-}
-
-// MountLegacyRedirects registers RedirectV1 for each legacy route root
-// ("/runs", "/jobs", ...), covering both the exact path and its subtree.
-func MountLegacyRedirects(mux *http.ServeMux, roots ...string) {
-	for _, r := range roots {
-		mux.HandleFunc(r, RedirectV1)
-		mux.HandleFunc(r+"/", RedirectV1)
-	}
 }

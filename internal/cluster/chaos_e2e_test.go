@@ -338,7 +338,7 @@ func TestJournalCrashRestartLosesNothing(t *testing.T) {
 	}
 	mkCoord := func(j *cluster.Journal, replay []cluster.JournalRecord) *cluster.Coordinator {
 		return cluster.NewCoordinator(cluster.CoordinatorOptions{
-			Dispatchers: 4, RetryDelay: 5 * time.Millisecond, TTL: time.Minute,
+			Dispatchers: 4, BackoffBase: 5 * time.Millisecond, TTL: time.Minute,
 			Journal: j, Replay: replay,
 		})
 	}

@@ -11,8 +11,8 @@ import (
 	"wavepim/internal/cluster"
 )
 
-// noFollow surfaces 3xx responses instead of following them, so the
-// legacy-redirect assertions see the 308 itself.
+// noFollow surfaces 3xx responses instead of following them, so a test
+// sees exactly what an endpoint answers.
 var noFollow = &http.Client{
 	CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -37,7 +37,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) cluster.APIError {
 }
 
 // TestCoordV1Surface: every coordinator endpoint answers at its /v1
-// path, and every legacy unversioned path answers a 308 into /v1.
+// path, and every legacy unversioned path answers 404.
 func TestCoordV1Surface(t *testing.T) {
 	tc := startCluster(t, 1, clusterOptions{})
 	code, body := tc.submit(t, `{"equation":"acoustic","steps":1,"topology":"torus"}`)
@@ -71,16 +71,16 @@ func TestCoordV1Surface(t *testing.T) {
 		}
 	}
 
-	for _, tc2 := range []struct{ method, path, want string }{
-		{"POST", "/jobs", "/v1/jobs"},
-		{"GET", "/jobs", "/v1/jobs"},
-		{"GET", "/jobs/" + id, "/v1/jobs/" + id},
-		{"POST", "/register", "/v1/register"},
-		{"POST", "/deregister", "/v1/deregister"},
-		{"GET", "/workers", "/v1/workers"},
-		{"GET", "/metrics", "/v1/metrics"},
-		{"GET", "/healthz", "/v1/healthz"},
-		{"GET", "/readyz", "/v1/readyz"},
+	for _, tc2 := range []struct{ method, path string }{
+		{"POST", "/jobs"},
+		{"GET", "/jobs"},
+		{"GET", "/jobs/" + id},
+		{"POST", "/register"},
+		{"POST", "/deregister"},
+		{"GET", "/workers"},
+		{"GET", "/metrics"},
+		{"GET", "/healthz"},
+		{"GET", "/readyz"},
 	} {
 		req, err := http.NewRequest(tc2.method, tc.coordTS.URL+tc2.path, strings.NewReader(""))
 		if err != nil {
@@ -92,12 +92,8 @@ func TestCoordV1Surface(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: %d, want 308", tc2.method, tc2.path, resp.StatusCode)
-			continue
-		}
-		if loc := resp.Header.Get("Location"); loc != tc2.want {
-			t.Errorf("%s %s: Location %q, want %q", tc2.method, tc2.path, loc, tc2.want)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", tc2.method, tc2.path, resp.StatusCode)
 		}
 	}
 }

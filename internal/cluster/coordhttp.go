@@ -11,8 +11,7 @@ import (
 	"wavepim/internal/pim/chip"
 )
 
-// Handler builds the coordinator's mux. The API lives under /v1; the
-// legacy unversioned routes answer 308 permanent redirects into it.
+// Handler builds the coordinator's mux. The API lives under /v1.
 //
 //	POST /v1/jobs             submit a job (JobSpec JSON); 202 + {"id": ...};
 //	                          duplicates of a finished job: 200 + cached report
@@ -45,8 +44,6 @@ func (c *Coordinator) Handler() http.Handler {
 		io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /v1/readyz", c.handleReadyz)
-	MountLegacyRedirects(mux, "/jobs", "/register", "/deregister", "/workers",
-		"/metrics", "/healthz", "/readyz")
 	return mux
 }
 
@@ -100,9 +97,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	status := j.status
+	status, terminal := j.status, j.terminal()
 	j.mu.Unlock()
-	if status == "done" || status == "failed" {
+	if terminal {
 		// Duplicate of a finished job or a content-cache hit: the report,
 		// byte-for-byte.
 		writeTerminal(w, j)
@@ -134,7 +131,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	terminal := j.status == "done" || j.status == "failed"
+	terminal := j.terminal()
 	j.mu.Unlock()
 	if terminal {
 		writeTerminal(w, j)
@@ -157,9 +154,7 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	terminal := j.status == "done" || j.status == "failed"
-	doc := j.traceDoc
-	status := j.status
+	terminal, doc, status := j.terminal(), j.traceDoc, j.status
 	j.mu.Unlock()
 	if !terminal {
 		coordError(w, http.StatusConflict, CodeNotReady, true, "job is %s; trace not merged yet", status)

@@ -30,6 +30,13 @@ import (
 // breakers stop dispatch to a flapping worker until a half-open probe
 // proves recovery, and an optional append-only journal makes the whole
 // job table survive a coordinator crash (see journal.go).
+//
+// A job's life is a sequence of events. advance is the only code that
+// changes a job's state; emit is the only code that records a
+// transition (trace span, journal record, metric, event log line). Live
+// events pass through both; journal replay folds the recorded events
+// through advance alone, so a replayed job holds exactly the state its
+// live twin held.
 
 // cjob is one coordinator-tracked job.
 type cjob struct {
@@ -48,9 +55,78 @@ type cjob struct {
 	cached   bool      // served from the content-addressed result cache
 	result   []byte    // owning worker's terminal GET /runs/{id} bytes
 
-	trace    *jobTrace    // live coordinator-side timeline (nil on replayed jobs)
+	trace    *jobTrace    // live coordinator-side timeline (nil on replayed terminal jobs)
 	stages   StageSeconds // latency decomposition, final at terminal
 	traceDoc []byte       // merged cluster-level Chrome trace (terminal jobs)
+}
+
+// evKind names a job lifecycle event.
+type evKind int
+
+const (
+	evSubmit   evKind = iota // → queued: a new submission (a cache hit is never admitted)
+	evRestore                // → queued: a replayed job without a terminal record, re-admitted
+	evStall                  // queued, held without charge: no owner, or its breaker is open
+	evDispatch               // queued → dispatched to worker
+	evAccept                 // dispatched: worker accepted the run
+	evRetry                  // dispatched → queued, charging one retry
+	evTerminal               // → done | failed
+)
+
+// event is one input to advance. at is its instant; since starts the
+// span it ends (the submission, a POST attempt, the report fetch).
+type event struct {
+	kind     evKind
+	at       time.Time
+	since    time.Time
+	annot    string // span annotation: admission class, stall reason, attempt outcome
+	worker   string // the job's owner from now on ("" keeps it)
+	attempts int    // retry units charged
+
+	// Terminal outcome.
+	status      string // done | failed
+	err         error
+	cached      bool   // served from the result cache
+	result      []byte // the owning worker's report bytes
+	report      string // annotation of the report fetch span ("": none)
+	workerTrace []byte // the owning worker's Chrome trace (nil: none)
+}
+
+// terminal reports whether the job reached done or failed. Caller holds
+// j.mu.
+func (j *cjob) terminal() bool { return j.status == "done" || j.status == "failed" }
+
+// advance is the job's one state transition. It applies ev to the
+// lifecycle fields and does nothing else: no I/O, no clock. Terminal
+// states absorb every later event. Caller holds j.mu, or owns j alone
+// as replay does.
+func (j *cjob) advance(ev event) {
+	if j.terminal() {
+		return
+	}
+	if ev.worker != "" {
+		j.worker = ev.worker
+	}
+	j.attempts += ev.attempts
+	switch ev.kind {
+	case evSubmit, evRestore, evRetry:
+		j.status = "queued"
+	case evDispatch:
+		j.status = "dispatched"
+	case evTerminal:
+		j.status, j.err, j.cached = ev.status, ev.err, ev.cached
+		j.errMsg = ""
+		if ev.err != nil {
+			j.errMsg = ev.err.Error()
+		}
+		// Canonical report bytes: the journal stores them as a JSON
+		// RawMessage, which compacts surrounding whitespace on re-marshal,
+		// so trimming keeps pre-crash and post-replay reads byte-identical.
+		j.result = bytes.TrimSpace(ev.result)
+		if len(j.result) == 0 {
+			j.result = nil
+		}
+	}
 }
 
 // Err returns the job's typed terminal error (nil while non-terminal or
@@ -95,7 +171,7 @@ func (j *cjob) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	stages := j.stages
-	if j.trace != nil && j.status != "done" && j.status != "failed" {
+	if j.trace != nil && !j.terminal() {
 		// Live jobs report the decomposition accumulated so far (closed
 		// spans only; E2E stays zero until the job is terminal).
 		stages = j.trace.stageSeconds()
@@ -112,16 +188,11 @@ func (j *cjob) view() JobView {
 // CoordinatorOptions configures a Coordinator. Zero values select the
 // documented defaults.
 type CoordinatorOptions struct {
-	TTL          time.Duration // worker heartbeat TTL (default 10s)
-	Replicas     int           // ring virtual nodes per worker (default DefaultRingReplicas)
-	Quota        QuotaConfig   // default per-tenant quota
-	Dispatchers  int           // concurrent dispatch loops (default 4)
-	PollInterval time.Duration // worker run-status poll cadence (default 5ms)
-
-	// RetryDelay is the deprecated fixed backoff; when set it seeds
-	// BackoffBase. New code sets BackoffBase/BackoffCap directly.
-	RetryDelay time.Duration
-
+	TTL           time.Duration // worker heartbeat TTL (default 10s)
+	Replicas      int           // ring virtual nodes per worker (default DefaultRingReplicas)
+	Quota         QuotaConfig   // default per-tenant quota
+	Dispatchers   int           // concurrent dispatch loops (default 4)
+	PollInterval  time.Duration // worker run-status poll cadence (default 5ms)
 	MaxRetries    int           // per-job dispatch retry budget (default 64)
 	BackoffBase   time.Duration // first-retry backoff (default 10ms)
 	BackoffCap    time.Duration // backoff ceiling (default 2s)
@@ -167,12 +238,13 @@ type Coordinator struct {
 	deadlineGrace time.Duration
 	maxJobs       int
 
-	mu       sync.Mutex
-	jobs     map[string]*cjob
-	order    []string
-	seq      int
-	byDigest map[uint64]*cjob // digest -> a done job (content-addressed result cache)
-	replay   ReplayStats
+	mu     sync.Mutex
+	jobs   map[string]*cjob
+	order  []string
+	seq    int
+	replay ReplayStats
+
+	byDigest sync.Map // digest -> a done *cjob (content-addressed result cache)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -189,11 +261,7 @@ func NewCoordinator(o CoordinatorOptions) *Coordinator {
 		o.PollInterval = 5 * time.Millisecond
 	}
 	if o.BackoffBase <= 0 {
-		if o.RetryDelay > 0 {
-			o.BackoffBase = o.RetryDelay
-		} else {
-			o.BackoffBase = 10 * time.Millisecond
-		}
+		o.BackoffBase = 10 * time.Millisecond
 	}
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 2 * time.Second
@@ -232,7 +300,6 @@ func NewCoordinator(o CoordinatorOptions) *Coordinator {
 		deadlineGrace: o.DeadlineGrace,
 		maxJobs:       o.MaxJobs,
 		jobs:          map[string]*cjob{},
-		byDigest:      map[uint64]*cjob{},
 		ctx:           ctx,
 		cancel:        cancel,
 	}
@@ -276,9 +343,6 @@ func NewCoordinator(o CoordinatorOptions) *Coordinator {
 // Registry exposes cluster membership (the HTTP layer and tests use it).
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Admission exposes the quota layer for per-tenant overrides.
-func (c *Coordinator) Admission() *Admission { return c.adm }
-
 // Breakers exposes the per-worker circuit breakers.
 func (c *Coordinator) Breakers() *Breakers { return c.breakers }
 
@@ -299,31 +363,20 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// deadlineFor computes a job's coordinator-side deadline from its spec:
-// the worker enforces DeadlineMS on the run itself, and the coordinator
-// allows that long plus DeadlineGrace for queueing, transport, and
-// retries before it stops re-dispatching.
-func (c *Coordinator) deadlineFor(spec JobSpec) time.Time {
-	if spec.DeadlineMS <= 0 {
-		return time.Time{}
+// newJob builds an untracked job for a parsed spec and its canonical
+// body. Its deadline is the worker's DeadlineMS plus DeadlineGrace for
+// queueing, transport, and retries, counted from now.
+func (c *Coordinator) newJob(spec JobSpec, prio Priority, body []byte) *cjob {
+	j := &cjob{id: spec.ID, tenant: spec.Tenant, priority: prio, digest: spec.Digest(), body: body}
+	if spec.DeadlineMS > 0 {
+		j.deadline = c.now().Add(time.Duration(spec.DeadlineMS)*time.Millisecond + c.deadlineGrace)
 	}
-	return c.now().Add(time.Duration(spec.DeadlineMS)*time.Millisecond + c.deadlineGrace)
+	return j
 }
 
 // expired reports whether a job's deadline passed.
 func (c *Coordinator) expired(j *cjob) bool {
-	j.mu.Lock()
-	d := j.deadline
-	j.mu.Unlock()
-	return !d.IsZero() && c.now().After(d)
-}
-
-// journalAppend writes one journal record (no-op without a journal).
-func (c *Coordinator) journalAppend(rec JournalRecord) error {
-	if c.journal == nil {
-		return nil
-	}
-	return c.journal.Append(rec)
+	return !j.deadline.IsZero() && c.now().After(j.deadline)
 }
 
 // Submit admits a spec. The returned job is terminal immediately when
@@ -332,15 +385,14 @@ func (c *Coordinator) journalAppend(rec JournalRecord) error {
 // worker). The bool reports whether the job already existed.
 func (c *Coordinator) Submit(spec JobSpec) (*cjob, bool, error) {
 	submitAt := c.now()
-	id := spec.ID
-	if id == "" {
+	if spec.ID == "" {
 		c.mu.Lock()
 		c.seq++
-		id = fmt.Sprintf("j%04d", c.seq)
+		spec.ID = fmt.Sprintf("j%04d", c.seq)
 		c.mu.Unlock()
 	} else {
 		var err error
-		if id, err = NormalizeJobID(id); err != nil {
+		if spec.ID, err = NormalizeJobID(spec.ID); err != nil {
 			return nil, false, err
 		}
 	}
@@ -348,93 +400,210 @@ func (c *Coordinator) Submit(spec JobSpec) (*cjob, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	spec.ID = id
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, false, err
 	}
 
 	c.mu.Lock()
-	if existing, ok := c.jobs[id]; ok {
+	if existing, ok := c.jobs[spec.ID]; ok {
 		c.mu.Unlock()
 		return existing, true, nil
 	}
-	j := &cjob{
-		id: id, tenant: spec.Tenant, priority: prio,
-		digest: spec.Digest(), body: body, status: "queued",
-		deadline: c.deadlineFor(spec),
-		trace:    newJobTrace(id, submitAt),
-	}
-	if done, ok := c.byDigest[j.digest]; ok {
-		// Content-identical to a completed job: serve its report without
-		// dispatching. The cached bytes are the equivalent run's report.
-		done.mu.Lock()
-		j.status, j.result, j.worker = done.status, done.result, done.worker
-		j.errMsg = done.errMsg
-		done.mu.Unlock()
-		j.cached = true
-		c.jobs[id] = j
-		c.order = append(c.order, id)
-		c.evictLocked(id)
-		c.mu.Unlock()
-		c.metrics.CounterVec("wavepimctl.jobs", "status").With("cached").Inc()
-		// A cached job's whole life is its admission: record it, close the
-		// timeline, and serve a coordinator-only merged trace.
-		j.mu.Lock()
-		j.trace.record(trace.StageAdmission, submitAt, c.now(), "cache-hit")
-		j.trace.finalize(c.now(), "cached")
-		j.stages = j.trace.stageSeconds()
-		j.traceDoc = j.trace.merged("", nil)
-		stages, doc := j.stages, j.traceDoc
-		rec := JournalRecord{T: JournalTerminal, ID: id, Status: j.status,
-			Error: j.errMsg, Cached: true, Result: j.result,
-			Stages: &stages, Trace: doc, TraceDigest: traceDigestHex(doc)}
-		j.mu.Unlock()
-		c.observeStages(prio.String(), "cached", stages)
-		c.log.Info("job.submit", eventlog.Str("job", id), eventlog.Str("tenant", spec.Tenant),
-			eventlog.Str("priority", prio.String()), eventlog.Str("trace", j.trace.ctx.Hex()),
-			eventlog.Bool("cached", true))
-		// Cached jobs journal a submit + terminal pair so a restart still
-		// serves their reports.
-		c.journalAppend(JournalRecord{T: JournalSubmit, ID: id, Spec: body})
-		c.journalAppend(rec)
-		return j, false, nil
-	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.evictLocked(id)
+	j := c.newJob(spec, prio, body)
+	// The job enters the table locked: nobody sees it before its submit
+	// event has set its status.
+	j.mu.Lock()
+	c.jobs[j.id] = j
+	c.order = append(c.order, j.id)
+	c.evictLocked(j.id)
 	c.mu.Unlock()
 
-	// The admission span and the queue wait open before the job becomes
-	// claimable — once adm.Submit returns, a dispatcher may already be
-	// closing the queue span on another goroutine.
+	sub := event{kind: evSubmit, since: submitAt, at: c.now(), annot: prio.String()}
+	v, cached := c.byDigest.Load(j.digest)
+	if !cached {
+		qj := &QueuedJob{ID: j.id, Tenant: spec.Tenant, Priority: prio, Enqueued: c.now(), Payload: j}
+		if err := c.emit(qj, j, sub); err != nil {
+			return nil, false, err
+		}
+		return j, false, nil
+	}
+	// Content-identical to a completed job: serve its report without
+	// dispatching; the job's whole life is its admission.
+	done := v.(*cjob)
+	done.mu.Lock()
+	hit := event{kind: evTerminal, status: done.status, worker: done.worker,
+		err: done.err, result: done.result, cached: true}
+	done.mu.Unlock()
+	sub.annot = "cache-hit"
+	c.emit(nil, j, sub)
+	hit.at = c.now()
+	c.raise(nil, j, hit)
+	return j, false, nil
+}
+
+// raise passes one live event through advance and its side effects.
+func (c *Coordinator) raise(qj *QueuedJob, j *cjob, ev event) error {
 	j.mu.Lock()
-	j.trace.record(trace.StageAdmission, submitAt, c.now(), prio.String())
-	j.trace.openQueue(c.now(), prio.String())
+	return c.emit(qj, j, ev)
+}
+
+// emit advances j by ev and performs the transition's side effects in
+// order: trace spans, admission, journal record, metrics, event log
+// line, flight dump, and the release of a terminal job's tenant slot.
+// qj is nil for a job that was never admitted (a cache hit). Caller
+// holds j.mu; emit keeps it until the transition's records are written,
+// so whoever sees the new state — a poller, or a dispatcher that claims
+// the job the moment it is admitted — sees it recorded. It then
+// releases the lock, and a stall or a retry waits out its hold and
+// requeues the job. Only a submission fails: admission rejected it (the
+// job is dropped), or its journal record did not reach disk.
+func (c *Coordinator) emit(qj *QueuedJob, j *cjob, ev event) error {
+	j.advance(ev)
+	tl := j.trace
+	outcome := j.status
+	if j.cached {
+		outcome = "cached"
+	}
+	var rec JournalRecord
+	switch ev.kind {
+	case evSubmit, evRestore:
+		tl = newJobTrace(j.id, ev.since)
+		j.trace = tl
+		tl.record(trace.StageAdmission, ev.since, ev.at, ev.annot)
+		if qj != nil {
+			tl.openQueue(ev.at, j.priority.String())
+		}
+		if ev.kind == evSubmit {
+			rec = JournalRecord{T: JournalSubmit, ID: j.id, Spec: j.body}
+		}
+	case evStall, evDispatch:
+		tl.closeQueue(ev.at)
+	case evAccept:
+		tl.endAttempt(ev.since, ev.at, "accepted:"+ev.worker)
+		tl.openExec(ev.at, "worker:"+ev.worker)
+		rec = JournalRecord{T: JournalDispatch, ID: j.id, Worker: ev.worker}
+	case evRetry:
+		tl.endAttempt(ev.since, ev.at, ev.annot)
+	case evTerminal:
+		if ev.report != "" {
+			tl.closeExec(ev.since, "")
+			tl.record(trace.StageReport, ev.since, ev.at, ev.report)
+		} else if ev.annot != "" {
+			tl.endAttempt(ev.since, ev.at, ev.annot)
+		}
+		tl.finalize(ev.at, outcome)
+		j.stages = tl.stageSeconds()
+		j.traceDoc = tl.merged(j.worker, ev.workerTrace)
+		stages := j.stages
+		rec = JournalRecord{T: JournalTerminal, ID: j.id, Worker: j.worker,
+			Status: j.status, Error: j.errMsg, Cached: j.cached, Attempts: j.attempts,
+			Result: j.result, Stages: &stages, Trace: j.traceDoc, TraceDigest: traceDigestHex(j.traceDoc)}
+	}
+
+	attempts, prio := j.attempts, j.priority.String()
+	exhausted := ev.kind == evRetry && attempts >= c.maxRetries
+	if ev.kind == evSubmit && qj != nil {
+		if err := c.adm.Submit(qj); err != nil {
+			j.mu.Unlock()
+			c.mu.Lock()
+			delete(c.jobs, j.id)
+			if n := len(c.order); n > 0 && c.order[n-1] == j.id {
+				c.order = c.order[:n-1]
+			}
+			c.mu.Unlock()
+			c.metrics.CounterVec("wavepimctl.jobs", "status").With("rejected").Inc()
+			return err
+		}
+	}
+	if rec.T != "" && c.journal != nil {
+		// For a submission this is the durability point: the 202 must not
+		// leave before the record is fsynced. A failure surfaces as a
+		// submission error (the job may still run — workers are idempotent
+		// — but the client is told to retry, and the retry under the same
+		// id is safe).
+		if err := c.journal.Append(rec); err != nil && ev.kind == evSubmit {
+			j.mu.Unlock()
+			return fmt.Errorf("cluster: journal submit: %w", err)
+		}
+	}
+	var backoff time.Duration
+	switch ev.kind {
+	case evSubmit:
+		c.log.Info("job.submit", eventlog.Str("job", j.id), eventlog.Str("tenant", j.tenant),
+			eventlog.Str("priority", prio), eventlog.Str("trace", tl.ctx.Hex()),
+			eventlog.Bool("cached", qj == nil))
+	case evRestore:
+		c.adm.Restore(qj)
+	case evAccept:
+		c.log.Info("job.dispatch", eventlog.Str("job", j.id), eventlog.Str("worker", ev.worker),
+			eventlog.Int("attempt", attempts))
+	case evRetry:
+		if !exhausted {
+			c.metrics.Counter("wavepimctl.dispatch_retries").Inc()
+			backoff = RetryBackoff(c.seed, j.id, attempts, c.backoffBase, c.backoffCap)
+			c.metrics.Histogram("wavepimctl.retry_backoff_seconds").Observe(backoff.Seconds())
+			c.log.Warn("job.retry", eventlog.Str("job", j.id), eventlog.Int("attempt", attempts),
+				eventlog.Str("cause", ev.err.Error()), eventlog.Int64("backoff_ms", backoff.Milliseconds()))
+		}
+	case evTerminal:
+		if rec.Status == "done" && rec.Result != nil && !rec.Cached {
+			c.byDigest.LoadOrStore(j.digest, j)
+		}
+		c.metrics.CounterVec("wavepimctl.jobs", "status").With(outcome).Inc()
+		c.observeStages(prio, outcome, *rec.Stages)
+		lv := eventlog.Info
+		if rec.Status == "failed" {
+			lv = eventlog.Error
+		}
+		c.log.Log(lv, "job.terminal", eventlog.Str("job", j.id), eventlog.Str("status", rec.Status),
+			eventlog.Str("error", rec.Error))
+		var ex *ErrRetriesExhausted
+		if errors.As(ev.err, &ex) && c.flight != nil && c.flightW != nil {
+			// A job that burned its whole retry budget is the cluster-level
+			// unrecoverable failure: snapshot the coordinator's recent events
+			// the way a worker snapshots an unhealable run.
+			c.flightMu.Lock()
+			c.flight.Dump("retries-exhausted", j.id).WriteJSON(c.flightW)
+			c.flightMu.Unlock()
+		}
+		if qj != nil {
+			c.adm.Done(qj.Tenant)
+		}
+	}
 	j.mu.Unlock()
 
-	if err := c.adm.Submit(&QueuedJob{ID: id, Tenant: spec.Tenant, Priority: prio,
-		Enqueued: c.now(), Payload: j}); err != nil {
-		c.mu.Lock()
-		delete(c.jobs, id)
-		if n := len(c.order); n > 0 && c.order[n-1] == id {
-			c.order = c.order[:n-1]
-		}
-		c.mu.Unlock()
-		c.metrics.CounterVec("wavepimctl.jobs", "status").With("rejected").Inc()
-		return nil, false, err
+	switch {
+	case ev.kind == evStall:
+		c.hold(qj, j, trace.StageStall, c.backoffBase, ev.annot)
+	case exhausted:
+		return c.raise(qj, j, event{kind: evTerminal, at: c.now(), status: "failed",
+			err: &ErrRetriesExhausted{ID: j.id, Attempts: attempts, Last: ev.err.Error()}})
+	case ev.kind == evRetry:
+		c.hold(qj, j, trace.StageBackoff, backoff, fmt.Sprintf("attempt %d", attempts))
 	}
-	// The durability point: the 202 must not leave before the submit
-	// record is fsynced. A journal failure surfaces as a submission error
-	// (the job may still run — workers are idempotent — but the client is
-	// told to retry, and the retry under the same id is safe).
-	if err := c.journalAppend(JournalRecord{T: JournalSubmit, ID: id, Spec: body}); err != nil {
-		return nil, false, fmt.Errorf("cluster: journal submit: %w", err)
+	return nil
+}
+
+// hold waits d out, records the wait as a stage span, and puts the job
+// back in its queue. A coordinator that closes meanwhile keeps the job
+// non-terminal in memory; a journaled one re-admits it on restart.
+func (c *Coordinator) hold(qj *QueuedJob, j *cjob, stage string, d time.Duration, annot string) {
+	start, ok := c.now(), true
+	select {
+	case <-c.ctx.Done():
+		ok = false
+	case <-time.After(d):
 	}
-	c.log.Info("job.submit", eventlog.Str("job", id), eventlog.Str("tenant", spec.Tenant),
-		eventlog.Str("priority", prio.String()), eventlog.Str("trace", j.trace.ctx.Hex()),
-		eventlog.Bool("cached", false))
-	return j, false, nil
+	j.mu.Lock()
+	j.trace.record(stage, start, c.now(), annot)
+	if ok {
+		j.trace.openQueue(c.now(), j.priority.String())
+	}
+	j.mu.Unlock()
+	if ok {
+		c.adm.Requeue(qj)
+	}
 }
 
 // evictLocked enforces the tracked-job bound by evicting the oldest
@@ -450,7 +619,7 @@ func (c *Coordinator) evictLocked(keep string) {
 			}
 			j := c.jobs[id]
 			j.mu.Lock()
-			terminal := j.status == "done" || j.status == "failed"
+			terminal := j.terminal()
 			j.mu.Unlock()
 			if terminal {
 				idx = i
@@ -464,88 +633,77 @@ func (c *Coordinator) evictLocked(keep string) {
 		j := c.jobs[id]
 		delete(c.jobs, id)
 		c.order = append(c.order[:idx], c.order[idx+1:]...)
-		if d, ok := c.byDigest[j.digest]; ok && d == j {
-			delete(c.byDigest, j.digest)
-		}
+		c.byDigest.CompareAndDelete(j.digest, j)
 		c.metrics.Counter("wavepimctl.jobs_evicted").Inc()
 	}
 }
 
-// replayJournal rebuilds the job table from the journal's records:
-// terminal jobs are restored verbatim (reports stay queryable), the rest
-// are re-admitted for dispatch under their idempotent ids. Runs inside
-// NewCoordinator, before any dispatcher starts.
+// replayJournal rebuilds the job table from the journal's records. Each
+// record is the event it journaled, folded through advance with no side
+// effects; terminal jobs are then restored verbatim (reports and traces
+// stay queryable), the rest re-admitted for dispatch under their
+// idempotent ids. Runs inside NewCoordinator, before any dispatcher
+// starts.
 func (c *Coordinator) replayJournal(recs []JournalRecord) {
-	type rstate struct {
-		spec     json.RawMessage
-		worker   string
-		terminal bool
-		status   string
-		errMsg   string
-		cached   bool
-		result   []byte
-		stages   *StageSeconds
-		trace    json.RawMessage
-		traceDig string
-	}
-	byID := map[string]*rstate{}
-	var order []string
+	byID := map[string]*cjob{} // nil: a submit whose spec does not parse
+	var order []*cjob
 	c.replay.Records = len(recs)
 	for _, rec := range recs {
+		j, seen := byID[rec.ID]
+		var ev event
 		switch rec.T {
 		case JournalSubmit:
-			if _, dup := byID[rec.ID]; dup {
+			if seen {
 				c.replay.Dropped++
 				continue
 			}
-			byID[rec.ID] = &rstate{spec: rec.Spec}
-			order = append(order, rec.ID)
+			var spec JobSpec
+			err := json.Unmarshal(rec.Spec, &spec)
+			prio, perr := ParsePriority(spec.Priority)
+			if err != nil || perr != nil {
+				byID[rec.ID] = nil
+				c.replay.Dropped++
+				continue
+			}
+			spec.ID = rec.ID
+			j = c.newJob(spec, prio, rec.Spec)
+			byID[rec.ID] = j
+			order = append(order, j)
+			ev = event{kind: evSubmit}
 		case JournalDispatch:
-			if st, ok := byID[rec.ID]; ok {
-				st.worker = rec.Worker
-			}
+			ev = event{kind: evDispatch, worker: rec.Worker}
 		case JournalTerminal:
-			if st, ok := byID[rec.ID]; ok {
-				st.terminal = true
-				st.status, st.errMsg, st.cached, st.result = rec.Status, rec.Error, rec.Cached, rec.Result
-				st.stages, st.trace, st.traceDig = rec.Stages, rec.Trace, rec.TraceDigest
+			ev = event{kind: evTerminal, worker: rec.Worker, attempts: rec.Attempts,
+				status: rec.Status, cached: rec.Cached, result: rec.Result}
+			if rec.Error != "" {
+				ev.err = errors.New(rec.Error)
 			}
-		}
-	}
-	for _, id := range order {
-		st := byID[id]
-		var spec JobSpec
-		if err := json.Unmarshal(st.spec, &spec); err != nil {
-			c.replay.Dropped++
+		default:
 			continue
 		}
-		prio, err := ParsePriority(spec.Priority)
-		if err != nil {
-			c.replay.Dropped++
+		if j == nil {
 			continue
 		}
-		c.bumpSeq(id)
-		j := &cjob{
-			id: id, tenant: spec.Tenant, priority: prio,
-			digest: spec.Digest(), body: st.spec,
-			deadline: c.deadlineFor(spec), worker: st.worker,
-		}
-		if st.terminal {
-			j.status, j.errMsg, j.cached, j.result = st.status, st.errMsg, st.cached, st.result
-			if st.stages != nil {
-				j.stages = *st.stages
+		if ev.kind == evTerminal && !j.terminal() {
+			if rec.Stages != nil {
+				j.stages = *rec.Stages
 			}
 			// The journal stores the merged trace compacted (RawMessage
 			// round-trips through json.Marshal compact it); re-indenting
 			// reproduces the served bytes, and the recorded digest proves
 			// it before the trace becomes queryable again.
-			j.traceDoc = restoreTraceDoc(st.trace, st.traceDig)
-			c.jobs[id] = j
-			c.order = append(c.order, id)
+			j.traceDoc = restoreTraceDoc(rec.Trace, rec.TraceDigest)
+		}
+		j.advance(ev)
+	}
+	now := c.now()
+	for _, j := range order {
+		c.bumpSeq(j.id)
+		c.jobs[j.id] = j
+		c.order = append(c.order, j.id)
+		if j.terminal() {
 			if j.status == "done" && j.result != nil && !j.cached {
-				if _, ok := c.byDigest[j.digest]; !ok {
-					c.byDigest[j.digest] = j
-				}
+				c.byDigest.LoadOrStore(j.digest, j)
 			}
 			c.replay.Restored++
 			continue
@@ -555,14 +713,8 @@ func (c *Coordinator) replayJournal(recs []JournalRecord) {
 		// re-executed. The new incarnation starts a fresh timeline — the
 		// pre-crash spans died with the process; only terminal jobs replay
 		// their recorded traces.
-		j.status = "queued"
-		j.trace = newJobTrace(id, c.now())
-		j.trace.record(trace.StageAdmission, c.now(), c.now(), "replay")
-		j.trace.openQueue(c.now(), prio.String())
-		c.jobs[id] = j
-		c.order = append(c.order, id)
-		c.adm.Restore(&QueuedJob{ID: id, Tenant: spec.Tenant, Priority: prio,
-			Enqueued: c.now(), Payload: j})
+		c.raise(&QueuedJob{ID: j.id, Tenant: j.tenant, Priority: j.priority, Enqueued: now, Payload: j},
+			j, event{kind: evRestore, since: now, at: now, annot: "replay"})
 		c.replay.Requeued++
 	}
 	c.evictLocked("")
@@ -614,16 +766,6 @@ func (c *Coordinator) dispatchLoop() {
 	}
 }
 
-// sleep waits out a backoff; returns false when the coordinator closed.
-func (c *Coordinator) sleep(d time.Duration) bool {
-	select {
-	case <-c.ctx.Done():
-		return false
-	case <-time.After(d):
-		return true
-	}
-}
-
 // RetryBackoff is the capped-exponential backoff with deterministic
 // seeded jitter before retry attempt (1-based) of job id: the raw delay
 // doubles from base up to cap, and the jitter scales it into
@@ -663,24 +805,36 @@ func sanitizeCause(err error) error {
 	return err
 }
 
+// bounce is the retry event of a failed attempt that began at since:
+// it charges one retry unit, annotated with the sanitized cause unless
+// annot overrides it.
+func (c *Coordinator) bounce(since time.Time, cause error, annot string) event {
+	cause = sanitizeCause(cause)
+	if annot == "" {
+		annot = "retry: " + cause.Error()
+	}
+	return event{kind: evRetry, since: since, at: c.now(), attempts: 1, err: cause, annot: annot}
+}
+
+// failure is the terminal event of a job the coordinator gives up on.
+func (c *Coordinator) failure(cause error) event {
+	return event{kind: evTerminal, at: c.now(), status: "failed", err: cause}
+}
+
 // dispatch forwards one claimed job to its ring owner and follows it to
-// a terminal state. Transport failures and backpressure consume retry
+// a terminal state: it makes the network calls and picks the event each
+// outcome raises. Transport failures and backpressure consume retry
 // budget; breaker-open and no-owner stalls do not (no request was made).
 func (c *Coordinator) dispatch(qj *QueuedJob) {
 	j := qj.Payload.(*cjob)
-	j.mu.Lock()
-	j.trace.closeQueue(c.now())
-	j.mu.Unlock()
 	if c.expired(j) {
-		c.finishJob(qj, j, "failed",
-			fmt.Errorf("cluster: job %s deadline exceeded before dispatch", j.id), nil, "", nil)
+		c.raise(qj, j, c.failure(fmt.Errorf("cluster: job %s deadline exceeded before dispatch", j.id)))
 		return
 	}
 	owner, ok := c.reg.OwnerOf(j.id)
 	if !ok {
-		// No live workers; hold the job until one registers. The stall
-		// costs no retry budget — no request was made.
-		c.stall(qj, j, "no-owner")
+		// No live workers; hold the job until one registers.
+		c.raise(qj, j, event{kind: evStall, at: c.now(), annot: "no-owner"})
 		return
 	}
 	if !c.breakers.Allow(owner.ID) {
@@ -688,78 +842,56 @@ func (c *Coordinator) dispatch(qj *QueuedJob) {
 		// to be failing; wait out a base backoff and try again (the ring
 		// may route elsewhere, or the breaker may half-open).
 		c.metrics.Counter("wavepimctl.breaker_rejections").Inc()
-		c.stall(qj, j, "breaker-open:"+owner.ID)
+		c.raise(qj, j, event{kind: evStall, at: c.now(), annot: "breaker-open:" + owner.ID})
 		return
 	}
-	j.mu.Lock()
-	j.status = "dispatched"
-	j.worker = owner.ID
-	body := j.body
-	hdr := j.trace.ctx.String()
-	attempt := j.attempts
-	j.mu.Unlock()
+	c.raise(qj, j, event{kind: evDispatch, at: c.now(), worker: owner.ID})
 
 	postAt := c.now()
-	code, respBody, err := c.do("POST", owner.URL+"/v1/runs", body, trace.Header, hdr)
-	if err != nil {
+	code, respBody, err := c.do("POST", owner.URL+"/v1/runs", j.body, trace.Header, trace.New(j.id).String())
+	switch {
+	case err != nil:
 		c.breakers.Failure(owner.ID)
 		c.reg.MarkDead(owner.ID)
-		c.attemptSpan(j, postAt, "retry: "+sanitizeCause(err).Error())
-		c.retryJob(qj, j, err)
+		c.raise(qj, j, c.bounce(postAt, err, ""))
 		return
-	}
-	switch {
-	case code == http.StatusOK || code == http.StatusAccepted:
-		// accepted (or already known from an earlier attempt)
-		c.breakers.Success(owner.ID)
-		c.attemptSpan(j, postAt, "accepted:"+owner.ID)
-		j.mu.Lock()
-		j.trace.openExec(c.now(), "worker:"+owner.ID)
-		j.mu.Unlock()
 	case code == http.StatusServiceUnavailable:
 		// Worker queue full, draining, or flapping: consume budget and
 		// back off; the ring may route elsewhere by then.
 		c.breakers.Failure(owner.ID)
-		cause := fmt.Errorf("worker %s bounced job: 503", owner.ID)
-		c.attemptSpan(j, postAt, "retry: "+cause.Error())
-		c.retryJob(qj, j, cause)
+		c.raise(qj, j, c.bounce(postAt, fmt.Errorf("worker %s bounced job: 503", owner.ID), ""))
 		return
-	default:
-		c.attemptSpan(j, postAt, fmt.Sprintf("rejected: %d", code))
-		c.finishJob(qj, j, "failed", fmt.Errorf("worker %s rejected job: %d %s",
-			owner.ID, code, strings.TrimSpace(string(respBody))), nil, "", nil)
+	case code != http.StatusOK && code != http.StatusAccepted:
+		ev := c.failure(fmt.Errorf("worker %s rejected job: %d %s",
+			owner.ID, code, strings.TrimSpace(string(respBody))))
+		ev.since, ev.annot = postAt, fmt.Sprintf("rejected: %d", code)
+		c.raise(qj, j, ev)
 		return
 	}
-	c.journalAppend(JournalRecord{T: JournalDispatch, ID: j.id, Worker: owner.ID})
-	c.log.Info("job.dispatch", eventlog.Str("job", j.id), eventlog.Str("worker", owner.ID),
-		eventlog.Int("attempt", attempt))
+	// Accepted (or already known from an earlier attempt).
+	c.breakers.Success(owner.ID)
+	c.raise(qj, j, event{kind: evAccept, since: postAt, at: c.now(), worker: owner.ID})
 
 	for {
 		if c.expired(j) {
-			c.finishJob(qj, j, "failed",
-				fmt.Errorf("cluster: job %s deadline exceeded waiting on worker %s", j.id, owner.ID), nil, "", nil)
+			c.raise(qj, j, c.failure(
+				fmt.Errorf("cluster: job %s deadline exceeded waiting on worker %s", j.id, owner.ID)))
 			return
 		}
 		code, respBody, err := c.do("GET", owner.URL+"/v1/runs/"+j.id, nil)
-		if err != nil {
+		switch {
+		case err != nil:
 			c.breakers.Failure(owner.ID)
 			c.reg.MarkDead(owner.ID)
-			c.closeExec(j, "retry: "+sanitizeCause(err).Error())
-			c.retryJob(qj, j, err)
+			c.raise(qj, j, c.bounce(postAt, err, ""))
 			return
-		}
-		switch {
-		case code == http.StatusOK:
-			// fall through to decode
 		case code == http.StatusNotFound:
 			// The worker restarted and lost the run: re-dispatch under the
 			// same idempotent id.
-			c.closeExec(j, "retry: worker lost run")
-			c.retryJob(qj, j, fmt.Errorf("worker %s lost run", owner.ID))
+			c.raise(qj, j, c.bounce(postAt, fmt.Errorf("worker %s lost run", owner.ID), "retry: worker lost run"))
 			return
-		default:
-			c.finishJob(qj, j, "failed",
-				fmt.Errorf("worker %s run status: %d", owner.ID, code), nil, "", nil)
+		case code != http.StatusOK:
+			c.raise(qj, j, c.failure(fmt.Errorf("worker %s run status: %d", owner.ID, code)))
 			return
 		}
 		var v struct {
@@ -767,17 +899,17 @@ func (c *Coordinator) dispatch(qj *QueuedJob) {
 			Error  string `json:"error"`
 		}
 		if err := json.Unmarshal(respBody, &v); err != nil {
-			c.finishJob(qj, j, "failed", fmt.Errorf("worker %s run view: %v", owner.ID, err), nil, "", nil)
+			c.raise(qj, j, c.failure(fmt.Errorf("worker %s run view: %v", owner.ID, err)))
 			return
 		}
 		if v.Status == "done" || v.Status == "failed" {
-			var cause error
+			ev := event{kind: evTerminal, since: c.now(), status: v.Status, result: respBody}
 			if v.Error != "" {
-				cause = errors.New(v.Error)
+				ev.err = errors.New(v.Error)
 			}
-			c.closeExec(j, "")
-			workerTrace := c.fetchWorkerTrace(j, owner)
-			c.finishJob(qj, j, v.Status, cause, respBody, owner.ID, workerTrace)
+			ev.workerTrace, ev.report = c.fetchWorkerTrace(j.id, owner)
+			ev.at = c.now()
+			c.raise(qj, j, ev)
 			return
 		}
 		select {
@@ -788,154 +920,18 @@ func (c *Coordinator) dispatch(qj *QueuedJob) {
 	}
 }
 
-// stall records a budget-free hold (no owner / breaker open) and puts
-// the job back in its queue.
-func (c *Coordinator) stall(qj *QueuedJob, j *cjob, annot string) {
-	start := c.now()
-	ok := c.sleep(c.backoffBase)
-	j.mu.Lock()
-	j.trace.record(trace.StageStall, start, c.now(), annot)
-	if ok {
-		j.trace.openQueue(c.now(), j.priority.String())
-	}
-	j.mu.Unlock()
-	if ok {
-		c.adm.Requeue(qj)
-	}
-}
-
-// attemptSpan records one POST /v1/runs attempt on the job's timeline.
-func (c *Coordinator) attemptSpan(j *cjob, start time.Time, annot string) {
-	j.mu.Lock()
-	j.trace.record(trace.StageDispatch, start, c.now(), annot)
-	j.mu.Unlock()
-}
-
-// closeExec ends the job's open execution span (annot overrides the
-// worker annotation when the execution ended in a retry, not a result).
-func (c *Coordinator) closeExec(j *cjob, annot string) {
-	j.mu.Lock()
-	j.trace.closeExec(c.now(), annot)
-	j.mu.Unlock()
-}
-
 // fetchWorkerTrace pulls the owning worker's Chrome trace for a run that
 // just went terminal (the worker publishes it in the same critical
-// section that flips the run status, so it is ready by now). The fetch
-// itself is a "report" span; an unreachable worker or malformed document
-// degrades to a coordinator-only merged trace rather than an error.
-func (c *Coordinator) fetchWorkerTrace(j *cjob, owner Worker) []byte {
-	start := c.now()
-	code, body, err := c.do("GET", owner.URL+"/v1/runs/"+j.id+"/trace", nil)
-	annot := "worker:" + owner.ID
-	var workerTrace []byte
+// section that flips the run status, so it is ready by now), plus the
+// annotation of the fetch's report span. An unreachable worker or a
+// malformed document degrades to a coordinator-only merged trace rather
+// than an error.
+func (c *Coordinator) fetchWorkerTrace(id string, owner Worker) ([]byte, string) {
+	code, body, err := c.do("GET", owner.URL+"/v1/runs/"+id+"/trace", nil)
 	if err == nil && code == http.StatusOK && trace.Valid(body) {
-		workerTrace = body
-	} else {
-		annot += " (trace unavailable)"
+		return body, "worker:" + owner.ID
 	}
-	j.mu.Lock()
-	j.trace.record(trace.StageReport, start, c.now(), annot)
-	j.mu.Unlock()
-	return workerTrace
-}
-
-// retryJob charges one unit of the job's retry budget and requeues it
-// after its deterministic backoff — or terminates it with
-// *ErrRetriesExhausted once the budget is gone.
-func (c *Coordinator) retryJob(qj *QueuedJob, j *cjob, cause error) {
-	cause = sanitizeCause(cause)
-	j.mu.Lock()
-	j.attempts++
-	attempts := j.attempts
-	j.status = "queued"
-	j.mu.Unlock()
-	if attempts >= c.maxRetries {
-		c.finishJob(qj, j, "failed",
-			&ErrRetriesExhausted{ID: j.id, Attempts: attempts, Last: cause.Error()}, nil, "", nil)
-		return
-	}
-	c.metrics.Counter("wavepimctl.dispatch_retries").Inc()
-	d := RetryBackoff(c.seed, j.id, attempts, c.backoffBase, c.backoffCap)
-	c.metrics.Histogram("wavepimctl.retry_backoff_seconds").Observe(d.Seconds())
-	c.log.Warn("job.retry", eventlog.Str("job", j.id), eventlog.Int("attempt", attempts),
-		eventlog.Str("cause", cause.Error()), eventlog.Int64("backoff_ms", d.Milliseconds()))
-	start := c.now()
-	ok := c.sleep(d)
-	j.mu.Lock()
-	j.trace.record(trace.StageBackoff, start, c.now(), fmt.Sprintf("attempt %d", attempts))
-	if ok {
-		j.trace.openQueue(c.now(), j.priority.String())
-	}
-	j.mu.Unlock()
-	if ok {
-		c.adm.Requeue(qj)
-	}
-	// Coordinator closed mid-backoff: the job stays non-terminal in
-	// memory; a journaled coordinator re-admits it on restart.
-}
-
-// finishJob records a terminal state, closes and merges the job's
-// timeline, feeds the content-addressed result cache and the latency
-// histograms, journals the transition (trace included), and releases the
-// tenant's active slot. workerID/workerTrace are set only on the
-// dispatched-terminal path; every other terminal gets a
-// coordinator-only merged trace.
-func (c *Coordinator) finishJob(qj *QueuedJob, j *cjob, status string, cause error, result []byte, workerID string, workerTrace []byte) {
-	errMsg := ""
-	if cause != nil {
-		errMsg = cause.Error()
-	}
-	// Canonicalize the report bytes: the journal stores them as a JSON
-	// RawMessage, which compacts surrounding whitespace on re-marshal, so
-	// trimming here keeps pre-crash and post-replay reads byte-identical.
-	result = bytes.TrimSpace(result)
-	if len(result) == 0 {
-		result = nil
-	}
-	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
-	j.err = cause
-	j.result = result
-	var stages StageSeconds
-	var doc []byte
-	if j.trace != nil {
-		j.trace.finalize(c.now(), status)
-		j.stages = j.trace.stageSeconds()
-		j.traceDoc = j.trace.merged(workerID, workerTrace)
-		stages, doc = j.stages, j.traceDoc
-	}
-	prio := j.priority.String()
-	j.mu.Unlock()
-	if status == "done" && result != nil {
-		c.mu.Lock()
-		if _, ok := c.byDigest[j.digest]; !ok {
-			c.byDigest[j.digest] = j
-		}
-		c.mu.Unlock()
-	}
-	c.metrics.CounterVec("wavepimctl.jobs", "status").With(status).Inc()
-	c.observeStages(prio, status, stages)
-	c.journalAppend(JournalRecord{T: JournalTerminal, ID: j.id, Status: status,
-		Error: errMsg, Result: result,
-		Stages: &stages, Trace: doc, TraceDigest: traceDigestHex(doc)})
-	lv := eventlog.Info
-	if status == "failed" {
-		lv = eventlog.Error
-	}
-	c.log.Log(lv, "job.terminal", eventlog.Str("job", j.id), eventlog.Str("status", status),
-		eventlog.Str("error", errMsg))
-	var exhausted *ErrRetriesExhausted
-	if errors.As(cause, &exhausted) && c.flight != nil && c.flightW != nil {
-		// A job that burned its whole retry budget is the cluster-level
-		// unrecoverable failure: snapshot the coordinator's recent events
-		// the way a worker snapshots an unhealable run.
-		c.flightMu.Lock()
-		c.flight.Dump("retries-exhausted", j.id).WriteJSON(c.flightW)
-		c.flightMu.Unlock()
-	}
-	c.adm.Done(qj.Tenant)
+	return nil, "worker:" + owner.ID + " (trace unavailable)"
 }
 
 // do runs one control-plane request and slurps the body. The body rides

@@ -57,6 +57,7 @@ type clusterOptions struct {
 	maxRetries int
 	backoffCap time.Duration
 	breaker    cluster.BreakerConfig
+	grace      time.Duration // coordinator DeadlineGrace (0: default)
 	journal    *cluster.Journal
 	replay     []cluster.JournalRecord
 
@@ -76,21 +77,22 @@ func startCluster(t *testing.T, n int, o clusterOptions) *testCluster {
 		o.queue = 64
 	}
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-		Now:          o.coordNow,
-		Dispatchers:  o.dispatchers,
-		Quota:        o.quota,
-		PollInterval: o.pollInterval,
-		TTL:          o.ttl,
-		RetryDelay:   10 * time.Millisecond,
-		Client:       o.client,
-		Seed:         o.seed,
-		MaxRetries:   o.maxRetries,
-		BackoffCap:   o.backoffCap,
-		Breaker:      o.breaker,
-		Journal:      o.journal,
-		Replay:       o.replay,
-		Log:          o.log,
-		FlightW:      o.flightW,
+		Now:           o.coordNow,
+		Dispatchers:   o.dispatchers,
+		Quota:         o.quota,
+		PollInterval:  o.pollInterval,
+		TTL:           o.ttl,
+		BackoffBase:   10 * time.Millisecond,
+		Client:        o.client,
+		Seed:          o.seed,
+		MaxRetries:    o.maxRetries,
+		BackoffCap:    o.backoffCap,
+		Breaker:       o.breaker,
+		DeadlineGrace: o.grace,
+		Journal:       o.journal,
+		Replay:        o.replay,
+		Log:           o.log,
+		FlightW:       o.flightW,
 	})
 	coordTS := httptest.NewServer(coord.Handler())
 	t.Cleanup(coordTS.Close)
@@ -130,7 +132,7 @@ func (tc *testCluster) addWorker(t *testing.T, name string, o clusterOptions) *t
 
 func (tc *testCluster) submit(t *testing.T, body string) (int, string) {
 	t.Helper()
-	resp, err := http.Post(tc.coordTS.URL+"/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(tc.coordTS.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func (tc *testCluster) waitJob(t *testing.T, id string, timeout time.Duration) (
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		code, b := tc.get(t, "/jobs/"+id)
+		code, b := tc.get(t, "/v1/jobs/"+id)
 		if code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: %d %s", id, code, b)
 		}
@@ -232,7 +234,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Every worker executed at least one run.
 	for name, w := range tc.workers {
-		resp, err := http.Get(w.ts.URL + "/runs")
+		resp, err := http.Get(w.ts.URL + "/v1/runs")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +254,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// The listing is in submission order.
-	_, body := tc.get(t, "/jobs")
+	_, body := tc.get(t, "/v1/jobs")
 	var views []cluster.JobView
 	if err := json.Unmarshal([]byte(body), &views); err != nil {
 		t.Fatal(err)
@@ -305,7 +307,7 @@ func TestClusterIdempotentResubmit(t *testing.T) {
 	if body3 != report {
 		t.Fatalf("content-cache report diverges:\n%s\nvs\n%s", body3, report)
 	}
-	_, view := tc.get(t, "/jobs")
+	_, view := tc.get(t, "/v1/jobs")
 	if !strings.Contains(view, `"cached":true`) {
 		t.Fatalf("listing shows no cached job: %s", view)
 	}
@@ -319,7 +321,7 @@ func (tc *testCluster) totalRuns(t *testing.T) int {
 	t.Helper()
 	total := 0
 	for _, w := range tc.workers {
-		resp, err := http.Get(w.ts.URL + "/runs")
+		resp, err := http.Get(w.ts.URL + "/v1/runs")
 		if err != nil {
 			continue // killed workers don't count
 		}
@@ -361,7 +363,7 @@ func TestClusterWorkerDeathRebalances(t *testing.T) {
 	victim := tc.workers["w2"]
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(victim.ts.URL + "/runs")
+		resp, err := http.Get(victim.ts.URL + "/v1/runs")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +389,7 @@ func TestClusterWorkerDeathRebalances(t *testing.T) {
 	// stop. Either way it must be gone well within a few TTLs.
 	evictBy := time.Now().Add(5 * time.Second)
 	for {
-		_, body := tc.get(t, "/workers")
+		_, body := tc.get(t, "/v1/workers")
 		if !strings.Contains(body, `"id":"w2"`) {
 			break
 		}
@@ -409,11 +411,11 @@ func TestClusterAggregatedMetrics(t *testing.T) {
 	}
 	tc.waitJob(t, "metrics-1", 30*time.Second)
 
-	code, m1 := tc.get(t, "/metrics")
+	code, m1 := tc.get(t, "/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
-	_, m2 := tc.get(t, "/metrics")
+	_, m2 := tc.get(t, "/v1/metrics")
 	if m1 != m2 {
 		t.Fatalf("quiet-cluster scrapes differ:\n%s\nvs\n%s", m1, m2)
 	}
@@ -478,7 +480,7 @@ func goldenStream(t *testing.T) string {
 	if status, b := tc.waitJob(t, "golden-1", 30*time.Second); status != "done" {
 		t.Fatalf("golden job: %s %s", status, b)
 	}
-	resp, err := http.Get(tc.coordTS.URL + "/jobs/golden-1/events")
+	resp, err := http.Get(tc.coordTS.URL + "/v1/jobs/golden-1/events")
 	if err != nil {
 		t.Fatal(err)
 	}

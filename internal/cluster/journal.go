@@ -13,12 +13,14 @@ import (
 // Every accepted job writes a "submit" record before its 202 leaves the
 // building, every successful forward writes a "dispatch" record, and
 // every terminal transition writes a "terminal" record carrying the
-// worker's report bytes. On startup the journal is replayed: jobs with a
-// terminal record are restored verbatim (their reports stay queryable
-// byte-for-byte), jobs without one are re-admitted to the dispatch
-// queues — a job that was mid-flight when the process died is re-POSTed
-// under its idempotent id, so the owning worker returns the existing run
-// instead of executing twice.
+// worker's report bytes, the last owner and the retries charged. On
+// startup the journal is replayed: each record folds through the same
+// transition the live job took (cjob.advance), so jobs with a terminal
+// record are restored exactly as they were served (reports byte-for-
+// byte), and jobs without one are re-admitted to the dispatch queues — a
+// job that was mid-flight when the process died is re-POSTed under its
+// idempotent id, so the owning worker returns the existing run instead
+// of executing twice.
 //
 // Durability is fsync-batched (group commit): concurrent Appends ride a
 // single write+fsync performed by one flusher goroutine, and each Append
@@ -36,14 +38,15 @@ const (
 
 // JournalRecord is one JSONL line. Field order is fixed by the struct.
 type JournalRecord struct {
-	T      string          `json:"t"`                // submit | dispatch | terminal
-	ID     string          `json:"id"`               // canonical job id
-	Spec   json.RawMessage `json:"spec,omitempty"`   // submit: the canonical forward body
-	Worker string          `json:"worker,omitempty"` // dispatch: the accepting worker
-	Status string          `json:"status,omitempty"` // terminal: done | failed
-	Error  string          `json:"error,omitempty"`  // terminal: failure message
-	Cached bool            `json:"cached,omitempty"` // terminal: served from the result cache
-	Result json.RawMessage `json:"result,omitempty"` // terminal: the worker's report bytes
+	T        string          `json:"t"`                  // submit | dispatch | terminal
+	ID       string          `json:"id"`                 // canonical job id
+	Spec     json.RawMessage `json:"spec,omitempty"`     // submit: the canonical forward body
+	Worker   string          `json:"worker,omitempty"`   // dispatch: the accepting worker; terminal: the last owner
+	Status   string          `json:"status,omitempty"`   // terminal: done | failed
+	Error    string          `json:"error,omitempty"`    // terminal: failure message
+	Cached   bool            `json:"cached,omitempty"`   // terminal: served from the result cache
+	Attempts int             `json:"attempts,omitempty"` // terminal: retries charged
+	Result   json.RawMessage `json:"result,omitempty"`   // terminal: the worker's report bytes
 
 	// Distributed-tracing payload of a terminal record: the job's latency
 	// decomposition, the merged cluster-level Chrome trace (compacted by
@@ -216,13 +219,6 @@ func (j *Journal) Records() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records
-}
-
-// Err returns the latched write error, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Close flushes pending records and closes the file. Appends after Close

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestJournalRoundTrip: appended records come back in order on reopen.
@@ -153,5 +154,67 @@ func TestJournalAppendAfterClose(t *testing.T) {
 	j.Close()
 	if err := j.Append(JournalRecord{T: JournalSubmit, ID: "x"}); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+}
+
+// TestReplayEqualsLiveTable: a coordinator rebuilt from a journal serves
+// the job table its live predecessor served, byte for byte — attempts of
+// a retried job and the worker of a cache hit or an exhausted job
+// included.
+func TestReplayEqualsLiveTable(t *testing.T) {
+	fw := newFakeWorker(t)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jr, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(CoordinatorOptions{
+		Dispatchers: 1, MaxRetries: 3, BackoffBase: time.Millisecond,
+		BackoffCap: 2 * time.Millisecond, TTL: time.Minute,
+		Breaker: BreakerConfig{Threshold: 100},
+		Journal: jr,
+	})
+	fw.register(c, "w1")
+	for _, step := range []struct {
+		id     string
+		steps  int
+		bounce int64
+	}{
+		{"retried", 2, 2},         // two 503s, then done
+		{"hit", 2, 0},             // content-identical to "retried": a cache hit
+		{"exhausted", 3, 1 << 30}, // 503 until the budget is gone
+	} {
+		fw.reject.Store(step.bounce)
+		if _, _, err := c.Submit(JobSpec{ID: step.id, Equation: "acoustic", Steps: step.steps}); err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, c, step.id, 10*time.Second)
+	}
+	live, err := json.Marshal(c.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"attempts":2`, `"id":"hit","status":"done","priority":"normal","worker":"w1","cached":true`} {
+		if !strings.Contains(string(live), want) {
+			t.Fatalf("live table lacks %s: %s", want, live)
+		}
+	}
+
+	_, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewCoordinator(CoordinatorOptions{TTL: time.Minute, Replay: recs})
+	t.Cleanup(c2.Close)
+	replayed, err := json.Marshal(c2.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(replayed) != string(live) {
+		t.Fatalf("replayed table diverges from the live one:\n%s\nvs\n%s", replayed, live)
 	}
 }

@@ -100,7 +100,7 @@ func TestClusterLoadGuard(t *testing.T) {
 			body := fmt.Sprintf(`{"equation":"acoustic","steps":2,"cfl":%g,"id":%q}`,
 				0.2+1e-6*float64(i), id)
 			t0 := time.Now()
-			resp, err := http.Post(tc.coordTS.URL+"/jobs", "application/json", strings.NewReader(body))
+			resp, err := http.Post(tc.coordTS.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 			if err != nil {
 				mu.Lock()
 				errs = append(errs, fmt.Sprintf("%s: submit: %v", id, err))
@@ -123,7 +123,7 @@ func TestClusterLoadGuard(t *testing.T) {
 					mu.Unlock()
 					return
 				}
-				resp, err := http.Get(tc.coordTS.URL + "/jobs/" + id)
+				resp, err := http.Get(tc.coordTS.URL + "/v1/jobs/" + id)
 				if err != nil {
 					mu.Lock()
 					errs = append(errs, fmt.Sprintf("%s: poll: %v", id, err))

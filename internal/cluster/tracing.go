@@ -104,6 +104,17 @@ func (tl *jobTrace) closeExec(now time.Time, annot string) {
 	tl.execStart = time.Time{}
 }
 
+// endAttempt closes what a dispatch outcome ends: the open worker
+// execution when there is one, else the POST attempt that began at
+// since.
+func (tl *jobTrace) endAttempt(since, at time.Time, annot string) {
+	if !tl.execStart.IsZero() {
+		tl.closeExec(at, annot)
+		return
+	}
+	tl.record(trace.StageDispatch, since, at, annot)
+}
+
 // finalize closes any open stage and appends the root job span. Called
 // exactly once, at the terminal transition.
 func (tl *jobTrace) finalize(now time.Time, status string) {

@@ -11,7 +11,7 @@ import (
 )
 
 // noRedirect is a client that surfaces 3xx responses instead of
-// following them, so tests can assert on the redirects themselves.
+// following them, so a test sees exactly what an endpoint answers.
 var noRedirect = &http.Client{
 	CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
@@ -46,7 +46,7 @@ func TestV1EndpointsReachable(t *testing.T) {
 		t.Fatalf("POST /v1/runs: %d", code)
 	}
 	id := out["id"]
-	waitRun(t, ts.URL+"/v1", id)
+	waitRun(t, ts.URL, id)
 
 	for _, path := range []string{
 		"/v1/runs", "/v1/runs/" + id, "/v1/runs/" + id + "/events",
@@ -65,18 +65,18 @@ func TestV1EndpointsReachable(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects: the unversioned surface answers 308 permanent
-// redirects into /v1, preserving path, method semantics, and query.
-func TestLegacyRedirects(t *testing.T) {
+// TestLegacyPathsGone: the pre-/v1 unversioned surface is not mounted;
+// every legacy path answers 404, never a redirect.
+func TestLegacyPathsGone(t *testing.T) {
 	_, ts := testServer(t, 1, 4)
-	for _, tc := range []struct{ method, path, want string }{
-		{"GET", "/runs", "/v1/runs"},
-		{"POST", "/runs", "/v1/runs"},
-		{"GET", "/runs/r0001", "/v1/runs/r0001"},
-		{"GET", "/runs/r0001/events?follow=1", "/v1/runs/r0001/events?follow=1"},
-		{"GET", "/metrics", "/v1/metrics"},
-		{"GET", "/healthz", "/v1/healthz"},
-		{"GET", "/readyz", "/v1/readyz"},
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/runs"},
+		{"POST", "/runs"},
+		{"GET", "/runs/r0001"},
+		{"GET", "/runs/r0001/events?follow=1"},
+		{"GET", "/metrics"},
+		{"GET", "/healthz"},
+		{"GET", "/readyz"},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(""))
 		if err != nil {
@@ -88,19 +88,9 @@ func TestLegacyRedirects(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: %d, want 308", tc.method, tc.path, resp.StatusCode)
-			continue
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		if loc := resp.Header.Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
-		}
-	}
-	// A Go default client (and curl -L) transparently lands on the run,
-	// re-sending the POST body through the 308.
-	code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":1}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /runs via redirect: %d, want 202", code)
 	}
 }
 

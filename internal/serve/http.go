@@ -13,8 +13,7 @@ import (
 	"wavepim/internal/pim/chip"
 )
 
-// Handler builds the daemon's mux. The API lives under /v1; the legacy
-// unversioned routes answer 308 permanent redirects into it. pprof stays
+// Handler builds the daemon's mux. The API lives under /v1. pprof stays
 // at its conventional /debug/pprof/ root (the pprof handlers parse the
 // profile name out of that exact path) and is additionally reachable
 // under /v1 via a prefix strip.
@@ -35,7 +34,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/v1/debug/pprof/", http.StripPrefix("/v1", http.HandlerFunc(pprof.Index)))
-	cluster.MountLegacyRedirects(mux, "/runs", "/metrics", "/healthz", "/readyz")
 	return mux
 }
 

@@ -68,9 +68,9 @@ func waitRun(t *testing.T, base, id string) RunView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		code, body := getBody(t, base+"/runs/"+id)
+		code, body := getBody(t, base+"/v1/runs/"+id)
 		if code != http.StatusOK {
-			t.Fatalf("GET /runs/%s: %d %s", id, code, body)
+			t.Fatalf("GET /v1/runs/%s: %d %s", id, code, body)
 		}
 		var v RunView
 		if err := json.Unmarshal([]byte(body), &v); err != nil {
@@ -92,7 +92,7 @@ func waitRun(t *testing.T, base, id string) RunView {
 func TestDaemonEndToEnd(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
 
-	code, out := postJSON(t, ts.URL+"/runs",
+	code, out := postJSON(t, ts.URL+"/v1/runs",
 		`{"equation":"acoustic","steps":4,"faults":"seed=4,flip=1e-5,stuck=1e-6"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, out)
@@ -110,7 +110,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// The Chrome trace parses and has phase spans.
-	code, trace := getBody(t, ts.URL+"/runs/"+id+"/trace")
+	code, trace := getBody(t, ts.URL+"/v1/runs/"+id+"/trace")
 	if code != http.StatusOK {
 		t.Fatalf("trace: %d", code)
 	}
@@ -126,7 +126,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// The exposition carries labeled rung counters, the MTTR histogram,
 	// and per-phase span histograms.
-	code, metrics := getBody(t, ts.URL+"/metrics")
+	code, metrics := getBody(t, ts.URL+"/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -151,7 +151,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// No flight dump on a healed run.
-	if code, _ := getBody(t, ts.URL+"/runs/"+id+"/flight"); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts.URL+"/v1/runs/"+id+"/flight"); code != http.StatusNotFound {
 		t.Fatalf("flight dump on healed run: %d", code)
 	}
 }
@@ -160,7 +160,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // over HTTP with the failure reason and retained events.
 func TestDaemonFlightDump(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
-	code, out := postJSON(t, ts.URL+"/runs",
+	code, out := postJSON(t, ts.URL+"/v1/runs",
 		`{"equation":"acoustic","steps":8,"faults":"seed=13,flip=5e-3","recover":"ecc=0,ckpt=2,rollbacks=1,blowup=10"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, out)
@@ -169,7 +169,7 @@ func TestDaemonFlightDump(t *testing.T) {
 	if v.Status != "failed" || v.Reason != "unrecoverable" || !v.HasDump {
 		t.Fatalf("want failed+unrecoverable+dump, got %+v", v)
 	}
-	code, body := getBody(t, ts.URL+"/runs/"+out["id"]+"/flight")
+	code, body := getBody(t, ts.URL+"/v1/runs/"+out["id"]+"/flight")
 	if code != http.StatusOK {
 		t.Fatalf("flight: %d %s", code, body)
 	}
@@ -196,7 +196,7 @@ func TestDaemonFlightDump(t *testing.T) {
 	}
 
 	// The failure is visible on the daemon counters.
-	_, metrics := getBody(t, ts.URL+"/metrics")
+	_, metrics := getBody(t, ts.URL+"/v1/metrics")
 	if !strings.Contains(metrics, `wavepimd_runs_total{status="failed"} 1`) {
 		t.Fatal("failed run not counted")
 	}
@@ -233,7 +233,7 @@ func TestDaemonTraceHeaderAdoption(t *testing.T) {
 	}
 	// The spec is the flight-dump scenario: the dump carries the trace id
 	// so a worker-side artifact correlates with the cluster timeline.
-	code, body := getBody(t, ts.URL+"/runs/"+out["id"]+"/flight")
+	code, body := getBody(t, ts.URL+"/v1/runs/"+out["id"]+"/flight")
 	if code != http.StatusOK {
 		t.Fatalf("flight: %d %s", code, body)
 	}
@@ -273,20 +273,20 @@ func TestDaemonTraceHeaderAdoption(t *testing.T) {
 func TestDaemonValidationAndBackpressure(t *testing.T) {
 	s, ts := testServer(t, 1, 1)
 
-	if code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"warp-drive"}`); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"warp-drive"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown equation: %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/runs", `not json`); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `not json`); code != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","id":"!!!"}`); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","id":"!!!"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad client id: %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/runs", `{"faults":"seed=banana"}`); code != http.StatusAccepted {
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"faults":"seed=banana"}`); code != http.StatusAccepted {
 		// Spec-string errors surface when the job executes, not at submit.
 		t.Fatalf("submit: %d", code)
 	}
-	if code, body := getBody(t, ts.URL+"/runs/r9999"); code != http.StatusNotFound {
+	if code, body := getBody(t, ts.URL+"/v1/runs/r9999"); code != http.StatusNotFound {
 		t.Fatalf("missing run: %d %s", code, body)
 	}
 
@@ -295,7 +295,7 @@ func TestDaemonValidationAndBackpressure(t *testing.T) {
 	// far longer than a submit round trip).
 	var saw503 bool
 	for i := 0; i < 8 && !saw503; i++ {
-		code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":50}`)
+		code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":50}`)
 		switch code {
 		case http.StatusAccepted:
 		case http.StatusServiceUnavailable:
@@ -307,7 +307,7 @@ func TestDaemonValidationAndBackpressure(t *testing.T) {
 	if !saw503 {
 		t.Fatal("queue never pushed back")
 	}
-	_, metrics := getBody(t, ts.URL+"/metrics")
+	_, metrics := getBody(t, ts.URL+"/v1/metrics")
 	if !strings.Contains(metrics, `wavepimd_runs_total{status="rejected"}`) {
 		t.Fatal("rejected submits not counted")
 	}
@@ -329,25 +329,25 @@ func TestDaemonValidationAndBackpressure(t *testing.T) {
 // once draining, and drain completes queued work.
 func TestDaemonHealthAndDrain(t *testing.T) {
 	s, ts := testServer(t, 2, 8)
-	if code, body := getBody(t, ts.URL+"/healthz"); code != http.StatusOK || body != "ok\n" {
+	if code, body := getBody(t, ts.URL+"/v1/healthz"); code != http.StatusOK || body != "ok\n" {
 		t.Fatalf("healthz: %d %q", code, body)
 	}
-	if code, body := getBody(t, ts.URL+"/readyz"); code != http.StatusOK || body != "ready\n" {
+	if code, body := getBody(t, ts.URL+"/v1/readyz"); code != http.StatusOK || body != "ready\n" {
 		t.Fatalf("readyz: %d %q", code, body)
 	}
-	code, out := postJSON(t, ts.URL+"/runs", `{"equation":"maxwell","steps":2}`)
+	code, out := postJSON(t, ts.URL+"/v1/runs", `{"equation":"maxwell","steps":2}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	s.Drain()
-	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
+	if code, _ := getBody(t, ts.URL+"/v1/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while drained: %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic"}`); code != http.StatusServiceUnavailable {
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic"}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while drained: %d", code)
 	}
 	// The queued Maxwell run completed during drain.
-	code, body := getBody(t, ts.URL+"/runs/"+out["id"])
+	code, body := getBody(t, ts.URL+"/v1/runs/"+out["id"])
 	if code != http.StatusOK {
 		t.Fatalf("run after drain: %d", code)
 	}
@@ -371,7 +371,7 @@ func TestDaemonConcurrentRuns(t *testing.T) {
 	}
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
-		code, out := postJSON(t, ts.URL+"/runs", spec)
+		code, out := postJSON(t, ts.URL+"/v1/runs", spec)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d", i, code)
 		}
@@ -382,7 +382,7 @@ func TestDaemonConcurrentRuns(t *testing.T) {
 			t.Fatalf("run %s: %+v", id, v)
 		}
 	}
-	_, body := getBody(t, ts.URL+"/runs")
+	_, body := getBody(t, ts.URL+"/v1/runs")
 	var list []RunView
 	if err := json.Unmarshal([]byte(body), &list); err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestDaemonConcurrentRuns(t *testing.T) {
 			t.Fatalf("list order: %v", list)
 		}
 	}
-	_, metrics := getBody(t, ts.URL+"/metrics")
+	_, metrics := getBody(t, ts.URL+"/v1/metrics")
 	seen := map[string]bool{}
 	for _, line := range strings.Split(metrics, "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -428,7 +428,7 @@ func TestDaemonPprof(t *testing.T) {
 func TestDaemonIdempotentSubmit(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
 
-	code, out := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":2,"id":"job-a"}`)
+	code, out := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":2,"id":"job-a"}`)
 	if code != http.StatusAccepted || out["id"] != "job-a" {
 		t.Fatalf("first submit: %d %v", code, out)
 	}
@@ -436,24 +436,24 @@ func TestDaemonIdempotentSubmit(t *testing.T) {
 	if v.Status != "done" {
 		t.Fatalf("run: %+v", v)
 	}
-	_, body1 := getBody(t, ts.URL+"/runs/job-a")
+	_, body1 := getBody(t, ts.URL+"/v1/runs/job-a")
 
 	// Exact resubmit and a sloppy-whitespace/case retry both dedupe.
 	for _, payload := range []string{
 		`{"equation":"acoustic","steps":2,"id":"job-a"}`,
 		`{"equation":"acoustic","steps":2,"id":"  Job-A \n"}`,
 	} {
-		code, out = postJSON(t, ts.URL+"/runs", payload)
+		code, out = postJSON(t, ts.URL+"/v1/runs", payload)
 		if code != http.StatusOK || out["id"] != "job-a" {
 			t.Fatalf("resubmit %q: %d %v", payload, code, out)
 		}
 	}
-	_, body2 := getBody(t, ts.URL+"/runs/job-a")
+	_, body2 := getBody(t, ts.URL+"/v1/runs/job-a")
 	if body1 != body2 {
 		t.Fatalf("run view changed across resubmits:\n%s\nvs\n%s", body1, body2)
 	}
 
-	_, body := getBody(t, ts.URL+"/runs")
+	_, body := getBody(t, ts.URL+"/v1/runs")
 	var list []RunView
 	if err := json.Unmarshal([]byte(body), &list); err != nil {
 		t.Fatal(err)
@@ -468,7 +468,7 @@ func TestDaemonIdempotentSubmit(t *testing.T) {
 // existing run would silently hand the caller someone else's results.
 func TestDaemonSubmitConflict(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
-	code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":2,"id":"clash-1"}`)
+	code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":2,"id":"clash-1"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
@@ -489,7 +489,7 @@ func TestDaemonSubmitConflict(t *testing.T) {
 		t.Fatalf("conflict envelope %+v", e)
 	}
 	// An identical resubmit still dedupes to 200.
-	code, out := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":2,"id":"clash-1"}`)
+	code, out := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":2,"id":"clash-1"}`)
 	if code != http.StatusOK || out["id"] != "clash-1" {
 		t.Fatalf("identical resubmit after conflict: %d %v", code, out)
 	}
@@ -501,14 +501,14 @@ func TestDaemonSubmitConflict(t *testing.T) {
 // subscriptions.
 func TestDaemonEventsSSE(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
-	code, out := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":3,"id":"sse-1"}`)
+	code, out := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":3,"id":"sse-1"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	waitRun(t, ts.URL, out["id"])
 
 	stream := func() string {
-		resp, err := http.Get(ts.URL + "/runs/sse-1/events")
+		resp, err := http.Get(ts.URL + "/v1/runs/sse-1/events")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +560,7 @@ func TestDaemonEventsSSE(t *testing.T) {
 // receives frames and sees the stream terminate when the run finishes.
 func TestDaemonEventsSSELive(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
-	code, _ := postJSON(t, ts.URL+"/runs", `{"equation":"acoustic","steps":2,"id":"live-1"}`)
+	code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":2,"id":"live-1"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
@@ -570,7 +570,7 @@ func TestDaemonEventsSSELive(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/runs/live-1/events")
+		resp, err := http.Get(ts.URL + "/v1/runs/live-1/events")
 		if err != nil {
 			return
 		}

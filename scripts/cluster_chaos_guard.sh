@@ -11,7 +11,8 @@
 #      wavepimctl with -journal takes jobs in every lifecycle stage, dies
 #      by SIGKILL (no graceful anything), restarts on the same journal,
 #      and must end with zero accepted jobs lost — finished jobs byte-
-#      identical, unfinished ones re-dispatched to completion.
+#      identical (report and /v1/jobs row alike), unfinished ones
+#      re-dispatched to completion.
 #
 # Usage: scripts/cluster_chaos_guard.sh
 set -euo pipefail
@@ -94,12 +95,20 @@ wait_done() {
 	return 1
 }
 
+# fast_rows prints the fast-* rows of the /v1/jobs table.
+fast_rows() {
+	curl -sf "$CTL/v1/jobs" | python3 -c '
+import json, sys
+print(json.dumps([v for v in json.load(sys.stdin) if v["id"].startswith("fast-")]))'
+}
+
 # Fast jobs: finished (terminal in the journal) before the kill.
 for i in 0 1 2; do
 	submit "{\"equation\":\"acoustic\",\"steps\":$((2 + i)),\"id\":\"fast-$i\"}"
 done
 for i in 0 1 2; do wait_done "fast-$i"; done
 curl -s "$CTL/v1/jobs/fast-0" >"$TMP/fast0_before.json"
+fast_rows >"$TMP/fast_rows_before.json"
 
 # Slow jobs: accepted but queued/mid-flight when the coordinator dies.
 for i in 0 1 2 3; do
@@ -124,6 +133,14 @@ curl -s "$CTL/v1/jobs/fast-0" >"$TMP/fast0_after.json"
 if ! cmp -s "$TMP/fast0_before.json" "$TMP/fast0_after.json"; then
 	echo "chaos guard: FAILED — restored report diverges:"
 	diff "$TMP/fast0_before.json" "$TMP/fast0_after.json" || true
+	exit 1
+fi
+# The replayed table holds the finished jobs' rows exactly as served
+# before the kill: worker, attempts, cached flag and stages included.
+fast_rows >"$TMP/fast_rows_after.json"
+if ! cmp -s "$TMP/fast_rows_before.json" "$TMP/fast_rows_after.json"; then
+	echo "chaos guard: FAILED — replayed job rows diverge:"
+	diff "$TMP/fast_rows_before.json" "$TMP/fast_rows_after.json" || true
 	exit 1
 fi
 RECORDS=$(wc -l <"$JOURNAL")

@@ -3,7 +3,7 @@
 #
 # Builds cmd/wavepimd, starts it on a random loopback port, then:
 #   1. checks /v1/healthz and /v1/readyz answer 200, and that the legacy
-#      unversioned paths answer 308 permanent redirects into /v1
+#      unversioned paths are gone (404)
 #   2. submits one small acoustic job on the canonical healing fault
 #      scenario and polls it to completion
 #   3. scrapes /v1/metrics and runs the exposition through a strict parser,
@@ -50,10 +50,10 @@ for i in $(seq 1 50); do
 done
 fetch 200 /v1/healthz >/dev/null
 fetch 200 /v1/readyz >/dev/null
-# The legacy unversioned surface must answer permanent redirects into /v1.
-fetch 308 /healthz >/dev/null
-fetch 308 /runs >/dev/null
-echo "healthz/readyz ok on $BASE (legacy paths 308 into /v1)"
+# The legacy unversioned surface is gone.
+fetch 404 /healthz >/dev/null
+fetch 404 /runs >/dev/null
+echo "healthz/readyz ok on $BASE (legacy paths 404)"
 
 ID=$(fetch 202 /v1/runs -X POST \
 	-d '{"equation":"acoustic","steps":4,"faults":"seed=4,flip=1e-5,stuck=1e-6"}' |
