@@ -259,25 +259,6 @@ func BenchmarkDGElasticStage(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionalPIMStep measures a fully functional PIM time-step
-// (all data in simulated crossbar cells).
-func BenchmarkFunctionalPIMStep(b *testing.B) {
-	m := mesh.New(1, 4, true)
-	mat := material.Acoustic{Kappa: 2.25, Rho: 1}
-	s, err := wp.NewSession(wp.WithMesh(m), wp.WithAcousticMaterial(mat), wp.WithFlux(dg.RiemannFlux), wp.WithDt(1e-3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fa := s.Acoustic()
-	q := dg.NewAcousticState(m)
-	dg.PlaneWaveX(m, mat, 1, q)
-	fa.Load(q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fa.Step()
-	}
-}
-
 // BenchmarkAblationLUTOffload quantifies the Section 4.3 design choice:
 // serving sqrt/inverse from look-up tables versus computing them in-array
 // with gate-level Newton-Raphson.
@@ -380,34 +361,50 @@ func reportNsPerLane(b *testing.B, lanesPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanesPerOp), "ns/lane")
 }
 
-// BenchmarkFunctionalAcousticStep measures a fully functional PIM
-// time-step with the engine's worker pool off (serial) and sized to the
-// machine (parallel); the parallel path's merge keeps results identical.
-func BenchmarkFunctionalAcousticStep(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		workers int
+// BenchmarkFunctionalStep measures a fully functional PIM time-step (all
+// data in simulated crossbar cells) of the compute-heavy acoustic layout
+// and of the transfer-heavy four-block elastic-Riemann layout, with the
+// engine's worker pool off (serial) and sized to the machine (parallel);
+// the parallel path's merge keeps results identical. Allocations are
+// reported: a steady-state step allocates per phase, never per transfer.
+func BenchmarkFunctionalStep(b *testing.B) {
+	for _, sys := range []struct {
+		name string
+		eq   opcount.Equation
+		np   int
 	}{
-		{"serial", 0},
-		{"parallel", dg.DefaultWorkers()},
+		{"acoustic", opcount.Acoustic, 4},
+		{"elastic", opcount.ElasticRiemann, 8},
 	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			m := mesh.New(1, 4, true)
-			mat := material.Acoustic{Kappa: 2.25, Rho: 1}
-			s, err := wp.NewSession(wp.WithMesh(m), wp.WithAcousticMaterial(mat), wp.WithFlux(dg.RiemannFlux), wp.WithDt(1e-3))
-			if err != nil {
-				b.Fatal(err)
-			}
-			fa := s.Acoustic()
-			fa.Engine.Workers = cfg.workers
-			q := dg.NewAcousticState(m)
-			dg.PlaneWaveX(m, mat, 1, q)
-			fa.Load(q)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fa.Step()
-			}
-		})
+		for _, cfg := range []struct {
+			name    string
+			workers int
+		}{
+			{"serial", 1},
+			{"parallel", dg.DefaultWorkers()},
+		} {
+			b.Run(sys.name+"/"+cfg.name, func(b *testing.B) {
+				m := mesh.New(1, sys.np, true)
+				s, err := wp.NewSession(wp.WithEquation(sys.eq), wp.WithMesh(m), wp.WithDt(1e-3), wp.WithWorkers(cfg.workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sys.eq == opcount.Acoustic {
+					q := dg.NewAcousticState(m)
+					dg.PlaneWaveX(m, material.Acoustic{Kappa: 2.25, Rho: 1}, 1, q)
+					s.Acoustic().Load(q)
+				} else {
+					q := dg.NewElasticState(m)
+					dg.PlaneWavePX(m, material.Elastic{Lambda: 2, Mu: 1, Rho: 1}, 1, q)
+					s.Elastic().Load(q)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step()
+				}
+			})
+		}
 	}
 }
 

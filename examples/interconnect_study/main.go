@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("  %-7s %-9s %-12s\n", "fanout", "switches", "max hops")
 	for _, fo := range []int{2, 4, 8, 16} {
 		t := intercon.NewHTree(256, fo)
-		fmt.Printf("  %-7d %-9d %-12d\n", fo, t.SwitchCount(), len(t.Path(0, 255)))
+		fmt.Printf("  %-7d %-9d %-12d\n", fo, t.SwitchCount(), len(t.AppendPath(nil, 0, 255)))
 	}
 
 	// The full Figure 14 study.

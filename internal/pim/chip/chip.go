@@ -8,7 +8,6 @@ package chip
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -166,12 +165,16 @@ func SystemPowerW(c Config) float64 {
 // blocks — a 16 GB chip has 131072 blocks, so cell arrays materialize only
 // when touched — grouped into tiles that each own an interconnect. Block
 // lookup is safe from concurrent goroutines (the sim engine's parallel
-// functional execution resolves blocks from its worker pool); the blocks
-// themselves are single-owner and must not be mutated concurrently.
+// functional execution resolves blocks from its worker pool) and lock-free
+// once a block exists; the blocks themselves are single-owner and must not
+// be mutated concurrently.
 type Chip struct {
 	Config Config
 	mu     sync.RWMutex
-	blocks map[int]*xbar.Block
+	// blocks is the block table indexed by physical id, made on the first
+	// Block call (timing-only chips never pay for it); mu is taken only to
+	// make it and to materialize a block.
+	blocks atomic.Pointer[[]atomic.Pointer[xbar.Block]]
 	topos  []intercon.Topology // one per tile
 
 	// remap is the logical->physical indirection installed by
@@ -193,7 +196,7 @@ func New(c Config) (*Chip, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	ch := &Chip{Config: c, blocks: make(map[int]*xbar.Block)}
+	ch := &Chip{Config: c}
 	// Topologies are stateless routing tables, so every tile shares one
 	// instance (a 16 GB chip has 512 tiles of identical shape).
 	topo, err := c.tileTopology()
@@ -214,23 +217,39 @@ func (ch *Chip) Block(id int) *xbar.Block {
 		panic(fmt.Sprintf("chip: block %d out of range [0,%d)", id, ch.Config.NumBlocks()))
 	}
 	id = ch.Physical(id)
-	ch.mu.RLock()
-	b, ok := ch.blocks[id]
-	ch.mu.RUnlock()
-	if ok {
-		return b
+	if t := ch.blocks.Load(); t != nil {
+		if b := (*t)[id].Load(); b != nil {
+			return b
+		}
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if b, ok := ch.blocks[id]; ok {
+	t := ch.blocks.Load()
+	if t == nil {
+		table := make([]atomic.Pointer[xbar.Block], ch.Config.NumBlocks())
+		t = &table
+		ch.blocks.Store(t)
+	}
+	if b := (*t)[id].Load(); b != nil {
 		return b
 	}
-	b = xbar.New(id)
+	b := xbar.New(id)
 	if ch.hook != nil {
 		ch.hook(b)
 	}
-	ch.blocks[id] = b
+	(*t)[id].Store(b)
 	return b
+}
+
+// materialized calls f on every materialized block in ascending id order.
+func (ch *Chip) materialized(f func(*xbar.Block)) {
+	if t := ch.blocks.Load(); t != nil {
+		for i := range *t {
+			if b := (*t)[i].Load(); b != nil {
+				f(b)
+			}
+		}
+	}
 }
 
 // Physical resolves a logical block id through the remap table.
@@ -269,9 +288,7 @@ func (ch *Chip) SetBlockHook(h func(*xbar.Block)) {
 	defer ch.mu.Unlock()
 	ch.hook = h
 	if h != nil {
-		for _, b := range ch.blocks {
-			h(b)
-		}
+		ch.materialized(h)
 	}
 }
 
@@ -286,25 +303,16 @@ func (ch *Chip) Topology(tile int) intercon.Topology { return ch.topos[tile] }
 
 // AllocatedBlocks returns how many blocks have been materialized.
 func (ch *Chip) AllocatedBlocks() int {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	return len(ch.blocks)
+	n := 0
+	ch.materialized(func(*xbar.Block) { n++ })
+	return n
 }
 
 // TotalBlockStats sums the stats of all materialized blocks. Blocks are
-// visited in sorted id order so the float accumulations (BusySec, EnergyJ)
-// are reproducible run-to-run — map order must never leak into results.
+// visited in ascending id order so the float accumulations (BusySec,
+// EnergyJ) are reproducible run-to-run.
 func (ch *Chip) TotalBlockStats() xbar.Stats {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	ids := make([]int, 0, len(ch.blocks))
-	for id := range ch.blocks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var s xbar.Stats
-	for _, id := range ids {
-		s.Add(ch.blocks[id].Stats)
-	}
+	ch.materialized(func(b *xbar.Block) { s.Add(b.Stats) })
 	return s
 }

@@ -2,9 +2,11 @@ package chip
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"wavepim/internal/params"
+	"wavepim/internal/pim/xbar"
 )
 
 func TestConfigGeometry(t *testing.T) {
@@ -177,5 +179,47 @@ func TestTotalBlockStats(t *testing.T) {
 func TestInterconnectKindString(t *testing.T) {
 	if HTree.String() != "htree" || Bus.String() != "bus" {
 		t.Error("kind strings wrong")
+	}
+}
+
+// Concurrent first lookups of overlapping block ids resolve each id to a
+// single block and run the materialization hook exactly once per block;
+// until the first lookup the chip holds no block table at all.
+func TestBlockConcurrentMaterialize(t *testing.T) {
+	ch, err := New(Config2GB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := make(map[int]int) // written by the hook, under the chip lock
+	ch.SetBlockHook(func(b *xbar.Block) { hooked[b.ID]++ })
+	if ch.blocks.Load() != nil || ch.AllocatedBlocks() != 0 {
+		t.Fatal("block table made before the first Block call")
+	}
+	const workers, ids = 8, 96
+	got := make([][ids]*xbar.Block, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ids; i++ {
+				id := (i*7 + w*13) % ids // every worker visits every id, in its own order
+				got[w][id] = ch.Block(id * 170)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for id := 0; id < ids; id++ {
+		for w := 1; w < workers; w++ {
+			if got[w][id] != got[0][id] {
+				t.Fatalf("block %d resolved to two blocks", id*170)
+			}
+		}
+		if got[0][id].ID != id*170 || hooked[id*170] != 1 {
+			t.Errorf("block %d: ID %d, hook ran %d times", id*170, got[0][id].ID, hooked[id*170])
+		}
+	}
+	if n := ch.AllocatedBlocks(); n != ids || len(hooked) != ids {
+		t.Errorf("%d blocks materialized, %d hooked, want %d", n, len(hooked), ids)
 	}
 }

@@ -6,13 +6,15 @@
 // flattened butterfly, dragonfly) behind the same Topology interface. The
 // essential behaviour the paper evaluates — transfers through disjoint
 // routes proceed in parallel while transfers sharing a switch serialize —
-// is captured by a contention-aware list scheduler built on an explicit
-// estimate → occupy → backpressure loop over per-switch channel ledgers.
+// is captured by a contention-aware list scheduler: a streaming Ledger that
+// runs one estimate → occupy → backpressure round per transfer over a
+// per-switch channel slice.
 package intercon
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"wavepim/internal/params"
@@ -26,15 +28,17 @@ type Transfer struct {
 }
 
 // Topology routes transfers between leaf blocks. Beyond the path view
-// (Path), implementations expose a channel view — SwitchCount, Radix, and
-// EgressHops — that the scheduler's occupancy ledger and the topology-sweep
+// (AppendPath), implementations expose a channel view — SwitchCount, Radix,
+// and EgressHops — that the scheduler's ledger and the topology-sweep
 // reports are built on.
 type Topology interface {
 	// Name returns the wire name of the topology (one of Names()).
 	Name() string
-	// Path returns the switch IDs a src->dst transfer traverses, in order.
-	// An empty path means src == dst (no interconnect involvement).
-	Path(src, dst int) []int
+	// AppendPath appends the switch IDs a src->dst transfer traverses, in
+	// order, to buf and returns the extended slice; pass nil for a fresh
+	// route. Nothing is appended when src == dst (no interconnect
+	// involvement), and nothing is allocated when buf has the capacity.
+	AppendPath(buf []int, src, dst int) []int
 	// SwitchCount is the number of switches in the topology.
 	SwitchCount() int
 	// LeakagePowerW is the static power of all switches.
@@ -179,39 +183,34 @@ func (h *HTree) Radix() int { return h.fanout + 1 }
 // EgressHops implements Topology: the tree depth (a leaf-to-root climb).
 func (h *HTree) EgressHops() int { return len(h.levelCount) }
 
-// switchAt returns the global ID of the level-l ancestor switch of a leaf.
-func (h *HTree) switchAt(leaf, level int) int {
-	div := 1
-	for i := 0; i <= level; i++ {
-		div *= h.fanout
-	}
-	return h.levelBase[level] + leaf/div
-}
-
-// Path implements Topology: climb from src to the lowest common ancestor,
-// then descend to dst. The Figure 3 walkthrough (Block 0 to Block 5 via
-// D0->D1->D2->D3 through S0, S1, S0') is reproduced exactly.
-func (h *HTree) Path(src, dst int) []int {
+// AppendPath implements Topology: climb from src to the lowest common
+// ancestor, then descend to dst. The Figure 3 walkthrough (Block 0 to
+// Block 5 via D0->D1->D2->D3 through S0, S1, S0') is reproduced exactly.
+// A leaf's level-l ancestor is leaf / fanout^(l+1), so both climbs are
+// repeated divisions.
+func (h *HTree) AppendPath(buf []int, src, dst int) []int {
 	if src < 0 || src >= h.leaves || dst < 0 || dst >= h.leaves {
 		panic(fmt.Sprintf("intercon: leaf out of range: %d or %d (leaves=%d)", src, dst, h.leaves))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
-	// Find LCA level: lowest level where both map to the same switch.
+	// LCA level: the lowest level where both leaves share an ancestor.
 	lca := 0
-	for h.switchAt(src, lca) != h.switchAt(dst, lca) {
+	for a, b := src/h.fanout, dst/h.fanout; a != b; a, b = a/h.fanout, b/h.fanout {
 		lca++
 	}
-	var path []int
-	for l := 0; l < lca; l++ {
-		path = append(path, h.switchAt(src, l))
+	// The route is src's ancestors up to the LCA, then dst's back down:
+	// level l of the climb sits at n+l, level l of the descent at n+2*lca-l.
+	n := len(buf)
+	buf = slices.Grow(buf, 2*lca+1)[:n+2*lca+1]
+	a, b := src, dst
+	for l := 0; l <= lca; l++ {
+		a, b = a/h.fanout, b/h.fanout
+		buf[n+l] = h.levelBase[l] + a
+		buf[n+2*lca-l] = h.levelBase[l] + b
 	}
-	path = append(path, h.switchAt(src, lca))
-	for l := lca - 1; l >= 0; l-- {
-		path = append(path, h.switchAt(dst, l))
-	}
-	return path
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -255,32 +254,23 @@ func (b *Bus) Radix() int { return b.leaves }
 // EgressHops implements Topology.
 func (b *Bus) EgressHops() int { return 1 }
 
-// Path implements Topology.
-func (b *Bus) Path(src, dst int) []int {
+// AppendPath implements Topology.
+func (b *Bus) AppendPath(buf []int, src, dst int) []int {
 	if src < 0 || src >= b.leaves || dst < 0 || dst >= b.leaves {
 		panic(fmt.Sprintf("intercon: leaf out of range: %d or %d (leaves=%d)", src, dst, b.leaves))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []int{0}
+	return append(buf, 0)
 }
 
 // ---------------------------------------------------------------------------
 // Contention-aware scheduling: estimate -> occupy -> backpressure
 // ---------------------------------------------------------------------------
 
-// Span records when one transfer occupied the interconnect.
-type Span struct {
-	Transfer Transfer
-	Start    float64
-	End      float64
-	Hops     int
-}
-
 // Schedule is the result of scheduling a batch of transfers.
 type Schedule struct {
-	Spans    []Span
 	Makespan float64 // time until the last transfer completes
 	EnergyJ  float64 // dynamic switching energy
 	Words    int64   // total words moved
@@ -291,111 +281,97 @@ type Schedule struct {
 	BackpressureSec float64
 }
 
-// Occupancy is the per-switch channel ledger of the contention loop: for
-// every switch it tracks when the switch next falls idle, and optionally
-// accumulates total busy-seconds per switch (the sweep reports' occupancy
-// histograms). One ledger prices one batch; the simulated timeline charges
-// batches sequentially exactly as before.
-type Occupancy struct {
-	free map[int]float64
-	busy []float64 // per-switch busy seconds; nil when not tracked
+// Ledger is the streaming form of the contention loop: the per-switch
+// channel ledger of one batch (when each switch next falls idle), the
+// running Schedule totals of the transfers added so far, and a reused
+// route buffer, so adding a transfer allocates nothing. busy, when
+// non-nil, accumulates each switch's occupied seconds (the sweep reports'
+// occupancy histograms) across batches and ledgers that share it. One
+// ledger prices one batch at a time; Reset readies it for the next.
+type Ledger struct {
+	topo  Topology
+	hop   float64
+	free  []float64
+	busy  []float64
+	route []int
+	sum   Schedule
 }
 
-// NewOccupancy builds an empty ledger for a topology. busy, when non-nil,
-// must have at least t.SwitchCount() entries; Occupy accumulates each
-// switch's occupied seconds into it (across ledgers, if shared).
-func NewOccupancy(busy []float64) *Occupancy {
-	return &Occupancy{free: make(map[int]float64), busy: busy}
+// NewLedger builds an empty ledger for a topology. busy, when non-nil,
+// must have at least topo.SwitchCount() entries.
+func NewLedger(topo Topology, busy []float64) *Ledger {
+	return &Ledger{topo: topo, hop: topo.HopLatency(), free: make([]float64, topo.SwitchCount()), busy: busy}
 }
 
-// Estimate returns the earliest start time at which every switch of the
-// path is free when the payload stream reaches it under store-and-forward
-// pipelining (the stream hits switch i at start + i*hop).
-func (o *Occupancy) Estimate(path []int, hop float64) float64 {
-	var start float64
-	for i, s := range path {
-		if t := o.free[s] - float64(i)*hop; t > start {
-			start = t
-		}
-	}
-	return start
-}
-
-// Occupy books the path: switch i is busy from start + i*hop for occupy
-// seconds. Subsequent Estimates on overlapping routes are pushed behind
-// this booking — that push is the backpressure the scheduler accounts.
-func (o *Occupancy) Occupy(path []int, hop, start, occupy float64) {
-	for i, s := range path {
-		o.free[s] = start + float64(i)*hop + occupy
-	}
-	if o.busy != nil {
-		for _, s := range path {
-			o.busy[s] += occupy
-		}
-	}
-}
-
-// ScheduleBatch schedules the transfers in order with greedy list
+// Add schedules one transfer after those already added, with greedy list
 // scheduling under store-and-forward pipelining: the payload stream
 // occupies switch i of its route for payloads hop-cycles starting one
 // hop-cycle after switch i-1, so a switch is released as soon as the
 // stream has passed through it. Each transfer runs one estimate -> occupy
-// round against the batch's channel ledger; a congested switch backpressures
-// later transfers (serializing them), while disjoint routes overlap fully —
-// on the bus every route shares switch 0 and therefore serializes, the
-// Section 4.2.2 behaviour ("the bus switch processes these transmissions
-// sequentially").
-func ScheduleBatch(topo Topology, batch []Transfer) Schedule {
-	return ScheduleBatchBusy(topo, batch, nil)
+// -> backpressure round: a congested switch backpressures later transfers
+// (serializing them), while disjoint routes overlap fully — on the bus
+// every route shares switch 0 and therefore serializes, the Section 4.2.2
+// behaviour ("the bus switch processes these transmissions sequentially").
+func (l *Ledger) Add(tr Transfer) {
+	l.route = l.topo.AppendPath(l.route[:0], tr.Src, tr.Dst)
+	path, hop := l.route, l.hop
+	if len(path) == 0 {
+		return
+	}
+	payloads := (tr.Words + params.PayloadWords - 1) / params.PayloadWords
+	occupy := float64(payloads) * hop
+	// Estimate: the earliest start at which every switch i of the route
+	// is free when the stream reaches it, at start + i*hop.
+	var start float64
+	for i, s := range path {
+		if t := l.free[s] - float64(i)*hop; t > start {
+			start = t
+		}
+	}
+	// Occupy: book switch i from start + i*hop for occupy seconds.
+	for i, s := range path {
+		l.free[s] = start + float64(i)*hop + occupy
+		if l.busy != nil {
+			l.busy[s] += occupy
+		}
+	}
+	// Backpressure: any push past immediate injection means a busy switch
+	// serialized this transfer behind an earlier one.
+	if start > 0 {
+		l.sum.Backpressured++
+		l.sum.BackpressureSec += start
+	}
+	end := start + float64(len(path)-1)*hop + occupy
+	if end > l.sum.Makespan {
+		l.sum.Makespan = end
+	}
+	l.sum.EnergyJ += float64(tr.Words*len(path)) * params.SwitchHopEnergyJ
+	l.sum.Words += int64(tr.Words)
 }
 
-// ScheduleBatchBusy is ScheduleBatch with per-switch busy-seconds
-// accumulation into busy (len >= topo.SwitchCount(); nil disables). The
-// timing math is identical — busy tracking only observes the ledger.
-func ScheduleBatchBusy(topo Topology, batch []Transfer, busy []float64) Schedule {
-	occ := NewOccupancy(busy)
-	var out Schedule
-	// Per-transfer spans are kept for inspection on small batches only;
-	// large timing-mode batches (hundreds of thousands of transfers) skip
-	// them to bound memory.
-	recordSpans := len(batch) <= 4096
-	hop := topo.HopLatency()
+// Schedule returns the totals of the transfers added since the last Reset.
+func (l *Ledger) Schedule() Schedule { return l.sum }
+
+// Reset empties the ledger for the next batch; busy keeps accumulating.
+func (l *Ledger) Reset() {
+	clear(l.free)
+	l.sum = Schedule{}
+}
+
+// ScheduleBatch schedules the transfers in order through one fresh Ledger.
+func ScheduleBatch(topo Topology, batch []Transfer) Schedule {
+	l := NewLedger(topo, nil)
 	for _, tr := range batch {
-		path := topo.Path(tr.Src, tr.Dst)
-		if len(path) == 0 {
-			continue
-		}
-		payloads := (tr.Words + params.PayloadWords - 1) / params.PayloadWords
-		occupy := float64(payloads) * hop
-		// Estimate: earliest start such that every switch i is free at
-		// start + i*hop.
-		start := occ.Estimate(path, hop)
-		// Occupy: book the route at that start.
-		occ.Occupy(path, hop, start, occupy)
-		// Backpressure: any push past immediate injection means a busy
-		// switch serialized this transfer behind an earlier one.
-		if start > 0 {
-			out.Backpressured++
-			out.BackpressureSec += start
-		}
-		end := start + float64(len(path)-1)*hop + occupy
-		if recordSpans {
-			out.Spans = append(out.Spans, Span{Transfer: tr, Start: start, End: end, Hops: len(path)})
-		}
-		if end > out.Makespan {
-			out.Makespan = end
-		}
-		out.EnergyJ += float64(tr.Words*len(path)) * params.SwitchHopEnergyJ
-		out.Words += int64(tr.Words)
+		l.Add(tr)
 	}
-	return out
+	return l.Schedule()
 }
 
 // FilterMasked partitions a batch for a topology with masked-off (failed
 // or retired) leaves: transfers whose endpoints are all healthy are
 // routable; transfers touching a masked leaf — or a leaf outside the
 // topology — are returned separately so the caller can remap them instead
-// of panicking inside Path. This is the route-around primitive of
+// of panicking inside AppendPath. This is the route-around primitive of
 // spare-block remapping: a retired physical block disappears from the
 // schedulable set, and the cost models only ever see healthy endpoints.
 func FilterMasked(t Topology, batch []Transfer, masked map[int]bool) (routable, rejected []Transfer) {

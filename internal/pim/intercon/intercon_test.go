@@ -32,7 +32,7 @@ func TestHTreePathBlock0ToBlock5(t *testing.T) {
 	// Figure 3's walkthrough: Block 0 -> Block 5 passes S0(0), S1, S0(1):
 	// three switches, carried by memcpy instructions I1, I2, I3.
 	h := NewHTree(16, 4)
-	path := h.Path(0, 5)
+	path := h.AppendPath(nil, 0, 5)
 	if len(path) != 3 {
 		t.Fatalf("path 0->5 has %d switches, want 3 (%v)", len(path), path)
 	}
@@ -50,7 +50,7 @@ func TestHTreeSiblingPathIsOneSwitch(t *testing.T) {
 	// argument for multi-block elements ("the data will only pass through
 	// one S0 H-tree switch").
 	h := NewHTree(256, 4)
-	path := h.Path(8, 11)
+	path := h.AppendPath(nil, 8, 11)
 	if len(path) != 1 {
 		t.Errorf("sibling path has %d switches, want 1 (%v)", len(path), path)
 	}
@@ -60,7 +60,7 @@ func TestHTreePathSymmetry(t *testing.T) {
 	h := NewHTree(64, 4)
 	f := func(a, b uint8) bool {
 		src, dst := int(a)%64, int(b)%64
-		p1, p2 := h.Path(src, dst), h.Path(dst, src)
+		p1, p2 := h.AppendPath(nil, src, dst), h.AppendPath(nil, dst, src)
 		if len(p1) != len(p2) {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestHTreePathOddLength(t *testing.T) {
 	// Up-then-down routes always traverse an odd number of switches.
 	h := NewHTree(256, 4)
 	for _, pair := range [][2]int{{0, 1}, {0, 5}, {0, 255}, {17, 200}, {100, 101}} {
-		p := h.Path(pair[0], pair[1])
+		p := h.AppendPath(nil, pair[0], pair[1])
 		if len(p)%2 != 1 {
 			t.Errorf("path %v has even length %d: %v", pair, len(p), p)
 		}
@@ -93,10 +93,10 @@ func TestBusAlwaysOneSwitch(t *testing.T) {
 	if b.SwitchCount() != 1 || b.Name() != "bus" {
 		t.Error("bus metadata wrong")
 	}
-	if p := b.Path(3, 250); len(p) != 1 || p[0] != 0 {
+	if p := b.AppendPath(nil, 3, 250); len(p) != 1 || p[0] != 0 {
 		t.Errorf("bus path %v", p)
 	}
-	if p := b.Path(7, 7); p != nil {
+	if p := b.AppendPath(nil, 7, 7); p != nil {
 		t.Errorf("self path should be empty, got %v", p)
 	}
 }
@@ -168,14 +168,15 @@ func TestScheduleEnergyAccounting(t *testing.T) {
 	if s.Words != 10 {
 		t.Errorf("words %d", s.Words)
 	}
-	if len(s.Spans) != 1 || s.Spans[0].Hops != 3 {
-		t.Errorf("spans %+v", s.Spans)
+	// One payload through 3 switches: two fill hops plus one occupy hop.
+	if want := 3 * h.HopLatency(); math.Abs(s.Makespan-want) > 1e-20 {
+		t.Errorf("makespan %g want %g", s.Makespan, want)
 	}
 }
 
 func TestScheduleSelfTransferFree(t *testing.T) {
 	s := ScheduleBatch(NewHTree(16, 4), []Transfer{{Src: 3, Dst: 3, Words: 32}})
-	if s.Makespan != 0 || s.EnergyJ != 0 || len(s.Spans) != 0 {
+	if s != (Schedule{}) {
 		t.Errorf("self transfer should be free: %+v", s)
 	}
 }
@@ -187,7 +188,7 @@ func TestHTreeFanout8(t *testing.T) {
 	if got := h.SwitchCount(); got != 9 {
 		t.Errorf("fanout-8 switch count %d, want 9", got)
 	}
-	if p := h.Path(0, 7); len(p) != 1 {
+	if p := h.AppendPath(nil, 0, 7); len(p) != 1 {
 		t.Errorf("blocks 0-7 share one fanout-8 switch, path %v", p)
 	}
 }
@@ -197,8 +198,8 @@ func TestConstructorPanics(t *testing.T) {
 		func() { NewHTree(0, 4) },
 		func() { NewHTree(16, 1) },
 		func() { NewBus(0) },
-		func() { NewHTree(16, 4).Path(16, 0) },
-		func() { NewBus(4).Path(0, 4) },
+		func() { NewHTree(16, 4).AppendPath(nil, 16, 0) },
+		func() { NewBus(4).AppendPath(nil, 0, 4) },
 	} {
 		func() {
 			defer func() {

@@ -2,6 +2,7 @@ package intercon
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,8 +149,10 @@ func TestBusMakespanIsSerialSum(t *testing.T) {
 // Property: on every topology and a range of leaf counts (including ones
 // that leave a partial switch group or grid row), every pair of distinct
 // leaves is routable: the path is non-empty, every switch ID is in range,
-// no switch repeats consecutively, and the route length is symmetric
-// (len Path(a,b) == len Path(b,a) under deterministic minimal routing).
+// no switch repeats consecutively, the route length is symmetric
+// (len route(a,b) == len route(b,a) under deterministic minimal routing),
+// and appending after a non-empty prefix leaves the prefix alone and
+// appends exactly the route a nil call returns.
 func TestPathValidityAllTopologies(t *testing.T) {
 	for _, leaves := range []int{16, 64, 72, 100, 256} {
 		for _, topo := range allTopos(t, leaves) {
@@ -157,29 +160,33 @@ func TestPathValidityAllTopologies(t *testing.T) {
 			maxLen := n // a minimal deterministic route never revisits the fabric
 			r := rand.New(rand.NewSource(int64(leaves)))
 			check := func(src, dst int) {
-				p := topo.Path(src, dst)
-				q := topo.Path(dst, src)
+				p := topo.AppendPath(nil, src, dst)
+				q := topo.AppendPath(nil, dst, src)
+				prefix := append(make([]int, 0, 64), -1, -2) // room to append in place
+				if pq := topo.AppendPath(prefix, src, dst); !slices.Equal(pq[:2], []int{-1, -2}) || !slices.Equal(pq[2:], p) {
+					t.Fatalf("%s/%d: AppendPath([-1 -2], %d, %d) = %v, want the prefix then %v", topo.Name(), leaves, src, dst, pq, p)
+				}
 				if src == dst {
 					if len(p) != 0 {
-						t.Fatalf("%s/%d: Path(%d,%d) = %v, want empty", topo.Name(), leaves, src, dst, p)
+						t.Fatalf("%s/%d: AppendPath(%d,%d) = %v, want empty", topo.Name(), leaves, src, dst, p)
 					}
 					return
 				}
 				if len(p) == 0 {
-					t.Fatalf("%s/%d: Path(%d,%d) unreachable", topo.Name(), leaves, src, dst)
+					t.Fatalf("%s/%d: AppendPath(%d,%d) unreachable", topo.Name(), leaves, src, dst)
 				}
 				if len(p) > maxLen {
-					t.Fatalf("%s/%d: Path(%d,%d) = %d switches > %d", topo.Name(), leaves, src, dst, len(p), maxLen)
+					t.Fatalf("%s/%d: AppendPath(%d,%d) = %d switches > %d", topo.Name(), leaves, src, dst, len(p), maxLen)
 				}
 				if len(p) != len(q) {
 					t.Fatalf("%s/%d: asymmetric route %d<->%d: %v vs %v", topo.Name(), leaves, src, dst, p, q)
 				}
 				for i, s := range p {
 					if s < 0 || s >= n {
-						t.Fatalf("%s/%d: Path(%d,%d) switch %d out of range [0,%d)", topo.Name(), leaves, src, dst, s, n)
+						t.Fatalf("%s/%d: AppendPath(%d,%d) switch %d out of range [0,%d)", topo.Name(), leaves, src, dst, s, n)
 					}
 					if i > 0 && p[i-1] == s {
-						t.Fatalf("%s/%d: Path(%d,%d) repeats switch %d: %v", topo.Name(), leaves, src, dst, s, p)
+						t.Fatalf("%s/%d: AppendPath(%d,%d) repeats switch %d: %v", topo.Name(), leaves, src, dst, s, p)
 					}
 				}
 			}
@@ -234,7 +241,7 @@ func TestHTreePathLengthBounds(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		p := h.Path(src, dst)
+		p := h.AppendPath(nil, src, dst)
 		if len(p) < 1 || len(p) > maxLen {
 			return false
 		}
@@ -245,5 +252,65 @@ func TestHTreePathLengthBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the H-tree's division climb routes every pair through the same
+// switches as the definition — up src's level-l ancestors
+// levelBase[l] + leaf/fanout^(l+1) to the lowest common one, then down
+// dst's — on full and partial trees of several fanouts.
+func TestHTreeRouteMatchesAncestors(t *testing.T) {
+	for _, fanout := range []int{2, 3, 4, 8} {
+		for _, leaves := range []int{16, 64, 72, 100, 256} {
+			h := NewHTree(leaves, fanout)
+			ancestor := func(leaf, level int) int {
+				div := fanout
+				for i := 0; i < level; i++ {
+					div *= fanout
+				}
+				return h.levelBase[level] + leaf/div
+			}
+			for src := 0; src < leaves; src++ {
+				for dst := 0; dst < leaves; dst++ {
+					var want []int
+					if src != dst {
+						lca := 0
+						for ancestor(src, lca) != ancestor(dst, lca) {
+							lca++
+						}
+						for l := 0; l <= lca; l++ {
+							want = append(want, ancestor(src, l))
+						}
+						for l := lca - 1; l >= 0; l-- {
+							want = append(want, ancestor(dst, l))
+						}
+					}
+					if got := h.AppendPath(nil, src, dst); !slices.Equal(got, want) {
+						t.Fatalf("fanout %d leaves %d: route %d->%d = %v, want %v", fanout, leaves, src, dst, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// AppendPath into a buffer with room allocates nothing on any fabric, and
+// neither does a warm Ledger's Add.
+func TestRoutingAllocationFree(t *testing.T) {
+	for _, topo := range allTopos(t, 256) {
+		buf := make([]int, 0, 64)
+		if n := testing.AllocsPerRun(100, func() {
+			for src := 0; src < 256; src += 37 {
+				buf = topo.AppendPath(buf[:0], src, 255-src)
+			}
+		}); n != 0 {
+			t.Errorf("%s: AppendPath allocates %.1f times per run", topo.Name(), n)
+		}
+		l := NewLedger(topo, make([]float64, topo.SwitchCount()))
+		tr := Transfer{Src: 3, Dst: 250, Words: 64}
+		l.Add(tr)
+		if n := testing.AllocsPerRun(100, func() { l.Reset(); l.Add(tr) }); n != 0 {
+			t.Errorf("%s: warm Ledger.Add allocates %.1f times per run", topo.Name(), n)
+		}
 	}
 }

@@ -88,26 +88,23 @@ func (m *Mesh) HopLatency() float64 { return params.MeshHopPenalty * params.Swit
 // EgressHops implements Topology: corner leaf to the central gateway.
 func (m *Mesh) EgressHops() int { return m.g.kx/2 + m.g.ky/2 + 1 }
 
-// Path implements Topology with XY dimension-order routing.
-func (m *Mesh) Path(src, dst int) []int {
+// AppendPath implements Topology with XY dimension-order routing.
+func (m *Mesh) AppendPath(buf []int, src, dst int) []int {
 	m.g.checkLeaves(src, dst)
 	if src == dst {
-		return nil
+		return buf
 	}
 	s1, s2 := m.g.switchOf(src), m.g.switchOf(dst)
-	if s1 == s2 {
-		return []int{s1}
-	}
 	x, y := m.g.coords(s1)
 	x2, y2 := m.g.coords(s2)
-	path := []int{s1}
+	buf = append(buf, s1)
 	for x != x2 {
 		if x < x2 {
 			x++
 		} else {
 			x--
 		}
-		path = append(path, m.g.id(x, y))
+		buf = append(buf, m.g.id(x, y))
 	}
 	for y != y2 {
 		if y < y2 {
@@ -115,9 +112,9 @@ func (m *Mesh) Path(src, dst int) []int {
 		} else {
 			y--
 		}
-		path = append(path, m.g.id(x, y))
+		buf = append(buf, m.g.id(x, y))
 	}
-	return path
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -165,28 +162,25 @@ func wrapStep(a, b, k int) int {
 	return -1
 }
 
-// Path implements Topology with wrap-aware dimension-order routing.
-func (t *Torus) Path(src, dst int) []int {
+// AppendPath implements Topology with wrap-aware dimension-order routing.
+func (t *Torus) AppendPath(buf []int, src, dst int) []int {
 	t.g.checkLeaves(src, dst)
 	if src == dst {
-		return nil
+		return buf
 	}
 	s1, s2 := t.g.switchOf(src), t.g.switchOf(dst)
-	if s1 == s2 {
-		return []int{s1}
-	}
 	x, y := t.g.coords(s1)
 	x2, y2 := t.g.coords(s2)
-	path := []int{s1}
+	buf = append(buf, s1)
 	for step := wrapStep(x, x2, t.g.kx); x != x2; {
 		x = (x + step + t.g.kx) % t.g.kx
-		path = append(path, t.g.id(x, y))
+		buf = append(buf, t.g.id(x, y))
 	}
 	for step := wrapStep(y, y2, t.g.ky); y != y2; {
 		y = (y + step + t.g.ky) % t.g.ky
-		path = append(path, t.g.id(x, y))
+		buf = append(buf, t.g.id(x, y))
 	}
-	return path
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -235,23 +229,23 @@ func (f *FlattenedButterfly) HopLatency() float64 {
 // express hop.
 func (f *FlattenedButterfly) EgressHops() int { return 2 }
 
-// Path implements Topology with deterministic row-first routing: the
-// intermediate switch is the one sharing src's row and dst's column.
-func (f *FlattenedButterfly) Path(src, dst int) []int {
+// AppendPath implements Topology with deterministic row-first routing:
+// the intermediate switch is the one sharing src's row and dst's column.
+func (f *FlattenedButterfly) AppendPath(buf []int, src, dst int) []int {
 	f.g.checkLeaves(src, dst)
 	if src == dst {
-		return nil
+		return buf
 	}
 	s1, s2 := f.g.switchOf(src), f.g.switchOf(dst)
 	if s1 == s2 {
-		return []int{s1}
+		return append(buf, s1)
 	}
 	x1, y1 := f.g.coords(s1)
 	x2, y2 := f.g.coords(s2)
 	if x1 == x2 || y1 == y2 {
-		return []int{s1, s2}
+		return append(buf, s1, s2)
 	}
-	return []int{s1, f.g.id(x2, y1), s2}
+	return append(buf, s1, f.g.id(x2, y1), s2)
 }
 
 // ---------------------------------------------------------------------------
@@ -325,29 +319,29 @@ func (d *Dragonfly) gateway(g, other int) int {
 	return s
 }
 
-// Path implements Topology with minimal gateway routing.
-func (d *Dragonfly) Path(src, dst int) []int {
+// AppendPath implements Topology with minimal gateway routing.
+func (d *Dragonfly) AppendPath(buf []int, src, dst int) []int {
 	if src < 0 || src >= d.leaves || dst < 0 || dst >= d.leaves {
 		panic(fmt.Sprintf("intercon: leaf out of range: %d or %d (leaves=%d)", src, dst, d.leaves))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
 	s1 := src / gridConcentration
 	s2 := dst / gridConcentration
 	if s1 == s2 {
-		return []int{s1}
+		return append(buf, s1)
 	}
 	g1, g2 := d.groupOf(s1), d.groupOf(s2)
 	if g1 == g2 {
-		return []int{s1, s2}
+		return append(buf, s1, s2)
 	}
-	path := []int{s1}
+	buf = append(buf, s1)
 	if gw := d.gateway(g1, g2); gw != s1 {
-		path = append(path, gw)
+		buf = append(buf, gw)
 	}
 	if gw := d.gateway(g2, g1); gw != s2 {
-		path = append(path, gw)
+		buf = append(buf, gw)
 	}
-	return append(path, s2)
+	return append(buf, s2)
 }

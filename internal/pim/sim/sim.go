@@ -132,13 +132,17 @@ type Engine struct {
 
 	// Interconnect congestion accounting — the observables of the
 	// estimate -> occupy -> backpressure contention loop, aggregated over
-	// every scheduled batch of the run. tileSwitchBusy sums per-local-
+	// every scheduled batch of the run. ExecTransfers streams each batch
+	// through tileLedger, whose busy slice tileSwitchBusy sums per-local-
 	// switch busy seconds across all tiles (every tile shares one topology
-	// shape); chipSwitchBusy does the same for the chip-level network.
-	tileSwitchBusy      []float64
-	chipSwitchBusy      []float64
-	xferBackpressured   int64
-	xferBackpressureSec float64
+	// shape), and chipLedger, whose chipSwitchBusy does the same for the
+	// chip-level network. tileSpans holds the batch's per-tile index ranges.
+	tileSwitchBusy         []float64
+	chipSwitchBusy         []float64
+	xferBackpressured      int64
+	xferBackpressureSec    float64
+	tileLedger, chipLedger *intercon.Ledger
+	tileSpans              []tileSpan
 }
 
 // InterconReport is the run-level congestion summary of the interconnect:
@@ -173,7 +177,7 @@ func (e *Engine) InterconReport() InterconReport {
 // bus for the Bus design). The chip validated the topology name, so the
 // factory cannot fail here.
 func New(ch *chip.Chip, functional bool) *Engine {
-	e := &Engine{Chip: ch, Functional: functional}
+	e := &Engine{Chip: ch, Functional: functional, tileSpans: make([]tileSpan, ch.Config.NumTiles())}
 	if n := ch.Config.NumTiles(); n > 1 {
 		t, err := intercon.New(string(ch.Config.Interconnect), n,
 			intercon.Config{Fanout: ch.Config.Fanout})
@@ -884,7 +888,7 @@ func (e *Engine) transferCost(src, dst int, words int) (sec, joules float64) {
 func (e *Engine) routeHops(src, dst int) int {
 	st, dt := e.Chip.TileOf(src), e.Chip.TileOf(dst)
 	if st == dt {
-		return len(e.Chip.Topology(st).Path(e.Chip.LocalID(src), e.Chip.LocalID(dst)))
+		return len(e.Chip.Topology(st).AppendPath(nil, e.Chip.LocalID(src), e.Chip.LocalID(dst)))
 	}
 	depth := e.Chip.Topology(st).EgressHops()
 	return 2*depth + 1 // up the source tile, across the chip router, down the destination tile
@@ -895,20 +899,33 @@ func (e *Engine) routeHops(src, dst int) int {
 // tiles overlap; cross-tile transfers are scheduled on the chip-level
 // H-tree over tiles (disjoint tile subtrees overlap, shared routes
 // contend). Functional mode also moves the words.
+//
+// A first pass in batch order moves the words, streams cross-tile
+// transfers into the chip ledger and notes each tile's index range. Tiles
+// then stream through the one tile ledger in ascending order: all tiles
+// add into one busy slice, whose float sums must not depend on how the
+// batch interleaves its tiles.
 func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
-	perTile := make(map[int][]intercon.Transfer)
-	var cross []intercon.Transfer
 	var crossEndpoints float64
 	var obsWords int64
-	for _, tr := range trs {
+	ncross := 0
+	for i, tr := range trs {
 		e.TransferCt++
 		obsWords += int64(tr.Words)
 		st, dt := e.Chip.TileOf(tr.SrcBlock), e.Chip.TileOf(tr.DstBlock)
 		if st == dt {
-			perTile[st] = append(perTile[st], intercon.Transfer{
-				Src: e.Chip.LocalID(tr.SrcBlock), Dst: e.Chip.LocalID(tr.DstBlock), Words: tr.Words})
-		} else {
-			cross = append(cross, intercon.Transfer{Src: st, Dst: dt, Words: tr.Words})
+			sp := &e.tileSpans[st]
+			if sp.end == 0 {
+				sp.first = i
+			}
+			sp.end = i + 1
+		} else if e.chipTree != nil {
+			if e.chipLedger == nil {
+				e.chipSwitchBusy = make([]float64, e.chipTree.SwitchCount())
+				e.chipLedger = intercon.NewLedger(e.chipTree, e.chipSwitchBusy)
+			}
+			ncross++
+			e.chipLedger.Add(intercon.Transfer{Src: st, Dst: dt, Words: tr.Words})
 			// The legs inside the two tiles (leaf to tile gateway and back).
 			payloads := (tr.Words + params.PayloadWords - 1) / params.PayloadWords
 			crossEndpoints += float64(2 * e.Chip.Topology(st).EgressHops() * payloads)
@@ -917,21 +934,27 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 			e.moveWords(tr)
 		}
 	}
-	// Visit tiles in sorted order: the float energy accumulation must not
-	// depend on map iteration order, or seeded runs stop being
-	// byte-reproducible.
-	tiles := make([]int, 0, len(perTile))
-	for tile := range perTile {
-		tiles = append(tiles, tile)
-	}
-	sort.Ints(tiles)
 	var dur, energy float64
-	for _, tile := range tiles {
-		topo := e.Chip.Topology(tile)
-		if e.tileSwitchBusy == nil {
-			e.tileSwitchBusy = make([]float64, topo.SwitchCount())
+	for tile, sp := range e.tileSpans {
+		if sp.end == 0 {
+			continue
 		}
-		s := intercon.ScheduleBatchBusy(topo, perTile[tile], e.tileSwitchBusy)
+		e.tileSpans[tile] = tileSpan{}
+		if e.tileLedger == nil {
+			// Every tile shares one topology (chip.New), so one ledger
+			// and one busy slice serve them all.
+			topo := e.Chip.Topology(tile)
+			e.tileSwitchBusy = make([]float64, topo.SwitchCount())
+			e.tileLedger = intercon.NewLedger(topo, e.tileSwitchBusy)
+		}
+		for _, tr := range trs[sp.first:sp.end] {
+			if e.Chip.TileOf(tr.SrcBlock) == tile && e.Chip.TileOf(tr.DstBlock) == tile {
+				e.tileLedger.Add(intercon.Transfer{
+					Src: e.Chip.LocalID(tr.SrcBlock), Dst: e.Chip.LocalID(tr.DstBlock), Words: tr.Words})
+			}
+		}
+		s := e.tileLedger.Schedule()
+		e.tileLedger.Reset()
 		e.xferBackpressured += int64(s.Backpressured)
 		e.xferBackpressureSec += s.BackpressureSec
 		if s.Makespan > dur {
@@ -939,16 +962,14 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 		}
 		energy += s.EnergyJ
 	}
-	if len(cross) > 0 && e.chipTree != nil {
-		if e.chipSwitchBusy == nil {
-			e.chipSwitchBusy = make([]float64, e.chipTree.SwitchCount())
-		}
-		s := intercon.ScheduleBatchBusy(e.chipTree, cross, e.chipSwitchBusy)
+	if ncross > 0 {
+		s := e.chipLedger.Schedule()
+		e.chipLedger.Reset()
 		e.xferBackpressured += int64(s.Backpressured)
 		e.xferBackpressureSec += s.BackpressureSec
 		// Tile-internal legs of cross-tile routes add energy and latency.
 		legEnergy := crossEndpoints * params.PayloadWords * params.SwitchHopEnergyJ
-		crossDur := s.Makespan + crossEndpoints/float64(len(cross))*params.SwitchHopLatencySec
+		crossDur := s.Makespan + crossEndpoints/float64(ncross)*params.SwitchHopLatencySec
 		energy += s.EnergyJ + legEnergy
 		if crossDur > dur {
 			dur = crossDur
@@ -966,6 +987,10 @@ func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
 	}
 	return Phase{Name: name, Kind: "transfer", Dur: dur, EnergyJ: energy}
 }
+
+// tileSpan is the index range [first, end) of one tile's intra-tile
+// transfers in the batch ExecTransfers is pricing; end == 0 means none.
+type tileSpan struct{ first, end int }
 
 // moveWords performs the functional data movement of one transfer.
 func (e *Engine) moveWords(tr RowTransfer) {
@@ -1029,6 +1054,7 @@ func (e *Engine) Reset() {
 	e.pendingFault = nil
 	e.tileSwitchBusy = nil
 	e.chipSwitchBusy = nil
+	e.tileLedger, e.chipLedger = nil, nil
 	e.xferBackpressured = 0
 	e.xferBackpressureSec = 0
 	atomic.StoreInt64(&e.norEvals, 0)
