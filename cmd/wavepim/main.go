@@ -9,7 +9,13 @@
 // Functional mode executes a small simulation entirely inside simulated
 // crossbar cells and verifies the result against the reference dG solver:
 //
-//	wavepim -functional -refine 1 -np 4 -steps 3
+//	wavepim -functional -refine 1 -np 4 -fsteps 3
+//
+// The functional flags form a job spec and pass the same validator the
+// daemons apply (cluster.JobSpec.Normalize): an out-of-range -refine or
+// -np, or a malformed -faults/-recover/-interconnect, prints the typed
+// error and exits 2. A zero -refine, -np or -fsteps selects the spec's
+// default (1, 4, 4).
 //
 // Functional mode can also inject deterministic hardware faults and heal
 // through the recovery ladder (ECC scrub, verify-retry, spare-block remap,
@@ -34,6 +40,7 @@ import (
 	"os"
 	"strings"
 
+	"wavepim/internal/cluster"
 	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
 	"wavepim/internal/material"
@@ -70,7 +77,16 @@ func main() {
 		return
 	}
 	if *functional {
-		runFunctional(*refine, *np, *fnSteps, *interconnect, *faultSpec, *recoverSpec, *faultReport, *eventLog, *flight)
+		// The functional flags are a job spec: the validator the daemons
+		// apply to POST bodies rejects a bad one here too, before any
+		// mesh or chip is built.
+		spec, err := cluster.JobSpec{Refine: *refine, Np: *np, Steps: *fnSteps, Topology: *interconnect,
+			Faults: *faultSpec, Recover: *recoverSpec}.Normalize()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "wavepim -functional: %v\n", err)
+			os.Exit(2)
+		}
+		runFunctional(spec, *faultReport, *eventLog, *flight)
 		return
 	}
 
@@ -169,15 +185,18 @@ func parseBench(s string) (opcount.Benchmark, bool) {
 	return opcount.Benchmark{}, false
 }
 
-func runFunctional(refine, np, steps int, topology, faultSpec, recoverSpec, reportPath, eventLogPath, flightPath string) {
-	m := mesh.New(refine, np, true)
+// runFunctional runs a normalized acoustic job spec in simulated
+// crossbar cells beside the float64 reference solver.
+func runFunctional(spec cluster.JobSpec, reportPath, eventLogPath, flightPath string) {
+	steps := spec.Steps
+	m := mesh.New(spec.Refine, spec.Np, true)
 	mat := material.Acoustic{Kappa: 2.25, Rho: 1.0}
 	fmt.Printf("functional PIM run: %d elements x %d nodes, %d steps, Riemann flux, %s interconnect\n",
-		m.NumElem, m.NodesPerEl, steps, topology)
+		m.NumElem, m.NodesPerEl, steps, spec.Topology)
 
 	ref := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, mat), dg.RiemannFlux)
 	it := dg.NewAcousticIntegrator(ref)
-	dt := ref.MaxStableDt(0.3)
+	dt := ref.MaxStableDt(spec.CFL)
 	q := dg.NewAcousticState(m)
 	dg.PlaneWaveX(m, mat, 1, q)
 	qPim := q.Copy()
@@ -186,7 +205,7 @@ func runFunctional(refine, np, steps int, topology, faultSpec, recoverSpec, repo
 		wavepim.WithMesh(m),
 		wavepim.WithAcousticMaterial(mat),
 		wavepim.WithDt(dt),
-		wavepim.WithTopology(topology),
+		wavepim.WithTopology(spec.Topology),
 	}
 	// Telemetry wiring (the single-process analogue of wavepimd): an
 	// event logger, and for -flight a sink-backed recorder teed into it.
@@ -224,21 +243,13 @@ func runFunctional(refine, np, steps int, topology, faultSpec, recoverSpec, repo
 			opts = append(opts, wavepim.WithFlightDump(f))
 		}
 	}
-	faulted := faultSpec != "" || recoverSpec != ""
-	if faultSpec != "" {
-		fcfg, err := fault.ParseSpec(faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
-			os.Exit(2)
-		}
+	faulted := spec.Faults != "" || spec.Recover != ""
+	if spec.Faults != "" {
+		fcfg, _ := fault.ParseSpec(spec.Faults) // Normalize parsed it
 		opts = append(opts, wavepim.WithFaults(fcfg))
 	}
-	if recoverSpec != "" {
-		rec, err := fault.ParseRecoverySpec(recoverSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-recover: %v\n", err)
-			os.Exit(2)
-		}
+	if spec.Recover != "" {
+		rec, _ := fault.ParseRecoverySpec(spec.Recover)
 		opts = append(opts, wavepim.WithRecovery(rec))
 	}
 	s, err := wavepim.NewSession(opts...)

@@ -32,8 +32,11 @@
 //
 // A JobSpec may carry "topology" (htree | bus | mesh | torus | flatfly |
 // dragonfly); it participates in the content digest, so the same spec on
-// two topologies is two distinct cached results. Every error response is
-// the typed JSON envelope {code, message, retryable}.
+// two topologies is two distinct cached results. A bad spec gets a 400
+// bad_request before admission, so it never queues, never consumes a
+// tenant slot and never reaches a worker; cluster.JobSpec.Normalize holds
+// the defaults and bounds. Every error response is the typed JSON
+// envelope {code, message, retryable}.
 //
 // With -eventlog the coordinator emits structured JSONL job-lifecycle
 // events (job.submit, job.dispatch, job.retry, job.terminal); with

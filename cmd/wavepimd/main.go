@@ -26,8 +26,13 @@
 //	     /debug/pprof/*        Go runtime profiles (also under /v1)
 //
 // A JobSpec may carry "topology" (htree | bus | mesh | torus | flatfly |
-// dragonfly) to pick the tile interconnect; omitted means htree. Every
-// error response is the typed JSON envelope {code, message, retryable}.
+// dragonfly) to pick the tile interconnect; omitted means htree. A bad
+// spec (unknown equation or topology, refine or np out of range, a
+// negative count, a malformed faults/recover string, a bad id) gets a
+// 400 bad_request before it is queued; cluster.JobSpec.Normalize holds
+// the defaults and bounds. A panic inside a run fails that run (reason
+// "panic", with a flight dump) instead of the daemon. Every error
+// response is the typed JSON envelope {code, message, retryable}.
 //
 // A submission may carry an X-Wavepim-Trace header (set by wavepimctl
 // when it dispatches a job): the worker adopts the cluster trace id, so

@@ -72,6 +72,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := mesh.Check(*refine, *np); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	m := mesh.New(*refine, *np, true)
 	fmt.Printf("mesh: refinement %d, %d elements, %d nodes/element (%d unknowns/var)\n",
 		*refine, m.NumElem, m.NodesPerEl, m.NumElem*m.NodesPerEl)

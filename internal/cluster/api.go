@@ -26,7 +26,7 @@ type APIError struct {
 // The error-code vocabulary. Codes are append-only: clients switch on
 // them, so renaming one is a breaking API change.
 const (
-	CodeBadRequest = "bad_request" // malformed body, unknown equation/topology, bad id or priority
+	CodeBadRequest = "bad_request" // malformed body, or a spec JobSpec.Normalize rejects (*SpecError)
 	CodeNotFound   = "not_found"   // no such run/job, or no flight dump recorded
 	CodeNotReady   = "not_ready"   // resource exists but is not available yet (trace of a queued run)
 	CodeDraining   = "draining"    // server is shutting down; resubmit elsewhere or later

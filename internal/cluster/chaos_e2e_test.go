@@ -35,9 +35,10 @@ import (
 type chaosScenario struct {
 	name       string
 	cfg        chaos.Config
-	maxRetries int  // 0: default (generous)
-	partition  bool // partition the (single) worker for the whole run
-	wantFailed bool // every job must exhaust its budget
+	maxRetries int    // 0: default (generous)
+	partition  bool   // partition the (single) worker for the whole run
+	wantFailed bool   // every job must exhaust its budget
+	poison     string // a spec submitted among the jobs that must be refused with 400
 }
 
 // runChaosSchedule boots a fresh single-worker cluster behind the given
@@ -68,6 +69,12 @@ func runChaosSchedule(t *testing.T, sc chaosScenario) (string, chaos.Counts) {
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: %d %s", id, code, body)
 		}
+		if sc.poison != "" && i == 2 {
+			if code, body := tc.submit(t, sc.poison); code != http.StatusBadRequest ||
+				!strings.Contains(body, cluster.CodeBadRequest) {
+				t.Fatalf("poison %s: %d %s, want 400 bad_request", sc.poison, code, body)
+			}
+		}
 	}
 	for _, id := range ids {
 		status, body := tc.waitJob(t, id, 60*time.Second)
@@ -82,7 +89,35 @@ func runChaosSchedule(t *testing.T, sc chaosScenario) (string, chaos.Counts) {
 	if code != http.StatusOK {
 		t.Fatalf("jobs table: %d", code)
 	}
+	if sc.poison != "" {
+		// The poison never reached the worker, and the worker is still a
+		// member: nothing marked it down.
+		if n := tc.totalRuns(t); n != len(ids) {
+			t.Fatalf("worker ran %d jobs, want the %d good ones", n, len(ids))
+		}
+		if ws := tc.coord.Registry().Workers(); len(ws) != 1 || ws[0].ID != "w1" {
+			t.Fatalf("workers after the poison: %+v", ws)
+		}
+	}
 	return normalizeStages(t, table), tr.Counts()
+}
+
+// TestChaosPoisonJob: under a seeded fault schedule, a poison spec
+// submitted among good jobs is refused with 400 before admission, and
+// the good jobs' table is byte-identical to the same seeded run without
+// it: the same owners, attempts, statuses and digests.
+func TestChaosPoisonJob(t *testing.T) {
+	sc := chaosScenario{name: "flap_503", cfg: chaos.Config{Seed: 13, ErrProb: 0.5, Only: "POST /v1/runs"}}
+	clean, _ := runChaosSchedule(t, sc)
+	for _, poison := range []string{
+		`{"equation":"acoustic","refine":11}`,
+		`{"equation":"acoustic","np":1,"id":"poison-1"}`,
+	} {
+		sc.poison = poison
+		if got, _ := runChaosSchedule(t, sc); got != clean {
+			t.Fatalf("poison %s changed the good jobs' table:\n%s\nvs\n%s", poison, got, clean)
+		}
+	}
 }
 
 // normalizeStages zeroes the latency decomposition in a job table before

@@ -111,6 +111,13 @@ func TestCoordErrorEnvelope(t *testing.T) {
 		{"bad JSON", "POST", "/v1/jobs", `{`, 400, cluster.CodeBadRequest, false},
 		{"unknown equation", "POST", "/v1/jobs", `{"equation":"navier-stokes"}`, 400, cluster.CodeBadRequest, false},
 		{"unknown topology", "POST", "/v1/jobs", `{"equation":"acoustic","topology":"clos"}`, 400, cluster.CodeBadRequest, false},
+		{"bad job id", "POST", "/v1/jobs", `{"equation":"acoustic","id":"no spaces allowed!"}`, 400, cluster.CodeBadRequest, false},
+		{"bad priority", "POST", "/v1/jobs", `{"equation":"acoustic","priority":"urgent"}`, 400, cluster.CodeBadRequest, false},
+		{"refine past the block cap", "POST", "/v1/jobs", `{"equation":"acoustic","refine":11}`, 400, cluster.CodeBadRequest, false},
+		{"np below range", "POST", "/v1/jobs", `{"np":1}`, 400, cluster.CodeBadRequest, false},
+		{"np above range", "POST", "/v1/jobs", `{"np":9}`, 400, cluster.CodeBadRequest, false},
+		{"bad faults spec", "POST", "/v1/jobs", `{"faults":"seed=banana"}`, 400, cluster.CodeBadRequest, false},
+		{"bad recover spec", "POST", "/v1/jobs", `{"recover":"retries=lots"}`, 400, cluster.CodeBadRequest, false},
 		{"missing job", "GET", "/v1/jobs/nope", "", 404, cluster.CodeNotFound, false},
 		{"missing job events", "GET", "/v1/jobs/nope/events", "", 404, cluster.CodeNotFound, false},
 	} {

@@ -6,9 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strings"
-
-	"wavepim/internal/pim/chip"
 )
 
 // Handler builds the coordinator's mux. The API lives under /v1.
@@ -73,23 +70,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "bad job spec: %v", err)
 		return
 	}
-	if _, ok := EquationOf(spec.Equation); !ok {
-		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "unknown equation %q", spec.Equation)
-		return
-	}
-	if spec.Topology != "" {
-		if _, err := chip.ParseInterconnect(spec.Topology); err != nil {
-			coordError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
-			return
-		}
-	}
 	j, existed, err := c.Submit(spec)
 	if err != nil {
 		var quota *ErrQuota
+		var bad *SpecError
 		switch {
 		case errors.As(err, &quota):
 			coordError(w, http.StatusTooManyRequests, CodeQuota, true, "%v", err)
-		case isParseErr(err):
+		case errors.As(err, &bad):
 			coordError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
 		default:
 			coordError(w, http.StatusServiceUnavailable, CodeDraining, true, "%v", err)
@@ -110,13 +98,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 	}
 	json.NewEncoder(w).Encode(map[string]string{"id": j.id, "status": status})
-}
-
-// isParseErr reports whether the submit error came from spec parsing
-// (bad id or priority) rather than admission state.
-func isParseErr(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "job id") || strings.Contains(s, "priority")
 }
 
 func (c *Coordinator) handleJobs(w http.ResponseWriter, _ *http.Request) {

@@ -379,27 +379,27 @@ func (c *Coordinator) expired(j *cjob) bool {
 	return !j.deadline.IsZero() && c.now().After(j.deadline)
 }
 
-// Submit admits a spec. The returned job is terminal immediately when
+// Submit admits a spec. A spec Normalize rejects returns its *SpecError
+// before admission. The returned job is terminal immediately when
 // the submission is a duplicate (same id) or content-identical to a
 // completed job (same digest — served from cache without touching a
 // worker). The bool reports whether the job already existed.
 func (c *Coordinator) Submit(spec JobSpec) (*cjob, bool, error) {
 	submitAt := c.now()
+	norm, err := spec.Normalize()
+	if err != nil {
+		return nil, false, err
+	}
+	// The worker gets the spec as submitted, with only its id made
+	// canonical (or assigned); it normalizes the spec again itself.
+	spec.ID = norm.ID
 	if spec.ID == "" {
 		c.mu.Lock()
 		c.seq++
 		spec.ID = fmt.Sprintf("j%04d", c.seq)
 		c.mu.Unlock()
-	} else {
-		var err error
-		if spec.ID, err = NormalizeJobID(spec.ID); err != nil {
-			return nil, false, err
-		}
 	}
-	prio, err := ParsePriority(spec.Priority)
-	if err != nil {
-		return nil, false, err
-	}
+	prio, _ := ParsePriority(norm.Priority)
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, false, err

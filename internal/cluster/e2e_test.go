@@ -68,7 +68,7 @@ type clusterOptions struct {
 
 // startCluster boots a coordinator and n named workers (w1..wn), each
 // registered through the real POST /register path.
-func startCluster(t *testing.T, n int, o clusterOptions) *testCluster {
+func startCluster(t testing.TB, n int, o clusterOptions) *testCluster {
 	t.Helper()
 	if o.workers <= 0 {
 		o.workers = 1
@@ -105,7 +105,7 @@ func startCluster(t *testing.T, n int, o clusterOptions) *testCluster {
 	return tc
 }
 
-func (tc *testCluster) addWorker(t *testing.T, name string, o clusterOptions) *testWorker {
+func (tc *testCluster) addWorker(t testing.TB, name string, o clusterOptions) *testWorker {
 	t.Helper()
 	srv := serve.NewServer(serve.Options{
 		Workers: o.workers, QueueCap: o.queue, TraceCap: 128,

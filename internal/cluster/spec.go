@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"wavepim/internal/dg/opcount"
+	"wavepim/internal/pim/chip"
+	"wavepim/internal/pim/fault"
 	"wavepim/internal/wavepim"
 )
 
@@ -43,49 +46,136 @@ func EquationOf(s string) (opcount.Equation, bool) {
 	return 0, false
 }
 
+// maxSpecBlocks caps the crossbar blocks one job may occupy: the
+// PIM-2GB chip's 16,384 blocks, 2 GiB of modelled cells, which a worker
+// materialises as 128 KiB of host memory per block. It admits refine 4
+// for every equation (4,096 elements at up to four blocks each) and
+// rejects refine 5, so no spec can make a worker allocate more.
+var maxSpecBlocks = chip.Config2GB().NumBlocks()
+
+// SpecError is a job spec Normalize rejected: the JSON field at fault and
+// why. Every boundary that accepts a spec answers it with 400 bad_request.
+type SpecError struct {
+	Field  string
+	Reason string
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("bad job spec: %s: %s", e.Field, e.Reason)
+}
+
+// Normalize is the one place that decides what a spec means. It fills
+// the defaults (equation acoustic, refine 1, np 4, steps 4, CFL 0.3,
+// topology htree, priority normal: a zero field selects its default),
+// canonicalises the id, and checks every bound a worker relies on, so a
+// spec it accepts cannot panic the simulation it describes. A rejected
+// spec returns a *SpecError. Normalize is idempotent.
+func (s JobSpec) Normalize() (JobSpec, error) {
+	bad := func(field, format string, args ...any) (JobSpec, error) {
+		return JobSpec{}, &SpecError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if s.ID != "" {
+		id, err := NormalizeJobID(s.ID)
+		if err != nil {
+			return bad("id", "%v", err)
+		}
+		s.ID = id
+	}
+	if s.Equation == "" {
+		s.Equation = "acoustic"
+	}
+	eq, ok := EquationOf(s.Equation)
+	if !ok {
+		return bad("equation", "unknown equation %q (want acoustic, elastic-central, elastic-riemann, maxwell)", s.Equation)
+	}
+	plan, _ := wavepim.SessionPlan(eq) // defined for every equation EquationOf knows
+	s.Refine = orDefault(s.Refine, 1)
+	s.Np = orDefault(s.Np, 4)
+	s.Steps = orDefault(s.Steps, 4)
+	s.CFL = orDefault(s.CFL, 0.3)
+	blocks := plan.SlotsPerElem
+	for i := 0; i < s.Refine && blocks <= maxSpecBlocks; i++ {
+		blocks *= 8 // each refinement splits every element in eight
+	}
+	switch {
+	case s.Refine < 0:
+		return bad("refine", "%d is negative", s.Refine)
+	case blocks > maxSpecBlocks:
+		return bad("refine", "%d needs more crossbar blocks than the cap of %d (8^refine elements, %d per element)",
+			s.Refine, maxSpecBlocks, plan.SlotsPerElem)
+	case s.Np < wavepim.MinNp || s.Np > wavepim.MaxNp:
+		return bad("np", "%d outside [%d,%d]", s.Np, wavepim.MinNp, wavepim.MaxNp)
+	case s.Steps < 0:
+		return bad("steps", "%d is negative", s.Steps)
+	case !(s.CFL > 0) || math.IsInf(s.CFL, 1):
+		return bad("cfl", "%g is not a positive finite number", s.CFL)
+	case s.Workers < 0:
+		return bad("workers", "%d is negative", s.Workers)
+	case s.DeadlineMS < 0:
+		return bad("deadline_ms", "%d is negative", s.DeadlineMS)
+	}
+	topo, err := chip.ParseInterconnect(s.Topology)
+	if err != nil {
+		return bad("topology", "%v", err)
+	}
+	s.Topology = string(topo)
+	if s.Faults != "" {
+		if _, err := fault.ParseSpec(s.Faults); err != nil {
+			return bad("faults", "%v", err)
+		}
+	}
+	if s.Recover != "" {
+		if _, err := fault.ParseRecoverySpec(s.Recover); err != nil {
+			return bad("recover", "%v", err)
+		}
+	}
+	prio, err := ParsePriority(s.Priority)
+	if err != nil {
+		return bad("priority", "%v", err)
+	}
+	s.Priority = prio.String()
+	return s, nil
+}
+
+// orDefault maps a zero field to its default.
+func orDefault[T int | float64](v, def T) T {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
 // Digest content-addresses the simulation a spec requests: two specs
-// with equal digests describe the same deterministic run. The static
-// problem geometry reuses the plan cache's PlanKey digest (the same
-// content address the workers' compiled-plan cache keys on), and the
-// dynamic fields — steps, CFL, fault and recovery specs — are folded on
-// top with FNV-1a. Scheduling-only fields (ID, Tenant, Priority,
-// Workers, DeadlineMS) are deliberately excluded: they change who runs
-// the job and when, not what it computes, so the coordinator's result
-// cache can serve a duplicate submission without touching a worker.
+// with equal digests describe the same deterministic run. It hashes the
+// normalised spec, so a field left zero and the same field set to its
+// default share a digest; a spec Normalize rejects describes no run and
+// digests to 0. The static problem geometry reuses the plan cache's
+// PlanKey digest (the same content address the workers' compiled-plan
+// cache keys on), and the dynamic fields — steps, CFL, fault and
+// recovery specs — are folded on top with FNV-1a. Topology changes the
+// simulated timing and energy, so it is part of the address.
+// Scheduling-only fields (ID, Tenant, Priority, Workers, DeadlineMS) are
+// deliberately excluded: they change who runs the job and when, not what
+// it computes, so the coordinator's result cache can serve a duplicate
+// submission without touching a worker.
 func (s JobSpec) Digest() uint64 {
-	eq, _ := EquationOf(s.Equation)
-	refine, np, steps, cfl := s.Refine, s.Np, s.Steps, s.CFL
-	if refine <= 0 {
-		refine = 1
+	n, err := s.Normalize()
+	if err != nil {
+		return 0
 	}
-	if np <= 0 {
-		np = 4
-	}
-	if steps <= 0 {
-		steps = 4
-	}
-	if cfl <= 0 {
-		cfl = 0.3
-	}
-	// Topology changes the simulated timing and energy of the run, so it
-	// is part of the content address; the empty string and "htree"
-	// normalize to one digest (they request the same run).
-	topo := s.Topology
-	if topo == "" {
-		topo = "htree"
-	}
+	eq, _ := EquationOf(n.Equation)
 	k := wavepim.PlanKey{
 		Eq:       eq,
 		Flux:     wavepim.FluxFor(eq),
-		Np:       np,
-		EPerAxis: 1 << refine,
+		Np:       n.Np,
+		EPerAxis: 1 << n.Refine,
 		Chip:     "auto",
-		Topo:     topo,
+		Topo:     n.Topology,
 	}
 	const prime = 1099511628211
 	h := k.Digest()
 	for _, c := range []byte(fmt.Sprintf("|steps=%d|cfl=%g|faults=%s|recover=%s",
-		steps, cfl, s.Faults, s.Recover)) {
+		n.Steps, n.CFL, n.Faults, n.Recover)) {
 		h ^= uint64(c)
 		h *= prime
 	}

@@ -84,14 +84,27 @@ type Mesh struct {
 // 6x64x32b" neighbor traffic.
 func (m *Mesh) NodesPerFace() int { return m.Np * m.Np }
 
-// New builds a mesh at the given refinement level with np GLL nodes per
-// axis. The paper's benchmarks use np = 8 (512 nodes per element).
-func New(refinement, np int, periodic bool) *Mesh {
-	if refinement < 0 || refinement > 10 {
-		panic(fmt.Sprintf("mesh: refinement level %d out of range [0,10]", refinement))
+// MaxRefinement is the deepest refinement level New accepts.
+const MaxRefinement = 10
+
+// Check reports whether New accepts a refinement level and node count;
+// callers taking either from outside input check it before building.
+func Check(refinement, np int) error {
+	if refinement < 0 || refinement > MaxRefinement {
+		return fmt.Errorf("mesh: refinement level %d out of range [0,%d]", refinement, MaxRefinement)
 	}
 	if np < 2 {
-		panic(fmt.Sprintf("mesh: need np >= 2 nodes per axis, got %d", np))
+		return fmt.Errorf("mesh: need np >= 2 nodes per axis, got %d", np)
+	}
+	return nil
+}
+
+// New builds a mesh at the given refinement level with np GLL nodes per
+// axis. The paper's benchmarks use np = 8 (512 nodes per element). It
+// panics on arguments Check rejects.
+func New(refinement, np int, periodic bool) *Mesh {
+	if err := Check(refinement, np); err != nil {
+		panic(err.Error())
 	}
 	e := 1 << refinement
 	return &Mesh{

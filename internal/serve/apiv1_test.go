@@ -108,6 +108,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown equation", "POST", "/v1/runs", `{"equation":"navier-stokes"}`, 400, cluster.CodeBadRequest, false},
 		{"unknown topology", "POST", "/v1/runs", `{"equation":"acoustic","topology":"hypercube"}`, 400, cluster.CodeBadRequest, false},
 		{"bad job id", "POST", "/v1/runs", `{"equation":"acoustic","id":"no spaces allowed!"}`, 400, cluster.CodeBadRequest, false},
+		{"refine past the block cap", "POST", "/v1/runs", `{"equation":"acoustic","refine":11}`, 400, cluster.CodeBadRequest, false},
+		{"np below range", "POST", "/v1/runs", `{"np":1}`, 400, cluster.CodeBadRequest, false},
+		{"np above range", "POST", "/v1/runs", `{"np":9}`, 400, cluster.CodeBadRequest, false},
+		{"bad faults spec", "POST", "/v1/runs", `{"faults":"seed=banana"}`, 400, cluster.CodeBadRequest, false},
+		{"bad recover spec", "POST", "/v1/runs", `{"recover":"retries=lots"}`, 400, cluster.CodeBadRequest, false},
 		{"missing run", "GET", "/v1/runs/nope", "", 404, cluster.CodeNotFound, false},
 		{"missing flight", "GET", "/v1/runs/nope/flight", "", 404, cluster.CodeNotFound, false},
 	} {

@@ -10,7 +10,6 @@ import (
 	"wavepim/internal/cluster"
 	"wavepim/internal/cluster/trace"
 	"wavepim/internal/obs/eventlog"
-	"wavepim/internal/pim/chip"
 )
 
 // Handler builds the daemon's mux. The API lives under /v1. pprof stays
@@ -53,18 +52,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "bad job spec: %v", err)
 		return
 	}
-	if _, ok := EquationOf(spec.Equation); !ok {
-		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "unknown equation %q", spec.Equation)
+	spec, err := spec.Normalize()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "%v", err)
 		return
-	}
-	if spec.Topology != "" {
-		if _, err := chip.ParseInterconnect(spec.Topology); err != nil {
-			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "%v", err)
-			return
-		}
-	}
-	if spec.Steps <= 0 {
-		spec.Steps = 4
 	}
 	// A coordinator-dispatched job carries its trace context; the worker
 	// adopts the trace id so run views, event lines, and flight dumps all
@@ -76,16 +67,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			traceID = tcx.Hex()
 		}
 	}
-	clientID := ""
-	if spec.ID != "" {
-		id, err := cluster.NormalizeJobID(spec.ID)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "bad job id: %v", err)
-			return
-		}
-		clientID = id
-		spec.ID = id
-	}
+	clientID := spec.ID
 
 	s.mu.Lock()
 	if clientID != "" {

@@ -35,12 +35,10 @@ import (
 // JobSpec is the POST /runs body: one functional simulation job in the
 // vocabulary of the benchmark table plus the fault-injection spec
 // strings the CLIs accept. The type lives in internal/cluster so the
-// coordinator and the workers share one wire shape; the worker ignores
-// the coordinator-level Tenant and Priority fields.
+// coordinator and the workers share one wire shape and one validator
+// (JobSpec.Normalize); the worker ignores the coordinator-level Tenant
+// and Priority fields.
 type JobSpec = cluster.JobSpec
-
-// EquationOf maps the wire name to the opcount constant.
-func EquationOf(s string) (opcount.Equation, bool) { return cluster.EquationOf(s) }
 
 // run is one tracked job. Mutable fields are guarded by mu; the HTTP
 // layer reads through view(). The tap exists from submission so SSE
@@ -49,8 +47,8 @@ type run struct {
 	mu sync.Mutex
 
 	id     string
-	spec   JobSpec
-	status string // "queued", "running", "done", "failed"
+	spec   JobSpec // normalized
+	status string  // "queued", "running", "done", "failed"
 	errMsg string
 	reason string // flight-dump reason on failure ("" otherwise)
 	trace  string // cluster trace id (hex) from X-Wavepim-Trace, "" standalone
@@ -80,7 +78,7 @@ type RunView struct {
 func (r *run) view() RunView {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	eq, _ := EquationOf(r.spec.Equation)
+	eq, _ := cluster.EquationOf(r.spec.Equation)
 	return RunView{
 		ID: r.id, Status: r.status, Equation: eq.String(), Steps: r.spec.Steps,
 		Trace: r.trace, Error: r.errMsg, Reason: r.reason, HasDump: r.dump != nil,
@@ -209,7 +207,10 @@ func (s *Server) worker() {
 // execute runs one job end to end: build the session over the shared
 // registry plus a per-run capped tracer, wire a fresh event-log core
 // teed into the run's tap and a per-run flight recorder, load the
-// plane-wave initial condition, and run.
+// plane-wave initial condition, and run. The spec was normalized at
+// submission, so nothing here should panic; if something does, the run
+// fails with reason "panic" and a flight dump instead of taking the
+// daemon down with it.
 func (s *Server) execute(r *run) {
 	r.mu.Lock()
 	r.status = "running"
@@ -236,32 +237,46 @@ func (s *Server) execute(r *run) {
 		runLog = runLog.With(eventlog.Str("trace", traceID))
 	}
 
-	sess, q, err := s.buildSession(spec, id, traceID, sink, runLog, fr)
-	if err != nil {
-		s.finish(r, sink, nil, s.now().Sub(started).Seconds(), err)
-		return
-	}
-	loadState(sess, q)
-
-	ctx := context.Background()
-	if spec.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	runErr := sess.Run(ctx, spec.Steps)
-	s.finish(r, sink, sess, s.now().Sub(started).Seconds(), runErr)
+	var sess *wavepim.Session
+	var dump *eventlog.FlightDump
+	err := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("run panicked: %v", p)
+				runLog.Error("run.panic", eventlog.Str("error", err.Error()))
+				dump = fr.Dump("panic", id)
+				dump.Trace = traceID
+			}
+		}()
+		var q sessionState
+		if sess, q, err = s.buildSession(spec, id, traceID, sink, runLog, fr); err != nil {
+			return err
+		}
+		loadState(sess, q)
+		ctx := context.Background()
+		if spec.DeadlineMS > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.DeadlineMS)*time.Millisecond)
+			defer cancel()
+		}
+		return sess.Run(ctx, spec.Steps)
+	}()
+	s.finish(r, sink, sess, dump, s.now().Sub(started).Seconds(), err)
 }
 
 // finish records a run's terminal state and daemon-level metrics, and
-// completes the run's event stream.
-func (s *Server) finish(r *run, sink *obs.Sink, sess *wavepim.Session, wall float64, err error) {
+// completes the run's event stream. The run's flight dump is dump when
+// non-nil (a recovered panic), else the session's own.
+func (s *Server) finish(r *run, sink *obs.Sink, sess *wavepim.Session, dump *eventlog.FlightDump, wall float64, err error) {
 	r.mu.Lock()
 	r.sink = sink
 	r.wallSec = wall
+	r.dump = dump
 	if sess != nil {
 		r.report = sess.FaultReport()
-		r.dump = sess.FlightDump()
+		if dump == nil {
+			r.dump = sess.FlightDump()
+		}
 	}
 	if err != nil {
 		r.status = "failed"
@@ -294,26 +309,12 @@ type sessionState struct {
 	mx *dg.MaxwellState
 }
 
-// buildSession constructs the session for a spec. The dt comes from the
-// reference solver's CFL bound, like the functional CLIs.
+// buildSession constructs the session for a normalized spec. The dt
+// comes from the reference solver's CFL bound, like the functional CLIs.
 func (s *Server) buildSession(spec JobSpec, id, traceID string, sink *obs.Sink, log *eventlog.Logger, fr *eventlog.FlightRecorder) (*wavepim.Session, sessionState, error) {
 	var st sessionState
-	eq, ok := EquationOf(spec.Equation)
-	if !ok {
-		return nil, st, fmt.Errorf("unknown equation %q", spec.Equation)
-	}
-	refine, np := spec.Refine, spec.Np
-	if refine <= 0 {
-		refine = 1
-	}
-	if np <= 0 {
-		np = 4
-	}
-	cfl := spec.CFL
-	if cfl <= 0 {
-		cfl = 0.3
-	}
-	m := mesh.New(refine, np, true)
+	eq, _ := cluster.EquationOf(spec.Equation)
+	m := mesh.New(spec.Refine, spec.Np, true)
 	flux := wavepim.FluxFor(eq)
 
 	var dt float64
@@ -322,15 +323,15 @@ func (s *Server) buildSession(spec JobSpec, id, traceID string, sink *obs.Sink, 
 	diel := material.Dielectric{Eps: 1, Mu: 1}
 	switch eq {
 	case opcount.Acoustic:
-		dt = dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, acMat), flux).MaxStableDt(cfl)
+		dt = dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, acMat), flux).MaxStableDt(spec.CFL)
 		st.ac = dg.NewAcousticState(m)
 		dg.PlaneWaveX(m, acMat, 1, st.ac)
 	case opcount.ElasticCentral, opcount.ElasticRiemann:
-		dt = dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, elMat), flux).MaxStableDt(cfl)
+		dt = dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, elMat), flux).MaxStableDt(spec.CFL)
 		st.el = dg.NewElasticState(m)
 		dg.PlaneWavePX(m, elMat, 1, st.el)
 	case opcount.Maxwell:
-		dt = dg.NewMaxwellSolver(m, diel, flux).MaxStableDt(cfl)
+		dt = dg.NewMaxwellSolver(m, diel, flux).MaxStableDt(spec.CFL)
 		st.mx = dg.NewMaxwellState(m)
 		dg.PlaneWaveEM(m, diel, 1, st.mx)
 	}
@@ -349,9 +350,7 @@ func (s *Server) buildSession(spec JobSpec, id, traceID string, sink *obs.Sink, 
 	if spec.Workers > 0 {
 		opts = append(opts, wavepim.WithWorkers(spec.Workers))
 	}
-	if spec.Topology != "" {
-		opts = append(opts, wavepim.WithTopology(spec.Topology))
-	}
+	opts = append(opts, wavepim.WithTopology(spec.Topology))
 	if spec.Faults != "" {
 		fcfg, err := fault.ParseSpec(spec.Faults)
 		if err != nil {

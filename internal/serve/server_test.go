@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"wavepim/internal/cluster"
 	"wavepim/internal/cluster/trace"
 	"wavepim/internal/obs/eventlog"
+	"wavepim/internal/wavepim"
 )
 
 // testServer spins up a one-worker daemon with a tiny queue behind an
@@ -271,7 +273,7 @@ func TestDaemonTraceHeaderAdoption(t *testing.T) {
 // TestDaemonValidationAndBackpressure: bad specs are 400s, an overfull
 // queue is a 503, unknown runs are 404s.
 func TestDaemonValidationAndBackpressure(t *testing.T) {
-	s, ts := testServer(t, 1, 1)
+	_, ts := testServer(t, 1, 1)
 
 	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"warp-drive"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown equation: %d", code)
@@ -282,9 +284,9 @@ func TestDaemonValidationAndBackpressure(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","id":"!!!"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad client id: %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"faults":"seed=banana"}`); code != http.StatusAccepted {
-		// Spec-string errors surface when the job executes, not at submit.
-		t.Fatalf("submit: %d", code)
+	if code, _ := postJSON(t, ts.URL+"/v1/runs", `{"faults":"seed=banana"}`); code != http.StatusBadRequest {
+		// Spec strings are validated at submit, before the job is queued.
+		t.Fatalf("bad fault spec: %d", code)
 	}
 	if code, body := getBody(t, ts.URL+"/v1/runs/r9999"); code != http.StatusNotFound {
 		t.Fatalf("missing run: %d %s", code, body)
@@ -311,16 +313,58 @@ func TestDaemonValidationAndBackpressure(t *testing.T) {
 	if !strings.Contains(metrics, `wavepimd_runs_total{status="rejected"}`) {
 		t.Fatal("rejected submits not counted")
 	}
+}
 
-	// The bad fault spec fails its run with a clear error.
-	for _, id := range func() []string {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return append([]string(nil), s.order...)
-	}() {
-		v := waitRun(t, ts.URL, id)
-		if strings.Contains(v.Error, "banana") && v.Status != "failed" {
-			t.Fatalf("bad spec run: %+v", v)
+// TestExecuteRecoversPanic: a spec forced past validation into execute
+// (refine 11, which mesh.New rejects with a panic) fails its run with
+// reason "panic" and a flight dump, is counted as failed, and leaves the
+// daemon serving: the next job on the same server finishes.
+func TestExecuteRecoversPanic(t *testing.T) {
+	s, ts := testServer(t, 1, 4)
+	r := &run{id: "poison", spec: JobSpec{Equation: "acoustic", Refine: 11},
+		status: "queued", tap: eventlog.NewTap()}
+	s.mu.Lock()
+	s.runs[r.id] = r
+	s.order = append(s.order, r.id)
+	s.mu.Unlock()
+	s.execute(r)
+
+	v := waitRun(t, ts.URL, "poison")
+	if v.Status != "failed" || v.Reason != "panic" || !v.HasDump || !strings.Contains(v.Error, "panic") {
+		t.Fatalf("poison run: %+v", v)
+	}
+	code, dump := getBody(t, ts.URL+"/v1/runs/poison/flight")
+	if code != http.StatusOK || !strings.Contains(dump, `"reason": "panic"`) || !strings.Contains(dump, "run.panic") {
+		t.Fatalf("flight dump: %d %s", code, dump)
+	}
+	if _, metrics := getBody(t, ts.URL+"/v1/metrics"); !strings.Contains(metrics, `wavepimd_runs_total{status="failed"} 1`) {
+		t.Fatal("panicked run not counted as failed")
+	}
+
+	code, out := postJSON(t, ts.URL+"/v1/runs", `{"equation":"acoustic","steps":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after panic: %d", code)
+	}
+	if v := waitRun(t, ts.URL, out["id"]); v.Status != "done" {
+		t.Fatalf("job after panic: %+v", v)
+	}
+}
+
+// TestEveryValidGeometryRuns: every equation at every np Normalize
+// admits builds, loads and runs one step to done.
+func TestEveryValidGeometryRuns(t *testing.T) {
+	s, _ := testServer(t, 1, 4)
+	for _, eq := range []string{"acoustic", "elastic-central", "elastic-riemann", "maxwell"} {
+		for np := wavepim.MinNp; np <= wavepim.MaxNp; np++ {
+			spec, err := JobSpec{Equation: eq, Np: np, Steps: 1}.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &run{id: fmt.Sprintf("%s-%d", eq, np), spec: spec, status: "queued", tap: eventlog.NewTap()}
+			s.execute(r)
+			if v := r.view(); v.Status != "done" {
+				t.Errorf("%s np=%d: %+v", eq, np, v)
+			}
 		}
 	}
 }

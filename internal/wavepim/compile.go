@@ -41,10 +41,18 @@ type Compiler struct {
 	Flux dg.FluxType
 }
 
+// MinNp and MaxNp bound the GLL nodes per axis a compiler accepts: an
+// element needs two nodes per axis, and MaxNp^3 fills the compute rows
+// below RowDshapeBase.
+const (
+	MinNp = 2
+	MaxNp = 8
+)
+
 // NewCompiler builds a compiler. Np^3 must fit the block's compute rows.
 func NewCompiler(p Plan, np int, flux dg.FluxType) *Compiler {
-	if np < 2 || np > 8 {
-		panic(fmt.Sprintf("wavepim: np=%d outside supported range [2,8]", np))
+	if np < MinNp || np > MaxNp {
+		panic(fmt.Sprintf("wavepim: np=%d outside supported range [%d,%d]", np, MinNp, MaxNp))
 	}
 	if np*np*np > RowDshapeBase {
 		panic("wavepim: element does not fit the compute row region")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wavepim/internal/dg/opcount"
+	"wavepim/internal/mesh"
 	"wavepim/internal/pim/chip"
 )
 
@@ -49,6 +50,9 @@ func (p Plan) String() string {
 func MakePlan(b opcount.Benchmark, cfg chip.Config) (Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return Plan{}, err
+	}
+	if b.Refinement < 0 || b.Refinement > mesh.MaxRefinement {
+		return Plan{}, fmt.Errorf("wavepim: refinement %d out of range [0,%d]", b.Refinement, mesh.MaxRefinement)
 	}
 	ePerAxis := 1 << b.Refinement
 	elemsPerSlice := ePerAxis * ePerAxis

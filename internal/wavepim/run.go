@@ -79,15 +79,11 @@ func FluxFor(eq opcount.Equation) dg.FluxType {
 
 // Run times one benchmark on one chip configuration.
 func Run(b opcount.Benchmark, cfg chip.Config, opt Options) (Result, error) {
-	if opt.TimeSteps <= 0 {
-		opt.TimeSteps = params.TimeStepsPerRun
-	}
 	plan, err := MakePlan(b, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r := newRunner(plan, opt)
-	return r.run()
+	return RunPlan(plan, opt)
 }
 
 // RunPlan times a pre-built plan (used by ablation benches that force

@@ -277,26 +277,21 @@ func NewSession(opts ...Option) (*Session, error) {
 		return nil, err
 	}
 
-	// Each equation's layout: its compiler plan, its step-plan builder, and
-	// the equation its plan is cached under (elastic's follows the flux).
-	var (
-		plan  Plan
-		build planBuilder
-		keyEq = cfg.eq
-	)
+	plan, err := SessionPlan(cfg.eq)
+	if err != nil {
+		return nil, err
+	}
+	// The layout's step-plan builder, and the equation its plan is cached
+	// under (elastic's follows the flux).
+	build, keyEq := acousticStepPlan, cfg.eq
 	switch cfg.eq {
-	case opcount.Acoustic:
-		plan, build = Plan{Tech: Naive, Layout: AcousticOneBlock, SlotsPerElem: 1}, acousticStepPlan
 	case opcount.ElasticCentral, opcount.ElasticRiemann:
-		plan, build = Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4}, elasticStepPlan
-		keyEq = opcount.ElasticRiemann
+		build, keyEq = elasticStepPlan, opcount.ElasticRiemann
 		if cfg.flux == dg.CentralFlux {
 			keyEq = opcount.ElasticCentral
 		}
 	case opcount.Maxwell:
-		plan, build = Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: 4}, maxwellStepPlan
-	default:
-		return nil, fmt.Errorf("wavepim: unknown equation %v", cfg.eq)
+		build = maxwellStepPlan
 	}
 	chipCfg, err := sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem)
 	if err != nil {
@@ -332,6 +327,20 @@ func NewSession(opts ...Option) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// SessionPlan is the functional layout NewSession runs an equation
+// under: its compiler technique, its block layout, and the crossbar
+// blocks (SlotsPerElem) each mesh element occupies. A spec validator
+// sizes a run by it before anything is built.
+func SessionPlan(eq opcount.Equation) (Plan, error) {
+	switch eq {
+	case opcount.Acoustic:
+		return Plan{Tech: Naive, Layout: AcousticOneBlock, SlotsPerElem: AcousticOneBlock.SlotsPerElement()}, nil
+	case opcount.ElasticCentral, opcount.ElasticRiemann, opcount.Maxwell:
+		return Plan{Tech: ExpandRows, Layout: ElasticFourBlock, SlotsPerElem: ElasticFourBlock.SlotsPerElement()}, nil
+	}
+	return Plan{}, fmt.Errorf("wavepim: unknown equation %v", eq)
 }
 
 // recovery resolves the effective recovery policy: the explicit one, else
