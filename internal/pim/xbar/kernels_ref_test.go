@@ -1,0 +1,296 @@
+package xbar
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"wavepim/internal/params"
+	"wavepim/internal/pim/fault"
+)
+
+// refBlock is the naive per-cell model of a Block: a plain [row][word]
+// array, every kernel written as the obvious loop over rows in ascending
+// order, every write through the same fault hook. The Block's kernels may
+// store and walk their cells however they like, but must stay
+// indistinguishable from this model.
+type refBlock struct {
+	cells  [Rows][WordsPerRow]uint32
+	buf    [WordsPerRow]uint32
+	st     Stats
+	faults *fault.BlockFaults
+}
+
+func (m *refBlock) store(r, o int, v uint32) {
+	if m.faults != nil {
+		v = m.faults.Store(r, o, v)
+	}
+	m.cells[r][o] = v
+}
+
+func (m *refBlock) arith(op ArithOp, rs, rc, d, s, s2 int) {
+	steps := int64(params.NORStepsFPAdd32)
+	if op == OpMul {
+		steps = params.NORStepsFPMul32
+	}
+	for r := rs; r < rs+rc; r++ {
+		a := math.Float32frombits(m.cells[r][s])
+		c := math.Float32frombits(m.cells[r][s2])
+		var v float32
+		switch op {
+		case OpAdd:
+			v = a + c
+		case OpMul:
+			v = a * c
+		case OpSub:
+			v = a - c
+		}
+		m.store(r, d, math.Float32bits(v))
+	}
+	if op == OpMul {
+		m.st.MulOps += int64(rc)
+	} else {
+		m.st.AddOps += int64(rc)
+	}
+	m.st.NORSteps += steps
+	m.st.BusySec += float64(steps) * params.TNORSeconds
+	m.st.EnergyJ += float64(steps) * params.EnergyPerNORStep * float64(rc)
+}
+
+func (m *refBlock) groupBcast(rs, rc, srcOff, dstOff, stride, size, idx int) {
+	end := rs + rc
+	for r := rs; r < end; r++ {
+		rel := r - rs
+		group := rs + rel/(stride*size)*(stride*size)
+		src := group + rel%stride + idx*stride
+		if src < end {
+			m.store(r, dstOff, m.cells[src][srcOff])
+		}
+	}
+	m.st.CopiedRows += int64(rc)
+	m.st.BusySec += params.GroupBcastLatencySec
+	m.st.EnergyJ += params.GroupBcastEnergyJ
+}
+
+func (m *refBlock) pattern(base, rs, rc, srcOff, dstOff, stride, size int) {
+	for r := rs; r < rs+rc; r++ {
+		m.store(r, dstOff, m.cells[base+((r-rs)/stride)%size][srcOff])
+	}
+	m.st.CopiedRows += int64(rc)
+	m.st.BusySec += params.GroupBcastLatencySec
+	m.st.EnergyJ += params.GroupBcastEnergyJ
+}
+
+// broadcast models the row drivers: without an injector each row receives
+// the source words as one row write (so a source row inside the range sees
+// its own words as they were before that write); with one, every word is a
+// separate write reading the source row as it stands.
+func (m *refBlock) broadcast(srcRow, rs, rc, srcOff, dstOff, wc int) {
+	for r := rs; r < rs+rc; r++ {
+		if m.faults == nil {
+			var words [WordsPerRow]uint32
+			copy(words[:wc], m.cells[srcRow][srcOff:srcOff+wc])
+			for w := 0; w < wc; w++ {
+				m.store(r, dstOff+w, words[w])
+			}
+			continue
+		}
+		for w := 0; w < wc; w++ {
+			m.store(r, dstOff+w, m.cells[srcRow][srcOff+w])
+		}
+	}
+	m.st.CopiedRows += int64(rc)
+	m.st.BusySec += params.BlockRowReadLatency + float64(rc)*params.BlockRowWriteLatency
+	m.st.EnergyJ += params.RowBufferReadEnergyJ + float64(rc)*params.RowBufferWriteEnergyJ
+}
+
+func (m *refBlock) readRow(r int) {
+	m.buf = m.cells[r]
+	m.st.RowReads++
+	m.st.BusySec += params.BlockRowReadLatency
+	m.st.EnergyJ += params.RowBufferReadEnergyJ
+}
+
+func (m *refBlock) writeRow(r int) {
+	for o, v := range m.buf {
+		m.store(r, o, v)
+	}
+	m.st.RowWrites++
+	m.st.BusySec += params.BlockRowWriteLatency
+	m.st.EnergyJ += params.RowBufferWriteEnergyJ
+}
+
+// kernelRange draws a row range that crosses 32-row boundaries often, is
+// sometimes empty, and sometimes ends at the last row.
+func kernelRange(rng *rand.Rand) (start, count int) {
+	count = rng.Intn(300)
+	if rng.Intn(4) == 0 {
+		return Rows - count, count
+	}
+	return rng.Intn(256), count
+}
+
+// randWord draws a cell value: mostly ordinary floats, sometimes raw bit
+// patterns (NaN, Inf, subnormals).
+func randWord(rng *rand.Rand) uint32 {
+	if rng.Intn(4) == 0 {
+		return rng.Uint32()
+	}
+	return math.Float32bits(float32(rng.NormFloat64() * 100))
+}
+
+// TestBlockKernelsMatchReference drives seeded random sequences of every
+// Block kernel against refBlock, with no injector and with a seeded one
+// (flips, stuck bits and wearout), and compares every cell, the Stats and
+// the fault counts after each step. Aliased sources are drawn on purpose:
+// GroupBcast and Pattern with srcOff == dstOff, and Broadcast from a row
+// inside its own range with overlapping words.
+func TestBlockKernelsMatchReference(t *testing.T) {
+	cfg := fault.Config{Seed: 7, StuckProb: 0.02, FlipProb: 0.02, EnduranceWrites: 6}
+	for _, faulty := range []bool{false, true} {
+		var total fault.Counts
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			b, m := New(3), &refBlock{}
+			if faulty {
+				b.Faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(3)
+				m.faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(3)
+			}
+			for i := 0; i < 2000; i++ {
+				r, o, v := rng.Intn(Rows), rng.Intn(WordsPerRow), randWord(rng)
+				if i%2 == 0 {
+					r = rng.Intn(320)
+				}
+				b.SetWord(r, o, v)
+				m.store(r, o, v)
+			}
+			var snap []uint32
+			var refSnap [Rows][WordsPerRow]uint32
+			for step := 0; step < 300; step++ {
+				op := rng.Intn(9)
+				switch op {
+				case 0: // SetWord
+					r, o, v := rng.Intn(Rows), rng.Intn(WordsPerRow), randWord(rng)
+					b.SetWord(r, o, v)
+					m.store(r, o, v)
+				case 1: // ArithSel
+					rs, rc := kernelRange(rng)
+					aop := ArithOp(rng.Intn(3))
+					d, s, s2 := rng.Intn(WordsPerRow), rng.Intn(WordsPerRow), rng.Intn(WordsPerRow)
+					if rng.Intn(3) == 0 {
+						d = s
+					}
+					b.ArithSel(aop, rs, rc, d, s, s2)
+					m.arith(aop, rs, rc, d, s, s2)
+				case 2: // GroupBcast
+					rs, rc := kernelRange(rng)
+					stride := []int{1, 2, 3, 8, 64}[rng.Intn(5)]
+					size := 1 + rng.Intn(8)
+					idx := rng.Intn(size)
+					so, do := rng.Intn(WordsPerRow), rng.Intn(WordsPerRow)
+					if rng.Intn(3) == 0 {
+						do = so
+					}
+					b.GroupBcast(rs, rc, so, do, stride, size, idx)
+					m.groupBcast(rs, rc, so, do, stride, size, idx)
+				case 3: // Pattern
+					rs, rc := kernelRange(rng)
+					stride := []int{1, 2, 8, 64}[rng.Intn(4)]
+					size := 1 + rng.Intn(8)
+					base := rng.Intn(Rows - size + 1)
+					if rc > 0 && rng.Intn(3) == 0 {
+						base = rs + rng.Intn(rc)
+						if base+size > Rows {
+							base = Rows - size
+						}
+					}
+					so, do := rng.Intn(WordsPerRow), rng.Intn(WordsPerRow)
+					if rng.Intn(3) == 0 {
+						do = so
+					}
+					b.Pattern(base, rs, rc, so, do, stride, size)
+					m.pattern(base, rs, rc, so, do, stride, size)
+				case 4: // Broadcast
+					rs, rc := kernelRange(rng)
+					wc := rng.Intn(9)
+					so, do := rng.Intn(WordsPerRow-wc+1), rng.Intn(WordsPerRow-wc+1)
+					src := rng.Intn(Rows)
+					if rc > 0 && rng.Intn(2) == 0 {
+						src = rs + rng.Intn(rc)
+						if wc > 0 {
+							do = so + rng.Intn(2*wc+1) - wc
+							do = min(max(do, 0), WordsPerRow-wc)
+						}
+					}
+					b.Broadcast(src, rs, rc, so, do, wc)
+					m.broadcast(src, rs, rc, so, do, wc)
+				case 5: // ReadRow, WriteRow
+					r, w := rng.Intn(Rows), rng.Intn(Rows)
+					got := b.ReadRow(r)
+					m.readRow(r)
+					if [WordsPerRow]uint32(got) != m.buf {
+						t.Fatalf("faults=%v seed %d step %d: ReadRow(%d) = %x, want %x", faulty, seed, step, r, got, m.buf)
+					}
+					b.WriteRow(w)
+					m.writeRow(w)
+				case 6: // LoadBuffer, WriteRow
+					var payload [WordsPerRow]uint32
+					for o := range payload {
+						payload[o] = randWord(rng)
+					}
+					w := rng.Intn(Rows)
+					b.LoadBuffer(payload[:])
+					m.buf = payload
+					b.WriteRow(w)
+					m.writeRow(w)
+				case 7: // Snapshot, or Restore to the last one
+					if snap == nil || rng.Intn(2) == 0 {
+						snap, refSnap = b.Snapshot(), m.cells
+					} else {
+						b.Restore(snap)
+						m.cells = refSnap
+					}
+				case 8: // Scrub
+					got := b.Scrub()
+					var want fault.ScrubResult
+					if m.faults != nil {
+						want = m.faults.Scrub(
+							func(r, o int) uint32 { return m.cells[r][o] },
+							func(r, o int, v uint32) { m.store(r, o, v) })
+					}
+					if got != want {
+						t.Fatalf("faults=%v seed %d step %d: Scrub = %+v, want %+v", faulty, seed, step, got, want)
+					}
+				}
+				for r := 0; r < Rows; r++ {
+					for o := 0; o < WordsPerRow; o++ {
+						if got, want := b.GetWord(r, o), m.cells[r][o]; got != want {
+							t.Fatalf("faults=%v seed %d step %d (op %d): cell (%d,%d) = %08x, want %08x",
+								faulty, seed, step, op, r, o, got, want)
+						}
+					}
+				}
+				if b.Stats != m.st {
+					t.Fatalf("faults=%v seed %d step %d (op %d): Stats %+v, want %+v", faulty, seed, step, op, b.Stats, m.st)
+				}
+				if faulty {
+					if got, want := b.Faults.Counts(), m.faults.Counts(); got != want {
+						t.Fatalf("seed %d step %d (op %d): fault counts %+v, want %+v", seed, step, op, got, want)
+					}
+					if got, want := b.Faults.Pending(), m.faults.Pending(); got != want {
+						t.Fatalf("seed %d step %d (op %d): %d pending corrections, want %d", seed, step, op, got, want)
+					}
+				}
+			}
+			if faulty {
+				c := b.Faults.Counts()
+				total.Flips += c.Flips
+				total.StuckWrites += c.StuckWrites
+				total.Wearouts += c.Wearouts
+			}
+		}
+		if faulty && (total.Flips == 0 || total.StuckWrites == 0 || total.Wearouts == 0) {
+			t.Fatalf("the seeded injector must flip, stick and wear out at least once: %+v", total)
+		}
+	}
+}
