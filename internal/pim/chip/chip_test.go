@@ -168,8 +168,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 
 func TestTotalBlockStats(t *testing.T) {
 	ch, _ := New(Config512MB())
-	ch.Block(0).Arith(false, 0, 10, 2, 0, 1)
-	ch.Block(5).Arith(true, 0, 20, 2, 0, 1)
+	ch.Block(0).ArithSel(xbar.OpAdd, 0, 10, 2, 0, 1)
+	ch.Block(5).ArithSel(xbar.OpMul, 0, 20, 2, 0, 1)
 	s := ch.TotalBlockStats()
 	if s.AddOps != 10 || s.MulOps != 20 {
 		t.Errorf("total stats %+v", s)

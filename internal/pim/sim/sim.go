@@ -829,10 +829,9 @@ func (e *Engine) execInstr(blockID int, in isa.Instr) {
 		content := lut.GetWord(int(idx)/params.WordsPerRow, int(idx)%params.WordsPerRow)
 		b.SetWord(in.Row, in.DstOff, content)
 	case isa.OpMemcpy:
-		src := e.Chip.Block(in.Block)
-		src.ReadRow(in.Row)
+		row := e.Chip.Block(in.Block).ReadRow(in.Row)
 		dst := e.Chip.Block(in.DstBlock)
-		dst.LoadBuffer(src.Buffer())
+		dst.LoadBuffer(row)
 		dst.WriteRow(in.DstRow)
 	}
 }
@@ -995,10 +994,7 @@ type tileSpan struct{ first, end int }
 // moveWords performs the functional data movement of one transfer.
 func (e *Engine) moveWords(tr RowTransfer) {
 	src := e.Chip.Block(tr.SrcBlock)
-	dst := e.Chip.Block(tr.DstBlock)
-	for w := 0; w < tr.Words; w++ {
-		dst.SetWord(tr.DstRow, tr.DstOff+w, src.GetWord(tr.SrcRow, tr.SrcOff+w))
-	}
+	e.Chip.Block(tr.DstBlock).CopyWords(tr.DstRow, tr.DstOff, src, tr.SrcRow, tr.SrcOff, tr.Words)
 }
 
 // ExecDRAM prices an off-chip HBM2 transaction (batching's store/load

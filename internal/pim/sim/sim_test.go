@@ -32,9 +32,9 @@ func TestInstrCostMatchesXbar(t *testing.T) {
 		{"write", isa.Instr{Op: isa.OpWrite, Row: 5},
 			func(b *xbar.Block) { b.WriteRow(5) }},
 		{"add", isa.Instr{Op: isa.OpAdd, RowStart: 0, RowCount: 100, DstOff: 2, SrcOff: 0, Src2Off: 1},
-			func(b *xbar.Block) { b.Arith(false, 0, 100, 2, 0, 1) }},
+			func(b *xbar.Block) { b.ArithSel(xbar.OpAdd, 0, 100, 2, 0, 1) }},
 		{"mul", isa.Instr{Op: isa.OpMul, RowStart: 0, RowCount: 64, DstOff: 2, SrcOff: 0, Src2Off: 1},
-			func(b *xbar.Block) { b.Arith(true, 0, 64, 2, 0, 1) }},
+			func(b *xbar.Block) { b.ArithSel(xbar.OpMul, 0, 64, 2, 0, 1) }},
 		{"broadcast", isa.Instr{Op: isa.OpBroadcast, Row: 512, RowStart: 0, RowCount: 512, SrcOff: 0, DstOff: 4, WordCount: 2},
 			func(b *xbar.Block) { b.Broadcast(512, 0, 512, 0, 4, 2) }},
 	}

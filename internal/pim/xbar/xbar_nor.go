@@ -1,8 +1,6 @@
 package xbar
 
 import (
-	"fmt"
-
 	"wavepim/internal/params"
 	"wavepim/internal/pim/nor"
 )
@@ -49,17 +47,15 @@ func (u *NORUnit) buffers(n int) (a, b, out []uint32) {
 // ArithSel — the substrate changes how the bits are computed, not what
 // the hardware costs. Gate-level activity accumulates in u.C.Stats.
 func (b *Block) ArithSelNOR(u *NORUnit, op ArithOp, rowStart, rowCount, dstOff, srcOff, src2Off int) {
-	if rowCount < 0 || rowStart < 0 || rowStart+rowCount > Rows {
-		panic(fmt.Sprintf("xbar: row range [%d,%d) out of bounds", rowStart, rowStart+rowCount))
-	}
+	b.checkRows(rowStart, rowCount)
 	b.checkOff(dstOff)
 	b.checkOff(srcOff)
 	b.checkOff(src2Off)
 	av, bv, out := u.buffers(rowCount)
 	for i := 0; i < rowCount; i++ {
 		r := rowStart + i
-		av[i] = b.cells[r][srcOff]
-		bv[i] = b.cells[r][src2Off]
+		av[i] = b.cells[at(r, srcOff)]
+		bv[i] = b.cells[at(r, src2Off)]
 	}
 	var steps int64
 	switch op {

@@ -2,10 +2,12 @@ package xbar
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"wavepim/internal/params"
+	"wavepim/internal/pim/fault"
 )
 
 func TestGeometry(t *testing.T) {
@@ -52,8 +54,7 @@ func TestReadWriteRowBuffer(t *testing.T) {
 func TestBufferTransfer(t *testing.T) {
 	src, dst := New(0), New(1)
 	src.SetFloat(3, 2, 42.5)
-	src.ReadRow(3)
-	dst.LoadBuffer(src.Buffer())
+	dst.LoadBuffer(src.ReadRow(3))
 	dst.WriteRow(8)
 	if got := dst.GetFloat(8, 2); got != 42.5 {
 		t.Errorf("inter-block transfer got %g", got)
@@ -66,7 +67,7 @@ func TestArithAddRowParallel(t *testing.T) {
 		b.SetFloat(r, 0, float32(r))
 		b.SetFloat(r, 1, 2)
 	}
-	b.Arith(false, 0, 100, 2, 0, 1)
+	b.ArithSel(OpAdd, 0, 100, 2, 0, 1)
 	for r := 0; r < 100; r++ {
 		if got := b.GetFloat(r, 2); got != float32(r)+2 {
 			t.Fatalf("row %d: %g", r, got)
@@ -85,7 +86,7 @@ func TestArithMulUsesMulLatency(t *testing.T) {
 	b := New(0)
 	b.SetFloat(0, 0, 3)
 	b.SetFloat(0, 1, 4)
-	b.Arith(true, 0, 1, 2, 0, 1)
+	b.ArithSel(OpMul, 0, 1, 2, 0, 1)
 	if got := b.GetFloat(0, 2); got != 12 {
 		t.Errorf("mul got %g", got)
 	}
@@ -96,8 +97,8 @@ func TestArithMulUsesMulLatency(t *testing.T) {
 
 func TestArithLatencyIndependentOfRowsEnergyScales(t *testing.T) {
 	b1, b512 := New(0), New(1)
-	b1.Arith(false, 0, 1, 2, 0, 1)
-	b512.Arith(false, 0, 512, 2, 0, 1)
+	b1.ArithSel(OpAdd, 0, 1, 2, 0, 1)
+	b512.ArithSel(OpAdd, 0, 512, 2, 0, 1)
 	if b1.Stats.BusySec != b512.Stats.BusySec {
 		t.Errorf("latency should be row-parallel: %g vs %g", b1.Stats.BusySec, b512.Stats.BusySec)
 	}
@@ -124,7 +125,7 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-// Property: Arith matches hardware float32 for arbitrary bit patterns
+// Property: ArithSel matches hardware float32 for arbitrary bit patterns
 // (including NaN/Inf/subnormals), because the nor package proved the NOR
 // datapath equivalent.
 func TestArithMatchesHardwareProperty(t *testing.T) {
@@ -132,7 +133,11 @@ func TestArithMatchesHardwareProperty(t *testing.T) {
 	f := func(x, y uint32, mul bool) bool {
 		b.SetWord(0, 0, x)
 		b.SetWord(0, 1, y)
-		b.Arith(mul, 0, 1, 2, 0, 1)
+		op := OpAdd
+		if mul {
+			op = OpMul
+		}
+		b.ArithSel(op, 0, 1, 2, 0, 1)
 		got := b.GetWord(0, 2)
 		a := math.Float32frombits(x)
 		c := math.Float32frombits(y)
@@ -160,7 +165,7 @@ func TestBoundsPanics(t *testing.T) {
 		func() { b.SetFloat(Rows, 0, 1) },
 		func() { b.SetFloat(0, WordsPerRow, 1) },
 		func() { b.ReadRow(-1) },
-		func() { b.Arith(false, 1000, 100, 0, 1, 2) },
+		func() { b.ArithSel(OpAdd, 1000, 100, 0, 1, 2) },
 		func() { b.Broadcast(0, 0, 10, 30, 30, 4) },
 		func() { b.LoadBuffer(make([]uint32, 3)) },
 	}
@@ -183,5 +188,72 @@ func TestStatsAdd(t *testing.T) {
 	s.Add(a)
 	if s.RowReads != 2 || s.AddOps != 4 || s.EnergyJ != 1.0 || s.BusySec != 0.5 {
 		t.Errorf("Stats.Add wrong: %+v", s)
+	}
+}
+
+// CopyWords is the per-word GetWord/SetWord loop of a transfer: same
+// cells and fault counts, also when source and destination are one row
+// with overlapping words.
+func TestCopyWordsMatchesWordLoop(t *testing.T) {
+	cfg := fault.Config{Seed: 3, StuckProb: 0.05, FlipProb: 0.05, EnduranceWrites: 4}
+	for _, faulty := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(9))
+		blocks := []*Block{New(0), New(1)}
+		refs := []*refBlock{{}, {}}
+		if faulty {
+			for i := range blocks {
+				blocks[i].Faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(i)
+				refs[i].faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(i)
+			}
+		}
+		for i := range blocks {
+			for r := 0; r < 64; r++ {
+				for o := 0; o < WordsPerRow; o++ {
+					v := rng.Uint32()
+					blocks[i].SetWord(r, o, v)
+					refs[i].store(r, o, v)
+				}
+			}
+		}
+		for step := 0; step < 500; step++ {
+			si, di := rng.Intn(2), rng.Intn(2)
+			n := rng.Intn(WordsPerRow + 1)
+			sr, so := rng.Intn(64), rng.Intn(WordsPerRow-n+1)
+			dr, do := rng.Intn(64), rng.Intn(WordsPerRow-n+1)
+			if step%4 == 0 {
+				di, dr = si, sr
+			}
+			blocks[di].CopyWords(dr, do, blocks[si], sr, so, n)
+			for w := 0; w < n; w++ {
+				refs[di].store(dr, do+w, refs[si].cells[sr][so+w])
+			}
+		}
+		for i, b := range blocks {
+			for r := 0; r < 64; r++ {
+				for o := 0; o < WordsPerRow; o++ {
+					if got, want := b.GetWord(r, o), refs[i].cells[r][o]; got != want {
+						t.Fatalf("faults=%v block %d cell (%d,%d) = %08x, want %08x", faulty, i, r, o, got, want)
+					}
+				}
+			}
+			if faulty && b.Faults.Counts() != refs[i].faults.Counts() {
+				t.Fatalf("block %d fault counts %+v, want %+v", i, b.Faults.Counts(), refs[i].faults.Counts())
+			}
+		}
+	}
+	b := New(0)
+	for i, fn := range []func(){
+		func() { b.CopyWords(0, 30, b, 0, 0, 3) },
+		func() { b.CopyWords(0, 0, b, Rows, 0, 1) },
+		func() { b.CopyWords(0, 0, b, 0, 0, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d did not panic", i)
+				}
+			}()
+			fn()
+		}()
 	}
 }
