@@ -408,13 +408,27 @@ func BenchmarkFunctionalStep(b *testing.B) {
 	}
 }
 
+// rhsBenchMesh is the RHS benchmarks' mesh: refinement 3 is the smallest
+// whose RHS work clears dg.DefaultMinWork for all three solvers, so the
+// parallel benchmark really runs the worker pool (at refinement 2 every
+// solver dispatches serial).
+func rhsBenchMesh() *mesh.Mesh { return mesh.New(3, 6, true) }
+
 // BenchmarkRHSParallel measures one parallel RHS evaluation of each wave
-// system against its serial counterpart on the same mesh.
+// system against its serial counterpart on the same mesh. It fails when
+// the solver would dispatch serial on a multi-core host, since it would
+// then measure the serial path.
 func BenchmarkRHSParallel(b *testing.B) {
-	m := mesh.New(2, 6, true)
-	workers := dg.DefaultWorkers()
+	m := rhsBenchMesh()
+	workers := dg.DefaultWorkers() // GOMAXPROCS
+	requirePool := func(b *testing.B, effective int) {
+		if workers > 1 && effective <= 1 {
+			b.Fatalf("EffectiveWorkers(%d) = %d on %d elements: the worker pool would not run", workers, effective, m.NumElem)
+		}
+	}
 	b.Run("acoustic", func(b *testing.B) {
 		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, material.Acoustic{Kappa: 2.25, Rho: 1}), dg.RiemannFlux)
+		requirePool(b, s.EffectiveWorkers(workers))
 		q, rhs := dg.NewAcousticState(m), dg.NewAcousticState(m)
 		dg.PlaneWaveX(m, material.Acoustic{Kappa: 2.25, Rho: 1}, 1, q)
 		b.ResetTimer()
@@ -425,6 +439,7 @@ func BenchmarkRHSParallel(b *testing.B) {
 	b.Run("elastic", func(b *testing.B) {
 		mat := material.Elastic{Lambda: 2, Mu: 1, Rho: 1}
 		s := dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, mat), dg.RiemannFlux)
+		requirePool(b, s.EffectiveWorkers(workers))
 		q, rhs := dg.NewElasticState(m), dg.NewElasticState(m)
 		dg.PlaneWavePX(m, mat, 1, q)
 		b.ResetTimer()
@@ -434,6 +449,7 @@ func BenchmarkRHSParallel(b *testing.B) {
 	})
 	b.Run("maxwell", func(b *testing.B) {
 		s := dg.NewMaxwellSolver(m, material.Vacuum, dg.RiemannFlux)
+		requirePool(b, s.EffectiveWorkers(workers))
 		q, rhs := dg.NewMaxwellState(m), dg.NewMaxwellState(m)
 		dg.PlaneWaveEM(m, material.Vacuum, 1, q)
 		b.ResetTimer()
@@ -446,7 +462,7 @@ func BenchmarkRHSParallel(b *testing.B) {
 // BenchmarkRHSSerial is the serial baseline for BenchmarkRHSParallel
 // (same meshes, Workers unset).
 func BenchmarkRHSSerial(b *testing.B) {
-	m := mesh.New(2, 6, true)
+	m := rhsBenchMesh()
 	b.Run("acoustic", func(b *testing.B) {
 		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, material.Acoustic{Kappa: 2.25, Rho: 1}), dg.RiemannFlux)
 		q, rhs := dg.NewAcousticState(m), dg.NewAcousticState(m)

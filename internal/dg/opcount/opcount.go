@@ -6,11 +6,7 @@
 // model of internal/gpu.
 package opcount
 
-import (
-	"fmt"
-
-	"wavepim/internal/mesh"
-)
+import "fmt"
 
 // Equation identifies the PDE system and flux solver of a benchmark group
 // (Section 7.2's three groups).
@@ -289,18 +285,4 @@ func PaperTable6() []PaperRow {
 		{"Elastic-Central_5", 32768, 27724349440, 7920943104},
 		{"Elastic-Riemann_5", 32768, 78960159424, 11777661440},
 	}
-}
-
-// FaceCount returns how many interior faces the benchmark's mesh has; used
-// by flux traffic models. Periodic accounting (every element has 6
-// neighbors) matches the paper's "up-to 6 neighboring elements" worst case.
-func FaceCount(b Benchmark) int64 {
-	return int64(b.NumElements()) * 6
-}
-
-// MeshFor builds the benchmark's mesh (periodic, Np nodes per axis).
-// Refinement 5 meshes are large (32768 elements); callers that only need
-// counts should use NumElements instead.
-func MeshFor(b Benchmark) *mesh.Mesh {
-	return mesh.New(b.Refinement, Np, true)
 }

@@ -184,17 +184,3 @@ func (c *Circuit) AndReduce(a Bits) bool {
 	}
 	return v
 }
-
-// EqualsConst compares a with the constant pattern of v.
-func (c *Circuit) EqualsConst(a Bits, v uint64) bool {
-	match := true
-	for i, bit := range a {
-		want := v>>uint(i)&1 == 1
-		if want {
-			match = c.AND(match, bit)
-		} else {
-			match = c.AND(match, c.NOT(bit))
-		}
-	}
-	return match
-}

@@ -2,13 +2,11 @@ package wavepim
 
 import (
 	"fmt"
-	"math"
 
 	"wavepim/internal/dg"
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
-	"wavepim/internal/pim/sim"
 )
 
 // Storage-row map (the "Storage" half of Figure 5's block). The host loads
@@ -236,47 +234,7 @@ func (c *Compiler) integration(stage, nv, varCol, auxCol, contribCol, tmp, const
 }
 
 // ---------------------------------------------------------------------------
-// Flux transfer generation
-// ---------------------------------------------------------------------------
-
-// FluxTransfersOneBlock generates the neighbor-data fetch for one face of
-// the naive acoustic layout. With functional=true it emits one transfer per
-// face node (exact row-to-row data movement); otherwise one aggregated
-// transfer per element pair (equivalent total words for the timing model).
-func (c *Compiler) FluxTransfersOneBlock(m *mesh.Mesh, place *Placement, f mesh.Face, functional bool) []sim.RowTransfer {
-	var out []sim.RowTransfer
-	myRows := m.FaceNodes(f)
-	nbRows := m.FaceNodes(f.Opposite())
-	for e := 0; e < m.NumElem; e++ {
-		nb, ok := m.Neighbor(e, f)
-		if !ok {
-			continue
-		}
-		ex, ey, ez := m.ElemCoords(e)
-		nx, ny, nz := m.ElemCoords(nb)
-		dst := place.BlockFor(ex, ey, ez, RoleAll)
-		src := place.BlockFor(nx, ny, nz, RoleAll)
-		if functional {
-			for g := range myRows {
-				out = append(out, sim.RowTransfer{
-					SrcBlock: src, SrcRow: nbRows[g], SrcOff: AcColP,
-					DstBlock: dst, DstRow: myRows[g], DstOff: AcColNbrP,
-					Words: 4,
-				})
-			}
-		} else {
-			out = append(out, sim.RowTransfer{
-				SrcBlock: src, SrcRow: nbRows[0], SrcOff: AcColP,
-				DstBlock: dst, DstRow: myRows[0], DstOff: AcColNbrP,
-				Words: 4 * len(myRows),
-			})
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Functional setup and extraction (acoustic one-block)
+// Functional setup and extraction
 // ---------------------------------------------------------------------------
 
 // BlockLoader writes data into chip blocks; satisfied by *chip.Chip via a
@@ -287,24 +245,31 @@ type BlockWriter interface {
 	SetWord(row, off int, w uint32)
 }
 
-// LoadAcousticConstants writes the storage-row constants of one element's
-// block: the scaled differentiation matrix, mask indicators, material and
-// flux coefficients, and the RK table. dt is the time step.
-func (c *Compiler) LoadAcousticConstants(b BlockWriter, m *mesh.Mesh, mat material.Acoustic, dt float64) {
-	op := dg.NewOperator(m)
-	// dshape rows, pre-scaled by the Jacobian 2/H.
+// loadCommonConstants writes the storage rows every layout's compute
+// blocks share: the differentiation matrix pre-scaled by the Jacobian
+// 2/H, the face-mask indicator rows, and the RK table with dt.
+func (c *Compiler) loadCommonConstants(b BlockWriter, m *mesh.Mesh, dt float64) {
 	for i := 0; i < c.Np; i++ {
 		for j := 0; j < c.Np; j++ {
 			b.SetFloat(RowDshapeBase+i, j, float32(m.Rule.D[i][j]*m.JacobianScale()))
 		}
-	}
-	// Mask indicator rows.
-	for i := 0; i < c.Np; i++ {
 		b.SetFloat(RowMaskBase+i, 0, boolToF(i == 0))
 		b.SetFloat(RowMaskBase+i, 1, boolToF(i == c.Np-1))
 	}
+	for s := 0; s < dg.NumStages; s++ {
+		b.SetFloat(RowRK, s, float32(dg.LSRK5A[s]))
+		b.SetFloat(RowRK, 5+s, float32(dg.LSRK5B[s]))
+	}
+	b.SetFloat(RowRK, 10, float32(dt))
+}
+
+// LoadAcousticConstants writes the storage-row constants of one element's
+// block: the shared rows of loadCommonConstants, then the material scalars
+// and per-face flux coefficients. dt is the time step.
+func (c *Compiler) LoadAcousticConstants(b BlockWriter, m *mesh.Mesh, mat material.Acoustic, dt float64) {
+	c.loadCommonConstants(b, m, dt)
 	// Scalar constants.
-	lift := op.Lift()
+	lift := dg.NewOperator(m).Lift()
 	b.SetFloat(RowScalarConsts, ConstNegKappa, float32(-mat.Kappa))
 	b.SetFloat(RowScalarConsts, ConstNegInvRho, float32(-1/mat.Rho))
 	b.SetFloat(RowScalarConsts, ConstLift, float32(lift))
@@ -327,12 +292,6 @@ func (c *Compiler) LoadAcousticConstants(b BlockWriter, m *mesh.Mesh, mat materi
 		b.SetFloat(RowFluxConsts, 4*int(f)+2, float32(c3))
 		b.SetFloat(RowFluxConsts, 4*int(f)+3, float32(c4))
 	}
-	// RK table.
-	for s := 0; s < dg.NumStages; s++ {
-		b.SetFloat(RowRK, s, float32(dg.LSRK5A[s]))
-		b.SetFloat(RowRK, 5+s, float32(dg.LSRK5B[s]))
-	}
-	b.SetFloat(RowRK, 10, float32(dt))
 }
 
 func boolToF(v bool) float32 {
@@ -351,15 +310,4 @@ func (c *Compiler) ReadAcousticContrib(b BlockWriter, rhs *dg.AcousticState, e i
 			rhs.V[d][e*nn+n] = float64(b.GetFloat(n, AcColContrib+1+d))
 		}
 	}
-}
-
-// MaxAbsDiff is a test helper comparing two float slices.
-func MaxAbsDiff(a, b []float64) float64 {
-	var worst float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -7,7 +7,7 @@ import (
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
-	"wavepim/internal/pim/sim"
+	"wavepim/internal/pim/xbar"
 )
 
 // Elastic four-block (E_r) programs (Sections 5.1 and 6.2.2): the nine
@@ -266,16 +266,9 @@ func (c *Compiler) IntegrationElastic(stage int) []isa.Instr {
 // LoadElasticConstants writes the storage rows of one elastic block
 // according to its role.
 func (c *Compiler) LoadElasticConstants(b BlockWriter, m *mesh.Mesh, mat material.Elastic, dt float64, role BlockRole) {
-	op := dg.NewOperator(m)
-	for i := 0; i < c.Np; i++ {
-		for j := 0; j < c.Np; j++ {
-			b.SetFloat(RowDshapeBase+i, j, float32(m.Rule.D[i][j]*m.JacobianScale()))
-		}
-		b.SetFloat(RowMaskBase+i, 0, boolToF(i == 0))
-		b.SetFloat(RowMaskBase+i, 1, boolToF(i == c.Np-1))
-	}
+	c.loadCommonConstants(b, m, dt)
 	la, mu, rho := mat.Lambda, mat.Mu, mat.Rho
-	lift := op.Lift()
+	lift := dg.NewOperator(m).Lift()
 	b.SetFloat(RowScalarConsts, ConstLambda, float32(la))
 	b.SetFloat(RowScalarConsts, ConstTwoMu, float32(2*mu))
 	b.SetFloat(RowScalarConsts, ConstMu, float32(mu))
@@ -312,11 +305,6 @@ func (c *Compiler) LoadElasticConstants(b BlockWriter, m *mesh.Mesh, mat materia
 			b.SetFloat(RowFluxConsts, 4*int(f)+i, float32(v))
 		}
 	}
-	for s := 0; s < dg.NumStages; s++ {
-		b.SetFloat(RowRK, s, float32(dg.LSRK5A[s]))
-		b.SetFloat(RowRK, 5+s, float32(dg.LSRK5B[s]))
-	}
-	b.SetFloat(RowRK, 10, float32(dt))
 }
 
 // ---------------------------------------------------------------------------
@@ -339,114 +327,79 @@ func (f *FunctionalElastic) Load(q *dg.ElasticState) {
 // solids cost nothing extra: each element's blocks hold their own
 // material-derived constants).
 func (f *FunctionalElastic) LoadField(q *dg.ElasticState, field *material.ElasticField) {
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		ex, ey, ez := f.Mesh.ElemCoords(e)
-		for _, role := range []BlockRole{RoleStressDiag, RoleStressShear, RoleVelocity} {
-			b := f.Engine.Chip.Block(f.Place.BlockFor(ex, ey, ez, role))
-			f.Comp.LoadElasticConstants(b, f.Mesh, field.ByElem[e], f.Dt, role)
-		}
-	}
+	f.eachComputeBlock(func(e int, role BlockRole, b *xbar.Block) {
+		f.Comp.LoadElasticConstants(b, f.Mesh, field.ByElem[e], f.Dt, role)
+	})
 	f.writeVars(q.Slices())
 }
 
 // ReadState extracts the variables.
 func (f *FunctionalElastic) ReadState(q *dg.ElasticState) { f.readVars(q.Slices()) }
 
-// elasticStepPlan compiles the four-block elastic time-step: the
-// cross-block variable duplication (Figure 8's inter-block memcpy,
-// heavier for elastic), Volume on all three compute blocks concurrently,
-// then each face's neighbor fetch and Flux.
-func elasticStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
-	nn := m.NodesPerEl
+// elasticSchedule is the four-block elastic layout: the cross-block
+// variable duplication (Figure 8's inter-block memcpy, heavier for
+// elastic), Volume on all three compute blocks concurrently, then each
+// face's neighbor fetch and Flux. Slot 3 is the neighbor buffer and runs
+// nothing.
+func elasticSchedule(c *Compiler) *layoutSchedule {
+	const bd, bs, bv = 0, 1, 2
 	riemann := c.Flux == dg.RiemannFlux
-	diag := blocksFor(m, place, RoleStressDiag)
-	shear := blocksFor(m, place, RoleStressShear)
-	vel := blocksFor(m, place, RoleVelocity)
-	p := &stepPlan{vars: append(append(
-		columnVars(diag, 3, ExColVar0, ExColAux),
-		columnVars(shear, 3, ExColVar0, ExColAux)...),
-		columnVars(vel, 3, ExColVar0, ExColAux)...)}
-
-	volDiag := c.VolumeElasticDiag()
-	volShear := c.VolumeElasticShear()
-	volVel := c.VolumeElasticVel()
-	var dup []sim.RowTransfer
-	volProgs := make(map[int][]isa.Instr, 3*m.NumElem)
-	for e := 0; e < m.NumElem; e++ {
-		bd, bs, bv := diag[e], shear[e], vel[e]
-		volProgs[bd] = volDiag
-		volProgs[bs] = volShear
-		volProgs[bv] = volVel
-		for v := 0; v < 3; v++ {
-			dup = append(dup, columnTransfer(bv, bd, ExColVar0+v, ExColRemote+v, nn)...)
-			dup = append(dup, columnTransfer(bv, bs, ExColVar0+v, ExColRemote+v, nn)...)
-			dup = append(dup, columnTransfer(bd, bv, ExColVar0+v, ExColRemote+v, nn)...)
-			dup = append(dup, columnTransfer(bs, bv, ExColVar0+v, ExColRemote+3+v, nn)...)
-		}
+	sc := &layoutSchedule{
+		slots: 4,
+		vars: append(append(
+			slotVars(bd, 3, ExColVar0, ExColAux),
+			slotVars(bs, 3, ExColVar0, ExColAux)...),
+			slotVars(bv, 3, ExColVar0, ExColAux)...),
+		compute: []computeSlot{{bd, RoleStressDiag}, {bs, RoleStressShear}, {bv, RoleVelocity}},
 	}
-	p.rhs = append(p.rhs, phase{name: "dup-vars", transfers: dup}, phase{name: "volume", progs: volProgs})
+	var dup []colMove
+	for v := 0; v < 3; v++ {
+		dup = append(dup,
+			colMove{intraMove, bv, ExColVar0 + v, bd, ExColRemote + v, 1},
+			colMove{intraMove, bv, ExColVar0 + v, bs, ExColRemote + v, 1},
+			colMove{intraMove, bd, ExColVar0 + v, bv, ExColRemote + v, 1},
+			colMove{intraMove, bs, ExColVar0 + v, bv, ExColRemote + 3 + v, 1})
+	}
+	sc.rhs = []schedPhase{
+		{name: "dup-vars", moves: dup},
+		{name: "volume", progs: [][]isa.Instr{c.VolumeElasticDiag(), c.VolumeElasticShear(), c.VolumeElasticVel(), nil}},
+	}
 
 	for face := mesh.Face(0); face < mesh.NumFaces; face++ {
-		a := face.Axis()
-		myRows := m.FaceNodes(face)
-		nbRows := m.FaceNodes(face.Opposite())
-		fluxDiag := c.FluxElasticDiag(face)
-		fluxShear := c.FluxElasticShear(face)
-		fluxVel := c.FluxElasticVel(face)
-		var fetch []sim.RowTransfer
-		fluxProgs := make(map[int][]isa.Instr, 3*m.NumElem)
-		move := func(srcBlk, srcOff, dstBlk, dstOff int) {
-			for g := range myRows {
-				fetch = append(fetch, sim.RowTransfer{
-					SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
-					DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
-			}
+		a := int(face.Axis())
+		var fetch []colMove
+		move := func(src, srcCol, dst, dstCol int) {
+			fetch = append(fetch, colMove{face, src, srcCol, dst, dstCol, 1})
 		}
-		for e := 0; e < m.NumElem; e++ {
-			nb, ok := m.Neighbor(e, face)
-			if !ok {
-				continue
-			}
-			bd, bs, bv := diag[e], shear[e], vel[e]
-			nbd, nbs, nbv := diag[nb], shear[nb], vel[nb]
-			move(nbv, ExColVar0+int(a), bd, ExColNbr0)
+		move(bv, ExColVar0+a, bd, ExColNbr0)
+		if riemann {
+			move(bd, ExColVar0+a, bd, ExColNbr1)
+		}
+		for idx, j := range otherAxes(face.Axis()) {
+			move(bv, ExColVar0+j, bs, ExColNbr0+idx)
 			if riemann {
-				move(nbd, ExColVar0+int(a), bd, ExColNbr1)
+				move(bs, ExColVar0+shearVar(a, j), bs, ExColD+1+idx)
 			}
-			for idx, j := range otherAxes(a) {
-				move(nbv, ExColVar0+j, bs, ExColNbr0+idx)
-				if riemann {
-					move(nbs, ExColVar0+shearVar(int(a), j), bs, ExColD+1+idx)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				if i == int(a) {
-					move(nbd, ExColVar0+i, bv, ExColD+1+i)
-				} else {
-					move(nbs, ExColVar0+shearVar(i, int(a)), bv, ExColD+1+i)
-				}
-				if riemann {
-					move(nbv, ExColVar0+i, bv, ExColD+4+i)
-				}
-			}
-			fluxProgs[bd] = fluxDiag
-			fluxProgs[bs] = fluxShear
-			fluxProgs[bv] = fluxVel
 		}
-		p.rhs = append(p.rhs,
-			phase{name: fmt.Sprintf("flux-fetch-%v", face), transfers: fetch},
-			phase{name: fmt.Sprintf("flux-%v", face), progs: fluxProgs})
+		for i := 0; i < 3; i++ {
+			if i == a {
+				move(bd, ExColVar0+i, bv, ExColD+1+i)
+			} else {
+				move(bs, ExColVar0+shearVar(i, a), bv, ExColD+1+i)
+			}
+			if riemann {
+				move(bv, ExColVar0+i, bv, ExColD+4+i)
+			}
+		}
+		sc.rhs = append(sc.rhs,
+			schedPhase{name: fmt.Sprintf("flux-fetch-%v", face), moves: fetch},
+			schedPhase{name: fmt.Sprintf("flux-%v", face), progs: [][]isa.Instr{
+				c.FluxElasticDiag(face), c.FluxElasticShear(face), c.FluxElasticVel(face), nil}})
 	}
 
-	for s := range p.integ {
+	for s := range sc.integ {
 		integ := c.IntegrationElastic(s)
-		progs := make(map[int][]isa.Instr, 3*m.NumElem)
-		for e := 0; e < m.NumElem; e++ {
-			progs[diag[e]] = integ
-			progs[shear[e]] = integ
-			progs[vel[e]] = integ
-		}
-		p.integ[s] = phase{name: "integration", progs: progs}
+		sc.integ[s] = schedPhase{name: "integration", progs: [][]isa.Instr{integ, integ, integ, nil}}
 	}
-	return p
+	return sc
 }

@@ -7,7 +7,6 @@ import (
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
-	"wavepim/internal/pim/sim"
 )
 
 // Acoustic four-block (E_p) programs, Figures 8 and 9: the computations of
@@ -53,9 +52,6 @@ func (c *Compiler) VolumePBlock() []isa.Instr {
 // faces. first marks the block's first face of the stage (the pressure
 // piece accumulator is overwritten rather than accumulated).
 func (c *Compiler) FluxVBlock(f mesh.Face, first bool) []isa.Instr {
-	if f.Axis() == mesh.AxisX && false {
-		panic("unreachable")
-	}
 	b := &progBuilder{np: c.Np, nn: c.nn()}
 	a := f.Axis()
 	maskWord := 0
@@ -124,122 +120,57 @@ func NewFunctionalAcousticExpanded(m *mesh.Mesh, mat material.Acoustic, flux dg.
 		return nil, err
 	}
 	plan := Plan{Tech: ExpandParallel, Layout: AcousticFourBlock, SlotsPerElem: 4}
-	sys, err := newSystem(cfg, m, flux, dt, plan, nil, expandedStepPlan)
+	sys, err := newSystem(cfg, m, flux, dt, plan, nil, expandedSchedule)
 	if err != nil {
 		return nil, err
 	}
 	return &FunctionalAcoustic{system: sys, Mat: mat}, nil
 }
 
-// columnTransfer builds per-row transfers copying a full column between two
-// blocks.
-func columnTransfer(src, dst, srcOff, dstOff, rows int) []sim.RowTransfer {
-	out := make([]sim.RowTransfer, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = sim.RowTransfer{SrcBlock: src, SrcRow: r, SrcOff: srcOff,
-			DstBlock: dst, DstRow: r, DstOff: dstOff, Words: 1}
+// expandedSchedule is the four-block E_p acoustic layout: slot 0 holds p,
+// slot 1+a holds v[a].
+func expandedSchedule(c *Compiler) *layoutSchedule {
+	sc := &layoutSchedule{
+		slots:   4,
+		vars:    []schedVar{{0, ExColVar0, ExColAux}, {1, ExColVar0, ExColAux}, {2, ExColVar0, ExColAux}, {3, ExColVar0, ExColAux}},
+		compute: []computeSlot{{0, RoleAcoustic}, {1, RoleAcoustic}, {2, RoleAcoustic}, {3, RoleAcoustic}},
 	}
-	return out
-}
-
-// expandedStepPlan compiles the four-block E_p acoustic time-step.
-func expandedStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
-	nn := m.NodesPerEl
-	pres := blocksFor(m, place, RolePressure)
-	var vel [3][]int
-	for a, role := range []BlockRole{RoleVelX, RoleVelY, RoleVelZ} {
-		vel[a] = blocksFor(m, place, role)
+	var dup, div, pieces []colMove
+	for a := 0; a < 3; a++ {
+		dup = append(dup, colMove{intraMove, 0, ExColVar0, 1 + a, ExColRemote + 0, 1})
+		div = append(div, colMove{intraMove, 1 + a, ExColAccDiv, 0, ExColRemote + a, 1})
+		pieces = append(pieces, colMove{intraMove, 1 + a, ExColRemote + 1, 0, ExColRemote + 3 + a, 1})
 	}
-	p := &stepPlan{vars: columnVars(pres, 1, ExColVar0, ExColAux)}
-	for a := range vel {
-		p.vars = append(p.vars, columnVars(vel[a], 1, ExColVar0, ExColAux)...)
+	// Duplicate p into the velocity blocks, run the three axes' Volume in
+	// parallel, then ship the div pieces to the pressure block and combine.
+	sc.rhs = []schedPhase{
+		{name: "dup-p", moves: dup},
+		{name: "volume-v", progs: [][]isa.Instr{nil, c.VolumeVBlock(mesh.AxisX), c.VolumeVBlock(mesh.AxisY), c.VolumeVBlock(mesh.AxisZ)}},
+		{name: "div-pieces", moves: div},
+		{name: "volume-p", progs: [][]isa.Instr{c.VolumePBlock(), nil, nil, nil}},
 	}
-
-	// 1. Duplicate p into the velocity blocks.
-	var dup []sim.RowTransfer
-	for e := 0; e < m.NumElem; e++ {
-		for a := range vel {
-			dup = append(dup, columnTransfer(pres[e], vel[a][e], ExColVar0, ExColRemote+0, nn)...)
-		}
-	}
-	// 2. Velocity-block Volume (all three axes in parallel).
-	volV := make(map[int][]isa.Instr, 3*m.NumElem)
-	for a := range vel {
-		prog := c.VolumeVBlock(mesh.Axis(a))
-		for e := 0; e < m.NumElem; e++ {
-			volV[vel[a][e]] = prog
-		}
-	}
-	// 3. Ship div pieces to the pressure block; combine there.
-	var div []sim.RowTransfer
-	volP := make(map[int][]isa.Instr, m.NumElem)
-	volPProg := c.VolumePBlock()
-	for e := 0; e < m.NumElem; e++ {
-		for a := range vel {
-			div = append(div, columnTransfer(vel[a][e], pres[e], ExColAccDiv, ExColRemote+a, nn)...)
-		}
-		volP[pres[e]] = volPProg
-	}
-	p.rhs = append(p.rhs,
-		phase{name: "dup-p", transfers: dup},
-		phase{name: "volume-v", progs: volV},
-		phase{name: "div-pieces", transfers: div},
-		phase{name: "volume-p", progs: volP})
-
-	// 4. Flux: two sign phases; within each, the three axis blocks work
-	// in parallel (Figure 9).
+	// Flux: two sign phases; within each, the three axis blocks work in
+	// parallel (Figure 9).
 	for signIdx := 0; signIdx < 2; signIdx++ {
-		var fetch []sim.RowTransfer
-		progs := make(map[int][]isa.Instr, 3*m.NumElem)
+		var fetch []colMove
+		progs := make([][]isa.Instr, 4)
 		for a := mesh.AxisX; a <= mesh.AxisZ; a++ {
-			face := mesh.Face(2*int(a) + signIdx)
-			myRows := m.FaceNodes(face)
-			nbRows := m.FaceNodes(face.Opposite())
-			prog := c.FluxVBlock(face, signIdx == 0)
-			for e := 0; e < m.NumElem; e++ {
-				nb, ok := m.Neighbor(e, face)
-				if !ok {
-					continue
-				}
-				dst := vel[a][e]
-				for g := range myRows {
-					fetch = append(fetch,
-						sim.RowTransfer{SrcBlock: pres[nb], SrcRow: nbRows[g], SrcOff: ExColVar0,
-							DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr0, Words: 1},
-						sim.RowTransfer{SrcBlock: vel[a][nb], SrcRow: nbRows[g], SrcOff: ExColVar0,
-							DstBlock: dst, DstRow: myRows[g], DstOff: ExColNbr1, Words: 1})
-				}
-				progs[dst] = prog
-			}
+			face, slot := mesh.Face(2*int(a)+signIdx), 1+int(a)
+			fetch = append(fetch,
+				colMove{face, 0, ExColVar0, slot, ExColNbr0, 1},
+				colMove{face, slot, ExColVar0, slot, ExColNbr1, 1})
+			progs[slot] = c.FluxVBlock(face, signIdx == 0)
 		}
-		p.rhs = append(p.rhs,
-			phase{name: fmt.Sprintf("flux-fetch-%d", signIdx), transfers: fetch},
-			phase{name: fmt.Sprintf("flux-%d", signIdx), progs: progs})
+		sc.rhs = append(sc.rhs,
+			schedPhase{name: fmt.Sprintf("flux-fetch-%d", signIdx), moves: fetch},
+			schedPhase{name: fmt.Sprintf("flux-%d", signIdx), progs: progs})
 	}
-	// Gather the pressure pieces.
-	var gather []sim.RowTransfer
-	gatherProgs := make(map[int][]isa.Instr, m.NumElem)
-	gatherProg := c.FluxPBlockGather()
-	for e := 0; e < m.NumElem; e++ {
-		for a := range vel {
-			gather = append(gather, columnTransfer(vel[a][e], pres[e], ExColRemote+1, ExColRemote+3+a, nn)...)
-		}
-		gatherProgs[pres[e]] = gatherProg
-	}
-	p.rhs = append(p.rhs,
-		phase{name: "flux-p-pieces", transfers: gather},
-		phase{name: "flux-p-gather", progs: gatherProgs})
-
-	// 5. Integration on all four blocks in parallel.
-	for s := range p.integ {
+	sc.rhs = append(sc.rhs,
+		schedPhase{name: "flux-p-pieces", moves: pieces},
+		schedPhase{name: "flux-p-gather", progs: [][]isa.Instr{c.FluxPBlockGather(), nil, nil, nil}})
+	for s := range sc.integ {
 		integ := c.IntegrationExpanded(s)
-		progs := make(map[int][]isa.Instr, 4*m.NumElem)
-		for _, v := range p.vars {
-			for _, blk := range v.blocks {
-				progs[blk] = integ
-			}
-		}
-		p.integ[s] = phase{name: "integration", progs: progs}
+		sc.integ[s] = schedPhase{name: "integration", progs: [][]isa.Instr{integ, integ, integ, integ}}
 	}
-	return p
+	return sc
 }

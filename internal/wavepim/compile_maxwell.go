@@ -7,7 +7,7 @@ import (
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
-	"wavepim/internal/pim/sim"
+	"wavepim/internal/pim/xbar"
 )
 
 // The Maxwell extension's PIM mapping — the paper's Section 2.1 claim
@@ -150,15 +150,8 @@ func (c *Compiler) FluxMaxwell(f mesh.Face, eBlock bool) []isa.Instr {
 
 // LoadMaxwellConstants writes one block's storage rows.
 func (c *Compiler) LoadMaxwellConstants(b BlockWriter, m *mesh.Mesh, mat material.Dielectric, dt float64, eBlock bool) {
-	op := dg.NewOperator(m)
-	for i := 0; i < c.Np; i++ {
-		for j := 0; j < c.Np; j++ {
-			b.SetFloat(RowDshapeBase+i, j, float32(m.Rule.D[i][j]*m.JacobianScale()))
-		}
-		b.SetFloat(RowMaskBase+i, 0, boolToF(i == 0))
-		b.SetFloat(RowMaskBase+i, 1, boolToF(i == c.Np-1))
-	}
-	lift := op.Lift()
+	c.loadCommonConstants(b, m, dt)
+	lift := dg.NewOperator(m).Lift()
 	eta := mat.Impedance()
 	b.SetFloat(RowScalarConsts, ConstInvEps, float32(1/mat.Eps))
 	b.SetFloat(RowScalarConsts, ConstNegInvEps, float32(-1/mat.Eps))
@@ -185,11 +178,6 @@ func (c *Compiler) LoadMaxwellConstants(b BlockWriter, m *mesh.Mesh, mat materia
 			b.SetFloat(RowFluxConsts, 4*int(f)+i, float32(v))
 		}
 	}
-	for s := 0; s < dg.NumStages; s++ {
-		b.SetFloat(RowRK, s, float32(dg.LSRK5A[s]))
-		b.SetFloat(RowRK, 5+s, float32(dg.LSRK5B[s]))
-	}
-	b.SetFloat(RowRK, 10, float32(dt))
 }
 
 // FunctionalMaxwell executes the Maxwell mapping functionally (four-slot
@@ -201,89 +189,56 @@ type FunctionalMaxwell struct {
 
 // Load writes constants and the initial state.
 func (f *FunctionalMaxwell) Load(q *dg.MaxwellState) {
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		ex, ey, ez := f.Mesh.ElemCoords(e)
-		base := f.Place.ElemSlot(ex, ey, ez)
-		f.Comp.LoadMaxwellConstants(f.Engine.Chip.Block(base), f.Mesh, f.Mat, f.Dt, true)
-		f.Comp.LoadMaxwellConstants(f.Engine.Chip.Block(base+1), f.Mesh, f.Mat, f.Dt, false)
-	}
+	f.eachComputeBlock(func(_ int, role BlockRole, b *xbar.Block) {
+		f.Comp.LoadMaxwellConstants(b, f.Mesh, f.Mat, f.Dt, role == RoleElectric)
+	})
 	f.writeVars(q.Slices())
 }
 
 // ReadState extracts the fields.
 func (f *FunctionalMaxwell) ReadState(q *dg.MaxwellState) { f.readVars(q.Slices()) }
 
-// maxwellStepPlan compiles the Maxwell time-step: cross-block field
-// duplication, Volume on both compute blocks, then each face's neighbor
-// fetch and Flux. E lives in slot 0 of each element, H in slot 1.
-func maxwellStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
-	nn := m.NodesPerEl
-	eBlocks := make([]int, m.NumElem)
-	hBlocks := make([]int, m.NumElem)
-	for e := range eBlocks {
-		ex, ey, ez := m.ElemCoords(e)
-		eBlocks[e] = place.ElemSlot(ex, ey, ez)
-		hBlocks[e] = eBlocks[e] + 1
+// maxwellSchedule is the Maxwell layout: cross-block field duplication,
+// Volume on both compute blocks, then each face's neighbor fetch and Flux.
+// E lives in slot 0 of each element, H in slot 1.
+func maxwellSchedule(c *Compiler) *layoutSchedule {
+	const eb, hb = 0, 1
+	sc := &layoutSchedule{
+		slots:   4,
+		vars:    append(slotVars(eb, 3, ExColVar0, ExColAux), slotVars(hb, 3, ExColVar0, ExColAux)...),
+		compute: []computeSlot{{eb, RoleElectric}, {hb, RoleMagnetic}},
 	}
-	p := &stepPlan{vars: append(
-		columnVars(eBlocks, 3, ExColVar0, ExColAux),
-		columnVars(hBlocks, 3, ExColVar0, ExColAux)...)}
-
-	volE := c.VolumeMaxwell(true)
-	volH := c.VolumeMaxwell(false)
-	var dup []sim.RowTransfer
-	volProgs := make(map[int][]isa.Instr, 2*m.NumElem)
-	for e := 0; e < m.NumElem; e++ {
-		eb, hb := eBlocks[e], hBlocks[e]
-		volProgs[eb] = volE
-		volProgs[hb] = volH
-		for v := 0; v < 3; v++ {
-			dup = append(dup, columnTransfer(hb, eb, ExColVar0+v, ExColRemote+v, nn)...)
-			dup = append(dup, columnTransfer(eb, hb, ExColVar0+v, ExColRemote+v, nn)...)
-		}
+	var dup []colMove
+	for v := 0; v < 3; v++ {
+		dup = append(dup,
+			colMove{intraMove, hb, ExColVar0 + v, eb, ExColRemote + v, 1},
+			colMove{intraMove, eb, ExColVar0 + v, hb, ExColRemote + v, 1})
 	}
-	p.rhs = append(p.rhs, phase{name: "dup-fields", transfers: dup}, phase{name: "volume", progs: volProgs})
+	sc.rhs = []schedPhase{
+		{name: "dup-fields", moves: dup},
+		{name: "volume", progs: [][]isa.Instr{c.VolumeMaxwell(true), c.VolumeMaxwell(false), nil, nil}},
+	}
 
 	for face := mesh.Face(0); face < mesh.NumFaces; face++ {
 		a := int(face.Axis())
 		bb, cc := (a+1)%3, (a+2)%3
-		myRows := m.FaceNodes(face)
-		nbRows := m.FaceNodes(face.Opposite())
-		fluxE := c.FluxMaxwell(face, true)
-		fluxH := c.FluxMaxwell(face, false)
-		var fetch []sim.RowTransfer
-		fluxProgs := make(map[int][]isa.Instr, 2*m.NumElem)
-		move := func(srcBlk, srcOff, dstBlk, dstOff int) {
-			for g := range myRows {
-				fetch = append(fetch, sim.RowTransfer{
-					SrcBlock: srcBlk, SrcRow: nbRows[g], SrcOff: srcOff,
-					DstBlock: dstBlk, DstRow: myRows[g], DstOff: dstOff, Words: 1})
-			}
+		var fetch []colMove
+		for _, dst := range []int{eb, hb} {
+			fetch = append(fetch,
+				colMove{face, eb, ExColVar0 + bb, dst, ExColNbr0, 1},
+				colMove{face, eb, ExColVar0 + cc, dst, ExColNbr1, 1},
+				colMove{face, hb, ExColVar0 + bb, dst, ExColD + 1, 1},
+				colMove{face, hb, ExColVar0 + cc, dst, ExColD + 2, 1})
 		}
-		for e := 0; e < m.NumElem; e++ {
-			nb, _ := m.Neighbor(e, face)
-			for _, dst := range []int{eBlocks[e], hBlocks[e]} {
-				move(eBlocks[nb], ExColVar0+bb, dst, ExColNbr0)
-				move(eBlocks[nb], ExColVar0+cc, dst, ExColNbr1)
-				move(hBlocks[nb], ExColVar0+bb, dst, ExColD+1)
-				move(hBlocks[nb], ExColVar0+cc, dst, ExColD+2)
-			}
-			fluxProgs[eBlocks[e]] = fluxE
-			fluxProgs[hBlocks[e]] = fluxH
-		}
-		p.rhs = append(p.rhs,
-			phase{name: fmt.Sprintf("flux-fetch-%v", face), transfers: fetch},
-			phase{name: fmt.Sprintf("flux-%v", face), progs: fluxProgs})
+		sc.rhs = append(sc.rhs,
+			schedPhase{name: fmt.Sprintf("flux-fetch-%v", face), moves: fetch},
+			schedPhase{name: fmt.Sprintf("flux-%v", face), progs: [][]isa.Instr{
+				c.FluxMaxwell(face, true), c.FluxMaxwell(face, false), nil, nil}})
 	}
 
-	for s := range p.integ {
+	for s := range sc.integ {
 		integ := c.IntegrationElastic(s) // three variables per block
-		progs := make(map[int][]isa.Instr, 2*m.NumElem)
-		for e := 0; e < m.NumElem; e++ {
-			progs[eBlocks[e]] = integ
-			progs[hBlocks[e]] = integ
-		}
-		p.integ[s] = phase{name: "integration", progs: progs}
+		sc.integ[s] = schedPhase{name: "integration", progs: [][]isa.Instr{integ, integ, nil, nil}}
 	}
-	return p
+	return sc
 }

@@ -7,6 +7,7 @@ import (
 	"wavepim/internal/material"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
+	"wavepim/internal/pim/xbar"
 )
 
 // FunctionalAcoustic is the functional acoustic system: the one-block
@@ -28,16 +29,9 @@ func (f *FunctionalAcoustic) Load(q *dg.AcousticState) {
 // every element's blocks hold their own material-derived constants,
 // which is what makes layered media free on the PIM side).
 func (f *FunctionalAcoustic) LoadField(q *dg.AcousticState, field *material.AcousticField) {
-	vars := f.plan.vars
-	for e := 0; e < f.Mesh.NumElem; e++ {
-		for v, loc := range vars {
-			// On the one-block layout every variable shares p's block.
-			if v > 0 && loc.blocks[e] == vars[0].blocks[e] {
-				continue
-			}
-			f.Comp.LoadAcousticConstants(f.Engine.Chip.Block(loc.blocks[e]), f.Mesh, field.ByElem[e], f.Dt)
-		}
-	}
+	f.eachComputeBlock(func(e int, _ BlockRole, b *xbar.Block) {
+		f.Comp.LoadAcousticConstants(b, f.Mesh, field.ByElem[e], f.Dt)
+	})
 	f.writeVars(q.Slices())
 }
 
@@ -52,26 +46,23 @@ func (f *FunctionalAcoustic) ReadRHS(rhs *dg.AcousticState) {
 	}
 }
 
-// acousticStepPlan compiles the one-block acoustic time-step: Volume,
-// then each face's neighbor fetch and Flux, on every element block.
-func acousticStepPlan(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan {
-	blocks := blocksFor(m, place, RoleAll)
-	progsFor := func(prog []isa.Instr) map[int][]isa.Instr {
-		out := make(map[int][]isa.Instr, len(blocks))
-		for _, blk := range blocks {
-			out[blk] = prog
-		}
-		return out
+// acousticSchedule is the one-block acoustic layout (Figure 5): Volume,
+// then each face's neighbor fetch and Flux, all in the element's one
+// block.
+func acousticSchedule(c *Compiler) *layoutSchedule {
+	sc := &layoutSchedule{
+		slots:   1,
+		vars:    slotVars(0, 4, AcColP, AcColAux),
+		compute: []computeSlot{{0, RoleAcoustic}},
+		rhs:     []schedPhase{{name: "volume", progs: [][]isa.Instr{c.VolumeOneBlock()}}},
 	}
-	p := &stepPlan{vars: columnVars(blocks, 4, AcColP, AcColAux)}
-	p.rhs = append(p.rhs, phase{name: "volume", progs: progsFor(c.VolumeOneBlock())})
 	for f := mesh.Face(0); f < mesh.NumFaces; f++ {
-		p.rhs = append(p.rhs,
-			phase{name: fmt.Sprintf("flux-fetch-%v", f), transfers: c.FluxTransfersOneBlock(m, place, f, true)},
-			phase{name: fmt.Sprintf("flux-%v", f), progs: progsFor(c.FluxOneBlock(f))})
+		sc.rhs = append(sc.rhs,
+			schedPhase{name: fmt.Sprintf("flux-fetch-%v", f), moves: []colMove{{f, 0, AcColP, 0, AcColNbrP, 4}}},
+			schedPhase{name: fmt.Sprintf("flux-%v", f), progs: [][]isa.Instr{c.FluxOneBlock(f)}})
 	}
-	for s := range p.integ {
-		p.integ[s] = phase{name: fmt.Sprintf("integration-%d", s), progs: progsFor(c.IntegrationOneBlock(s))}
+	for s := range sc.integ {
+		sc.integ[s] = schedPhase{name: fmt.Sprintf("integration-%d", s), progs: [][]isa.Instr{c.IntegrationOneBlock(s)}}
 	}
-	return p
+	return sc
 }

@@ -59,25 +59,23 @@ func (t Technique) String() string {
 	return s
 }
 
-// BlockRole names the function of each block of a multi-block element.
+// BlockRole names which constants a compute block of an element holds.
 type BlockRole int
 
 const (
-	// RoleAll is the single block of a naive element.
-	RoleAll BlockRole = iota
-	// RolePressure / RoleVelX..Z are the four blocks of the expanded
-	// acoustic element (Figures 8-9): one for p, one per velocity axis.
-	RolePressure
-	RoleVelX
-	RoleVelY
-	RoleVelZ
+	// RoleAcoustic is any acoustic compute block: the one block of a naive
+	// element, and each of the four blocks of the expanded element
+	// (Figures 8-9) alike.
+	RoleAcoustic BlockRole = iota
 	// RoleStressDiag, RoleStressShear and RoleVelocity are the elastic
-	// element's three compute blocks; RoleBuffer is the neighbor-data
-	// buffer block of Figure 9.
+	// element's three compute blocks.
 	RoleStressDiag
 	RoleStressShear
 	RoleVelocity
-	RoleBuffer
+	// RoleElectric and RoleMagnetic are the Maxwell element's E and H
+	// blocks.
+	RoleElectric
+	RoleMagnetic
 )
 
 // LayoutKind selects one of the hand-mapped element data layouts.
@@ -223,73 +221,46 @@ func Morton3(x, y, z int) int {
 	return m
 }
 
-// Placement maps mesh elements to block slots.
+// morton2 interleaves the low 10 bits of x and y into a 2D Morton code.
+func morton2(x, y int) int {
+	var m int
+	for b := 0; b < 10; b++ {
+		m |= (x>>b&1)<<(2*b) | (y>>b&1)<<(2*b+1)
+	}
+	return m
+}
+
+// Placement maps the elements of a batch — ePerAxis^2 elements per
+// z-slice, slices z-slices — to block slots.
 type Placement struct {
-	Kind    LayoutKind
-	Morton  bool // Morton order (default) versus row-major
-	EperAx  int  // elements per axis of the (batch) mesh
-	slotsPE int
+	morton   bool // Morton order (default) versus row-major
+	ePerAxis int  // elements per axis in x and y
+	slices   int  // z-slices resident
+	slotsPE  int
 }
 
-// NewPlacement builds a placement for a mesh of ePerAxis^3 elements.
-func NewPlacement(kind LayoutKind, ePerAxis int, morton bool) *Placement {
-	return &Placement{Kind: kind, Morton: morton, EperAx: ePerAxis, slotsPE: kind.SlotsPerElement()}
+// NewPlacement builds a placement for a batch of slices z-slices of a mesh
+// with ePerAxis elements per axis; slices == ePerAxis places the whole
+// mesh.
+func NewPlacement(kind LayoutKind, ePerAxis, slices int, morton bool) *Placement {
+	return &Placement{morton: morton, ePerAxis: ePerAxis, slices: slices, slotsPE: kind.SlotsPerElement()}
 }
 
-// ElemSlot returns the first block ID of the element at lattice position
-// (ex, ey, ez).
+// ElemSlot returns the first block ID of the element at batch-relative
+// lattice position (ex, ey, ez). A whole resident mesh follows the Morton
+// curve; a batch of fewer slices is slice-major with Morton order inside
+// each slice, so slices stay contiguous for the Figure 7 schedule.
 func (p *Placement) ElemSlot(ex, ey, ez int) int {
 	var idx int
-	if p.Morton {
+	switch {
+	case !p.morton:
+		idx = (ez*p.ePerAxis+ey)*p.ePerAxis + ex
+	case p.slices == p.ePerAxis:
 		idx = Morton3(ex, ey, ez)
-	} else {
-		idx = (ez*p.EperAx+ey)*p.EperAx + ex
+	default:
+		idx = ez*p.ePerAxis*p.ePerAxis + morton2(ex, ey)
 	}
 	return idx * p.slotsPE
-}
-
-// BlockFor returns the block ID serving the given role for the element at
-// (ex, ey, ez).
-func (p *Placement) BlockFor(ex, ey, ez int, role BlockRole) int {
-	base := p.ElemSlot(ex, ey, ez)
-	switch p.Kind {
-	case AcousticOneBlock:
-		return base
-	case AcousticFourBlock:
-		switch role {
-		case RolePressure, RoleBuffer, RoleAll:
-			return base
-		case RoleVelX:
-			return base + 1
-		case RoleVelY:
-			return base + 2
-		case RoleVelZ:
-			return base + 3
-		}
-	case ElasticFourBlock:
-		switch role {
-		case RoleStressDiag, RoleAll:
-			return base
-		case RoleStressShear:
-			return base + 1
-		case RoleVelocity:
-			return base + 2
-		case RoleBuffer:
-			return base + 3
-		}
-	case ElasticTwelveBlock:
-		switch role {
-		case RoleStressDiag, RoleAll:
-			return base
-		case RoleStressShear:
-			return base + 3
-		case RoleVelocity:
-			return base + 6
-		case RoleBuffer:
-			return base + 9
-		}
-	}
-	panic(fmt.Sprintf("wavepim: role %d invalid for layout %d", int(role), int(p.Kind)))
 }
 
 // LayoutFor returns the layout kind implied by an equation and technique
@@ -312,12 +283,6 @@ func LayoutFor(eq opcount.Equation, t Technique) LayoutKind {
 // the whole element lattice — the boundary above which the fault layer
 // reserves spare blocks for remapping.
 func (p *Placement) MaxBlockID() int {
-	n := p.EperAx - 1
-	var idx int
-	if p.Morton {
-		idx = Morton3(n, n, n)
-	} else {
-		idx = (n*p.EperAx+n)*p.EperAx + n
-	}
-	return idx*p.slotsPE + p.slotsPE - 1
+	n := p.ePerAxis - 1
+	return p.ElemSlot(n, n, p.slices-1) + p.slotsPE - 1
 }

@@ -3,7 +3,9 @@ package wavepim
 import (
 	"testing"
 
+	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
+	"wavepim/internal/mesh"
 	"wavepim/internal/pim/chip"
 )
 
@@ -152,23 +154,53 @@ func TestMortonLocality(t *testing.T) {
 	}
 }
 
+// Every role sits in the slot its layout's schedule gives it, at the
+// element's placed base block.
 func TestPlacementRoles(t *testing.T) {
-	p := NewPlacement(AcousticFourBlock, 4, true)
+	m := mesh.New(2, 4, true)
+	c := NewCompiler(Plan{}, m.Np, dg.RiemannFlux)
+	p := NewPlacement(AcousticFourBlock, m.EPerAxis, m.EPerAxis, true)
 	base := p.ElemSlot(1, 2, 3)
 	if base%4 != 0 {
 		t.Error("four-block slots must be 4-aligned (S0 group alignment)")
 	}
-	if p.BlockFor(1, 2, 3, RolePressure) != base ||
-		p.BlockFor(1, 2, 3, RoleVelZ) != base+3 {
-		t.Error("acoustic four-block roles wrong")
+	e := (3*m.EPerAxis+2)*m.EPerAxis + 1
+	if ex, ey, ez := m.ElemCoords(e); ex != 1 || ey != 2 || ez != 3 {
+		t.Fatalf("element %d at (%d,%d,%d)", e, ex, ey, ez)
 	}
-	e := NewPlacement(ElasticTwelveBlock, 4, true)
-	if e.BlockFor(0, 0, 0, RoleVelocity) != 6 || e.BlockFor(0, 0, 0, RoleBuffer) != 9 {
-		t.Error("elastic twelve-block roles wrong")
+	expanded := expandedSchedule(c).instantiate(m, p)
+	if expanded.vars[0].blocks[e] != base || expanded.vars[3].blocks[e] != base+3 {
+		t.Errorf("expanded p / vz blocks = %d / %d, want %d / %d",
+			expanded.vars[0].blocks[e], expanded.vars[3].blocks[e], base, base+3)
 	}
-	one := NewPlacement(AcousticOneBlock, 4, false)
-	if one.BlockFor(1, 0, 0, RoleAll) != 1 {
-		t.Error("row-major one-block placement wrong")
+	el := elasticSchedule(c)
+	for v, want := range []int{0, 0, 0, 1, 1, 1, 2, 2, 2} {
+		if el.vars[v].slot != want {
+			t.Errorf("elastic variable %d in slot %d, want %d", v, el.vars[v].slot, want)
+		}
+	}
+	roles := []computeSlot{{0, RoleStressDiag}, {1, RoleStressShear}, {2, RoleVelocity}}
+	if len(el.compute) != len(roles) {
+		t.Fatalf("elastic compute slots %v, want %v", el.compute, roles)
+	}
+	for i, cs := range el.compute {
+		if cs != roles[i] {
+			t.Errorf("elastic compute slot %d = %v, want %v", i, cs, roles[i])
+		}
+	}
+	if got := NewPlacement(ElasticTwelveBlock, 4, 4, true).ElemSlot(1, 0, 0); got != 12 {
+		t.Errorf("twelve-block element (1,0,0) at %d, want 12", got)
+	}
+	if got := NewPlacement(AcousticOneBlock, 4, 4, false).ElemSlot(1, 0, 0); got != 1 {
+		t.Errorf("row-major one-block element (1,0,0) at %d, want 1", got)
+	}
+	// A two-slice batch is slice-major, Morton-2D within each slice.
+	batch := NewPlacement(AcousticOneBlock, 4, 2, true)
+	if got := batch.ElemSlot(1, 1, 1); got != 16+3 {
+		t.Errorf("batched element (1,1,1) at %d, want 19", got)
+	}
+	if got := batch.MaxBlockID(); got != 31 {
+		t.Errorf("batched MaxBlockID = %d, want 31", got)
 	}
 }
 

@@ -99,12 +99,13 @@ func RunPlan(plan Plan, opt Options) (Result, error) {
 // ---------------------------------------------------------------------------
 
 type runner struct {
-	plan Plan
-	opt  Options
-	comp *Compiler
-	eng  *sim.Engine
-	np   int
-	nn   int
+	plan  Plan
+	opt   Options
+	comp  *Compiler
+	eng   *sim.Engine
+	place *Placement
+	np    int
+	nn    int
 
 	// Batch geometry.
 	ea     int // elements per axis in x and y
@@ -133,29 +134,8 @@ func newRunner(plan Plan, opt Options) *runner {
 		slices: plan.SlicesPerBatch,
 	}
 	r.elems = r.ea * r.ea * r.slices
+	r.place = NewPlacement(plan.Layout, r.ea, r.slices, opt.Morton)
 	return r
-}
-
-// slotOf places a batch-relative element at a block slot: Morton order in
-// full-cube plans, slice-major Morton-2D order for batched plans (slices
-// must stay contiguous for the Figure 7 schedule).
-func (r *runner) slotOf(ex, ey, ez int) int {
-	spe := r.plan.SlotsPerElem
-	if !r.opt.Morton {
-		return ((ez*r.ea+ey)*r.ea + ex) * spe
-	}
-	if r.slices == r.ea { // full cube resident
-		return Morton3(ex, ey, ez) * spe
-	}
-	return (ez*r.ea*r.ea + morton2(ex, ey)) * spe
-}
-
-func morton2(x, y int) int {
-	var m int
-	for b := 0; b < 10; b++ {
-		m |= (x>>b&1)<<(2*b) | (y>>b&1)<<(2*b+1)
-	}
-	return m
 }
 
 // forEachElem iterates the batch's elements.
@@ -188,7 +168,7 @@ func (r *runner) neighborSlot(ex, ey, ez int, f int) int {
 	case 5:
 		ez = (ez + 1) % r.slices
 	}
-	return r.slotOf(ex, ey, ez)
+	return r.place.ElemSlot(ex, ey, ez)
 }
 
 // pairTransfers builds aggregated element-local transfers: for every batch
@@ -196,7 +176,7 @@ func (r *runner) neighborSlot(ex, ey, ez int, f int) int {
 func (r *runner) pairTransfers(pairs [][3]int) []sim.RowTransfer {
 	out := make([]sim.RowTransfer, 0, len(pairs)*r.elems)
 	r.forEachElem(func(ex, ey, ez int) {
-		base := r.slotOf(ex, ey, ez)
+		base := r.place.ElemSlot(ex, ey, ez)
 		for _, p := range pairs {
 			out = append(out, sim.RowTransfer{
 				SrcBlock: base + p[0], DstBlock: base + p[1], Words: p[2]})
@@ -210,7 +190,7 @@ func (r *runner) pairTransfers(pairs [][3]int) []sim.RowTransfer {
 func (r *runner) fetchTransfers(face int, pairs [][3]int) []sim.RowTransfer {
 	out := make([]sim.RowTransfer, 0, len(pairs)*r.elems)
 	r.forEachElem(func(ex, ey, ez int) {
-		me := r.slotOf(ex, ey, ez)
+		me := r.place.ElemSlot(ex, ey, ez)
 		nb := r.neighborSlot(ex, ey, ez, face)
 		for _, p := range pairs {
 			out = append(out, sim.RowTransfer{

@@ -281,17 +281,17 @@ func NewSession(opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The layout's step-plan builder, and the equation its plan is cached
-	// under (elastic's follows the flux).
-	build, keyEq := acousticStepPlan, cfg.eq
+	// The layout's schedule, and the equation its plan is cached under
+	// (elastic's follows the flux).
+	sched, keyEq := acousticSchedule, cfg.eq
 	switch cfg.eq {
 	case opcount.ElasticCentral, opcount.ElasticRiemann:
-		build, keyEq = elasticStepPlan, opcount.ElasticRiemann
+		sched, keyEq = elasticSchedule, opcount.ElasticRiemann
 		if cfg.flux == dg.CentralFlux {
 			keyEq = opcount.ElasticCentral
 		}
 	case opcount.Maxwell:
-		build = maxwellStepPlan
+		sched = maxwellSchedule
 	}
 	chipCfg, err := sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem)
 	if err != nil {
@@ -300,7 +300,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	chipCfg = cfg.applyTopology(chipCfg, topoKind)
 	key := PlanKey{Eq: keyEq, Flux: cfg.flux, Np: cfg.mesh.Np, EPerAxis: cfg.mesh.EPerAxis,
 		Chip: chipCfg.Name, Topo: chipCfg.Interconnect.String()}
-	sys, err := newSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, build)
+	sys, err := newSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, sched)
 	if err != nil {
 		return nil, err
 	}

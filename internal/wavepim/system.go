@@ -9,14 +9,16 @@ import (
 	"wavepim/internal/pim/chip"
 	"wavepim/internal/pim/isa"
 	"wavepim/internal/pim/sim"
+	"wavepim/internal/pim/xbar"
 )
 
 // One functional system serves every layout (one-block and expanded
 // acoustic, four-block elastic, two-compute-block Maxwell). Per RK stage
 // each layout runs a fixed sequence of transfers and block programs, so a
-// layout is fully described by its compiled stepPlan: the engine replays
-// the RHS phases and then the stage's integration phase, five times per
-// time-step, and nothing is compiled or named on the hot path.
+// layout is fully described by its compiled stepPlan, the per-block
+// instantiation of its layoutSchedule: the engine replays the RHS phases
+// and then the stage's integration phase, five times per time-step, and
+// nothing is compiled or named on the hot path.
 
 // phase is one engine phase of a time-step: a named transfer batch, or
 // (when progs is non-nil) a named set of per-block programs.
@@ -36,32 +38,10 @@ type varLoc struct {
 // stepPlan is the immutable compiled form of a layout's time-step, shared
 // read-only by every system built from it.
 type stepPlan struct {
-	rhs   []phase // the same on every stage
-	integ [dg.NumStages]phase
-	vars  []varLoc // in the order dg.*State.Slices() returns the variables
-}
-
-// planBuilder compiles a layout's stepPlan.
-type planBuilder func(c *Compiler, m *mesh.Mesh, place *Placement) *stepPlan
-
-// columnVars lists n variables held in consecutive columns from col (RK
-// auxiliaries from aux) of each element's block in blocks.
-func columnVars(blocks []int, n, col, aux int) []varLoc {
-	out := make([]varLoc, n)
-	for v := range out {
-		out[v] = varLoc{blocks: blocks, col: col + v, aux: aux + v}
-	}
-	return out
-}
-
-// blocksFor returns, per element, the block place assigns to role.
-func blocksFor(m *mesh.Mesh, place *Placement, role BlockRole) []int {
-	out := make([]int, m.NumElem)
-	for e := range out {
-		ex, ey, ez := m.ElemCoords(e)
-		out[e] = place.BlockFor(ex, ey, ez, role)
-	}
-	return out
+	rhs     []phase // the same on every stage
+	integ   [dg.NumStages]phase
+	vars    []varLoc // in the order dg.*State.Slices() returns the variables
+	compute []computeSlot
 }
 
 // chipFor picks the smallest evaluation chip configuration with at least n
@@ -112,7 +92,7 @@ type system struct {
 // uncached when key is nil. The mesh must be periodic (every element has
 // six neighbors, as in the paper's benchmark meshes) and fit the chip
 // without batching.
-func newSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan Plan, key *PlanKey, build planBuilder) (*system, error) {
+func newSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan Plan, key *PlanKey, sched scheduleBuilder) (*system, error) {
 	if !m.Periodic {
 		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
 	}
@@ -127,15 +107,16 @@ func newSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan
 	s := &system{
 		Mesh:   m,
 		Comp:   NewCompiler(plan, m.Np, flux),
-		Place:  NewPlacement(plan.Layout, m.EPerAxis, true),
+		Place:  NewPlacement(plan.Layout, m.EPerAxis, m.EPerAxis, true),
 		Engine: newFunctionalEngine(ch),
 		Dt:     dt,
 	}
+	build := func() *stepPlan { return sched(s.Comp).instantiate(m, s.Place) }
 	if key == nil {
-		s.plan = build(s.Comp, m, s.Place)
+		s.plan = build()
 		return s, nil
 	}
-	v, hit := cachedPlan(*key, func() any { return build(s.Comp, m, s.Place) })
+	v, hit := cachedPlan(*key, func() any { return build() })
 	s.plan, s.CacheHit = v.(*stepPlan), hit
 	return s, nil
 }
@@ -171,6 +152,18 @@ func (s *system) Step() {
 func (s *system) Run(n int) {
 	for i := 0; i < n; i++ {
 		s.Step()
+	}
+}
+
+// eachComputeBlock calls fn on every element's compute blocks, element by
+// element in the schedule's compute-slot order, with the role whose
+// constants the block holds.
+func (s *system) eachComputeBlock(fn func(e int, role BlockRole, b *xbar.Block)) {
+	for e := 0; e < s.Mesh.NumElem; e++ {
+		base := s.Place.ElemSlot(s.Mesh.ElemCoords(e))
+		for _, cs := range s.plan.compute {
+			fn(e, cs.role, s.Engine.Chip.Block(base+cs.slot))
+		}
 	}
 }
 
