@@ -133,16 +133,16 @@ type Engine struct {
 	// Interconnect congestion accounting — the observables of the
 	// estimate -> occupy -> backpressure contention loop, aggregated over
 	// every scheduled batch of the run. ExecTransfers streams each batch
-	// through tileLedger, whose busy slice tileSwitchBusy sums per-local-
-	// switch busy seconds across all tiles (every tile shares one topology
-	// shape), and chipLedger, whose chipSwitchBusy does the same for the
-	// chip-level network. tileSpans holds the batch's per-tile index ranges.
-	tileSwitchBusy         []float64
-	chipSwitchBusy         []float64
-	xferBackpressured      int64
-	xferBackpressureSec    float64
-	tileLedger, chipLedger *intercon.Ledger
-	tileSpans              []tileSpan
+	// through net's tile and chip ledgers, whose busy slices sum
+	// per-switch busy seconds across all tiles (every tile shares one
+	// topology shape) and over the chip-level network. xfer is
+	// ExecTransfers' reused price, and tileSpans holds the batch being
+	// priced's per-tile index ranges.
+	net                 ledgers
+	xfer                TransferPrice
+	xferBackpressured   int64
+	xferBackpressureSec float64
+	tileSpans           []tileSpan
 }
 
 // InterconReport is the run-level congestion summary of the interconnect:
@@ -166,8 +166,8 @@ func (e *Engine) InterconReport() InterconReport {
 		Backpressured:   e.xferBackpressured,
 		BackpressureSec: e.xferBackpressureSec,
 	}
-	r.TileSwitchBusy = append([]float64(nil), e.tileSwitchBusy...)
-	r.ChipSwitchBusy = append([]float64(nil), e.chipSwitchBusy...)
+	r.TileSwitchBusy = append([]float64(nil), e.net.tileBusy...)
+	r.ChipSwitchBusy = append([]float64(nil), e.net.chipBusy...)
 	return r
 }
 
@@ -336,7 +336,8 @@ func InstrCost(in isa.Instr) (sec, joules float64) {
 // commit stays deterministic because per-block durations, energies, and
 // instruction counts are accumulated privately and merged in ascending
 // block order (the serial path uses the same sorted order, so serial and
-// parallel runs produce identical floating-point sums).
+// parallel runs produce identical floating-point sums). A program that
+// panics on a pool worker panics again on the caller (see pool).
 //
 // Cancellation: when a context was installed with SetContext, ExecBlocks
 // aborts between per-block programs once the context is done, latches the
@@ -359,247 +360,263 @@ func (e *Engine) ExecBlocks(name string, progs map[int][]isa.Instr) Phase {
 // nothing is charged to the timeline). In functional mode a cancelled
 // batch leaves the chip partially updated, as a real abort would.
 func (e *Engine) ExecBlocksCtx(ctx context.Context, name string, progs map[int][]isa.Instr) (Phase, error) {
+	ids := sortedBlocks(progs)
+	costs := make([]blockCost, len(ids))
+	// The ladder runs when the engine executes real data under an
+	// injector whose recovery policy enables ECC scrubbing.
+	ladder := e.Functional && e.Faults != nil && e.Faults.Recovery().ECC
+	var rungs []rungCost
+	maxRetries := 0
+	if ladder {
+		rungs = make([]rungCost, len(ids))
+		maxRetries = e.Faults.Recovery().MaxRetries
+	}
+	runBlock := func(i int) {
+		id, c := ids[i], &costs[i]
+		prog := progs[id]
+		if ladder {
+			e.climbLadder(id, prog, c, &rungs[i], maxRetries)
+			return
+		}
+		e.priceProgram(id, prog, &c.dur, &c.energy, c)
+		if e.Functional {
+			e.runProgram(e.Chip.Block(id), prog)
+		}
+	}
+
+	workers := e.execWorkers(len(ids))
+	parallel := workers > 1 && blocksIndependent(progs)
+	if !parallel {
+		workers = 1
+	}
+	pool(ctx.Done(), len(ids), workers, runBlock)
+	if err := ctx.Err(); err != nil {
+		return Phase{}, err
+	}
+
+	dur, energy, instrs := blockTotals(costs)
+	e.InstrCount += instrs
+	if ladder {
+		e.mergeLadder(ids, rungs)
+	}
+	e.noteBlocks(costs, parallel, workers)
+	return Phase{Name: name, Kind: "blocks", Dur: dur, EnergyJ: energy}, nil
+}
+
+// blockCost is one block program's nominal cost: its latency and energy
+// (LUT transit included), and its instructions, in total and per opcode.
+type blockCost struct {
+	dur, energy float64
+	instrs      int64
+	ops         [isa.NumOpcodes]int64
+}
+
+// rungCost is one block's recovery-ladder accounting: scrub and retry
+// costs are kept out of its blockCost so the block phase stays nominal and
+// the overhead lands on dedicated sim.fault.* phases.
+type rungCost struct {
+	scrubSec, scrubJ                            float64
+	retrySec, retryJ                            float64
+	detected, corrected, uncorrectable, retries int64
+	failed                                      bool
+}
+
+// sortedBlocks returns a phase's block ids in ascending order, the order
+// every per-block merge follows.
+func sortedBlocks(progs map[int][]isa.Instr) []int {
 	ids := make([]int, 0, len(progs))
 	for id := range progs {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	return ids
+}
 
-	type blockCost struct {
-		dur, energy float64
-		instrs      int64
-
-		// Recovery-ladder accounting (only written when the ladder is
-		// active): scrub and retry costs are kept out of dur/energy so
-		// the block phase stays nominal and the overhead lands on
-		// dedicated sim.fault.* phases.
-		scrubSec, scrubJ                            float64
-		retrySec, retryJ                            float64
-		detected, corrected, uncorrectable, retries int64
-		failed                                      bool
-	}
-	costs := make([]blockCost, len(ids))
-	instrumented := e.Obs != nil
-	var opCounts [][isa.NumOpcodes]int64
-	if instrumented {
-		opCounts = make([][isa.NumOpcodes]int64, len(ids))
-	}
-	// The ladder runs when the engine executes real data under an
-	// injector whose recovery policy enables ECC scrubbing.
-	ladder := e.Functional && e.Faults != nil && e.Faults.Recovery().ECC
-	maxRetries := 0
-	if ladder {
-		maxRetries = e.Faults.Recovery().MaxRetries
-	}
-	runBlock := func(i int) {
-		blockID := ids[i]
-		c := &costs[i]
-		prog := progs[blockID]
-		exec := func(durp, enp *float64) {
-			for _, in := range prog {
-				sec, j := InstrCost(in)
-				*durp += sec
-				*enp += j
-				c.instrs++
-				if instrumented {
-					opCounts[i][in.Op]++
-				}
-				if in.Op == isa.OpLUT {
-					// Transit of the fetched word from the LUT block.
-					tsec, tj := e.transferCost(in.LUTBlock, blockID, 1)
-					*durp += tsec
-					*enp += tj
-				}
-				if e.Functional {
-					e.execInstr(blockID, in)
-				}
-			}
+// priceProgram is the one pricing function of a block program: it adds
+// each instruction's latency and energy, in program order, to *sec and
+// *joules (plus the word's transit from the LUT block for OpLUT), and
+// counts the instructions into c. ExecBlocksCtx prices with it as it runs
+// a program, the recovery ladder re-prices retries with it, and
+// PriceBlocks keeps its result for ExecBlocksPriced.
+func (e *Engine) priceProgram(blockID int, prog []isa.Instr, sec, joules *float64, c *blockCost) {
+	for _, in := range prog {
+		s, j := InstrCost(in)
+		*sec += s
+		*joules += j
+		c.instrs++
+		c.ops[in.Op]++
+		if in.Op == isa.OpLUT {
+			// Transit of the fetched word from the LUT block.
+			tsec, tj := e.transferCost(in.LUTBlock, blockID, 1)
+			*sec += tsec
+			*joules += tj
 		}
-		if !ladder {
-			exec(&c.dur, &c.energy)
+	}
+}
+
+// runProgram performs one block program's data effects on block b.
+func (e *Engine) runProgram(b *xbar.Block, prog []isa.Instr) {
+	for _, in := range prog {
+		e.execInstr(b, in)
+	}
+}
+
+// climbLadder runs one block program under the recovery ladder: scrub
+// after the program; on uncorrectable errors, rewind and re-execute
+// (verify-retry) up to the budget. Retry is only sound for self-contained
+// programs — a program touching foreign blocks cannot be rewound locally.
+func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *rungCost, maxRetries int) {
+	blk := e.Chip.Block(blockID)
+	retriable := progRetriable(blockID, prog)
+	var cellSnap []uint32
+	var pendSnap map[uint32]uint32
+	if retriable && blk.Faults != nil {
+		cellSnap = blk.Snapshot()
+		pendSnap = blk.Faults.SnapshotPending()
+	} else {
+		retriable = false
+	}
+	e.priceProgram(blockID, prog, &c.dur, &c.energy, c)
+	e.runProgram(blk, prog)
+	for attempt := 0; ; attempt++ {
+		res := blk.Scrub()
+		sec, j := fault.ScrubCost(int(res.Corrected))
+		if attempt == 0 {
+			r.scrubSec += sec
+			r.scrubJ += j
+		} else {
+			r.retrySec += sec
+			r.retryJ += j
+		}
+		r.detected += res.Detected
+		r.corrected += res.Corrected
+		if res.Uncorrectable == 0 {
 			return
 		}
-		// Recovery ladder: scrub after the program; on uncorrectable
-		// errors, rewind and re-execute (verify-retry) up to the budget.
-		// Retry is only sound for self-contained programs — a program
-		// touching foreign blocks cannot be rewound locally.
-		blk := e.Chip.Block(blockID)
-		retriable := progRetriable(blockID, prog)
-		var cellSnap []uint32
-		var pendSnap map[uint32]uint32
-		if retriable && blk.Faults != nil {
-			cellSnap = blk.Snapshot()
-			pendSnap = blk.Faults.SnapshotPending()
-		} else {
-			retriable = false
+		if !retriable || attempt >= maxRetries {
+			r.uncorrectable += res.Uncorrectable
+			r.failed = true
+			return
 		}
-		exec(&c.dur, &c.energy)
-		for attempt := 0; ; attempt++ {
-			res := blk.Scrub()
-			sec, j := fault.ScrubCost(int(res.Corrected))
-			if attempt == 0 {
-				c.scrubSec += sec
-				c.scrubJ += j
-			} else {
-				c.retrySec += sec
-				c.retryJ += j
-			}
-			c.detected += res.Detected
-			c.corrected += res.Corrected
-			if res.Uncorrectable == 0 {
-				return
-			}
-			if !retriable || attempt >= maxRetries {
-				c.uncorrectable += res.Uncorrectable
-				c.failed = true
-				return
-			}
-			c.retries++
-			blk.Faults.AddRetry()
-			bsec, bj := fault.BackoffCost(attempt + 1)
-			c.retrySec += bsec
-			c.retryJ += bj
-			blk.Restore(cellSnap)
-			blk.Faults.RestorePending(pendSnap)
-			exec(&c.retrySec, &c.retryJ)
-		}
+		r.retries++
+		blk.Faults.AddRetry()
+		bsec, bj := fault.BackoffCost(attempt + 1)
+		r.retrySec += bsec
+		r.retryJ += bj
+		blk.Restore(cellSnap)
+		blk.Faults.RestorePending(pendSnap)
+		e.priceProgram(blockID, prog, &r.retrySec, &r.retryJ, c)
+		e.runProgram(blk, prog)
 	}
+}
 
-	done := ctx.Done()
-	workers := e.execWorkers(len(ids))
-	parallel := workers > 1 && blocksIndependent(progs)
-	if parallel {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(ids) {
-						return
-					}
-					runBlock(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range ids {
-			if done != nil && ctx.Err() != nil {
-				break
-			}
-			runBlock(i)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return Phase{}, err
-	}
-
-	var maxDur, energy float64
+// blockTotals merges per-block costs in ascending block order: the phase
+// lasts as long as its longest program and spends the sum of the energies.
+func blockTotals(costs []blockCost) (dur, energy float64, instrs int64) {
 	for i := range costs {
-		if costs[i].dur > maxDur {
-			maxDur = costs[i].dur
+		if costs[i].dur > dur {
+			dur = costs[i].dur
 		}
 		energy += costs[i].energy
-		e.InstrCount += costs[i].instrs
+		instrs += costs[i].instrs
 	}
-	if ladder {
-		// Merge the ladder accounting in ascending block order (same
-		// determinism discipline as the main cost merge) and queue the
-		// recovery phases for the commit that follows this one.
-		var scrubMax, scrubJ, retryMax, retryJ float64
-		var detected, corrected, uncorrectable, retries int64
-		var failed []int
-		for i := range costs {
-			c := &costs[i]
-			if c.scrubSec > scrubMax {
-				scrubMax = c.scrubSec
-			}
-			scrubJ += c.scrubJ
-			if c.retrySec > retryMax {
-				retryMax = c.retrySec
-			}
-			retryJ += c.retryJ
-			detected += c.detected
-			corrected += c.corrected
-			uncorrectable += c.uncorrectable
-			retries += c.retries
-			if c.failed {
-				failed = append(failed, ids[i])
-			}
+	return dur, energy, instrs
+}
+
+// mergeLadder merges the ladder accounting in ascending block order (same
+// determinism discipline as the main cost merge) and queues the recovery
+// phases for the commit that follows this one.
+func (e *Engine) mergeLadder(ids []int, rungs []rungCost) {
+	var scrubMax, scrubJ, retryMax, retryJ float64
+	var detected, corrected, uncorrectable, retries int64
+	var failed []int
+	for i := range rungs {
+		r := &rungs[i]
+		if r.scrubSec > scrubMax {
+			scrubMax = r.scrubSec
 		}
-		if scrubMax > 0 {
-			e.pendingFault = append(e.pendingFault,
-				Phase{Name: "sim.fault.ecc", Kind: "fault", Dur: scrubMax, EnergyJ: scrubJ})
+		scrubJ += r.scrubJ
+		if r.retrySec > retryMax {
+			retryMax = r.retrySec
 		}
-		if retryMax > 0 {
-			e.pendingFault = append(e.pendingFault,
-				Phase{Name: "sim.fault.retry", Kind: "fault", Dur: retryMax, EnergyJ: retryJ})
-		}
-		if instrumented {
-			for _, c := range []struct {
-				name string
-				n    int64
-			}{
-				{"sim.fault.detected", detected},
-				{"sim.fault.corrected", corrected},
-				{"sim.fault.uncorrectable", uncorrectable},
-				{"sim.fault.retries", retries},
-			} {
-				if c.n > 0 {
-					e.Obs.Counter(c.name).Add(c.n)
-				}
-			}
-		}
-		// Per-block rung telemetry, emitted in ascending block order so
-		// event streams and labeled counters are deterministic across
-		// worker counts. MTTR = the simulated time one repair took.
-		for i := range costs {
-			c := &costs[i]
-			if c.detected > 0 {
-				e.noteRung("ecc", ids[i], c.scrubSec,
-					eventlog.Int64("detected", c.detected),
-					eventlog.Int64("corrected", c.corrected))
-			}
-			if c.retries > 0 {
-				e.noteRung("retry", ids[i], c.retrySec,
-					eventlog.Int64("retries", c.retries))
-			}
-		}
-		if len(failed) > 0 {
-			e.remapFailed(failed)
+		retryJ += r.retryJ
+		detected += r.detected
+		corrected += r.corrected
+		uncorrectable += r.uncorrectable
+		retries += r.retries
+		if r.failed {
+			failed = append(failed, ids[i])
 		}
 	}
-	if instrumented {
-		var perOp [isa.NumOpcodes]int64
-		blockEnergy := e.Obs.Histogram("sim.block.energy_joules")
-		for i := range costs {
-			blockEnergy.Observe(costs[i].energy)
-			for op, n := range opCounts[i] {
-				perOp[op] += n
+	if scrubMax > 0 {
+		e.pendingFault = append(e.pendingFault,
+			Phase{Name: "sim.fault.ecc", Kind: "fault", Dur: scrubMax, EnergyJ: scrubJ})
+	}
+	if retryMax > 0 {
+		e.pendingFault = append(e.pendingFault,
+			Phase{Name: "sim.fault.retry", Kind: "fault", Dur: retryMax, EnergyJ: retryJ})
+	}
+	if e.Obs != nil {
+		for _, c := range []struct {
+			name string
+			n    int64
+		}{
+			{"sim.fault.detected", detected},
+			{"sim.fault.corrected", corrected},
+			{"sim.fault.uncorrectable", uncorrectable},
+			{"sim.fault.retries", retries},
+		} {
+			if c.n > 0 {
+				e.Obs.Counter(c.name).Add(c.n)
 			}
-		}
-		for op, n := range perOp {
-			if n > 0 {
-				e.Obs.Counter("sim.instr." + isa.Opcode(op).String()).Add(n)
-			}
-		}
-		e.Obs.Counter("sim.pool.blocks").Add(int64(len(ids)))
-		if parallel {
-			e.Obs.Counter("sim.pool.parallel_execs").Inc()
-			e.Obs.Gauge("sim.pool.workers").Set(float64(workers))
-		} else {
-			e.Obs.Counter("sim.pool.serial_execs").Inc()
 		}
 	}
-	return Phase{Name: name, Kind: "blocks", Dur: maxDur, EnergyJ: energy}, nil
+	// Per-block rung telemetry, emitted in ascending block order so
+	// event streams and labeled counters are deterministic across
+	// worker counts. MTTR = the simulated time one repair took.
+	for i := range rungs {
+		r := &rungs[i]
+		if r.detected > 0 {
+			e.noteRung("ecc", ids[i], r.scrubSec,
+				eventlog.Int64("detected", r.detected),
+				eventlog.Int64("corrected", r.corrected))
+		}
+		if r.retries > 0 {
+			e.noteRung("retry", ids[i], r.retrySec,
+				eventlog.Int64("retries", r.retries))
+		}
+	}
+	if len(failed) > 0 {
+		e.remapFailed(failed)
+	}
+}
+
+// noteBlocks records a block phase's instruction-class counts, per-block
+// energies and pool occupancy on the attached sink.
+func (e *Engine) noteBlocks(costs []blockCost, parallel bool, workers int) {
+	if e.Obs == nil {
+		return
+	}
+	var perOp [isa.NumOpcodes]int64
+	blockEnergy := e.Obs.Histogram("sim.block.energy_joules")
+	for i := range costs {
+		blockEnergy.Observe(costs[i].energy)
+		for op, n := range costs[i].ops {
+			perOp[op] += n
+		}
+	}
+	for op, n := range perOp {
+		if n > 0 {
+			e.Obs.Counter("sim.instr." + isa.Opcode(op).String()).Add(n)
+		}
+	}
+	e.Obs.Counter("sim.pool.blocks").Add(int64(len(costs)))
+	if parallel {
+		e.Obs.Counter("sim.pool.parallel_execs").Inc()
+		e.Obs.Gauge("sim.pool.workers").Set(float64(workers))
+	} else {
+		e.Obs.Counter("sim.pool.serial_execs").Inc()
+	}
 }
 
 // execWorkers bounds the pool size by the work available.
@@ -801,9 +818,9 @@ func (e *Engine) ExecBlocksN(name string, prog []isa.Instr, n int, avgLUTHops in
 	return Phase{Name: name, Kind: "blocks", Dur: dur, EnergyJ: energy * float64(n)}
 }
 
-// execInstr performs one instruction's data effects.
-func (e *Engine) execInstr(blockID int, in isa.Instr) {
-	b := e.Chip.Block(blockID)
+// execInstr performs the data effects of one instruction of block b's
+// program.
+func (e *Engine) execInstr(b *xbar.Block, in isa.Instr) {
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpRead:
@@ -897,99 +914,17 @@ func (e *Engine) routeHops(src, dst int) int {
 // batches use the tile's contention-aware topology schedule and different
 // tiles overlap; cross-tile transfers are scheduled on the chip-level
 // H-tree over tiles (disjoint tile subtrees overlap, shared routes
-// contend). Functional mode also moves the words.
-//
-// A first pass in batch order moves the words, streams cross-tile
-// transfers into the chip ledger and notes each tile's index range. Tiles
-// then stream through the one tile ledger in ascending order: all tiles
-// add into one busy slice, whose float sums must not depend on how the
-// batch interleaves its tiles.
+// contend). Functional mode also moves the words, in batch order.
 func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
-	var crossEndpoints float64
-	var obsWords int64
-	ncross := 0
-	for i, tr := range trs {
-		e.TransferCt++
-		obsWords += int64(tr.Words)
-		st, dt := e.Chip.TileOf(tr.SrcBlock), e.Chip.TileOf(tr.DstBlock)
-		if st == dt {
-			sp := &e.tileSpans[st]
-			if sp.end == 0 {
-				sp.first = i
-			}
-			sp.end = i + 1
-		} else if e.chipTree != nil {
-			if e.chipLedger == nil {
-				e.chipSwitchBusy = make([]float64, e.chipTree.SwitchCount())
-				e.chipLedger = intercon.NewLedger(e.chipTree, e.chipSwitchBusy)
-			}
-			ncross++
-			e.chipLedger.Add(intercon.Transfer{Src: st, Dst: dt, Words: tr.Words})
-			// The legs inside the two tiles (leaf to tile gateway and back).
-			payloads := (tr.Words + params.PayloadWords - 1) / params.PayloadWords
-			crossEndpoints += float64(2 * e.Chip.Topology(st).EgressHops() * payloads)
-		}
-		if e.Functional {
+	p := &e.xfer
+	e.priceTransfers(trs, &e.net, p)
+	if e.Functional {
+		for _, tr := range trs {
 			e.moveWords(tr)
 		}
 	}
-	var dur, energy float64
-	for tile, sp := range e.tileSpans {
-		if sp.end == 0 {
-			continue
-		}
-		e.tileSpans[tile] = tileSpan{}
-		if e.tileLedger == nil {
-			// Every tile shares one topology (chip.New), so one ledger
-			// and one busy slice serve them all.
-			topo := e.Chip.Topology(tile)
-			e.tileSwitchBusy = make([]float64, topo.SwitchCount())
-			e.tileLedger = intercon.NewLedger(topo, e.tileSwitchBusy)
-		}
-		for _, tr := range trs[sp.first:sp.end] {
-			if e.Chip.TileOf(tr.SrcBlock) == tile && e.Chip.TileOf(tr.DstBlock) == tile {
-				e.tileLedger.Add(intercon.Transfer{
-					Src: e.Chip.LocalID(tr.SrcBlock), Dst: e.Chip.LocalID(tr.DstBlock), Words: tr.Words})
-			}
-		}
-		s := e.tileLedger.Schedule()
-		e.tileLedger.Reset()
-		e.xferBackpressured += int64(s.Backpressured)
-		e.xferBackpressureSec += s.BackpressureSec
-		if s.Makespan > dur {
-			dur = s.Makespan
-		}
-		energy += s.EnergyJ
-	}
-	if ncross > 0 {
-		s := e.chipLedger.Schedule()
-		e.chipLedger.Reset()
-		e.xferBackpressured += int64(s.Backpressured)
-		e.xferBackpressureSec += s.BackpressureSec
-		// Tile-internal legs of cross-tile routes add energy and latency.
-		legEnergy := crossEndpoints * params.PayloadWords * params.SwitchHopEnergyJ
-		crossDur := s.Makespan + crossEndpoints/float64(ncross)*params.SwitchHopLatencySec
-		energy += s.EnergyJ + legEnergy
-		if crossDur > dur {
-			dur = crossDur
-		}
-	}
-	// Endpoint row buffer operations (read at source, write at target) are
-	// part of every transfer (Figure 3's I0 and I4).
-	if len(trs) > 0 {
-		dur += params.BlockRowReadLatency + params.BlockRowWriteLatency
-		energy += float64(len(trs)) * (params.RowBufferReadEnergyJ + params.RowBufferWriteEnergyJ)
-	}
-	if e.Obs != nil {
-		e.Obs.Counter("sim.transfer.count").Add(int64(len(trs)))
-		e.Obs.Counter("sim.transfer.words").Add(obsWords)
-	}
-	return Phase{Name: name, Kind: "transfer", Dur: dur, EnergyJ: energy}
+	return e.chargeTransfers(name, p)
 }
-
-// tileSpan is the index range [first, end) of one tile's intra-tile
-// transfers in the batch ExecTransfers is pricing; end == 0 means none.
-type tileSpan struct{ first, end int }
 
 // moveWords performs the functional data movement of one transfer.
 func (e *Engine) moveWords(tr RowTransfer) {
@@ -1048,9 +983,7 @@ func (e *Engine) Reset() {
 	e.DRAMBytes = 0
 	e.err = nil
 	e.pendingFault = nil
-	e.tileSwitchBusy = nil
-	e.chipSwitchBusy = nil
-	e.tileLedger, e.chipLedger = nil, nil
+	e.net = ledgers{}
 	e.xferBackpressured = 0
 	e.xferBackpressureSec = 0
 	atomic.StoreInt64(&e.norEvals, 0)

@@ -30,3 +30,32 @@ func TestStepAllocationsPerPhase(t *testing.T) {
 		t.Errorf("a step allocates %.0f times, want < %.0f (5 per phase over %d phases)", allocs, limit, phases)
 	}
 }
+
+// A replayed transfer phase allocates nothing: with one worker and no
+// sink, an elastic step's transfer phases copy words and charge their
+// stored price without touching the heap.
+func TestReplayedTransferPhaseAllocationFree(t *testing.T) {
+	m := mesh.New(1, 8, true)
+	s, err := NewSession(WithEquation(opcount.ElasticRiemann), WithMesh(m), WithDt(1e-3), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := elasticStates(m)
+	s.Elastic().Load(q)
+	s.Step()
+	sys, e := s.sys, s.Engine()
+	replayed := 0
+	for i, p := range sys.plan.rhs {
+		if p.progs != nil {
+			continue
+		}
+		replayed++
+		pr := sys.rhsPrices[i].xfer
+		if n := testing.AllocsPerRun(5, func() { e.ExecTransfersPriced(p.name, p.transfers, pr, sys.blocks) }); n != 0 {
+			t.Errorf("replaying %s (%d transfers) allocates %.1f times", p.name, len(p.transfers), n)
+		}
+	}
+	if replayed == 0 {
+		t.Fatal("the elastic plan has no transfer phase")
+	}
+}

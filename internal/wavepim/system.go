@@ -85,6 +85,22 @@ type system struct {
 	// plan cache, skipping compilation entirely.
 	CacheHit bool
 	plan     *stepPlan
+
+	// rhsPrices and integPrices hold each plan phase's cost on this
+	// system's chip, priced once by newSystem, parallel to plan.rhs and
+	// plan.integ. They live here and not in the shared plan because a
+	// price depends on the chip's fabric (an H-tree's fanout too), which
+	// PlanKey does not name. blocks resolves every block id the plan names.
+	rhsPrices   []phasePrice
+	integPrices [dg.NumStages]phasePrice
+	blocks      []*xbar.Block
+}
+
+// phasePrice is one plan phase's stored cost: a transfer batch's or a
+// block phase's.
+type phasePrice struct {
+	xfer   *sim.TransferPrice
+	blocks *sim.BlocksPrice
 }
 
 // newSystem builds the chip, engine, compiler and placement of one layout
@@ -114,29 +130,61 @@ func newSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan
 	build := func() *stepPlan { return sched(s.Comp).instantiate(m, s.Place) }
 	if key == nil {
 		s.plan = build()
-		return s, nil
+	} else {
+		v, hit := cachedPlan(*key, func() any { return build() })
+		s.plan, s.CacheHit = v.(*stepPlan), hit
 	}
-	v, hit := cachedPlan(*key, func() any { return build() })
-	s.plan, s.CacheHit = v.(*stepPlan), hit
+	s.price()
 	return s, nil
 }
 
-// exec runs one phase to completion on the engine's timeline.
-func (s *system) exec(p phase) {
+// price prices every plan phase on the system's engine and resolves the
+// plan's blocks, so a step does only data work.
+func (s *system) price() {
 	e := s.Engine
-	if p.progs != nil {
-		e.Sequence(e.ExecBlocks(p.name, p.progs))
-		return
+	s.blocks = make([]*xbar.Block, s.Place.MaxBlockID()+1)
+	for id := range s.blocks {
+		s.blocks[id] = e.Chip.Block(id)
 	}
-	e.Sequence(e.ExecTransfers(p.name, p.transfers))
+	price := func(p phase) phasePrice {
+		if p.progs != nil {
+			return phasePrice{blocks: e.PriceBlocks(p.progs)}
+		}
+		return phasePrice{xfer: e.PriceTransfers(p.transfers)}
+	}
+	s.rhsPrices = make([]phasePrice, len(s.plan.rhs))
+	for i, p := range s.plan.rhs {
+		s.rhsPrices[i] = price(p)
+	}
+	for st, p := range s.plan.integ {
+		s.integPrices[st] = price(p)
+	}
+}
+
+// exec runs one phase to completion on the engine's timeline, replaying
+// its stored price. An engine with a fault injector takes the un-priced
+// path: spare-block remapping changes routes and blocks mid-run, and the
+// recovery ladder runs inside ExecBlocks.
+func (s *system) exec(p phase, pr phasePrice) {
+	e := s.Engine
+	switch priced := e.Faults == nil; {
+	case p.progs != nil && priced:
+		e.Sequence(e.ExecBlocksPriced(p.name, p.progs, pr.blocks, s.blocks))
+	case p.progs != nil:
+		e.Sequence(e.ExecBlocks(p.name, p.progs))
+	case priced:
+		e.Sequence(e.ExecTransfersPriced(p.name, p.transfers, pr.xfer, s.blocks))
+	default:
+		e.Sequence(e.ExecTransfers(p.name, p.transfers))
+	}
 }
 
 // RHSOnce executes the right-hand-side phases of one stage (duplication,
 // Volume, Flux), leaving the RHS in the contribution columns with no
 // integration. Used by kernel-level verification tests.
 func (s *system) RHSOnce() {
-	for _, p := range s.plan.rhs {
-		s.exec(p)
+	for i, p := range s.plan.rhs {
+		s.exec(p, s.rhsPrices[i])
 	}
 }
 
@@ -144,7 +192,7 @@ func (s *system) RHSOnce() {
 func (s *system) Step() {
 	for st := range s.plan.integ {
 		s.RHSOnce()
-		s.exec(s.plan.integ[st])
+		s.exec(s.plan.integ[st], s.integPrices[st])
 	}
 }
 
