@@ -86,13 +86,13 @@ type stuckBit struct {
 
 // Counts aggregates the fault activity of one block (or, summed, a chip).
 type Counts struct {
-	Flips         int64 `json:"flips"`          // transient flips injected
-	StuckWrites   int64 `json:"stuck_writes"`   // writes altered by a stuck bit
-	Wearouts      int64 `json:"wearouts"`       // cells that crossed their endurance threshold
-	Detected      int64 `json:"detected"`       // corrupted words found by scrub
-	Corrected     int64 `json:"corrected"`      // single-bit errors fixed by ECC
-	Uncorrectable int64 `json:"uncorrectable"`  // multi-bit or stuck errors ECC could not fix
-	Retries       int64 `json:"retries"`        // verify-retry re-executions of a block program
+	Flips         int64 `json:"flips"`         // transient flips injected
+	StuckWrites   int64 `json:"stuck_writes"`  // writes altered by a stuck bit
+	Wearouts      int64 `json:"wearouts"`      // cells that crossed their endurance threshold
+	Detected      int64 `json:"detected"`      // corrupted words found by scrub
+	Corrected     int64 `json:"corrected"`     // single-bit errors fixed by ECC
+	Uncorrectable int64 `json:"uncorrectable"` // multi-bit or stuck errors ECC could not fix
+	Retries       int64 `json:"retries"`       // verify-retry re-executions of a block program
 }
 
 // add accumulates o into c.

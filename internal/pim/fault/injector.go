@@ -151,14 +151,14 @@ func (in *Injector) Report() Report {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	r := Report{
-		Seed:      in.cfg.Seed,
-		StuckProb: in.cfg.StuckProb,
-		FlipProb:  in.cfg.FlipProb,
-		Endurance: in.cfg.EnduranceWrites,
-		Remaps:    int64(len(in.remapped)),
+		Seed:           in.cfg.Seed,
+		StuckProb:      in.cfg.StuckProb,
+		FlipProb:       in.cfg.FlipProb,
+		Endurance:      in.cfg.EnduranceWrites,
+		Remaps:         int64(len(in.remapped)),
 		RemappedBlocks: append([]int(nil), in.remapped...),
-		Checkpoints: in.checkpoints,
-		Rollbacks:   in.rollbacks,
+		Checkpoints:    in.checkpoints,
+		Rollbacks:      in.rollbacks,
 	}
 	ids := make([]int, 0, len(in.blocks))
 	for id := range in.blocks {

@@ -72,10 +72,7 @@ type TransferPrice struct {
 	backpressured      int64
 	backpressureSec    []float64 // one entry per ledger schedule, in merge order
 	tileBusy, chipBusy []float64
-	// groups holds, per destination block, its runs of consecutive
-	// transfers in batch order; nil when some copy reads a cell another
-	// copy writes, and the copies must run in batch order.
-	groups [][]xferRun
+	groups             CopyGroups
 }
 
 // xferRun is the index range [start, end) of transfers in a batch.
@@ -175,15 +172,24 @@ func (e *Engine) chargeTransfers(name string, p *TransferPrice) Phase {
 }
 
 // PriceTransfers prices a transfer batch once, for ExecTransfersPriced to
-// replay on this engine.
-func (e *Engine) PriceTransfers(trs []RowTransfer) *TransferPrice {
+// replay on this engine. groups is the batch's GroupCopies: it depends
+// only on the batch, so a caller that prices one batch on many engines
+// groups it once.
+func (e *Engine) PriceTransfers(trs []RowTransfer, groups CopyGroups) *TransferPrice {
 	p := &TransferPrice{}
 	var l ledgers
 	e.priceTransfers(trs, &l, p)
-	p.tileBusy, p.chipBusy = l.tileBusy, l.chipBusy
-	p.groups = copyGroups(trs)
+	p.tileBusy, p.chipBusy, p.groups = l.tileBusy, l.chipBusy, groups
 	return p
 }
+
+// CopyGroups holds, per destination block of a transfer batch, its runs
+// of consecutive transfers in batch order; nil when some copy reads a
+// cell another copy writes, and the copies must run in batch order.
+type CopyGroups [][]xferRun
+
+// GroupCopies returns a transfer batch's CopyGroups.
+func GroupCopies(trs []RowTransfer) CopyGroups { return copyGroups(trs) }
 
 // copyGroups splits a batch's copies into one group per destination block
 // when no copy writes a (block, row, column) cell that any copy in the
@@ -192,7 +198,7 @@ func (e *Engine) PriceTransfers(trs []RowTransfer) *TransferPrice {
 // the copies keep batch order. It returns nil when a read meets a write,
 // or a copy leaves its row (the serial replay then fails as
 // ExecTransfers would).
-func copyGroups(trs []RowTransfer) [][]xferRun {
+func copyGroups(trs []RowTransfer) CopyGroups {
 	fits := func(row, off, n int) bool {
 		return row >= 0 && row < xbar.Rows && off >= 0 && n >= 0 && off+n <= xbar.WordsPerRow
 	}
@@ -232,7 +238,7 @@ func copyGroups(trs []RowTransfer) [][]xferRun {
 	}
 	dst := func(r xferRun) int { return trs[r.start].DstBlock }
 	sort.SliceStable(runs, func(a, b int) bool { return dst(runs[a]) < dst(runs[b]) })
-	var groups [][]xferRun
+	var groups CopyGroups
 	for len(runs) > 0 {
 		n := 1
 		for n < len(runs) && dst(runs[n]) == dst(runs[0]) {

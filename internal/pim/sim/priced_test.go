@@ -73,7 +73,7 @@ func TestPricedTransfersMatchExecTransfers(t *testing.T) {
 			}
 			prices := make([]*TransferPrice, len(batches))
 			for i, batch := range batches {
-				prices[i] = priced.PriceTransfers(batch)
+				prices[i] = priced.PriceTransfers(batch, GroupCopies(batch))
 			}
 			for round := 0; round < 2; round++ {
 				for i, batch := range batches {
@@ -233,7 +233,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		for dst := 1; dst <= 8; dst++ {
 			batch = append(batch, RowTransfer{SrcBlock: 0, DstBlock: dst, Words: 4})
 		}
-		p := e.PriceTransfers(batch)
+		p := e.PriceTransfers(batch, GroupCopies(batch))
 		blocks := make([]*xbar.Block, 9)
 		for id := range blocks {
 			if id != 6 { // block 6 unresolved: its copy panics

@@ -327,7 +327,7 @@ func (f *FunctionalElastic) Load(q *dg.ElasticState) {
 // solids cost nothing extra: each element's blocks hold their own
 // material-derived constants).
 func (f *FunctionalElastic) LoadField(q *dg.ElasticState, field *material.ElasticField) {
-	f.eachComputeBlock(func(e int, role BlockRole, b *xbar.Block) {
+	f.loadConstants(allEqual(field.ByElem), func(e int, role BlockRole, b *xbar.Block) {
 		f.Comp.LoadElasticConstants(b, f.Mesh, field.ByElem[e], f.Dt, role)
 	})
 	f.writeVars(q.Slices())

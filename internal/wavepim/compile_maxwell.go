@@ -189,7 +189,7 @@ type FunctionalMaxwell struct {
 
 // Load writes constants and the initial state.
 func (f *FunctionalMaxwell) Load(q *dg.MaxwellState) {
-	f.eachComputeBlock(func(_ int, role BlockRole, b *xbar.Block) {
+	f.loadConstants(true, func(_ int, role BlockRole, b *xbar.Block) {
 		f.Comp.LoadMaxwellConstants(b, f.Mesh, f.Mat, f.Dt, role == RoleElectric)
 	})
 	f.writeVars(q.Slices())

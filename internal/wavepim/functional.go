@@ -29,7 +29,7 @@ func (f *FunctionalAcoustic) Load(q *dg.AcousticState) {
 // every element's blocks hold their own material-derived constants,
 // which is what makes layered media free on the PIM side).
 func (f *FunctionalAcoustic) LoadField(q *dg.AcousticState, field *material.AcousticField) {
-	f.eachComputeBlock(func(e int, _ BlockRole, b *xbar.Block) {
+	f.loadConstants(allEqual(field.ByElem), func(e int, _ BlockRole, b *xbar.Block) {
 		f.Comp.LoadAcousticConstants(b, f.Mesh, field.ByElem[e], f.Dt)
 	})
 	f.writeVars(q.Slices())
@@ -39,7 +39,7 @@ func (f *FunctionalAcoustic) LoadField(q *dg.AcousticState, field *material.Acou
 func (f *FunctionalAcoustic) ReadState(q *dg.AcousticState) { f.readVars(q.Slices()) }
 
 // ReadRHS extracts the contribution columns of the one-block layout into
-// rhs.
+// rhs. A test hook, on resident systems only.
 func (f *FunctionalAcoustic) ReadRHS(rhs *dg.AcousticState) {
 	for e, blk := range f.plan.vars[0].blocks {
 		f.Comp.ReadAcousticContrib(f.Engine.Chip.Block(blk), rhs, e)

@@ -72,7 +72,8 @@ func lutFetchProgram(lutBlock int) []isa.Instr {
 // LoadWithLUT loads the one-block acoustic system the Section 4.3 way:
 // geometry constants (dshape, masks, RK table) are model constants written
 // at setup, but every material-derived value is fetched from the reserved
-// LUT block by OpLUT instructions executed on the chip.
+// LUT block by OpLUT instructions executed on the chip. A test hook, on
+// resident systems only.
 func (f *FunctionalAcoustic) LoadWithLUT(q *dg.AcousticState, field *material.AcousticField) {
 	m := f.Mesh
 	lutBlock := m.NumElem // first block past the element blocks

@@ -86,15 +86,27 @@ func MakePlan(b opcount.Benchmark, cfg chip.Config) (Plan, error) {
 		p.SlicesPerBatch, p.Batches = p.NumSlices, 1
 	default:
 		p.Tech, p.SlotsPerElem = base|Batching, baseSlots
-		p.SlicesPerBatch = avail / (baseSlots * elemsPerSlice)
-		if p.SlicesPerBatch < 1 {
-			return Plan{}, fmt.Errorf("wavepim: %s does not fit even one slice of %s (%d blocks needed, %d available)",
-				cfg.Name, b.Name(), baseSlots*elemsPerSlice, avail)
+		var err error
+		if p.SlicesPerBatch, p.Batches, err = fitSlices(cfg, b.Name(), baseSlots, ePerAxis); err != nil {
+			return Plan{}, err
 		}
-		p.Batches = (p.NumSlices + p.SlicesPerBatch - 1) / p.SlicesPerBatch
 	}
 	p.Layout = LayoutFor(b.Eq, p.Tech)
 	return p, nil
+}
+
+// fitSlices is the one batching rule of the timed planner and the
+// functional system: a model of ePerAxis^3 elements, slotsPerElem blocks
+// each, folds through cfg in batches of as many whole z-slices as fit, the
+// last batch taking the rest. It errors when not even one slice fits.
+func fitSlices(cfg chip.Config, model string, slotsPerElem, ePerAxis int) (slicesPerBatch, batches int, err error) {
+	sliceBlocks := slotsPerElem * ePerAxis * ePerAxis
+	slicesPerBatch = min(cfg.NumBlocks()/sliceBlocks, ePerAxis)
+	if slicesPerBatch < 1 {
+		return 0, 0, fmt.Errorf("wavepim: %s does not fit even one slice of %s (%d blocks needed, %d available)",
+			cfg.Name, model, sliceBlocks, cfg.NumBlocks())
+	}
+	return slicesPerBatch, (ePerAxis + slicesPerBatch - 1) / slicesPerBatch, nil
 }
 
 // PaperTable5 returns the published Table 5 technique strings, indexed by

@@ -168,7 +168,7 @@ func TestPlacementRoles(t *testing.T) {
 	if ex, ey, ez := m.ElemCoords(e); ex != 1 || ey != 2 || ez != 3 {
 		t.Fatalf("element %d at (%d,%d,%d)", e, ex, ey, ez)
 	}
-	expanded := expandedSchedule(c).instantiate(m, p)
+	expanded := expandedSchedule(c).instantiate(m, p, m.NumElem)
 	if expanded.vars[0].blocks[e] != base || expanded.vars[3].blocks[e] != base+3 {
 		t.Errorf("expanded p / vz blocks = %d / %d, want %d / %d",
 			expanded.vars[0].blocks[e], expanded.vars[3].blocks[e], base, base+3)

@@ -2,6 +2,7 @@ package wavepim
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -195,5 +196,44 @@ func BenchmarkSessionBuildWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSession(b)
+	}
+}
+
+// Copy groups are built once per cached plan: two sessions on one PlanKey
+// price every transfer phase with the plan's own groups, the same backing
+// array, instead of regrouping the phase per session.
+func TestCopyGroupsSharedAcrossSessions(t *testing.T) {
+	m := mesh.New(1, 4, true)
+	var sys [2]*system
+	for i := range sys {
+		s, err := NewSession(WithEquation(opcount.ElasticRiemann), WithMesh(m), WithDt(1e-3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys[i] = s.sys
+	}
+	if sys[0].plan != sys[1].plan || !sys[1].CacheHit {
+		t.Fatal("the second session must share the first one's cached plan")
+	}
+	// The price's groups field is unexported in sim; reflect reads its
+	// backing array's address.
+	priced := func(pr phasePrice) uintptr {
+		return reflect.ValueOf(pr.xfer).Elem().FieldByName("groups").Pointer()
+	}
+	grouped := 0
+	for i, p := range sys[0].plan.rhs {
+		if p.progs != nil || p.groups == nil {
+			continue
+		}
+		grouped++
+		want := reflect.ValueOf(p.groups).Pointer()
+		for k, s := range sys {
+			if got := priced(s.rhsPrices[i]); got != want {
+				t.Errorf("session %d prices %s with groups at %#x, the plan's are at %#x", k, p.name, got, want)
+			}
+		}
+	}
+	if grouped == 0 {
+		t.Fatal("the elastic plan has no grouped transfer phase")
 	}
 }

@@ -67,6 +67,10 @@ type Result struct {
 	Intercon sim.InterconReport
 }
 
+// blockConstBytes is the off-chip size of one block's dshape, mask and
+// constant rows.
+const blockConstBytes = 3 * 1024
+
 // FluxFor returns the flux solver of a benchmark: the acoustic group and
 // the Elastic-Riemann group use the Riemann solver (whose sqrt/inverse
 // preprocessing the host serves); Elastic-Central uses the central solver.
@@ -492,7 +496,7 @@ func (r *runner) run() (Result, error) {
 	res.InstrPerStage = r.eng.InstrCount
 
 	// --- Setup: initial model load plus per-block constant/LUT loading ---
-	constBytes := int64(r.plan.BlocksUsed()) * 3 * 1024 // dshape/mask/const rows
+	constBytes := int64(r.plan.BlocksUsed()) * blockConstBytes
 	setup := r.eng.ExecDRAM("setup-load", stateBytes*int64(r.plan.Batches)+constBytes)
 	lutProg := make([]isa.Instr, 0, 24)
 	for f := 0; f < 24; f++ {

@@ -70,15 +70,17 @@ func slotVars(slot, n, col, aux int) []schedVar {
 	return out
 }
 
-// instantiate places the schedule on the chip: element e's slot k is block
+// instantiate places the schedule's first n elements — the whole mesh, or
+// a batch of whole z-slices — on the chip: element e's slot k is block
 // place.ElemSlot(e) + k, and a face move reads from the element
-// mesh.Neighbor names across that face. A phase's transfers are emitted
-// face by face (intra moves first), each face element by element, an
-// element's moves in schedule order, row by row. The order is part of the
-// simulated timeline — the interconnect ledger schedules a batch greedily
-// in the order given, so interleaving faces would reprice the contention.
-func (sc *layoutSchedule) instantiate(m *mesh.Mesh, place *Placement) *stepPlan {
-	base := make([]int, m.NumElem)
+// mesh.Neighbor names across that face, or becomes a hostCopy when that
+// element lies outside the batch. A phase's transfers are emitted face by
+// face (intra moves first), each face element by element, an element's
+// moves in schedule order, row by row. The order is part of the simulated
+// timeline — the interconnect ledger schedules a batch greedily in the
+// order given, so interleaving faces would reprice the contention.
+func (sc *layoutSchedule) instantiate(m *mesh.Mesh, place *Placement, n int) *stepPlan {
+	base := make([]int, n)
 	for e := range base {
 		base[e] = place.ElemSlot(m.ElemCoords(e))
 	}
@@ -95,6 +97,12 @@ func (sc *layoutSchedule) instantiate(m *mesh.Mesh, place *Placement) *stepPlan 
 			return allRows, allRows
 		}
 		return faceRows[mv.face.Opposite()], faceRows[mv.face]
+	}
+	// varAt is the state variable at each (slot, column); face moves read
+	// only such cells (TestLayoutSchedulesWellFormed).
+	varAt := map[[2]int]int{}
+	for v, sv := range sc.vars {
+		varAt[[2]int{sv.slot, sv.col}] = v
 	}
 
 	instPhase := func(ph schedPhase) phase {
@@ -116,28 +124,39 @@ func (sc *layoutSchedule) instantiate(m *mesh.Mesh, place *Placement) *stepPlan 
 			perElem += len(dst)
 		}
 		trs := make([]sim.RowTransfer, 0, perElem*len(base))
+		var host []hostCopy
+		moveVars := make([][]int, len(ph.moves))
 		for f := intraMove; f < mesh.NumFaces; f++ {
 			for e, b := range base {
-				src := b
+				nb := e
 				if f != intraMove {
-					nb, _ := m.Neighbor(e, f) // functional meshes are periodic
-					src = base[nb]
+					nb, _ = m.Neighbor(e, f) // functional meshes are periodic
 				}
-				for _, mv := range ph.moves {
+				for i, mv := range ph.moves {
 					if mv.face != f {
 						continue
 					}
 					srcRows, dstRows := rowsOf(mv)
+					if nb >= n {
+						for w := len(moveVars[i]); w < mv.words; w++ {
+							moveVars[i] = append(moveVars[i], varAt[[2]int{mv.src, mv.srcCol + w}])
+						}
+						for g, dstRow := range dstRows {
+							host = append(host, hostCopy{block: b + mv.dst, row: dstRow, col: mv.dstCol,
+								elem: nb, node: srcRows[g], vars: moveVars[i]})
+						}
+						continue
+					}
 					for g, dstRow := range dstRows {
 						trs = append(trs, sim.RowTransfer{
-							SrcBlock: src + mv.src, SrcRow: srcRows[g], SrcOff: mv.srcCol,
+							SrcBlock: base[nb] + mv.src, SrcRow: srcRows[g], SrcOff: mv.srcCol,
 							DstBlock: b + mv.dst, DstRow: dstRow, DstOff: mv.dstCol,
 							Words: mv.words})
 					}
 				}
 			}
 		}
-		return phase{name: ph.name, transfers: trs}
+		return phase{name: ph.name, transfers: trs, groups: sim.GroupCopies(trs), host: host}
 	}
 
 	p := &stepPlan{compute: sc.compute, rhs: make([]phase, len(sc.rhs))}

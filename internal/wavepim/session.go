@@ -102,8 +102,9 @@ func WithDt(dt float64) Option {
 }
 
 // WithChip pins the chip configuration instead of letting the session pick
-// the smallest one that fits the model. Construction fails if the model
-// does not fit the pinned chip.
+// the smallest one that fits the model. A model larger than the pinned
+// chip folds through it in batches of whole z-slices (Section 6.1);
+// construction fails only if the chip cannot hold one slice.
 func WithChip(cfg chip.Config) Option {
 	return func(c *sessionConfig) { c.chip = &cfg }
 }
@@ -281,6 +282,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan.Bench = opcount.Benchmark{Eq: cfg.eq, Refinement: cfg.mesh.Refinement}
 	// The layout's schedule, and the equation its plan is cached under
 	// (elastic's follows the flux).
 	sched, keyEq := acousticSchedule, cfg.eq
@@ -293,16 +295,16 @@ func NewSession(opts ...Option) (*Session, error) {
 	case opcount.Maxwell:
 		sched = maxwellSchedule
 	}
-	chipCfg, err := sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem)
+	chipCfg := cfg.applyTopology(sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem), topoKind)
+	key := PlanKey{Eq: keyEq, Flux: cfg.flux, Np: cfg.mesh.Np, EPerAxis: cfg.mesh.EPerAxis,
+		Chip: chipCfg.Name, Topo: chipCfg.Interconnect.String()}
+	sys, err := buildSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, sched)
 	if err != nil {
 		return nil, err
 	}
-	chipCfg = cfg.applyTopology(chipCfg, topoKind)
-	key := PlanKey{Eq: keyEq, Flux: cfg.flux, Np: cfg.mesh.Np, EPerAxis: cfg.mesh.EPerAxis,
-		Chip: chipCfg.Name, Topo: chipCfg.Interconnect.String()}
-	sys, err := newSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, sched)
-	if err != nil {
-		return nil, err
+	if sys.batches != nil && (cfg.faults != nil || cfg.recovery != nil) {
+		return nil, fmt.Errorf("wavepim: chip %s folds the mesh in %d batches; fault injection and recovery need a chip that holds it",
+			chipCfg.Name, len(sys.batches))
 	}
 	s := &Session{cfg: cfg, sys: sys, eng: sys.Engine}
 	switch cfg.eq {
@@ -325,6 +327,9 @@ func NewSession(opts ...Option) (*Session, error) {
 		if err := s.setupFaults(); err != nil {
 			return nil, err
 		}
+	}
+	if s.eng.Faults == nil {
+		sys.price()
 	}
 	return s, nil
 }
@@ -386,12 +391,14 @@ func (s *Session) setupFaults() error {
 }
 
 // sessionChip resolves the chip configuration: the pinned one, else the
-// smallest that fits nBlocks.
-func sessionChip(cfg sessionConfig, nBlocks int) (chip.Config, error) {
+// smallest that holds nBlocks, else the largest, through which the model
+// then folds in batches.
+func sessionChip(cfg sessionConfig, nBlocks int) chip.Config {
 	if cfg.chip != nil {
-		return *cfg.chip, nil
+		return *cfg.chip
 	}
-	return chipFor(nBlocks)
+	c, _ := chipFor(nBlocks) // the largest when none holds the model
+	return c
 }
 
 // topologyKind validates the WithTopology selection eagerly, before any

@@ -16,6 +16,7 @@ import (
 	"wavepim/internal/mesh"
 	"wavepim/internal/obs"
 	"wavepim/internal/pim/chip"
+	"wavepim/internal/pim/fault"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -213,9 +214,10 @@ func TestSessionContextCancel(t *testing.T) {
 	}
 }
 
-// TestSessionOptionValidation covers the constructor's error paths,
-// including the WithChip too-small rejection that replaced the silent
-// Config16GB fallback.
+// TestSessionOptionValidation covers the constructor's error paths: a
+// pinned chip that cannot hold one z-slice of the model (a smaller model
+// batches), a capacity that is not whole tiles, and fault injection or
+// recovery on a chip that batches the model.
 func TestSessionOptionValidation(t *testing.T) {
 	m := mesh.New(1, 4, true)
 	if _, err := NewSession(WithDt(1e-3)); err == nil {
@@ -226,11 +228,24 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(
 		WithEquation(opcount.ElasticRiemann),
-		WithMesh(mesh.New(2, 4, true)), // 64 elems x 4 slots > 512MB chip's blocks? validated below
+		WithMesh(mesh.New(4, 2, true)), // a slice is 256 elements x 4 slots
+		WithDt(1e-3),
+		WithChip(tilesChip(1)),
+	); err == nil {
+		t.Error("NewSession with a pinned chip that cannot hold one slice should fail")
+	}
+	if _, err := NewSession(
+		WithEquation(opcount.ElasticRiemann),
+		WithMesh(mesh.New(2, 4, true)),
 		WithDt(1e-3),
 		WithChip(chip.Config{Name: "tiny", CapacityBytes: chip.BlockBytes * 4, Interconnect: chip.HTree, Fanout: 4}),
 	); err == nil {
-		t.Error("NewSession with an undersized pinned chip should fail")
+		t.Error("NewSession with a 4-block pinned chip should fail")
+	}
+	for _, opt := range []Option{WithFaults(fault.Config{Seed: 1}), WithRecovery(fault.Recovery{CheckpointEvery: 1})} {
+		if _, err := NewSession(WithMesh(mesh.New(3, 2, true)), WithDt(1e-3), WithChip(tilesChip(1)), opt); err == nil {
+			t.Error("NewSession with faults or recovery on a batching chip should fail")
+		}
 	}
 }
 
