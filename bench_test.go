@@ -319,7 +319,9 @@ func benchFP32Operands(n int) (a, b []uint32) {
 // BenchmarkNORFp32 runs fp32 add and multiply through the scalar gate path
 // (one lane at a time, 64 lanes per iteration) and through the slab
 // substrate at K=1 and K=DefaultSlabWords (one full slab of K*64 lanes per
-// iteration). Iterations cover different lane counts, so every case
+// iteration). The slab_k8_n64 rows run 64 lanes on a K=8 circuit, the
+// shape of every NOR call of a functional step (one 64-row arithmetic
+// instruction). Iterations cover different lane counts, so every case
 // reports ns/lane, which compares directly across paths and widths.
 func BenchmarkNORFp32(b *testing.B) {
 	for _, op := range []struct {
@@ -341,10 +343,17 @@ func BenchmarkNORFp32(b *testing.B) {
 			}
 			reportNsPerLane(b, len(av))
 		})
-		for _, k := range []int{1, nor.DefaultSlabWords} {
-			b.Run(fmt.Sprintf("%s/slab_k%d", op.name, k), func(b *testing.B) {
-				av, bv := benchFP32Operands(k * nor.Lanes)
-				c := nor.NewSlabCircuit(k)
+		for _, sc := range []struct {
+			name string
+			k, n int
+		}{
+			{"slab_k1", 1, nor.Lanes},
+			{fmt.Sprintf("slab_k%d", nor.DefaultSlabWords), nor.DefaultSlabWords, nor.DefaultSlabWords * nor.Lanes},
+			{fmt.Sprintf("slab_k%d_n64", nor.DefaultSlabWords), nor.DefaultSlabWords, nor.Lanes},
+		} {
+			b.Run(op.name+"/"+sc.name, func(b *testing.B) {
+				av, bv := benchFP32Operands(sc.n)
+				c := nor.NewSlabCircuit(sc.k)
 				out := make([]uint32, len(av))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -16,51 +16,46 @@ package nor
 // NaN and Inf.
 //
 // The Batch entry points process arbitrary-length operand vectors in
-// K*64-lane tiles, resetting the slab arena between tiles so slab words
-// are recycled and the live planes stay cache-resident. Each tile still
-// heap-allocates its plane headers and per-lane host slices.
+// tiles of up to K*64 lanes. Each tile runs over only the words its lanes
+// occupy (a ragged last tile is simply narrower) and recycles the
+// circuit's slab and header arenas, so the live planes stay
+// cache-resident and a warm circuit allocates nothing.
 
 // unpackedSlab holds the gate-extracted fields of one operand vector.
 type unpackedSlab struct {
+	bits  SlabBits // the 32 packed planes of the operands
 	sign  []Word
 	isNaN []Word
 	isInf []Word
 	isZer []Word
 	mant  SlabBits // 24 planes: significand with hidden bit
-	eAdj  []int32  // effective exponent: max(exp, 1), host-read
 }
 
-func (c *SlabCircuit) packU32Slab(v []uint32) SlabBits {
-	vals := make([]uint64, len(v))
-	for l, x := range v {
-		vals[l] = uint64(x)
+// effExp is a float32 bit pattern's effective exponent, max(exp, 1),
+// host-read as in the scalar unpack.
+func effExp(x uint32) int {
+	if e := int(x >> fracBits & expMask); e != 0 {
+		return e
 	}
-	return c.PackSlab(vals, 32)
+	return 1
 }
 
 func (c *SlabCircuit) unpackSlab(mask []Word, v []uint32) unpackedSlab {
-	b := c.packU32Slab(v)
+	b := packSlab(c, v, 32)
 	var u unpackedSlab
+	u.bits = b
 	u.sign = b[signShift]
 	expB := b[fracBits : fracBits+expBits]
 	fracB := b[:fracBits]
-	expAllOnes := c.AndReduce(mask, SlabBits(expB))
-	fracZero := c.NOT(mask, c.OrReduce(mask, SlabBits(fracB)))
-	expZero := c.NOT(mask, c.OrReduce(mask, SlabBits(expB)))
+	expAllOnes := c.AndReduce(mask, expB)
+	fracZero := c.NOT(mask, c.OrReduce(mask, fracB))
+	expZero := c.NOT(mask, c.OrReduce(mask, expB))
 	u.isNaN = c.maskAndNot(expAllOnes, fracZero)
 	u.isInf = c.maskAnd(expAllOnes, fracZero)
 	u.isZer = c.maskAnd(expZero, fracZero)
-	u.mant = make(SlabBits, 24)
+	u.mant = c.planes(24)
 	copy(u.mant, fracB)
 	u.mant[23] = c.maskNot(expZero) // hidden bit
-	u.eAdj = make([]int32, len(v))
-	for l, x := range v {
-		e := x >> fracBits & expMask
-		if e == 0 {
-			e = 1
-		}
-		u.eAdj[l] = int32(e)
-	}
 	return u
 }
 
@@ -68,25 +63,27 @@ func (c *SlabCircuit) unpackSlab(mask []Word, v []uint32) unpackedSlab {
 // using the same carry-propagating ((eRc-1)<<23) + M gate add as the
 // scalar pack.
 func (c *SlabCircuit) packSlabOut(mask, sign []Word, eR []int, m SlabBits, out []uint32) {
-	eVals := make([]uint64, len(eR))
+	eVals := c.vals[:len(eR)]
 	for l := range eR {
+		eVals[l] = 0
 		if maskBit(mask, l) {
 			eVals[l] = uint64(eR[l] - 1)
 		}
 	}
-	e := c.PackSlab(eVals, 10)
-	shifted := make(SlabBits, 33)
-	for i := range shifted {
-		shifted[i] = c.zero
-	}
+	e := packSlab(c, eVals, 10)
+	shifted := c.zeroPlanes(33)
 	copy(shifted[23:], e)
 	sum := c.AddBits(mask, shifted, m, c.zero)
 	low := sum[:33]
+	var lanes [Lanes]Word
 	for l := range eR {
+		if l&63 == 0 {
+			lanes = low.laneWord(l >> 6)
+		}
 		if !maskBit(mask, l) {
 			continue
 		}
-		full := low.Lane(l)
+		full := lanes[l&63]
 		var v uint32
 		if full>>23 >= expMask { // exponent overflow -> infinity
 			v = expMask << 23
@@ -104,8 +101,8 @@ func (c *SlabCircuit) packSlabOut(mask, sign []Word, eR []int, m SlabBits, out [
 // planes, returning 25 planes (possible carry out).
 func (c *SlabCircuit) roundRNESlab(mask []Word, m SlabBits, guard, sticky []Word) SlabBits {
 	lsb := m[0]
-	roundUp := c.AND(mask, guard, c.OR(mask, sticky, lsb))
-	inc := SlabBits{roundUp}
+	inc := c.planes(1)
+	inc[0] = c.AND(mask, guard, c.OR(mask, sticky, lsb))
 	return c.AddBits(mask, m, inc, c.zero)
 }
 
@@ -113,18 +110,9 @@ func (c *SlabCircuit) roundRNESlab(mask []Word, m SlabBits, guard, sticky []Word
 // elsewhere (host data movement, no gate cost — the lane-wise form of the
 // scalar operand swap).
 func (c *SlabCircuit) selSlabPlanes(sel []Word, x, y SlabBits) SlabBits {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
-	}
-	out := make(SlabBits, n)
-	for i := 0; i < n; i++ {
-		xb, yb := c.plane(x, i), c.plane(y, i)
-		o := c.grab()
-		for w := range o {
-			o[w] = xb[w]&sel[w] | yb[w]&^sel[w]
-		}
-		out[i] = o
+	out := c.planes(max(len(x), len(y)))
+	for i := range out {
+		out[i] = c.selWord(sel, c.plane(x, i), c.plane(y, i))
 	}
 	return out
 }
@@ -156,18 +144,14 @@ func checkArgLens(a, b []uint32) int {
 // MulFP32Slab multiplies up to K*64 float32 bit-pattern pairs lane-wise.
 // Slabs handed out earlier are invalidated (the arena is reset).
 func (c *SlabCircuit) MulFP32Slab(a, b []uint32) []uint32 {
-	n := c.checkSlabArgs(a, b)
-	out := make([]uint32, n)
-	c.mulFP32SlabInto(a, b, out)
+	out := make([]uint32, c.checkSlabArgs(a, b))
+	c.MulFP32Batch(a, b, out)
 	return out
 }
 
-func (c *SlabCircuit) mulFP32SlabInto(a, b, out []uint32) {
+// mulTile multiplies one tile of lanes; startTile has sized the slabs.
+func (c *SlabCircuit) mulTile(a, b, out []uint32) {
 	n := len(a)
-	if n == 0 {
-		return
-	}
-	c.ResetArena()
 	active := c.SlabMask(n)
 	ua := c.unpackSlab(active, a)
 	ub := c.unpackSlab(active, b)
@@ -200,12 +184,11 @@ func (c *SlabCircuit) mulFP32SlabInto(a, b, out []uint32) {
 	// 24x24 -> 48-plane gate-level product and normalization scan.
 	p := c.MulBits(live, ua.mant, ub.mant)
 	lzPl := c.LeadingZeros(live, p)
-	lz := make([]int, n)
+	eR := c.er[:n]
 	for l := 0; l < n; l++ {
-		lz[l] = int(lzPl.Lane(l))
-	}
-	for l := 0; l < n; l++ {
-		if maskBit(live, l) && lz[l] == 48 { // zero product
+		lz := int(lzPl.Lane(l))
+		eR[l] = effExp(a[l]) + effExp(b[l]) - lz - 126
+		if maskBit(live, l) && lz == 48 { // zero product
 			out[l] = 0
 			if maskBit(sign, l) {
 				out[l] = 1 << signShift
@@ -218,12 +201,7 @@ func (c *SlabCircuit) mulFP32SlabInto(a, b, out []uint32) {
 	}
 
 	pn := c.ShiftLeftBits(live, p, lzPl)
-	eR := make([]int, n)
-	for l := 0; l < n; l++ {
-		eR[l] = int(ua.eAdj[l]) + int(ub.eAdj[l]) - lz[l] - 126
-	}
-
-	m := pn[24:48].Clone()
+	m := pn[24:48]
 	guard := pn[23]
 	sticky := c.OrReduce(live, pn[:23])
 
@@ -231,26 +209,23 @@ func (c *SlabCircuit) mulFP32SlabInto(a, b, out []uint32) {
 	// with a zero shift amount pass through the masked shifter unchanged.
 	subM := c.grabZero()
 	anySub := false
-	dVals := make([]uint64, n)
+	dVals := c.vals[:n]
 	for l := 0; l < n; l++ {
+		dVals[l] = 0
 		if maskBit(live, l) && eR[l] < 1 {
-			d := 1 - eR[l]
-			if d > 31 {
-				d = 31
-			}
-			dVals[l] = uint64(d)
+			dVals[l] = uint64(min(1-eR[l], 31))
 			setMaskBit(subM, l)
 			anySub = true
 			eR[l] = 1
 		}
 	}
 	if anySub {
-		ext := make(SlabBits, 25)
+		ext := c.planes(25)
 		copy(ext[1:], m)
 		ext[0] = guard
 		shifted, lost := c.ShiftRightBits(subM, ext, c.PackSlab(dVals, 5))
 		sticky = c.OR(subM, sticky, lost)
-		m = shifted[1:25].Clone()
+		m = shifted[1:25]
 		guard = shifted[0]
 	}
 
@@ -261,18 +236,14 @@ func (c *SlabCircuit) mulFP32SlabInto(a, b, out []uint32) {
 // AddFP32Slab adds up to K*64 float32 bit-pattern pairs lane-wise. Slabs
 // handed out earlier are invalidated (the arena is reset).
 func (c *SlabCircuit) AddFP32Slab(a, b []uint32) []uint32 {
-	n := c.checkSlabArgs(a, b)
-	out := make([]uint32, n)
-	c.addFP32SlabInto(a, b, out)
+	out := make([]uint32, c.checkSlabArgs(a, b))
+	c.AddFP32Batch(a, b, out)
 	return out
 }
 
-func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
+// addTile adds one tile of lanes; startTile has sized the slabs.
+func (c *SlabCircuit) addTile(a, b, out []uint32) {
 	n := len(a)
-	if n == 0 {
-		return
-	}
-	c.ResetArena()
 	active := c.SlabMask(n)
 	ua := c.unpackSlab(active, a)
 	ub := c.unpackSlab(active, b)
@@ -304,52 +275,34 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 	}
 
 	// Order operands by magnitude with a gate comparison of the low 31
-	// bits.
-	magAv := make([]uint64, n)
-	magBv := make([]uint64, n)
-	for l := 0; l < n; l++ {
-		magAv[l] = uint64(a[l] & 0x7FFFFFFF)
-		magBv[l] = uint64(b[l] & 0x7FFFFFFF)
-	}
-	aGE := c.GEBits(live, c.PackSlab(magAv, 31), c.PackSlab(magBv, 31))
+	// bits (the packed operands' own planes).
+	aGE := c.GEBits(live, ua.bits[:31], ub.bits[:31])
 
 	mantL := c.selSlabPlanes(aGE, ua.mant, ub.mant)
 	mantS := c.selSlabPlanes(aGE, ub.mant, ua.mant)
 	signL := c.selWord(aGE, ua.sign, ub.sign)
 	signS := c.selWord(aGE, ub.sign, ua.sign)
-	eL := make([]int, n)
-	eS := make([]int, n)
-	for l := 0; l < n; l++ {
-		if maskBit(aGE, l) {
-			eL[l], eS[l] = int(ua.eAdj[l]), int(ub.eAdj[l])
-		} else {
-			eL[l], eS[l] = int(ub.eAdj[l]), int(ua.eAdj[l])
-		}
-	}
 
 	// Align: 3 GRS planes below the significands; shift the small operand
 	// right by the per-lane exponent difference.
-	mL := make(SlabBits, 28)
-	mS := make(SlabBits, 28)
-	for i := 0; i < 3; i++ {
-		mL[i], mS[i] = c.zero, c.zero
-	}
+	mL := c.zeroPlanes(28)
+	mS := c.zeroPlanes(28)
 	copy(mL[3:27], mantL)
 	copy(mS[3:27], mantS)
-	mL[27], mS[27] = c.zero, c.zero
 	sticky := c.zeroSlab()
 	dPos := c.grabZero()
 	anyD := false
-	shVals := make([]uint64, n)
+	eL := c.el[:n]
+	shVals := c.vals[:n]
 	for l := 0; l < n; l++ {
-		if !maskBit(live, l) {
-			continue
+		el, es := effExp(a[l]), effExp(b[l])
+		if !maskBit(aGE, l) {
+			el, es = es, el
 		}
-		if d := eL[l] - eS[l]; d > 0 {
-			if d > 31 {
-				d = 31
-			}
-			shVals[l] = uint64(d)
+		eL[l] = el
+		shVals[l] = 0
+		if maskBit(live, l) && el > es {
+			shVals[l] = uint64(min(el-es, 31))
 			setMaskBit(dPos, l)
 			anyD = true
 		}
@@ -364,10 +317,7 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 	addM := c.maskAnd(live, sameSign)
 	subM := c.maskAndNot(live, sameSign)
 
-	r := make(SlabBits, 29)
-	for i := range r {
-		r[i] = c.zero
-	}
+	r := c.zeroPlanes(29)
 	if !maskEmpty(addM) {
 		sum := c.AddBits(addM, mL, mS, c.zero)
 		for i := range r {
@@ -379,8 +329,7 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 		diff, _ := c.SubBits(subM, mL, mS)
 		stickySub := c.maskAnd(subM, sticky)
 		if !maskEmpty(stickySub) {
-			one := SlabBits{c.maskNot(c.zero)}
-			d2, _ := c.SubBits(stickySub, diff, one)
+			d2, _ := c.SubBits(stickySub, diff, c.ones())
 			for i := range diff {
 				diff[i] = c.selWord(stickySub, d2[i], diff[i])
 			}
@@ -411,13 +360,13 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 	// most 2), left shift (clamped so the exponent never drops below 1),
 	// or none; the two masked barrel shifts leave other lanes untouched.
 	lzPl := c.LeadingZeros(live, r)
-	eR := make([]int, n)
+	eR := c.er[:n]
 	kGT := c.grabZero()
 	kLT := c.grabZero()
 	anyGT, anyLT := false, false
-	shGT := make([]uint64, n)
-	shLT := make([]uint64, n)
+	shGT := c.vals[:n]
 	for l := 0; l < n; l++ {
+		shGT[l] = 0
 		if !maskBit(live, l) {
 			continue
 		}
@@ -428,15 +377,9 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 			setMaskBit(kGT, l)
 			anyGT = true
 		} else if k < 26 {
-			sh := 26 - k
 			if eR[l] < 1 {
-				sh = eL[l] - 1
-				if sh < 0 {
-					sh = 0
-				}
 				eR[l] = 1
 			}
-			shLT[l] = uint64(sh)
 			setMaskBit(kLT, l)
 			anyLT = true
 		}
@@ -447,35 +390,41 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 		sticky = c.OR(kGT, sticky, lost)
 	}
 	if anyLT {
+		// A left-shifted lane moves by 26-k, or by eL-1 when that would
+		// take its exponent below 1; eR = eL+k-26 or 1 makes both eL-eR.
+		shLT := c.vals[:n]
+		for l := 0; l < n; l++ {
+			shLT[l] = 0
+			if maskBit(kLT, l) {
+				shLT[l] = uint64(eL[l] - eR[l])
+			}
+		}
 		r = c.ShiftLeftBits(kLT, r, c.PackSlab(shLT, 5))
 	}
 
-	m := r[3:27].Clone()
+	m := r[3:27]
 	guard := r[2]
 	sticky = c.OR(live, sticky, c.OR(live, r[1], r[0]))
 
 	subN := c.grabZero()
 	anySubN := false
-	ddVals := make([]uint64, n)
+	ddVals := c.vals[:n]
 	for l := 0; l < n; l++ {
+		ddVals[l] = 0
 		if maskBit(live, l) && eR[l] < 1 {
-			dd := 1 - eR[l]
-			if dd > 31 {
-				dd = 31
-			}
-			ddVals[l] = uint64(dd)
+			ddVals[l] = uint64(min(1-eR[l], 31))
 			setMaskBit(subN, l)
 			anySubN = true
 			eR[l] = 1
 		}
 	}
 	if anySubN {
-		ext := make(SlabBits, 25)
+		ext := c.planes(25)
 		copy(ext[1:], m)
 		ext[0] = guard
 		shifted, lost := c.ShiftRightBits(subN, ext, c.PackSlab(ddVals, 5))
 		sticky = c.OR(subN, sticky, lost)
-		m = shifted[1:25].Clone()
+		m = shifted[1:25]
 		guard = shifted[0]
 	}
 
@@ -487,39 +436,31 @@ func (c *SlabCircuit) addFP32SlabInto(a, b, out []uint32) {
 // Batch drivers: arbitrary-length operand vectors in cache-blocked tiles
 // ---------------------------------------------------------------------------
 
-// MulFP32Batch multiplies len(out) float32 bit-pattern pairs, processing
-// them in K*64-lane tiles (the arena resets between tiles, so slab words
-// are reused from one tile to the next).
-func (c *SlabCircuit) MulFP32Batch(a, b, out []uint32) {
-	n := checkArgLens(a, b)
-	if len(out) != n {
-		panic("nor: batch output length mismatch")
-	}
-	tile := c.SlabLanes()
-	for lo := 0; lo < n; lo += tile {
-		hi := lo + tile
-		if hi > n {
-			hi = n
-		}
-		c.mulFP32SlabInto(a[lo:hi], b[lo:hi], out[lo:hi])
-	}
-}
+// MulFP32Batch multiplies len(out) float32 bit-pattern pairs in tiles of
+// up to K*64 lanes (the arenas reset between tiles, so slab words and
+// plane headers are reused from one tile to the next).
+func (c *SlabCircuit) MulFP32Batch(a, b, out []uint32) { c.batch(a, b, out, true) }
 
-// AddFP32Batch adds len(out) float32 bit-pattern pairs in K*64-lane
-// tiles.
-func (c *SlabCircuit) AddFP32Batch(a, b, out []uint32) {
+// AddFP32Batch adds len(out) float32 bit-pattern pairs in tiles of up to
+// K*64 lanes.
+func (c *SlabCircuit) AddFP32Batch(a, b, out []uint32) { c.batch(a, b, out, false) }
+
+func (c *SlabCircuit) batch(a, b, out []uint32, mul bool) {
 	n := checkArgLens(a, b)
 	if len(out) != n {
 		panic("nor: batch output length mismatch")
 	}
 	tile := c.SlabLanes()
 	for lo := 0; lo < n; lo += tile {
-		hi := lo + tile
-		if hi > n {
-			hi = n
+		hi := min(lo+tile, n)
+		c.startTile(hi - lo)
+		if mul {
+			c.mulTile(a[lo:hi], b[lo:hi], out[lo:hi])
+		} else {
+			c.addTile(a[lo:hi], b[lo:hi], out[lo:hi])
 		}
-		c.addFP32SlabInto(a[lo:hi], b[lo:hi], out[lo:hi])
 	}
+	c.ResetArena()
 }
 
 // MulFloat32Batch and AddFloat32Batch are convenience wrappers over

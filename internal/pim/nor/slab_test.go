@@ -224,28 +224,49 @@ func TestSlabIntBlocksDifferential(t *testing.T) {
 	}
 }
 
-// Batch drivers tile correctly at lengths that are not slab multiples,
-// and repeated batches reuse the arena (no growth after warm-up).
+// Batch drivers tile correctly at lengths that are not slab multiples: a
+// ragged last tile runs over fewer words, and must still match the scalar
+// path in values and Stats. One circuit per K runs every length, with a
+// 64-lane call before and after a 600-lane one, so no tile width or
+// scratch state leaks from one call into the next; repeated batches reuse
+// both arenas (no growth after warm-up).
 func TestSlabBatchTiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	c := NewSlabCircuit(2)
-	for _, n := range []int{1, 63, 64, 65, 128, 129, 200, 500} {
-		a := make([]uint32, n)
-		b := make([]uint32, n)
-		for i := range a {
-			a[i], b[i] = randFP32(rng), randFP32(rng)
+	lengths := []int{1, 63, 64, 65, 512, 513, 600, 1100, 64, 600, 64}
+	type batch struct {
+		a, b               []uint32
+		wantMul, wantAdd   []uint32
+		mulStats, addStats Stats
+	}
+	batches := make(map[int]*batch)
+	for _, n := range lengths {
+		if batches[n] != nil {
+			continue
 		}
-		got := make([]uint32, n)
-		c.MulFP32Batch(a, b, got)
-		want, _ := scalarLanes((*Circuit).MulFP32, a, b)
-		for l := range want {
-			if got[l] != want[l] {
-				t.Fatalf("n=%d lane %d: batch %08x, scalar %08x", n, l, got[l], want[l])
-			}
+		in := &batch{a: make([]uint32, n), b: make([]uint32, n)}
+		for i := range in.a {
+			in.a[i], in.b[i] = randFP32(rng), randFP32(rng)
+		}
+		in.wantMul, in.mulStats = scalarLanes((*Circuit).MulFP32, in.a, in.b)
+		in.wantAdd, in.addStats = scalarLanes((*Circuit).AddFP32, in.a, in.b)
+		batches[n] = in
+	}
+	for _, k := range []int{1, 2, 8} {
+		c := NewSlabCircuit(k)
+		for _, n := range lengths {
+			in := batches[n]
+			got := make([]uint32, n)
+			c.Stats = Stats{}
+			c.MulFP32Batch(in.a, in.b, got)
+			checkLanesEqual(t, fmt.Sprintf("MulFP32Batch K=%d n=%d", k, n), in.a, in.b, got, in.wantMul, c.Stats, in.mulStats)
+			c.Stats = Stats{}
+			c.AddFP32Batch(in.a, in.b, got)
+			checkLanesEqual(t, fmt.Sprintf("AddFP32Batch K=%d n=%d", k, n), in.a, in.b, got, in.wantAdd, c.Stats, in.addStats)
 		}
 	}
-	// Arena is recycled between tiles: a second identical batch must not
-	// grow the backing store.
+	// Arenas are recycled between tiles: a second identical batch must
+	// not grow the slab or the header backing store.
+	c := NewSlabCircuit(2)
 	a := make([]uint32, 4*c.SlabLanes())
 	b := make([]uint32, len(a))
 	for i := range a {
@@ -253,10 +274,39 @@ func TestSlabBatchTiling(t *testing.T) {
 	}
 	out := make([]uint32, len(a))
 	c.AddFP32Batch(a, b, out)
-	grown := len(c.arena)
+	slabs, hdrs := len(c.arena), len(c.hdrs)
 	c.AddFP32Batch(a, b, out)
-	if len(c.arena) != grown {
-		t.Errorf("arena grew across identical batches: %d -> %d words", grown, len(c.arena))
+	if len(c.arena) != slabs || len(c.hdrs) != hdrs {
+		t.Errorf("arenas grew across identical batches: slab %d -> %d words, headers %d -> %d",
+			slabs, len(c.arena), hdrs, len(c.hdrs))
+	}
+}
+
+// A warm circuit allocates nothing per call: slabs, plane headers and the
+// per-lane host scratch all belong to the circuit.
+func TestSlabAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, k := range []int{1, 8} {
+		for _, n := range []int{64, 512, 600} {
+			a := make([]uint32, n)
+			b := make([]uint32, n)
+			for i := range a {
+				a[i], b[i] = randFP32(rng), randFP32(rng)
+			}
+			out := make([]uint32, n)
+			c := NewSlabCircuit(k)
+			for _, op := range []struct {
+				name string
+				run  func(a, b, out []uint32)
+			}{{"AddFP32Batch", c.AddFP32Batch}, {"MulFP32Batch", c.MulFP32Batch}} {
+				for i := 0; i < 4; i++ { // size the arenas
+					op.run(a, b, out)
+				}
+				if got := testing.AllocsPerRun(10, func() { op.run(a, b, out) }); got != 0 {
+					t.Errorf("K=%d n=%d %s: %v allocations per call, want 0", k, n, op.name, got)
+				}
+			}
+		}
 	}
 }
 

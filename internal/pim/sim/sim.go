@@ -75,7 +75,8 @@ type Engine struct {
 	// SlabWords > 0 routes every functional arithmetic instruction
 	// (OpAdd/OpSub/OpMul) through the K-word bit-sliced NOR slab
 	// substrate instead of host floating point: operands are gathered
-	// into SlabWords*64-lane slabs and computed by the gate-level
+	// into tiles of up to SlabWords*64 lanes, each run over only the
+	// words its lanes occupy, and computed by the gate-level
 	// IEEE-754 programs of internal/pim/nor, with gate activity
 	// accumulated in NORGateStats. Results are bit-identical to the
 	// host-float path (the substrate's fidelity is property-tested
@@ -84,8 +85,8 @@ type Engine struct {
 	// ignore the setting.
 	SlabWords int
 	// norUnits pools one gather/compute unit per in-flight instruction,
-	// so staging buffers and slab arenas are reused under the worker
-	// pool (each tile still allocates plane headers and host slices).
+	// so staging buffers, slab and header arenas and per-lane scratch
+	// are reused under the worker pool: a warm unit allocates nothing.
 	norUnits sync.Pool
 	// norEvals/norSets/norResets accumulate gate-level activity from the
 	// slab path (atomically: block programs run concurrently).

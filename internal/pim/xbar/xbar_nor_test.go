@@ -84,3 +84,23 @@ func TestNORUnitBufferReuse(t *testing.T) {
 		t.Errorf("add result = %g, want 66", got)
 	}
 }
+
+// A warm ArithSelNOR on a reused unit allocates nothing: the staging
+// buffers and the slab circuit's arenas and scratch are all recycled.
+func TestArithSelNORAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	u := NewNORUnit(8)
+	b := New(0)
+	for r := 0; r < 64; r++ {
+		b.SetWord(r, 0, randFinite32(rng))
+		b.SetWord(r, 1, randFinite32(rng))
+	}
+	for _, op := range []ArithOp{OpAdd, OpSub, OpMul} {
+		for i := 0; i < 4; i++ { // size the unit
+			b.ArithSelNOR(u, op, 0, 64, 2, 0, 1)
+		}
+		if got := testing.AllocsPerRun(10, func() { b.ArithSelNOR(u, op, 0, 64, 2, 0, 1) }); got != 0 {
+			t.Errorf("op=%d: %v allocations per call, want 0", op, got)
+		}
+	}
+}
