@@ -37,7 +37,8 @@ func (u *NORUnit) buffers(n int) (a, b, out []uint32) {
 // ArithSelNOR executes the same row-parallel FP32 operation as ArithSel,
 // but produces every result through the bit-sliced NOR slab substrate
 // (internal/pim/nor) instead of host floating point: the rowCount operand
-// pairs are gathered into K-word slabs and driven through the gate-level
+// pairs are gathered into slabs of up to K words, each only as wide as
+// the rows it holds, and driven through the gate-level
 // IEEE-754 add/mul programs, whose bit-exactness against hardware floats
 // is established by that package's property tests. Subtraction flips the
 // second operand's sign plane and reuses the adder, exactly as the
