@@ -262,24 +262,11 @@ func (c *Circuit) AddFP32(a, b uint32) uint32 {
 		r = c.ShiftLeftBits(r, BitsFromUint(uint64(sh), 5))
 	}
 
+	// Normalization leaves eR >= 1: k > 26 gives eR > eL >= 1, k = 26
+	// gives eL, and k < 26 clamps to 1. No subnormal shift follows.
 	m := r[3:27].Clone()
 	guard := r[2]
 	sticky = c.OR(sticky, c.OR(r[1], r[0]))
-
-	if eR < 1 {
-		dd := 1 - eR
-		if dd > 31 {
-			dd = 31
-		}
-		ext := make(Bits, 25)
-		copy(ext[1:], m)
-		ext[0] = guard
-		shifted, lost := c.ShiftRightBits(ext, BitsFromUint(uint64(dd), 5))
-		sticky = c.OR(sticky, lost)
-		m = shifted[1:25].Clone()
-		guard = shifted[0]
-		eR = 1
-	}
 
 	rounded := c.roundRNE(m, guard, sticky)
 	return c.pack(ul.sign, eR, rounded[:25])

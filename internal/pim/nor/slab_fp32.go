@@ -402,31 +402,11 @@ func (c *SlabCircuit) addTile(a, b, out []uint32) {
 		r = c.ShiftLeftBits(kLT, r, c.PackSlab(shLT, 5))
 	}
 
+	// As in Circuit.AddFP32, normalization leaves every eR >= 1, so no
+	// subnormal shift follows.
 	m := r[3:27]
 	guard := r[2]
 	sticky = c.OR(live, sticky, c.OR(live, r[1], r[0]))
-
-	subN := c.grabZero()
-	anySubN := false
-	ddVals := c.vals[:n]
-	for l := 0; l < n; l++ {
-		ddVals[l] = 0
-		if maskBit(live, l) && eR[l] < 1 {
-			ddVals[l] = uint64(min(1-eR[l], 31))
-			setMaskBit(subN, l)
-			anySubN = true
-			eR[l] = 1
-		}
-	}
-	if anySubN {
-		ext := c.planes(25)
-		copy(ext[1:], m)
-		ext[0] = guard
-		shifted, lost := c.ShiftRightBits(subN, ext, c.PackSlab(ddVals, 5))
-		sticky = c.OR(subN, sticky, lost)
-		m = shifted[1:25]
-		guard = shifted[0]
-	}
 
 	rounded := c.roundRNESlab(live, m, guard, sticky)
 	c.packSlabOut(live, signL, eR, rounded[:25], out)

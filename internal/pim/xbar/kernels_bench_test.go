@@ -5,28 +5,35 @@ import (
 	"testing"
 )
 
-// kernelRows is the row count of one paper-sized element (8^3 GLL nodes).
-const kernelRows = 512
+// kernelRows is the row count of one paper-sized element (8^3 GLL nodes);
+// raggedRows is the row count of ArithSel/ragged.
+const (
+	kernelRows = 512
+	raggedRows = 200
+)
 
 // blockKernels are the row-parallel kernels at the shapes a compiled
 // np=8 element issues them: every axis stride of the tensor-product
 // GroupBcast and Pattern, and a four-word constant Broadcast.
 var blockKernels = []struct {
 	name string
+	rows int // addressed rows per call
 	run  func(b, src *Block)
 }{
-	{"ArithSel/add", func(b, _ *Block) { b.ArithSel(OpAdd, 0, kernelRows, 2, 0, 1) }},
-	{"ArithSel/mul", func(b, _ *Block) { b.ArithSel(OpMul, 0, kernelRows, 2, 0, 1) }},
-	{"ArithSel/sub", func(b, _ *Block) { b.ArithSel(OpSub, 0, kernelRows, 2, 0, 1) }},
-	{"GroupBcast/stride1", func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 1, 8, 5) }},
-	{"GroupBcast/stride8", func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 8, 8, 5) }},
-	{"GroupBcast/stride64", func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 64, 8, 5) }},
-	{"Pattern/stride1", func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 1, 8) }},
-	{"Pattern/stride8", func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 8, 8) }},
-	{"Pattern/stride64", func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 64, 8) }},
-	{"Broadcast/4words", func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 4) }},
+	{"ArithSel/add", kernelRows, func(b, _ *Block) { b.ArithSel(OpAdd, 0, kernelRows, 2, 0, 1) }},
+	{"ArithSel/mul", kernelRows, func(b, _ *Block) { b.ArithSel(OpMul, 0, kernelRows, 2, 0, 1) }},
+	{"ArithSel/sub", kernelRows, func(b, _ *Block) { b.ArithSel(OpSub, 0, kernelRows, 2, 0, 1) }},
+	// A partial head tile, whole tiles and a partial tail.
+	{"ArithSel/ragged", raggedRows, func(b, _ *Block) { b.ArithSel(OpAdd, 5, raggedRows, 2, 0, 1) }},
+	{"GroupBcast/stride1", kernelRows, func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 1, 8, 5) }},
+	{"GroupBcast/stride8", kernelRows, func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 8, 8, 5) }},
+	{"GroupBcast/stride64", kernelRows, func(b, _ *Block) { b.GroupBcast(0, kernelRows, 0, 3, 64, 8, 5) }},
+	{"Pattern/stride1", kernelRows, func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 1, 8) }},
+	{"Pattern/stride8", kernelRows, func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 8, 8) }},
+	{"Pattern/stride64", kernelRows, func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 64, 8) }},
+	{"Broadcast/4words", kernelRows, func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 4) }},
 	// A whole-row transfer per row, as moveWords issues it.
-	{"CopyWords/row", func(b, src *Block) {
+	{"CopyWords/row", kernelRows, func(b, src *Block) {
 		for r := 0; r < kernelRows; r++ {
 			b.CopyWords(r, 0, src, r, 0, WordsPerRow)
 		}
@@ -48,7 +55,7 @@ func kernelBlocks() (b, src *Block) {
 }
 
 // BenchmarkBlockKernels reports host ns per addressed row for each kernel
-// over one 512-row element.
+// over one 512-row element, or over its rows for ArithSel/ragged.
 func BenchmarkBlockKernels(bm *testing.B) {
 	for _, k := range blockKernels {
 		bm.Run(k.name, func(bm *testing.B) {
@@ -57,7 +64,7 @@ func BenchmarkBlockKernels(bm *testing.B) {
 			for i := 0; i < bm.N; i++ {
 				k.run(b, src)
 			}
-			bm.ReportMetric(float64(bm.Elapsed().Nanoseconds())/float64(bm.N*kernelRows), "ns/row")
+			bm.ReportMetric(float64(bm.Elapsed().Nanoseconds())/float64(bm.N*k.rows), "ns/row")
 		})
 	}
 }

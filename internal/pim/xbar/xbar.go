@@ -9,8 +9,12 @@
 // The block executes instructions functionally on real float32 data. The
 // bit-level equivalence of its add/mul semantics with the in-array NOR
 // sequences is established by internal/pim/nor's property tests, so this
-// package can use hardware float32 arithmetic while charging Table 4
-// energy and timing.
+// package computes with hardware float32 arithmetic while charging Table 4
+// energy and timing. On amd64 (outside race builds) a run of whole tiles
+// is one SSE2 call doing four packed lanes per instruction, and column
+// fills store four words at a time; elsewhere plain Go loops do the same
+// work one word at a time. Both are bit-identical to scalar float32
+// (DESIGN.md §7.4).
 //
 // The host stores a block the way its kernels walk it: in 32-row tiles,
 // each kept word column by word column (see at), the host-side analogue
@@ -75,7 +79,12 @@ type Block struct {
 }
 
 // tileRows is the height of one cell tile: 32 rows of 32 words, 4 KiB.
-const tileRows = 32
+// tileWords is its cell count, the distance between one column's runs in
+// consecutive tiles.
+const (
+	tileRows  = 32
+	tileWords = tileRows * WordsPerRow
+)
 
 // at is the index of cell (row, off) in Block.cells. The array is cut into
 // 32-row tiles and each tile is stored word column by word column, so one
@@ -219,8 +228,13 @@ func (b *Block) copyCol(dstRow, dstOff, srcRow, srcOff, n int) {
 		k := min(run(dstRow, n), run(srcRow, n))
 		d := b.cells[at(dstRow, dstOff):][:k]
 		s := b.cells[at(srcRow, srcOff):][:k]
-		for i := range d {
-			d[i] = s[i]
+		if dstOff != srcOff {
+			// Different columns never overlap.
+			copy(d, s)
+		} else {
+			for i := range d {
+				d[i] = s[i]
+			}
 		}
 		dstRow, srcRow, n = dstRow+k, srcRow+k, n-k
 	}
@@ -237,19 +251,11 @@ func (b *Block) fillCol(dstRow, dstOff, srcRow, srcOff, n int) {
 	}
 	// Without an injector the source keeps its value even when it lies
 	// in the filled rows, so it is read once.
-	b.fill(dstRow, dstOff, n, b.cells[at(srcRow, srcOff)])
-}
-
-// fill writes v into word off of rows [row, row+n), bypassing the fault
-// injector.
-func (b *Block) fill(row, off, n int, v uint32) {
+	v := b.cells[at(srcRow, srcOff)]
 	for n > 0 {
-		k := run(row, n)
-		d := b.cells[at(row, off):][:k]
-		for i := range d {
-			d[i] = v
-		}
-		row, n = row+k, n-k
+		k := run(dstRow, n)
+		fillRun(b.cells[at(dstRow, dstOff):][:k], v)
+		dstRow, n = dstRow+k, n-k
 	}
 }
 
@@ -272,29 +278,20 @@ func (b *Block) ArithSel(op ArithOp, rowStart, rowCount, dstOff, srcOff, src2Off
 	b.checkOff(src2Off)
 	for r, n := rowStart, rowCount; n > 0; {
 		k := run(r, n)
-		d := b.cells[at(r, dstOff):][:k]
-		x := b.cells[at(r, srcOff):][:k]
-		y := b.cells[at(r, src2Off):][:k]
-		switch op {
-		case OpAdd:
-			for i := range d {
-				d[i] = math.Float32bits(math.Float32frombits(x[i]) + math.Float32frombits(y[i]))
-			}
-		case OpMul:
-			for i := range d {
-				d[i] = math.Float32bits(math.Float32frombits(x[i]) * math.Float32frombits(y[i]))
-			}
-		case OpSub:
-			for i := range d {
-				d[i] = math.Float32bits(math.Float32frombits(x[i]) - math.Float32frombits(y[i]))
-			}
+		if k == tileRows {
+			// A stretch of whole tiles is one kernel call.
+			k = n &^ (tileRows - 1)
+			arithTiles(op, b.cells, at(r, dstOff), at(r, srcOff), at(r, src2Off), k/tileRows)
+		} else {
+			arithRun(op, b.cells[at(r, dstOff):][:k], b.cells[at(r, srcOff):][:k], b.cells[at(r, src2Off):][:k])
 		}
 		// Each row reads only its own cells, so passing the results
 		// through the injector afterwards is the same per-cell write
 		// sequence as storing each row as it is computed.
 		if b.Faults != nil {
-			for i := range d {
-				d[i] = b.Faults.Store(r+i, dstOff, d[i])
+			for i := r; i < r+k; i++ {
+				c := &b.cells[at(i, dstOff)]
+				*c = b.Faults.Store(i, dstOff, *c)
 			}
 		}
 		r, n = r+k, n-k
@@ -309,6 +306,26 @@ func (b *Block) ArithSel(op ArithOp, rowStart, rowCount, dstOff, srcOff, src2Off
 	b.Stats.NORSteps += steps
 	b.Stats.BusySec += float64(steps) * params.TNORSeconds
 	b.Stats.EnergyJ += float64(steps) * params.EnergyPerNORStep * float64(rowCount)
+}
+
+// arithRun computes d[i] = x[i] op y[i] over one run of rows. The runs
+// are one column of a tile each, so they are equal or disjoint.
+func arithRun(op ArithOp, d, x, y []uint32) {
+	x, y = x[:len(d)], y[:len(d)]
+	switch op {
+	case OpAdd:
+		for i := range d {
+			d[i] = math.Float32bits(math.Float32frombits(x[i]) + math.Float32frombits(y[i]))
+		}
+	case OpMul:
+		for i := range d {
+			d[i] = math.Float32bits(math.Float32frombits(x[i]) * math.Float32frombits(y[i]))
+		}
+	case OpSub:
+		for i := range d {
+			d[i] = math.Float32bits(math.Float32frombits(x[i]) - math.Float32frombits(y[i]))
+		}
+	}
 }
 
 // GroupBcast rearranges data through the column buffers: rows in
@@ -416,8 +433,12 @@ func (b *Block) fillWords(lo, hi, srcRow, srcOff, dstOff, n int) {
 	for w := 0; w < n; w++ {
 		v[w] = b.cells[at(srcRow, srcOff+w)]
 	}
-	for w := 0; w < n; w++ {
-		b.fill(lo, dstOff+w, hi-lo, v[w])
+	for r := lo; r < hi; {
+		k := run(r, hi-r)
+		for w, x := range v[:n] {
+			fillRun(b.cells[at(r, dstOff+w):][:k], x)
+		}
+		r += k
 	}
 }
 
