@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -244,4 +245,116 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 			t.Error("no panic value")
 		}
 	})
+}
+
+// runBatch builds seeded transfer batches over pinBlocks: column runs of
+// 1 to 70 consecutive rows, 1 to 4 words wide, that cross 32-row tile
+// boundaries and sometimes end at the last row, some inside one block;
+// and, in turn with them, stretches of transfers that each break a run in
+// one way. Copies read only words below 16 and write only words from 16
+// on, so no copy reads a cell a copy writes; later copies may overwrite
+// earlier ones.
+func runBatch(seed int64) []RowTransfer {
+	r := rand.New(rand.NewSource(seed))
+	var batch []RowTransfer
+	for stretch := 0; len(batch) < 600; stretch++ {
+		src, dst := pinBlocks[r.Intn(len(pinBlocks))], pinBlocks[r.Intn(len(pinBlocks))]
+		if r.Intn(8) == 0 {
+			dst = src
+		}
+		rows, words := 1+r.Intn(70), 2+r.Intn(3)
+		if r.Intn(2) == 0 {
+			words = 1
+		}
+		srcRow, dstRow := r.Intn(xbar.Rows-2*rows+2), r.Intn(xbar.Rows-2*rows+2)
+		srcOff, dstOff := r.Intn(16-words-rows%8), 16+r.Intn(16-words-rows%8)
+		if stretch%9 < 2 && r.Intn(2) == 0 {
+			dstRow = xbar.Rows - rows
+		}
+		// Every kind but the first two breaks the run, in turn by each
+		// field a run's transfers share or step by one: rows that step by
+		// two, or a field that changes at every other transfer.
+		var at func(i int) RowTransfer
+		step := func(i int) RowTransfer {
+			return RowTransfer{SrcBlock: src, SrcRow: srcRow + i, SrcOff: srcOff,
+				DstBlock: dst, DstRow: dstRow + i, DstOff: dstOff, Words: words}
+		}
+		other, odd := pinBlocks[r.Intn(len(pinBlocks))], func(i int) int { return i % 2 }
+		switch stretch % 9 {
+		case 0, 1:
+			at = step
+		case 2:
+			at = func(i int) RowTransfer { tr := step(i); tr.SrcRow = srcRow + 2*i; return tr }
+		case 3:
+			at = func(i int) RowTransfer { tr := step(i); tr.DstRow = dstRow + 2*i; return tr }
+		case 4:
+			at = func(i int) RowTransfer { tr := step(i); tr.SrcOff += odd(i); return tr }
+		case 5:
+			at = func(i int) RowTransfer { tr := step(i); tr.DstOff += odd(i); return tr }
+		case 6:
+			at = func(i int) RowTransfer { tr := step(i); tr.Words += odd(i); return tr }
+		case 7:
+			at = func(i int) RowTransfer { tr := step(i); tr.SrcBlock = [2]int{src, other}[odd(i)]; return tr }
+		case 8:
+			at = func(i int) RowTransfer { tr := step(i); tr.DstBlock = [2]int{dst, other}[odd(i)]; return tr }
+		}
+		for i := 0; i < rows; i++ {
+			batch = append(batch, at(i))
+		}
+	}
+	return batch
+}
+
+// Replaying a batch as column runs (xbar.Block.CopyRows) leaves the cells
+// and phases that ExecTransfers' row-by-row copies leave, on every fabric,
+// serial and on the pool.
+func TestColumnRunReplayMatchesRowReplay(t *testing.T) {
+	batches := [][]RowTransfer{runBatch(1), runBatch(2)}
+	for _, topo := range intercon.Names() {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s/workers=%d", topo, workers)
+			var engines [2]*Engine
+			for i := range engines {
+				cfg := chip.Config2GB()
+				cfg.Interconnect = chip.InterconnectKind(topo)
+				ch, err := chip.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[i] = New(ch, true)
+				engines[i].Workers = workers
+				for _, id := range pinBlocks {
+					b := ch.Block(id)
+					for row := 0; row < xbar.Rows; row++ {
+						for off := 0; off < xbar.WordsPerRow; off++ {
+							b.SetWord(row, off, uint32(id*7919+row*131+off*17+1))
+						}
+					}
+				}
+			}
+			runs, plain := engines[0], engines[1]
+			blocks := make([]*xbar.Block, pinBlocks[len(pinBlocks)-1]+1)
+			for _, id := range pinBlocks {
+				blocks[id] = runs.Chip.Block(id)
+			}
+			for i, batch := range batches {
+				p := runs.PriceTransfers(batch, GroupCopies(batch))
+				n := 0
+				for _, g := range p.groups {
+					n += len(g)
+				}
+				if p.groups == nil || 10*n > 9*len(batch) {
+					t.Fatalf("%s: batch %d of %d transfers folds into %d runs", name, i, len(batch), n)
+				}
+				if a, b := runs.ExecTransfersPriced("runs", batch, p, blocks), plain.ExecTransfers("runs", batch); a != b {
+					t.Errorf("%s: batch %d phase %+v, row by row %+v", name, i, a, b)
+				}
+			}
+			for _, id := range pinBlocks {
+				if a, b := runs.Chip.Block(id).Snapshot(), plain.Chip.Block(id).Snapshot(); !reflect.DeepEqual(a, b) {
+					t.Errorf("%s: block %d cells differ", name, id)
+				}
+			}
+		}
+	}
 }

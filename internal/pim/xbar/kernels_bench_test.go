@@ -14,7 +14,8 @@ const (
 
 // blockKernels are the row-parallel kernels at the shapes a compiled
 // np=8 element issues them: every axis stride of the tensor-product
-// GroupBcast and Pattern, and a four-word constant Broadcast.
+// GroupBcast and Pattern, and one- and four-word constant Broadcasts; and
+// the transfer copies, row by row and as column runs.
 var blockKernels = []struct {
 	name string
 	rows int // addressed rows per call
@@ -32,16 +33,25 @@ var blockKernels = []struct {
 	{"Pattern/stride8", kernelRows, func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 8, 8) }},
 	{"Pattern/stride64", kernelRows, func(b, _ *Block) { b.Pattern(kernelRows, 0, kernelRows, 1, 4, 64, 8) }},
 	{"Broadcast/4words", kernelRows, func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 4) }},
+	// A one-word constant, as every bconst of an element RHS issues it.
+	{"Broadcast/1word", kernelRows, func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 1) }},
 	// A whole-row transfer per row, as moveWords issues it.
 	{"CopyWords/row", kernelRows, func(b, src *Block) {
 		for r := 0; r < kernelRows; r++ {
 			b.CopyWords(r, 0, src, r, 0, WordsPerRow)
 		}
 	}},
+	// Runs of 8 consecutive rows of 4 words, the shape of an elastic face
+	// fetch replayed as column runs.
+	{"CopyRows/run", kernelRows, func(b, src *Block) {
+		for r := 0; r < kernelRows; r += 8 {
+			b.CopyRows(r, 4, src, r, 0, 4, 8)
+		}
+	}},
 }
 
 // kernelBlocks returns a destination block holding finite operands and a
-// source block for CopyWords.
+// source block for CopyWords and CopyRows.
 func kernelBlocks() (b, src *Block) {
 	b, src = New(0), New(1)
 	for r := 0; r < Rows; r++ {

@@ -399,3 +399,120 @@ func TestArithSelUnknownOpWritesNothing(t *testing.T) {
 		}
 	}
 }
+
+// copyRows is rows CopyWords calls in ascending row order, each word a
+// write of its own, reading src as it stands (src may be m).
+func (m *refBlock) copyRows(dr, do int, src *refBlock, sr, so, n, rows int) {
+	for i := 0; i < rows; i++ {
+		for w := 0; w < n; w++ {
+			m.store(dr+i, do+w, src.cells[sr+i][so+w])
+		}
+	}
+}
+
+// TestColumnRunKernelsMatchReference drives the kernels' tile-run paths
+// against refBlock: CopyRows between two blocks and inside one, over row
+// runs of 1 to 70 rows and 1 to 4 words that cross 32-row boundaries and
+// often end at the last row; GroupBcast at the strides that divide a tile
+// with segment-aligned starts, whole and ragged spans; and Pattern over
+// ranges longer than its period, aliased or not. It runs with no injector
+// and with a seeded one, comparing both blocks' cells, Stats and fault
+// counts after each step.
+func TestColumnRunKernelsMatchReference(t *testing.T) {
+	cfg := fault.Config{Seed: 5, StuckProb: 0.02, FlipProb: 0.02, EnduranceWrites: 6}
+	for _, faulty := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			bs, ms := [2]*Block{New(0), New(1)}, [2]*refBlock{{}, {}}
+			for i := range bs {
+				if faulty {
+					bs[i].Faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(i)
+					ms[i].faults = fault.NewInjector(cfg, fault.DefaultRecovery()).ForBlock(i)
+				}
+				for r := 0; r < Rows; r++ {
+					for o := 0; o < WordsPerRow; o++ {
+						v := randWord(rng)
+						bs[i].SetWord(r, o, v)
+						ms[i].store(r, o, v)
+					}
+				}
+			}
+			for step := 0; step < 200; step++ {
+				op, d := rng.Intn(3), rng.Intn(2)
+				b, m := bs[d], ms[d]
+				switch op {
+				case 0: // CopyRows, from the other block or from this one
+					s := 1 - d
+					if rng.Intn(4) == 0 {
+						s = d
+					}
+					rows, n := 1+rng.Intn(70), 1+rng.Intn(4)
+					sr, dr := rng.Intn(Rows-rows+1), rng.Intn(Rows-rows+1)
+					if rng.Intn(3) == 0 {
+						dr = Rows - rows
+					}
+					if rng.Intn(4) == 0 {
+						sr = Rows - rows
+					}
+					so, do := rng.Intn(WordsPerRow-n+1), rng.Intn(WordsPerRow-n+1)
+					if s == d && rng.Intn(2) == 0 {
+						// Overlapping ranges, where row order matters.
+						dr = min(max(sr+rng.Intn(7)-3, 0), Rows-rows)
+						do = min(max(so+rng.Intn(3)-1, 0), WordsPerRow-n)
+					}
+					b.CopyRows(dr, do, bs[s], sr, so, n, rows)
+					m.copyRows(dr, do, ms[s], sr, so, n, rows)
+				case 1: // GroupBcast with tile-aligned segments
+					stride := []int{1, 2, 4, 8, 16, 32}[rng.Intn(6)]
+					size := []int{1, 2, 3, 4, 4, 5, 8, 8}[rng.Intn(8)]
+					span := stride * size
+					spans := 1 + rng.Intn(max(1, 512/span))
+					rc := min(spans*span+rng.Intn(2)*rng.Intn(span), Rows)
+					rs := rng.Intn((Rows-rc)/stride+1) * stride
+					if rng.Intn(2) == 0 {
+						rs = rng.Intn((Rows-rc)/span+1) * span
+					}
+					so, do := rng.Intn(WordsPerRow), rng.Intn(WordsPerRow)
+					if rng.Intn(3) == 0 {
+						do = so
+					}
+					idx := rng.Intn(size)
+					b.GroupBcast(rs, rc, so, do, stride, size, idx)
+					m.groupBcast(rs, rc, so, do, stride, size, idx)
+				case 2: // Pattern over several periods
+					stride := []int{1, 2, 3, 8, 16, 64}[rng.Intn(6)]
+					size := 1 + rng.Intn(8)
+					rs, rc := rng.Intn(256), 1+rng.Intn(700)
+					base := rng.Intn(Rows - size + 1)
+					if rng.Intn(3) == 0 {
+						base = min(rs+rng.Intn(rc), Rows-size)
+					}
+					so, do := rng.Intn(WordsPerRow), rng.Intn(WordsPerRow)
+					if rng.Intn(2) == 0 {
+						do = so
+					}
+					b.Pattern(base, rs, rc, so, do, stride, size)
+					m.pattern(base, rs, rc, so, do, stride, size)
+				}
+				for i := range bs {
+					for r := 0; r < Rows; r++ {
+						for o := 0; o < WordsPerRow; o++ {
+							if got, want := bs[i].GetWord(r, o), ms[i].cells[r][o]; got != want {
+								t.Fatalf("faults=%v seed %d step %d (op %d): block %d cell (%d,%d) = %08x, want %08x",
+									faulty, seed, step, op, i, r, o, got, want)
+							}
+						}
+					}
+					if bs[i].Stats != ms[i].st {
+						t.Fatalf("faults=%v seed %d step %d (op %d): block %d Stats %+v, want %+v", faulty, seed, step, op, i, bs[i].Stats, ms[i].st)
+					}
+					if faulty {
+						if got, want := bs[i].Faults.Counts(), ms[i].faults.Counts(); got != want {
+							t.Fatalf("seed %d step %d (op %d): block %d fault counts %+v, want %+v", seed, step, op, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -63,15 +63,8 @@ func TestFaultedRunHealsAndCompletes(t *testing.T) {
 	}
 
 	// Recovery costs must be visible on the simulated timeline.
-	var ecc, ckpt bool
-	for _, p := range s.Engine().Timeline {
-		switch p.Name {
-		case "sim.fault.ecc":
-			ecc = true
-		case "sim.fault.checkpoint":
-			ckpt = true
-		}
-	}
+	ecc := s.Engine().NameTotal("sim.fault.ecc").Count > 0
+	ckpt := s.Engine().NameTotal("sim.fault.checkpoint").Count > 0
 	if !ecc || !ckpt {
 		t.Fatalf("missing recovery phases on the timeline (ecc=%v checkpoint=%v)", ecc, ckpt)
 	}
@@ -140,13 +133,7 @@ func TestRollbackThenUnrecoverable(t *testing.T) {
 	if r.Rollbacks != int64(rec.MaxRollbacks) {
 		t.Fatalf("want the full rollback budget spent (%d), got %s", rec.MaxRollbacks, r)
 	}
-	var sawRollback bool
-	for _, p := range s.Engine().Timeline {
-		if p.Name == "sim.fault.rollback" {
-			sawRollback = true
-		}
-	}
-	if !sawRollback {
+	if s.Engine().NameTotal("sim.fault.rollback").Count == 0 {
 		t.Fatal("no sim.fault.rollback phase on the timeline")
 	}
 }

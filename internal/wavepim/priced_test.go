@@ -161,3 +161,53 @@ func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [
 		}
 	}
 }
+
+// A batched system replays its transfer phases as column runs; the same
+// system with its transfer prices dropped runs them through ExecTransfers,
+// which copies row by row. One step of each must leave the same state and
+// timeline bit for bit: elastic-Riemann folded through a three-tile chip
+// in ragged batches, serial and on the worker pool.
+func TestBatchedColumnRunsMatchRowCopies(t *testing.T) {
+	m := mesh.New(3, 4, true)
+	for _, workers := range []int{1, 2} {
+		var states [2]uint64
+		var engines [2]*sim.Engine
+		for i := range states {
+			s, err := NewSession(WithEquation(opcount.ElasticRiemann), WithMesh(m), WithDt(1e-3),
+				WithChip(tilesChip(3)), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.sys.batches == nil {
+				t.Fatal("the three-tile chip holds the mesh")
+			}
+			runs := 0
+			for _, p := range s.sys.plan.rhs {
+				if p.groups != nil {
+					runs++
+				}
+			}
+			if runs == 0 {
+				t.Fatal("no transfer phase of the batch plan replays column runs")
+			}
+			if i == 1 {
+				for _, b := range s.sys.batches {
+					for j := range b.rhsPrices {
+						b.rhsPrices[j].xfer = nil
+					}
+				}
+			}
+			q, _ := elasticStates(m)
+			s.Elastic().Load(q)
+			s.Step()
+			s.Elastic().ReadState(q)
+			states[i], engines[i] = stateHash(q.Slices()), s.Engine()
+		}
+		if states[0] != states[1] {
+			t.Errorf("workers=%d: state hash %#x, row by row %#x", workers, states[0], states[1])
+		}
+		if a, b := engines[0].TimelineDigest(), engines[1].TimelineDigest(); a != b {
+			t.Errorf("workers=%d: timeline digest %#x, row by row %#x", workers, a, b)
+		}
+	}
+}

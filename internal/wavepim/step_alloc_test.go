@@ -1,8 +1,12 @@
 package wavepim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
 	"wavepim/internal/mesh"
 )
@@ -20,10 +24,8 @@ func TestStepAllocationsPerPhase(t *testing.T) {
 	q, _ := elasticStates(m)
 	s.Elastic().Load(q)
 	s.Step()
-	e := s.Engine()
-	before := len(e.Timeline)
 	s.Step()
-	phases := len(e.Timeline) - before
+	phases := len(s.Engine().Timeline) // a step keeps only its own phases
 	allocs := testing.AllocsPerRun(2, s.Step)
 	t.Logf("%d phases, %.0f allocations per step", phases, allocs)
 	if limit := float64(5 * phases); allocs >= limit {
@@ -57,5 +59,46 @@ func TestReplayedTransferPhaseAllocationFree(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("the elastic plan has no transfer phase")
+	}
+}
+
+// A session keeps only the current step's phases: over 50 steps the
+// engine's Timeline holds the same number of phases in the same backing
+// array, while TimelineDigest still equals an FNV-1a hash of every phase
+// committed since the session was built, hashed here from the phases
+// loading and each step leave on the Timeline.
+func TestTimelineBoundedPerStep(t *testing.T) {
+	s := sessionForTest(t)
+	e := s.Engine()
+	h := fnv.New64a()
+	hashTimeline := func() {
+		var buf []byte
+		for _, p := range e.Timeline {
+			buf = append(append(buf, p.Name...), 0)
+			buf = append(append(buf, p.Kind...), 0)
+			for _, v := range []float64{p.Start, p.Dur, p.EnergyJ} {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		}
+		h.Write(buf)
+	}
+	hashTimeline()
+	var phases, capacity int
+	for i := 0; i < 50; i++ {
+		s.Step()
+		hashTimeline()
+		switch {
+		case i == 1:
+			phases, capacity = len(e.Timeline), cap(e.Timeline)
+		case i > 1 && (len(e.Timeline) != phases || cap(e.Timeline) != capacity):
+			t.Fatalf("step %d leaves %d phases (capacity %d), want %d (capacity %d)",
+				i, len(e.Timeline), cap(e.Timeline), phases, capacity)
+		}
+	}
+	if got, want := e.TimelineDigest(), h.Sum64(); got != want {
+		t.Errorf("TimelineDigest %016x, want %016x, the hash of every committed phase", got, want)
+	}
+	if n, want := e.NameTotal(e.Timeline[0].Name).Count, int64(50*dg.NumStages); n < want {
+		t.Errorf("%d %q phases committed over 50 steps, want at least %d", n, e.Timeline[0].Name, want)
 	}
 }

@@ -280,8 +280,12 @@ func (s *system) RHSOnce() {
 
 // Step executes one full five-stage time-step; a batched system runs each
 // stage batch by batch through load-batch, the batch's plan and
-// store-batch.
+// store-batch. The engine's Timeline keeps only this step's phases (and
+// any committed after it), reusing its slice, so a session's memory does
+// not grow with the steps it runs; TimelineDigest and the engine's running
+// totals still cover every phase.
 func (s *system) Step() {
+	s.Engine.Timeline = s.Engine.Timeline[:0]
 	for st := range s.plan.integ {
 		if s.batches == nil {
 			s.stage(&s.pricedPlan, st, 0)
