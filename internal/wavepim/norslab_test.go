@@ -8,6 +8,12 @@ import (
 	"wavepim/internal/pim/nor"
 )
 
+// pinnedNORGateStats is the gate activity of sessionForTest's 2-step run
+// on the NOR slab. Gate totals are per lane, so every slab width must
+// reproduce them; a change that moves them changed the circuit, not just
+// how the host evaluates it.
+var pinnedNORGateStats = nor.Stats{NOREvals: 13761843424, Sets: 7620772520, Resets: 13761843424}
+
 // WithNORSlab is a pure substrate swap: a run whose arithmetic goes
 // gate-by-gate through the slab NOR datapath must reproduce the default
 // (host-float) run bit-for-bit — state, clock, energy, and instruction
@@ -25,7 +31,6 @@ func TestSessionNORSlabBitIdentical(t *testing.T) {
 	qa := dg.NewAcousticState(m)
 	base.Acoustic().ReadState(qa)
 
-	var firstStats nor.Stats
 	for _, k := range []int{1, nor.DefaultSlabWords} {
 		slab := sessionForTest(t, WithNORSlab(k))
 		if slab.Engine().SlabWords != k {
@@ -54,18 +59,9 @@ func TestSessionNORSlabBitIdentical(t *testing.T) {
 			t.Fatalf("K=%d instr count: host %v, slab %v", k, a, b)
 		}
 
-		st := slab.Engine().NORGateStats()
-		if st.NOREvals == 0 || st.Resets == 0 {
-			t.Fatalf("K=%d slab run recorded no gate activity: %+v", k, st)
-		}
-		if st.Resets != st.NOREvals {
-			t.Fatalf("K=%d: every NOR pre-resets its output: evals %d, resets %d", k, st.NOREvals, st.Resets)
-		}
 		// Gate totals are per lane, so the slab width must not change them.
-		if firstStats == (nor.Stats{}) {
-			firstStats = st
-		} else if st != firstStats {
-			t.Fatalf("K=%d gate stats %+v differ from K=1 %+v", k, st, firstStats)
+		if st := slab.Engine().NORGateStats(); st != pinnedNORGateStats {
+			t.Fatalf("K=%d gate stats %+v, pinned %+v", k, st, pinnedNORGateStats)
 		}
 	}
 }
