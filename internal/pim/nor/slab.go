@@ -27,8 +27,21 @@ import (
 //   - Stats accounting is exact, not approximate: a gate evaluated under a
 //     mask adds popcount(mask) NOREvals and Resets, and popcount(out&mask)
 //     Sets — the same totals the scalar path accrues when run once per
-//     lane. The property tests in slab_test.go enforce values and Stats
-//     for K in {1,2,3,4,8}.
+//     lane. The fused composites do not popcount every gate output: each
+//     derives its gates' Sets in closed form from a few lane counts (the
+//     full adder's 18 gates from |a∨b| and the carry-out count, the
+//     MUX's 9 from the value it did not select; see AddBits, MuxBits).
+//   - Known planes: where the structure of the computation fixes a
+//     plane's gate inputs, the slab does not run those gates. The
+//     multiplier's planes that a round's partial product does not reach
+//     see a zero partial and a zero carry, and the priority scan's count
+//     planes above what the count can hold yet are zero and take no
+//     carry. Their outputs (the accumulator unchanged, or zero) are what
+//     the gates would produce in every lane; their Evals and Resets are
+//     charged as usual and their Sets in closed form (11M − 4|acc| per
+//     adder on an accumulator plane, 11M on an all-zero one). The
+//     property tests in slab_test.go and slab_prim_test.go enforce values
+//     and Stats for K in {1,2,3,4,8}, under prefix and sparse masks.
 //
 // Masking discipline: gate outputs are computed across all lanes (the mask
 // only gates the accounting), so values flow correctly through lanes that
@@ -127,18 +140,28 @@ func (c *SlabCircuit) SlabLanes() int { return c.K * Lanes }
 // grab bump-allocates one uninitialized slab of the current tile width.
 // Callers must fully overwrite it (every gate does) or use zeroSlab for
 // all-zero planes.
-func (c *SlabCircuit) grab() []Word {
-	if c.off+c.w > len(c.arena) {
-		n := 1024 * c.K
-		if n < 2*len(c.arena) {
-			n = 2 * len(c.arena)
-		}
-		c.arena = make([]Word, n)
+func (c *SlabCircuit) grab() []Word { return c.grabWords(c.w) }
+
+// grabWords bump-allocates n uninitialized words.
+func (c *SlabCircuit) grabWords(n int) []Word {
+	if c.off+n > len(c.arena) {
+		c.arena = make([]Word, max(1024*c.K, 2*len(c.arena), n))
 		c.off = 0
 	}
-	s := c.arena[c.off : c.off+c.w : c.off+c.w]
-	c.off += c.w
+	s := c.arena[c.off : c.off+n : c.off+n]
+	c.off += n
 	return s
+}
+
+// slabs bump-allocates a vector of n uninitialized slabs, carved from one
+// block of the arena.
+func (c *SlabCircuit) slabs(n int) SlabBits {
+	out := c.planes(n)
+	blk := c.grabWords(n * c.w)
+	for i := range out {
+		out[i] = blk[i*c.w : (i+1)*c.w : (i+1)*c.w]
+	}
+	return out
 }
 
 // grabZero is grab plus clearing (for planes built up incrementally).
@@ -300,14 +323,21 @@ func (s SlabBits) laneWord(w int) [Lanes]Word {
 // bit planes, and back. Each level swaps the off-diagonal j x j blocks of
 // every 2j x 2j block, halving j from 32 to 1.
 func transpose64(a *[Lanes]Word) {
-	m := Word(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j >>= 1 {
-		for k := 0; k < Lanes; k = (k + j + 1) &^ j {
-			t := (a[k]>>uint(j) ^ a[k+j]) & m
-			a[k+j] ^= t
-			a[k] ^= t << uint(j)
-		}
-		m ^= m << uint(j>>1)
+	swapBlocks(a, 32, 0x00000000FFFFFFFF)
+	swapBlocks(a, 16, 0x0000FFFF0000FFFF)
+	swapBlocks(a, 8, 0x00FF00FF00FF00FF)
+	swapBlocks(a, 4, 0x0F0F0F0F0F0F0F0F)
+	swapBlocks(a, 2, 0x3333333333333333)
+	swapBlocks(a, 1, 0x5555555555555555)
+}
+
+// swapBlocks is one level of transpose64; it inlines, so j is a constant
+// shift there.
+func swapBlocks(a *[Lanes]Word, j int, m Word) {
+	for k := 0; k < Lanes; k = (k + j + 1) &^ j {
+		t := (a[k]>>uint(j) ^ a[(k+j)&(Lanes-1)]) & m
+		a[(k+j)&(Lanes-1)] ^= t
+		a[k] ^= t << uint(j)
 	}
 }
 
@@ -340,9 +370,7 @@ func (c *SlabCircuit) nor1(mask, a []Word) []Word {
 		evals += int64(bits.OnesCount64(mask[i]))
 		sets += int64(bits.OnesCount64(o & mask[i]))
 	}
-	c.Stats.NOREvals += evals
-	c.Stats.Resets += evals
-	c.Stats.Sets += sets
+	c.charge(evals, sets)
 	return out
 }
 
@@ -356,9 +384,7 @@ func (c *SlabCircuit) nor2(mask, a, b []Word) []Word {
 		evals += int64(bits.OnesCount64(mask[i]))
 		sets += int64(bits.OnesCount64(o & mask[i]))
 	}
-	c.Stats.NOREvals += evals
-	c.Stats.Resets += evals
-	c.Stats.Sets += sets
+	c.charge(evals, sets)
 	return out
 }
 
@@ -374,71 +400,78 @@ func (c *SlabCircuit) NOT(mask, a []Word) []Word { return c.nor1(mask, a) }
 // registers and writes only the final plane(s). The gates evaluated — and
 // therefore Stats — are exactly the scalar decompositions, intermediate by
 // intermediate (including re-evaluated duplicates like the two NOT(a)
-// gates inside a full adder); only the memory traffic changes.
+// gates inside a full adder); only the memory traffic changes. Sets come
+// from a closed form over a few lane counts per word, derived gate by gate
+// in each comment (M, A, B: masked lanes, and those with a or b set).
 
-// OR is NOT(NOR(a,b)): 2 gates.
+// OR is NOT(NOR(a,b)): 2 gates. Exactly one of the two outputs is 1 in
+// every lane, so Sets = M.
 func (c *SlabCircuit) OR(mask, a, b []Word) []Word {
 	out := c.grab()
-	mask, a, b = mask[:len(out)], a[:len(out)], b[:len(out)]
-	var evals, sets int64
+	a, b = a[:len(out)], b[:len(out)]
 	for i := range out {
-		m := mask[i]
-		g1 := ^(a[i] | b[i])
-		o := ^g1
-		out[i] = o
-		evals += int64(bits.OnesCount64(m))
-		sets += int64(bits.OnesCount64(g1&m) + bits.OnesCount64(o&m))
+		out[i] = a[i] | b[i]
 	}
-	c.Stats.NOREvals += 2 * evals
-	c.Stats.Resets += 2 * evals
-	c.Stats.Sets += sets
+	m := laneCount(mask[:len(out)])
+	c.charge(2*m, m)
 	return out
 }
 
-// AND is NOR(NOT a, NOT b): 3 gates.
+// AND is NOR(NOT a, NOT b): 3 gates, Sets = (M−A) + (M−B) + |a∧b| =
+// 2M − |a∨b|.
 func (c *SlabCircuit) AND(mask, a, b []Word) []Word {
 	out := c.grab()
 	mask, a, b = mask[:len(out)], a[:len(out)], b[:len(out)]
-	var evals, sets int64
+	var m, or int
 	for i := range out {
-		m := mask[i]
-		g1 := ^a[i]
-		g2 := ^b[i]
-		o := ^(g1 | g2)
-		out[i] = o
-		evals += int64(bits.OnesCount64(m))
-		sets += int64(bits.OnesCount64(g1&m) + bits.OnesCount64(g2&m) +
-			bits.OnesCount64(o&m))
+		out[i] = a[i] & b[i]
+		m += bits.OnesCount64(mask[i])
+		or += bits.OnesCount64((a[i] | b[i]) & mask[i])
 	}
-	c.Stats.NOREvals += 3 * evals
-	c.Stats.Resets += 3 * evals
-	c.Stats.Sets += sets
+	c.charge(3*int64(m), int64(2*m-or))
 	return out
 }
 
-// XOR from five NORs, as in the scalar gate.
+// XOR from five NORs, as in the scalar gate: NOR(a,b) sets M−|a∨b|,
+// NOT a and NOT b set M−A and M−B, their NOR (a∧b) sets |a∧b|, and the
+// output sets |a∨b|−|a∧b|, so Sets = 3M − A − B.
 func (c *SlabCircuit) XOR(mask, a, b []Word) []Word {
 	out := c.grab()
 	mask, a, b = mask[:len(out)], a[:len(out)], b[:len(out)]
-	var evals, sets int64
+	var m, ab int
 	for i := range out {
-		m := mask[i]
-		av, bv := a[i], b[i]
-		g1 := ^(av | bv)
-		g2 := ^av
-		g3 := ^bv
-		g4 := ^(g2 | g3)
-		o := ^(g1 | g4)
-		out[i] = o
-		evals += int64(bits.OnesCount64(m))
-		sets += int64(bits.OnesCount64(g1&m) + bits.OnesCount64(g2&m) +
-			bits.OnesCount64(g3&m) + bits.OnesCount64(g4&m) +
-			bits.OnesCount64(o&m))
+		out[i] = a[i] ^ b[i]
+		m += bits.OnesCount64(mask[i])
+		ab += bits.OnesCount64(a[i]&mask[i]) + bits.OnesCount64(b[i]&mask[i])
 	}
-	c.Stats.NOREvals += 5 * evals
-	c.Stats.Resets += 5 * evals
-	c.Stats.Sets += sets
+	c.charge(5*int64(m), int64(3*m-ab))
 	return out
+}
+
+// charge records evals gate evaluations, each of which pre-resets its
+// output cell, and sets outputs switched to 1.
+func (c *SlabCircuit) charge(evals, sets int64) {
+	c.Stats.NOREvals += evals
+	c.Stats.Resets += evals
+	c.Stats.Sets += sets
+}
+
+// laneCount returns the number of lanes a mask selects.
+func laneCount(mask []Word) int64 {
+	var n int
+	for _, m := range mask {
+		n += bits.OnesCount64(m)
+	}
+	return int64(n)
+}
+
+// maskedCount returns the number of masked lanes set in x.
+func maskedCount(x, mask []Word) int64 {
+	var n int
+	for i, m := range mask {
+		n += bits.OnesCount64(x[i] & m)
+	}
+	return int64(n)
 }
 
 // plane returns s[i], or the zero slab past the end (zero-extension of
@@ -453,55 +486,48 @@ func (c *SlabCircuit) plane(s SlabBits, i int) []Word {
 // AddBits returns a + b (+ cin) over max(len(a), len(b)) planes plus a
 // final carry plane: a ripple of full adders, each two XORs plus the
 // carry network, 18 gates. The ripple carries through one scratch slab.
-// Six of each adder's gates recompute a value another already computed
-// (the carry network's NOT a, NOT b, NOT axb, NOT cin and its two ANDs),
-// so their Sets are counted twice from one popcount.
+//
+// Sets in closed form. Over the masked lanes of one plane let A, B and C
+// count the lanes whose a, b and carry-in are set, G = |a∧b|,
+// X = |a⊕b| = A+B−2G and H = |(a⊕b)∧cin|. The adder's gates set:
+//
+//	XOR(a,b):     NOR(a,b) M−A−B+G, NOT a ×2 2(M−A), NOT b ×2 2(M−B),
+//	              AND(a,b) ×2 2G, a⊕b X
+//	XOR(a⊕b,cin): NOR M−X−C+H, NOT a⊕b ×2 2(M−X), NOT cin ×2 2(M−C),
+//	              AND ×2 2H, sum X+C−2H
+//	carry:        NOR(G,H) M−G−H, carry G+H
+//
+// (the two carry terms never overlap: a∧b forces a⊕b to 0), which sum to
+// 11M − 4A − 4B − 2C + 5G + H = 11M − 4|a∨b| + C' − 2C, where C' = G+H
+// is the carry-out count and so the next plane's C. Summed over the
+// ripple, the carries telescope: Sets = 11Mn − 4Σ|a∨b| − ΣC' − 2C₀ +
+// 2C_out, two popcounts a word.
 func (c *SlabCircuit) AddBits(mask []Word, a, b SlabBits, cin []Word) SlabBits {
 	n := max(len(a), len(b))
-	out := c.planes(n + 1)
-	carry := c.grab()
+	out := c.slabs(n + 1)
+	carry := out[n]
 	copy(carry, cin)
 	mask = mask[:len(carry)]
-	var evals, sets int64
-	for _, m := range mask {
-		evals += int64(bits.OnesCount64(m))
-	}
-	for i := 0; i < n; i++ {
-		sum := c.grab()
+	cIn := maskedCount(cin, mask)
+	cOut := cIn
+	var or, cy int64
+	for i, sum := range out[:n] {
 		ap, bp := c.plane(a, i)[:len(sum)], c.plane(b, i)[:len(sum)]
+		var po, pc int
 		for w := range sum {
-			m := mask[w]
-			av, bv, cv := ap[w], bp[w], carry[w]
-			// axb = XOR(a, b)
-			g1 := ^(av | bv)
-			g2 := ^av        // twice
-			g3 := ^bv        // twice
-			g4 := ^(g2 | g3) // AND(a, b), twice
-			axb := ^(g1 | g4)
-			// sum = XOR(axb, cin)
-			h1 := ^(axb | cv)
-			h2 := ^axb       // twice
-			h3 := ^cv        // twice
-			h4 := ^(h2 | h3) // AND(axb, cin), twice
-			s := ^(h1 | h4)
-			// carry = OR(AND(a, b), AND(axb, cin))
-			k1 := ^(g4 | h4)
-			cy := ^k1
-			sum[w], carry[w] = s, cy
-			sets += int64(bits.OnesCount64(g1&m) + bits.OnesCount64(axb&m) +
-				bits.OnesCount64(h1&m) + bits.OnesCount64(s&m) +
-				bits.OnesCount64(k1&m) + bits.OnesCount64(cy&m) +
-				2*(bits.OnesCount64(g2&m)+bits.OnesCount64(g3&m)+
-					bits.OnesCount64(g4&m)+bits.OnesCount64(h2&m)+
-					bits.OnesCount64(h3&m)+bits.OnesCount64(h4&m)))
+			m, av, bv, cv := mask[w], ap[w], bp[w], carry[w]
+			axb := av ^ bv
+			co := av&bv | axb&cv
+			sum[w], carry[w] = axb^cv, co
+			po += bits.OnesCount64((av | bv) & m)
+			pc += bits.OnesCount64(co & m)
 		}
-		out[i] = sum
+		or += int64(po)
+		cy += int64(pc)
+		cOut = int64(pc)
 	}
-	out[n] = carry
-	evals *= int64(18 * n)
-	c.Stats.NOREvals += evals
-	c.Stats.Resets += evals
-	c.Stats.Sets += sets
+	lanes := laneCount(mask) * int64(n)
+	c.charge(18*lanes, 11*lanes-4*or-cy-2*cIn+2*cOut)
 	return out
 }
 
@@ -524,40 +550,30 @@ func (c *SlabCircuit) GEBits(mask []Word, a, b SlabBits) []Word {
 }
 
 // MuxBits selects a (sel=0) or b (sel=1) lane-wise per plane, each plane
-// a MUX of 9 gates: OR(AND(NOT sel, a), AND(sel, b)). The gates on sel
-// alone (NOT sel twice, and NOT NOT sel) are the same in every plane, so
-// their Sets are counted once per word and scaled by the plane count.
+// a MUX of 9 gates: OR(AND(NOT sel, a), AND(sel, b)). With S = |sel|, the
+// gates on sel alone (NOT sel twice, and NOT NOT sel) set 2M − S in every
+// plane. The data gates set M−A (NOT a), |¬sel∧a| (first AND), M−B
+// (NOT b), |sel∧b| (second AND), and M−V and V (the OR, where V = |out|
+// is the sum of the two ANDs): 3M − A − B + V, which is
+// 3M − |sel ? a : b|, one popcount a word of the value the MUX did not
+// select.
 func (c *SlabCircuit) MuxBits(mask, sel []Word, a, b SlabBits) SlabBits {
 	n := max(len(a), len(b))
-	out := c.planes(n)
-	var evals, selSets, sets int64
-	for w := 0; w < c.w; w++ {
-		m, ns := mask[w], ^sel[w]
-		evals += int64(bits.OnesCount64(m))
-		selSets += int64(2*bits.OnesCount64(ns&m) + bits.OnesCount64(^ns&m))
-	}
-	for i := range out {
-		o := c.grab()
-		mask, sel := mask[:len(o)], sel[:len(o)]
+	out := c.slabs(n)
+	mask, sel = mask[:c.w], sel[:c.w]
+	var other int64
+	for i, o := range out {
 		ap, bp := c.plane(a, i)[:len(o)], c.plane(b, i)[:len(o)]
+		var po int
 		for w := range o {
-			m := mask[w]
-			sv, na, nb := sel[w], ^ap[w], ^bp[w]
-			and1 := ^(sv | na)  // NOR(NOT NOT sel, NOT a)
-			and2 := ^(^sv | nb) // NOR(NOT sel, NOT b)
-			r1 := ^(and1 | and2)
-			v := ^r1
-			o[w] = v
-			sets += int64(bits.OnesCount64(na&m) + bits.OnesCount64(and1&m) +
-				bits.OnesCount64(nb&m) + bits.OnesCount64(and2&m) +
-				bits.OnesCount64(r1&m) + bits.OnesCount64(v&m))
+			sv, av, bv := sel[w], ap[w], bp[w]
+			o[w] = av&^sv | bv&sv
+			po += bits.OnesCount64((av&sv | bv&^sv) & mask[w])
 		}
-		out[i] = o
+		other += int64(po)
 	}
-	evals *= int64(9 * n)
-	c.Stats.NOREvals += evals
-	c.Stats.Resets += evals
-	c.Stats.Sets += sets + int64(n)*selSets
+	lanes := laneCount(mask)
+	c.charge(9*int64(n)*lanes, int64(n)*(5*lanes-maskedCount(sel, mask))-other)
 	return out
 }
 
@@ -575,10 +591,7 @@ func (c *SlabCircuit) ShiftRightBits(mask []Word, a, sh SlabBits) (out SlabBits,
 		for i := range shifted {
 			shifted[i] = c.plane(out, i+amount)
 		}
-		lost := c.zeroSlab()
-		for i := 0; i < amount && i < len(out); i++ {
-			lost = c.OR(mask, lost, out[i])
-		}
+		lost := c.OrReduce(mask, out[:min(amount, len(out))])
 		sticky = c.OR(mask, sticky, c.AND(mask, sh[s], lost))
 		out = c.MuxBits(mask, sh[s], out, shifted)
 	}
@@ -605,41 +618,109 @@ func (c *SlabCircuit) ShiftLeftBits(mask []Word, a, sh SlabBits) SlabBits {
 }
 
 // MulBits returns the full 2n-plane product of two n-plane unsigned
-// operands via gate-level shift-and-add.
+// operands via gate-level shift-and-add: in round i, n ANDs form the
+// partial product a∧b_i, and a 2n-plane ripple add folds it into the
+// accumulator at plane i.
+//
+// Only the planes the partial product reaches run gates. In round i the
+// accumulator is below 2^(n+i), so every plane p outside i..i+n is
+// already known: below i the partial and the carry are zero, so the sum
+// is the accumulator (final from round p on) and the adder's Sets are
+// 11M − 4|acc_p|; plane i+n takes the carry-in alone (11M − 2C); above it
+// everything is zero (11M). The live planes fuse each partial AND into
+// its adder, which sets 2M − |a_j| − |b_i| + |a_j∧b_i| on top of the
+// adder's closed form (see AddBits). Evals and Resets stay 3nM + 36nM
+// per round.
 func (c *SlabCircuit) MulBits(mask []Word, a, b SlabBits) SlabBits {
 	n := len(a)
 	if len(b) != n {
 		panic("nor: MulBits operands must have equal width")
 	}
-	acc := c.zeroPlanes(2 * n)
-	partial := c.planes(2 * n)
-	for i := 0; i < n; i++ {
-		for j := range partial {
-			partial[j] = c.zero
-		}
-		for j := 0; j < n; j++ {
-			partial[i+j] = c.AND(mask, a[j], b[i])
-		}
-		sum := c.AddBits(mask, acc, partial, c.zero)
-		acc = sum[:2*n]
+	acc := c.slabs(2 * n)
+	for _, p := range acc[:n] {
+		clear(p)
 	}
+	carry := c.grab()
+	mask = mask[:len(carry)]
+	var sumA int64
+	for _, p := range a {
+		sumA += maskedCount(p, mask)
+	}
+	var sets, final int64 // final: Σ|acc_p| over the planes below i
+	for i := 0; i < n; i++ {
+		bi := b[i][:len(carry)]
+		clear(carry)
+		var or, cy, pp int
+		for j, aj := range a {
+			s := acc[i+j]
+			aj, bw, mw, cw := aj[:len(s)], bi[:len(s)], mask[:len(s)], carry[:len(s)]
+			for w := range s {
+				m, av, pv, cv := mw[w], s[w], aj[w]&bw[w], cw[w]
+				axb := av ^ pv
+				co := av&pv | axb&cv
+				s[w], cw[w] = axb^cv, co
+				or += bits.OnesCount64((av | pv) & m)
+				cy += bits.OnesCount64(co & m)
+				pp += bits.OnesCount64(pv & m)
+			}
+		}
+		// The carry out of plane i+n-1 is plane i+n; its old slab becomes
+		// the next round's carry scratch.
+		acc[i+n], carry = carry, acc[i+n]
+		sets += int64(pp-4*or-cy) - int64(n)*maskedCount(bi, mask) - 4*final
+		final += maskedCount(acc[i], mask)
+	}
+	lanes := laneCount(mask) * int64(n)
+	c.charge(39*int64(n)*lanes, sets+int64(n)*(24*lanes-sumA))
 	return acc
 }
 
 // LeadingZeros counts each lane's zero bits above its most significant
-// one-bit, as a gate-level priority scan.
+// one-bit, as a gate-level priority scan: step k ORs plane n-1-k into
+// seen (2 gates), and a ripple of full adders adds NOT seen (1 gate) to
+// the count (18 gates a count plane).
+//
+// Before step k every count is at most k, and after it at most k+1, so
+// the count planes from bits.Len(k+1) up stay zero and take no carry:
+// they are charged 18M evals and 11M Sets without running gates, and the
+// live planes' Sets follow AddBits' closed form with b = 0 (whose carry
+// out is zero).
 func (c *SlabCircuit) LeadingZeros(mask []Word, a SlabBits) SlabBits {
 	n := len(a)
-	w := 1
-	for 1<<uint(w) <= n {
-		w++
+	width := max(1, bits.Len(uint(n)))
+	count := c.slabs(width)
+	for _, p := range count {
+		clear(p)
 	}
-	count := c.zeroPlanes(w)
-	seen := c.zeroSlab()
-	for i := n - 1; i >= 0; i-- {
-		seen = c.OR(mask, seen, a[i])
-		count = c.AddBits(mask, count, nil, c.NOT(mask, seen))[:w]
+	seen, carry := c.grabZero(), c.grab()
+	mask = mask[:len(seen)]
+	var sets int64
+	for k := 0; k < n; k++ {
+		ak := a[n-1-k][:len(seen)]
+		var ns int
+		for w := range seen {
+			v := seen[w] | ak[w]
+			seen[w], carry[w] = v, ^v
+			ns += bits.OnesCount64(v & mask[w])
+		}
+		// OR sets M and NOT seen sets M−|seen|, which is also the ripple's
+		// carry-in count C₀, charged −2C₀: together |seen|.
+		sets += int64(ns)
+		for _, p := range count[:bits.Len(uint(k+1))] {
+			p := p[:len(seen)]
+			var pa, pc int
+			for w := range p {
+				av, cv := p[w], carry[w]
+				co := av & cv
+				p[w], carry[w] = av^cv, co
+				pa += bits.OnesCount64(av & mask[w])
+				pc += bits.OnesCount64(co & mask[w])
+			}
+			sets -= int64(4*pa + pc)
+		}
 	}
+	lanes := laneCount(mask) * int64(n)
+	c.charge(lanes*int64(3+18*width), sets+lanes*int64(11*width))
 	return count
 }
 
@@ -655,20 +736,39 @@ func (c *SlabCircuit) IncBits(mask []Word, a SlabBits) SlabBits {
 	return c.AddBits(mask, a, c.ones(), c.zero)
 }
 
-// OrReduce ORs all planes together per lane.
+// OrReduce ORs all planes together per lane: a chain of ORs from zero,
+// 2 gates and M Sets each.
 func (c *SlabCircuit) OrReduce(mask []Word, a SlabBits) []Word {
-	v := c.zeroSlab()
-	for _, b := range a {
-		v = c.OR(mask, v, b)
+	if len(a) == 0 {
+		return c.zeroSlab()
 	}
+	v := c.grab()
+	copy(v, a[0])
+	for _, p := range a[1:] {
+		p = p[:len(v)]
+		for w := range v {
+			v[w] |= p[w]
+		}
+	}
+	m := laneCount(mask[:len(v)]) * int64(len(a))
+	c.charge(2*m, m)
 	return v
 }
 
-// AndReduce ANDs all planes together per lane.
+// AndReduce ANDs all planes together per lane: a chain of ANDs from all
+// ones, 3 gates and 2M − |v∨b| Sets each (see AND).
 func (c *SlabCircuit) AndReduce(mask []Word, a SlabBits) []Word {
 	v := c.maskNot(c.zero)
-	for _, b := range a {
-		v = c.AND(mask, v, b)
+	mask = mask[:len(v)]
+	var or int
+	for _, p := range a {
+		p = p[:len(v)]
+		for w := range v {
+			or += bits.OnesCount64((v[w] | p[w]) & mask[w])
+			v[w] &= p[w]
+		}
 	}
+	m := laneCount(mask) * int64(len(a))
+	c.charge(3*m, 2*m-int64(or))
 	return v
 }

@@ -185,8 +185,12 @@ func (c *SlabCircuit) mulTile(a, b, out []uint32) {
 	p := c.MulBits(live, ua.mant, ub.mant)
 	lzPl := c.LeadingZeros(live, p)
 	eR := c.er[:n]
+	var lzs [Lanes]Word
 	for l := 0; l < n; l++ {
-		lz := int(lzPl.Lane(l))
+		if l&63 == 0 {
+			lzs = lzPl.laneWord(l >> 6)
+		}
+		lz := int(lzs[l&63])
 		eR[l] = effExp(a[l]) + effExp(b[l]) - lz - 126
 		if maskBit(live, l) && lz == 48 { // zero product
 			out[l] = 0
@@ -365,12 +369,16 @@ func (c *SlabCircuit) addTile(a, b, out []uint32) {
 	kLT := c.grabZero()
 	anyGT, anyLT := false, false
 	shGT := c.vals[:n]
+	var lzs [Lanes]Word
 	for l := 0; l < n; l++ {
+		if l&63 == 0 {
+			lzs = lzPl.laneWord(l >> 6)
+		}
 		shGT[l] = 0
 		if !maskBit(live, l) {
 			continue
 		}
-		k := 28 - int(lzPl.Lane(l))
+		k := 28 - int(lzs[l&63])
 		eR[l] = eL[l] + k - 26
 		if k > 26 {
 			shGT[l] = uint64(k - 26)
