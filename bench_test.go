@@ -13,6 +13,7 @@ package wavepim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"wavepim/internal/dg"
@@ -393,7 +394,7 @@ func BenchmarkFunctionalStep(b *testing.B) {
 			workers int
 		}{
 			{"serial", 1},
-			{"parallel", dg.DefaultWorkers()},
+			{"parallel", runtime.GOMAXPROCS(0)},
 		} {
 			b.Run(sys.name+"/"+cfg.name, func(b *testing.B) {
 				m := mesh.New(sys.refine, 8, true)
@@ -421,60 +422,14 @@ func BenchmarkFunctionalStep(b *testing.B) {
 	}
 }
 
-// rhsBenchMesh is the RHS benchmarks' mesh: refinement 3 is the smallest
-// whose RHS work clears dg.DefaultMinWork for all three solvers, so the
-// parallel benchmark really runs the worker pool (at refinement 2 every
-// solver dispatches serial).
+// rhsBenchMesh is BenchmarkRHS's mesh: refinement 3 at np 6, 512
+// elements, so one RHS evaluation does milliseconds of work and the
+// per-iteration timer overhead is negligible.
 func rhsBenchMesh() *mesh.Mesh { return mesh.New(3, 6, true) }
 
-// BenchmarkRHSParallel measures one parallel RHS evaluation of each wave
-// system against its serial counterpart on the same mesh. It fails when
-// the solver would dispatch serial on a multi-core host, since it would
-// then measure the serial path.
-func BenchmarkRHSParallel(b *testing.B) {
-	m := rhsBenchMesh()
-	workers := dg.DefaultWorkers() // GOMAXPROCS
-	requirePool := func(b *testing.B, effective int) {
-		if workers > 1 && effective <= 1 {
-			b.Fatalf("EffectiveWorkers(%d) = %d on %d elements: the worker pool would not run", workers, effective, m.NumElem)
-		}
-	}
-	b.Run("acoustic", func(b *testing.B) {
-		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, material.Acoustic{Kappa: 2.25, Rho: 1}), dg.RiemannFlux)
-		requirePool(b, s.EffectiveWorkers(workers))
-		q, rhs := dg.NewAcousticState(m), dg.NewAcousticState(m)
-		dg.PlaneWaveX(m, material.Acoustic{Kappa: 2.25, Rho: 1}, 1, q)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.RHSParallel(q, rhs, workers)
-		}
-	})
-	b.Run("elastic", func(b *testing.B) {
-		mat := material.Elastic{Lambda: 2, Mu: 1, Rho: 1}
-		s := dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, mat), dg.RiemannFlux)
-		requirePool(b, s.EffectiveWorkers(workers))
-		q, rhs := dg.NewElasticState(m), dg.NewElasticState(m)
-		dg.PlaneWavePX(m, mat, 1, q)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.RHSParallel(q, rhs, workers)
-		}
-	})
-	b.Run("maxwell", func(b *testing.B) {
-		s := dg.NewMaxwellSolver(m, material.Vacuum, dg.RiemannFlux)
-		requirePool(b, s.EffectiveWorkers(workers))
-		q, rhs := dg.NewMaxwellState(m), dg.NewMaxwellState(m)
-		dg.PlaneWaveEM(m, material.Vacuum, 1, q)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.RHSParallel(q, rhs, workers)
-		}
-	})
-}
-
-// BenchmarkRHSSerial is the serial baseline for BenchmarkRHSParallel
-// (same meshes, Workers unset).
-func BenchmarkRHSSerial(b *testing.B) {
+// BenchmarkRHS measures one RHS evaluation (Volume + Flux) of each wave
+// system on the reference dG solver.
+func BenchmarkRHS(b *testing.B) {
 	m := rhsBenchMesh()
 	b.Run("acoustic", func(b *testing.B) {
 		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, material.Acoustic{Kappa: 2.25, Rho: 1}), dg.RiemannFlux)

@@ -111,18 +111,11 @@ type AcousticSolver struct {
 	Mat      *material.AcousticField
 	Flux     FluxType
 	Boundary Boundary
-	// Workers > 1 runs the RHS with that many goroutines (elements are
-	// independent; see parallel.go). Results are identical to serial.
-	Workers int
-	// Obs, when non-nil, records per-stage RHS timings and parallel-range
-	// utilization (see parallel.go). Nil keeps the uninstrumented path.
+	// Obs, when non-nil, records each RHS evaluation's wall time and count
+	// (see observeRHS). Nil keeps the uninstrumented path.
 	Obs *obs.Sink
-	// Tuning controls the adaptive serial/parallel dispatch of RHSParallel
-	// (see parallel.go). The zero value uses the measured defaults.
-	Tuning ParallelTuning
 
-	scratch    [4][]float64 // per-element work arrays
-	parScratch []acousticScratch
+	scratch [4][]float64 // per-element work arrays
 }
 
 // NewAcousticSolver builds a solver over the given mesh and material field.
@@ -140,21 +133,19 @@ func NewAcousticSolver(m *mesh.Mesh, mat *material.AcousticField, flux FluxType)
 // RHS computes the full right-hand side (Volume + Flux) into rhs, which is
 // overwritten. q is not modified.
 func (s *AcousticSolver) RHS(q, rhs *AcousticState) {
-	if s.Workers > 1 {
-		s.RHSParallel(q, rhs, s.Workers)
-		return
-	}
-	s.rhsSerial(q, rhs)
-}
-
-// rhsSerial is the unpooled RHS body, shared by RHS and the adaptive
-// below-threshold fallback in RHSParallel.
-func (s *AcousticSolver) rhsSerial(q, rhs *AcousticState) {
 	if s.Obs != nil {
-		defer observeSerialRHS(s.Obs, "acoustic", time.Now())
+		defer observeRHS(s.Obs, "acoustic", time.Now())
 	}
 	s.VolumeKernel(q, rhs)
 	s.FluxKernel(q, rhs)
+}
+
+// observeRHS records one RHS evaluation of equation name, started at
+// start: its wall time in dg.rhs_seconds.<name> and one count in
+// dg.rhs_calls.<name>. All three solvers share it.
+func observeRHS(sink *obs.Sink, name string, start time.Time) {
+	sink.Histogram("dg.rhs_seconds." + name).Observe(time.Since(start).Seconds())
+	sink.Counter("dg.rhs_calls." + name).Inc()
 }
 
 // VolumeKernel computes the element-local part of the RHS (the paper's
@@ -168,7 +159,7 @@ func (s *AcousticSolver) VolumeKernel(q, rhs *AcousticState) {
 }
 
 // volumeElem computes one element's Volume contribution with caller-owned
-// scratch (shared by the serial and parallel paths).
+// scratch.
 func (s *AcousticSolver) volumeElem(q, rhs *AcousticState, e int, divV, dPd []float64) {
 	m := s.Op.M
 	nn := m.NodesPerEl

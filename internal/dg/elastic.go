@@ -85,18 +85,11 @@ type ElasticSolver struct {
 	Mat      *material.ElasticField
 	Flux     FluxType
 	FreeSurf bool // traction-free boundary on non-periodic faces
-	// Workers > 1 runs the RHS with that many goroutines (elements are
-	// independent; see parallel.go). Results are identical to serial.
-	Workers int
-	// Obs, when non-nil, records per-stage RHS timings and parallel-range
-	// utilization (see parallel.go). Nil keeps the uninstrumented path.
+	// Obs, when non-nil, records each RHS evaluation's wall time and count
+	// (see observeRHS). Nil keeps the uninstrumented path.
 	Obs *obs.Sink
-	// Tuning controls the adaptive serial/parallel dispatch of RHSParallel
-	// (see parallel.go). The zero value uses the measured defaults.
-	Tuning ParallelTuning
 
-	scratch    [4][]float64
-	parScratch []elasticScratch
+	scratch [4][]float64
 }
 
 // NewElasticSolver builds a solver over the given mesh and material field.
@@ -113,18 +106,8 @@ func NewElasticSolver(m *mesh.Mesh, mat *material.ElasticField, flux FluxType) *
 
 // RHS computes the full right-hand side (Volume + Flux) into rhs.
 func (s *ElasticSolver) RHS(q, rhs *ElasticState) {
-	if s.Workers > 1 {
-		s.RHSParallel(q, rhs, s.Workers)
-		return
-	}
-	s.rhsSerial(q, rhs)
-}
-
-// rhsSerial is the unpooled RHS body, shared by RHS and the adaptive
-// below-threshold fallback in RHSParallel.
-func (s *ElasticSolver) rhsSerial(q, rhs *ElasticState) {
 	if s.Obs != nil {
-		defer observeSerialRHS(s.Obs, "elastic", time.Now())
+		defer observeRHS(s.Obs, "elastic", time.Now())
 	}
 	s.VolumeKernel(q, rhs)
 	s.FluxKernel(q, rhs)
@@ -140,7 +123,7 @@ func (s *ElasticSolver) VolumeKernel(q, rhs *ElasticState) {
 }
 
 // volumeElem computes one element's Volume contribution with caller-owned
-// scratch (shared by the serial and parallel paths).
+// scratch.
 func (s *ElasticSolver) volumeElem(q, rhs *ElasticState, e int, da, db, dc []float64) {
 	m := s.Op.M
 	nn := m.NodesPerEl

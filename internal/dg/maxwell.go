@@ -74,18 +74,11 @@ type MaxwellSolver struct {
 	Op   *Operator
 	Mat  material.Dielectric
 	Flux FluxType
-	// Workers > 1 runs the RHS with that many goroutines (elements are
-	// independent; see parallel.go). Results are identical to serial.
-	Workers int
-	// Obs, when non-nil, records per-stage RHS timings and parallel-range
-	// utilization (see parallel.go). Nil keeps the uninstrumented path.
+	// Obs, when non-nil, records each RHS evaluation's wall time and count
+	// (see observeRHS). Nil keeps the uninstrumented path.
 	Obs *obs.Sink
-	// Tuning controls the adaptive serial/parallel dispatch of RHSParallel
-	// (see parallel.go). The zero value uses the measured defaults.
-	Tuning ParallelTuning
 
-	scratch    [3][]float64
-	parScratch []maxwellScratch
+	scratch [3][]float64
 }
 
 // NewMaxwellSolver builds the solver for a uniform dielectric.
@@ -103,18 +96,8 @@ func cyc(a int) (b, c int) { return (a + 1) % 3, (a + 2) % 3 }
 
 // RHS computes Volume + Flux into rhs.
 func (s *MaxwellSolver) RHS(q, rhs *MaxwellState) {
-	if s.Workers > 1 {
-		s.RHSParallel(q, rhs, s.Workers)
-		return
-	}
-	s.rhsSerial(q, rhs)
-}
-
-// rhsSerial is the unpooled RHS body, shared by RHS and the adaptive
-// below-threshold fallback in RHSParallel.
-func (s *MaxwellSolver) rhsSerial(q, rhs *MaxwellState) {
 	if s.Obs != nil {
-		defer observeSerialRHS(s.Obs, "maxwell", time.Now())
+		defer observeRHS(s.Obs, "maxwell", time.Now())
 	}
 	s.VolumeKernel(q, rhs)
 	s.FluxKernel(q, rhs)
@@ -127,8 +110,7 @@ func (s *MaxwellSolver) VolumeKernel(q, rhs *MaxwellState) {
 	}
 }
 
-// volumeElem computes one element's curls with caller-owned scratch
-// (shared by the serial and parallel paths).
+// volumeElem computes one element's curls with caller-owned scratch.
 func (s *MaxwellSolver) volumeElem(q, rhs *MaxwellState, e int, da, db []float64) {
 	m := s.Op.M
 	nn := m.NodesPerEl
