@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,5 +217,78 @@ func TestReplayEqualsLiveTable(t *testing.T) {
 	}
 	if string(replayed) != string(live) {
 		t.Fatalf("replayed table diverges from the live one:\n%s\nvs\n%s", replayed, live)
+	}
+}
+
+// TestReplayKeepsRetryCharges: a journaled job that bounced k times and
+// was waiting out its backoff when the coordinator closed comes back
+// from replay with its k charges, not a fresh budget. Replayed under a
+// budget of k, it fails as exhausted and is not dispatched again.
+func TestReplayKeepsRetryCharges(t *testing.T) {
+	const k = 2
+	fw := newFakeWorker(t)
+	fw.reject.Store(k)
+	fw.status.Store("running")
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	jr, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each backoff lasts 100-200 ms, so the poll below sees the k-th
+	// charge long before the job would be dispatched again.
+	c := NewCoordinator(CoordinatorOptions{
+		Dispatchers: 1, MaxRetries: k + 2, BackoffBase: 200 * time.Millisecond,
+		BackoffCap: 200 * time.Millisecond, TTL: time.Minute,
+		Breaker: BreakerConfig{Threshold: 100},
+		Journal: jr,
+	})
+	fw.register(c, "w1")
+	if _, _, err := c.Submit(JobSpec{ID: "backoff", Equation: "acoustic", Steps: 2}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		j, _ := c.Job("backoff")
+		if v := j.view(); v.Attempts == k {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never charged %d retries", k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := NewCoordinator(CoordinatorOptions{MaxRetries: k + 2, TTL: time.Minute, Replay: recs})
+	t.Cleanup(c2.Close)
+	j2, _ := c2.Job("backoff")
+	if v := j2.view(); v.Status == "done" || v.Status == "failed" || v.Attempts != k {
+		t.Fatalf("replayed job %s with %d attempts, want non-terminal with %d", v.Status, v.Attempts, k)
+	}
+
+	c3 := NewCoordinator(CoordinatorOptions{MaxRetries: k, TTL: time.Minute, Replay: recs})
+	t.Cleanup(c3.Close)
+	fw3 := newFakeWorker(t)
+	fw3.register(c3, "w1")
+	j3, _ := c3.Job("backoff")
+	if v := j3.view(); v.Status != "failed" || v.Attempts != k {
+		t.Fatalf("replayed under a budget of %d: %s with %d attempts, want failed with %d", k, v.Status, v.Attempts, k)
+	}
+	var ex *ErrRetriesExhausted
+	if !errors.As(j3.Err(), &ex) || ex.ID != "backoff" || ex.Attempts != k {
+		t.Fatalf("terminal error %v, want *ErrRetriesExhausted after %d attempts", j3.Err(), k)
+	}
+	if st := c3.Replay(); st.Requeued != 0 {
+		t.Fatalf("replay requeued %d jobs, want 0", st.Requeued)
+	}
+	if n := fw3.posts.Load(); n != 0 {
+		t.Fatalf("exhausted job was dispatched %d times after replay", n)
 	}
 }
