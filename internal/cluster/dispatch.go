@@ -485,6 +485,7 @@ func (c *Coordinator) emit(qj *QueuedJob, j *cjob, ev event) error {
 		rec = JournalRecord{T: JournalDispatch, ID: j.id, Worker: ev.worker}
 	case evRetry:
 		tl.endAttempt(ev.since, ev.at, ev.annot)
+		rec = JournalRecord{T: JournalRetry, ID: j.id, Error: ev.err.Error(), Attempts: ev.attempts}
 	case evTerminal:
 		if ev.report != "" {
 			tl.closeExec(ev.since, "")
@@ -641,12 +642,14 @@ func (c *Coordinator) evictLocked(keep string) {
 // replayJournal rebuilds the job table from the journal's records. Each
 // record is the event it journaled, folded through advance with no side
 // effects; terminal jobs are then restored verbatim (reports and traces
-// stay queryable), the rest re-admitted for dispatch under their
-// idempotent ids. Runs inside NewCoordinator, before any dispatcher
-// starts.
+// stay queryable), a job whose journaled retries already spent this
+// coordinator's budget fails as exhausted, and the rest are re-admitted
+// for dispatch under their idempotent ids. Runs inside NewCoordinator,
+// before any dispatcher starts.
 func (c *Coordinator) replayJournal(recs []JournalRecord) {
 	byID := map[string]*cjob{} // nil: a submit whose spec does not parse
 	var order []*cjob
+	lastCause := map[*cjob]string{} // the latest retry record's cause
 	c.replay.Records = len(recs)
 	for _, rec := range recs {
 		j, seen := byID[rec.ID]
@@ -672,6 +675,11 @@ func (c *Coordinator) replayJournal(recs []JournalRecord) {
 			ev = event{kind: evSubmit}
 		case JournalDispatch:
 			ev = event{kind: evDispatch, worker: rec.Worker}
+		case JournalRetry:
+			ev = event{kind: evRetry, attempts: rec.Attempts}
+			if j != nil {
+				lastCause[j] = rec.Error
+			}
 		case JournalTerminal:
 			ev = event{kind: evTerminal, worker: rec.Worker, attempts: rec.Attempts,
 				status: rec.Status, cached: rec.Cached, result: rec.Result}
@@ -685,6 +693,9 @@ func (c *Coordinator) replayJournal(recs []JournalRecord) {
 			continue
 		}
 		if ev.kind == evTerminal && !j.terminal() {
+			// A terminal record carries the job's total charge, part of
+			// which its retry records have already folded.
+			ev.attempts -= j.attempts
 			if rec.Stages != nil {
 				j.stages = *rec.Stages
 			}
@@ -701,6 +712,14 @@ func (c *Coordinator) replayJournal(recs []JournalRecord) {
 		c.bumpSeq(j.id)
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
+		if !j.terminal() && j.attempts >= c.maxRetries {
+			// The old incarnation charged the last retry but stopped before
+			// recording the exhausted terminal: record it now, as emit would
+			// have, instead of dispatching again.
+			j.trace = newJobTrace(j.id, now)
+			c.raise(nil, j, event{kind: evTerminal, at: now, status: "failed",
+				err: &ErrRetriesExhausted{ID: j.id, Attempts: j.attempts, Last: lastCause[j]}})
+		}
 		if j.terminal() {
 			if j.status == "done" && j.result != nil && !j.cached {
 				c.byDigest.LoadOrStore(j.digest, j)

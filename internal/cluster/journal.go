@@ -11,16 +11,18 @@ import (
 
 // The coordinator's crash-safety layer: an append-only JSONL job journal.
 // Every accepted job writes a "submit" record before its 202 leaves the
-// building, every successful forward writes a "dispatch" record, and
-// every terminal transition writes a "terminal" record carrying the
-// worker's report bytes, the last owner and the retries charged. On
-// startup the journal is replayed: each record folds through the same
-// transition the live job took (cjob.advance), so jobs with a terminal
-// record are restored exactly as they were served (reports byte-for-
-// byte), and jobs without one are re-admitted to the dispatch queues — a
-// job that was mid-flight when the process died is re-POSTed under its
-// idempotent id, so the owning worker returns the existing run instead
-// of executing twice.
+// building, every successful forward writes a "dispatch" record, every
+// bounce writes a "retry" record carrying the retry it charged and its
+// cause, and every terminal transition writes a "terminal" record
+// carrying the worker's report bytes, the last owner and the retries
+// charged in total. On startup the journal is replayed: each record
+// folds through the same transition the live job took (cjob.advance), so
+// jobs with a terminal record are restored exactly as they were served
+// (reports byte-for-byte), and jobs without one are re-admitted to the
+// dispatch queues — a job that was mid-flight when the process died is
+// re-POSTed under its idempotent id, so the owning worker returns the
+// existing run instead of executing twice. A re-admitted job keeps the
+// retries its records charged, so a restart never refills its budget.
 //
 // Durability is fsync-batched (group commit): concurrent Appends ride a
 // single write+fsync performed by one flusher goroutine, and each Append
@@ -33,19 +35,20 @@ import (
 const (
 	JournalSubmit   = "submit"
 	JournalDispatch = "dispatch"
+	JournalRetry    = "retry"
 	JournalTerminal = "terminal"
 )
 
 // JournalRecord is one JSONL line. Field order is fixed by the struct.
 type JournalRecord struct {
-	T        string          `json:"t"`                  // submit | dispatch | terminal
+	T        string          `json:"t"`                  // submit | dispatch | retry | terminal
 	ID       string          `json:"id"`                 // canonical job id
 	Spec     json.RawMessage `json:"spec,omitempty"`     // submit: the canonical forward body
 	Worker   string          `json:"worker,omitempty"`   // dispatch: the accepting worker; terminal: the last owner
 	Status   string          `json:"status,omitempty"`   // terminal: done | failed
-	Error    string          `json:"error,omitempty"`    // terminal: failure message
+	Error    string          `json:"error,omitempty"`    // retry: the bounce cause; terminal: failure message
 	Cached   bool            `json:"cached,omitempty"`   // terminal: served from the result cache
-	Attempts int             `json:"attempts,omitempty"` // terminal: retries charged
+	Attempts int             `json:"attempts,omitempty"` // retry: retries charged by it; terminal: in total
 	Result   json.RawMessage `json:"result,omitempty"`   // terminal: the worker's report bytes
 
 	// Distributed-tracing payload of a terminal record: the job's latency
@@ -245,7 +248,7 @@ func (j *Journal) Close() error {
 // ReplayStats summarizes a journal replay for /v1/readyz.
 type ReplayStats struct {
 	Records  int `json:"records"`  // journal records read at startup
-	Restored int `json:"restored"` // terminal jobs restored with their reports
+	Restored int `json:"restored"` // terminal jobs restored with their reports, or failed for a spent retry budget
 	Requeued int `json:"requeued"` // queued/in-flight jobs re-admitted for dispatch
 	Dropped  int `json:"dropped"`  // records skipped (unparsable spec, duplicate id)
 }
