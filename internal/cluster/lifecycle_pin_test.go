@@ -182,6 +182,8 @@ func TestCoordinatorLifecyclePinned(t *testing.T) {
 	t.Run("journal_sequence", func(t *testing.T) {
 		want := []string{
 			"submit bounce-1   false",
+			"retry bounce-1   false",
+			"retry bounce-1   false",
 			"dispatch bounce-1 w1  false",
 			"terminal bounce-1  done false",
 			"submit hit-1   false",
@@ -189,6 +191,9 @@ func TestCoordinatorLifecyclePinned(t *testing.T) {
 			"submit late-1   false",
 			"terminal late-1  failed false",
 			"submit exhaust-1   false",
+			"retry exhaust-1   false",
+			"retry exhaust-1   false",
+			"retry exhaust-1   false",
 			"terminal exhaust-1  failed false",
 			"submit reject-1   false",
 			"terminal reject-1  failed false",
