@@ -286,7 +286,7 @@ func BenchmarkMaxwellExtension(b *testing.B) {
 	dt := s.MaxStableDt(0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it.Step(q, dt)
+		it.Step(q, 0, dt)
 	}
 	plan := wp.Plan{Tech: wp.ExpandRows, Layout: wp.ElasticFourBlock, SlotsPerElem: 4}
 	comp := wp.NewCompiler(plan, 8, dg.RiemannFlux)

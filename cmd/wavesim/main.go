@@ -6,6 +6,11 @@
 //
 //	wavesim -eq acoustic -refine 2 -np 6 -steps 100 -flux riemann
 //
+// Every equation (acoustic, elastic, maxwell) runs through the same LSRK
+// integrator, so -guard N works for each: it checks the solver's health
+// (finite values, squared-norm growth within -blowup) every N steps and
+// exits 1 when a check fails.
+//
 // With -trace and/or -metrics it additionally times the matching PIM
 // benchmark and exports observability output: -trace writes a Chrome
 // trace_event JSON (chrome://tracing, Perfetto) of the Figure 13
@@ -39,7 +44,7 @@ func main() {
 	cfl := flag.Float64("cfl", 0.3, "CFL number")
 	tracePath := flag.String("trace", "", "write a Chrome trace of the PIM stage pipeline to this file")
 	metricsPath := flag.String("metrics", "", "write the metrics registry snapshot (JSON) to this file")
-	guard := flag.Int("guard", 0, "check solver health (finiteness, norm blow-up) every N steps; 0 disables (acoustic/elastic)")
+	guard := flag.Int("guard", 0, "check solver health (finiteness, norm blow-up) every N steps; 0 disables")
 	blowup := flag.Float64("blowup", 1e3, "health guard: allowed squared-norm growth factor over the initial state")
 	eventLogPath := flag.String("eventlog", "", "write structured JSONL run events to this file ('-' for stderr)")
 	topology := flag.String("topology", "htree", "traced PIM run's tile interconnect: htree, bus, mesh, torus, flatfly, dragonfly")
@@ -80,136 +85,44 @@ func main() {
 	fmt.Printf("mesh: refinement %d, %d elements, %d nodes/element (%d unknowns/var)\n",
 		*refine, m.NumElem, m.NodesPerEl, m.NumElem*m.NodesPerEl)
 
-	switch *eq {
-	case "acoustic":
-		mat := material.Acoustic{Kappa: 2.25, Rho: 1.0}
-		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, mat), flux)
-		s.Obs = sink
-		q := dg.NewAcousticState(m)
-		dg.PlaneWaveX(m, mat, 1, q)
-		it := dg.NewAcousticIntegrator(s)
-		dt := s.MaxStableDt(*cfl)
-		e0 := s.Energy(q)
-		var tEnd float64
-		if *guard > 0 {
-			var gerr error
-			tEnd, gerr = it.RunGuarded(q, 0, dt, *steps, *guard, *blowup)
-			if gerr != nil {
-				fmt.Fprintf(os.Stderr, "health guard: %v\n", gerr)
-				os.Exit(1)
-			}
-		} else {
-			tEnd = it.Run(q, 0, dt, *steps)
-		}
-		e1 := s.Energy(q)
-		var worst float64
-		for e := 0; e < m.NumElem; e++ {
-			for n := 0; n < m.NodesPerEl; n++ {
-				x, _, _ := m.NodePosition(e, n)
-				want := dg.PlaneWaveXAt(mat, 1, x, tEnd)
-				if d := math.Abs(q.P[e*m.NodesPerEl+n] - want); d > worst {
-					worst = d
-				}
-			}
-		}
-		fmt.Printf("acoustic %s flux: dt=%.3e, t=%.4f after %d steps\n", flux, dt, tEnd, *steps)
-		fmt.Printf("  plane-wave max error: %.3e\n", worst)
-		fmt.Printf("  energy drift: %.3e (E0=%.6f E1=%.6f)\n", math.Abs(e1-e0)/e0, e0, e1)
-		log.Info("solver.result", eventlog.F64("dt", dt), eventlog.F64("t_end", tEnd),
-			eventlog.F64("max_error", worst), eventlog.F64("energy_drift", math.Abs(e1-e0)/e0))
-	case "elastic":
-		mat := material.Elastic{Lambda: 2, Mu: 1, Rho: 1}
-		s := dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, mat), flux)
-		s.Obs = sink
-		q := dg.NewElasticState(m)
-		dg.PlaneWavePX(m, mat, 1, q)
-		it := dg.NewElasticIntegrator(s)
-		dt := s.MaxStableDt(*cfl)
-		e0 := s.Energy(q)
-		var tEnd float64
-		if *guard > 0 {
-			var gerr error
-			tEnd, gerr = it.RunGuarded(q, 0, dt, *steps, *guard, *blowup)
-			if gerr != nil {
-				fmt.Fprintf(os.Stderr, "health guard: %v\n", gerr)
-				os.Exit(1)
-			}
-		} else {
-			tEnd = it.Run(q, 0, dt, *steps)
-		}
-		e1 := s.Energy(q)
-		var worst float64
-		for e := 0; e < m.NumElem; e++ {
-			for n := 0; n < m.NodesPerEl; n++ {
-				x, _, _ := m.NodePosition(e, n)
-				want := dg.PlaneWavePXAt(mat, 1, x, tEnd)
-				if d := math.Abs(q.V[0][e*m.NodesPerEl+n] - want); d > worst {
-					worst = d
-				}
-			}
-		}
-		fmt.Printf("elastic %s flux: dt=%.3e, t=%.4f after %d steps (cp=%.2f cs=%.2f)\n",
-			flux, dt, tEnd, *steps, mat.PWaveSpeed(), mat.SWaveSpeed())
-		fmt.Printf("  P-wave max error: %.3e\n", worst)
-		fmt.Printf("  energy drift: %.3e (E0=%.6f E1=%.6f)\n", math.Abs(e1-e0)/e0, e0, e1)
-		log.Info("solver.result", eventlog.F64("dt", dt), eventlog.F64("t_end", tEnd),
-			eventlog.F64("max_error", worst), eventlog.F64("energy_drift", math.Abs(e1-e0)/e0))
-	case "maxwell":
-		if *guard > 0 {
-			fmt.Fprintln(os.Stderr, "-guard is not supported for maxwell (no guarded integrator)")
-			os.Exit(2)
-		}
-		mat := material.Dielectric{Eps: 2.25, Mu: 1}
-		s := dg.NewMaxwellSolver(m, mat, flux)
-		s.Obs = sink
-		q := dg.NewMaxwellState(m)
-		dg.PlaneWaveEM(m, mat, 1, q)
-		it := dg.NewMaxwellIntegrator(s)
-		dt := s.MaxStableDt(*cfl)
-		e0 := s.Energy(q)
-		it.Run(q, dt, *steps)
-		tEnd := dt * float64(*steps)
-		e1 := s.Energy(q)
-		var worst float64
-		for e := 0; e < m.NumElem; e++ {
-			for n := 0; n < m.NodesPerEl; n++ {
-				x, _, _ := m.NodePosition(e, n)
-				want := dg.PlaneWaveEMAt(mat, 1, x, tEnd)
-				if d := math.Abs(q.E[1][e*m.NodesPerEl+n] - want); d > worst {
-					worst = d
-				}
-			}
-		}
-		fmt.Printf("maxwell %s flux: dt=%.3e, t=%.4f after %d steps (c=%.3f, eta=%.3f)\n",
-			flux, dt, tEnd, *steps, mat.LightSpeed(), mat.Impedance())
-		fmt.Printf("  EM plane-wave max error: %.3e\n", worst)
-		fmt.Printf("  energy drift: %.3e (E0=%.6f E1=%.6f)\n", math.Abs(e1-e0)/e0, e0, e1)
-		log.Info("solver.result", eventlog.F64("dt", dt), eventlog.F64("t_end", tEnd),
-			eventlog.F64("max_error", worst), eventlog.F64("energy_drift", math.Abs(e1-e0)/e0))
-	default:
+	setup, ok := equations[*eq]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown equation %q\n", *eq)
 		os.Exit(2)
 	}
+	p := setup(m, flux, *cfl, sink)
+	e0 := p.energy()
+	tEnd, err := p.run(*steps, *guard, *blowup)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "health guard: %v\n", err)
+		os.Exit(1)
+	}
+	e1 := p.energy()
+	var worst float64
+	for e := 0; e < m.NumElem; e++ {
+		for n := 0; n < m.NodesPerEl; n++ {
+			x, _, _ := m.NodePosition(e, n)
+			if d := math.Abs(p.field[e*m.NodesPerEl+n] - p.exact(x, tEnd)); d > worst {
+				worst = d
+			}
+		}
+	}
+	drift := math.Abs(e1-e0) / e0
+	fmt.Printf("%s %s flux: dt=%.3e, t=%.4f after %d steps%s\n", *eq, flux, p.dt, tEnd, *steps, p.detail)
+	fmt.Printf("  %s max error: %.3e\n", p.errName, worst)
+	fmt.Printf("  energy drift: %.3e (E0=%.6f E1=%.6f)\n", drift, e0, e1)
+	log.Info("solver.result", eventlog.F64("dt", p.dt), eventlog.F64("t_end", tEnd),
+		eventlog.F64("max_error", worst), eventlog.F64("energy_drift", drift))
 
 	if sink == nil {
 		return
 	}
 	// Time the matching PIM benchmark so the trace carries the stage
 	// pipeline (Figure 13) alongside the dG solver's metrics.
-	pimEq := opcount.Acoustic
-	switch *eq {
-	case "elastic":
-		pimEq = opcount.ElasticRiemann
-		if flux == dg.CentralFlux {
-			pimEq = opcount.ElasticCentral
-		}
-	case "maxwell":
-		pimEq = opcount.Maxwell
-	}
 	opt := wavepim.DefaultOptions()
 	opt.TimeSteps = *steps
 	opt.Obs = sink
-	b := opcount.Benchmark{Eq: pimEq, Refinement: *refine}
+	b := opcount.Benchmark{Eq: p.pim, Refinement: *refine}
 	pimCfg := chip.Config16GB()
 	pimCfg.Interconnect = topoKind
 	res, err := wavepim.Run(b, pimCfg, opt)
@@ -225,6 +138,77 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
+}
+
+// planeWave is one equation's reference run from a plane wave, held as
+// closures over its integrator and state so one driver serves every
+// equation.
+type planeWave struct {
+	dt      float64
+	energy  func() float64
+	run     func(steps, guard int, blowup float64) (tEnd float64, err error)
+	field   []float64                  // the state component checked against exact
+	exact   func(x, t float64) float64 // the plane wave's value of field
+	detail  string                     // material summary for the result line
+	errName string                     // what the max-error line checks
+	pim     opcount.Equation           // the matching PIM benchmark's equation
+}
+
+// newPlaneWave wraps an integrator on q stepping dt. Its run checks the
+// solver's health every guard steps when guard > 0.
+func newPlaneWave[S dg.State](it *dg.Integrator[S], q S, dt float64, energy func(S) float64) planeWave {
+	return planeWave{
+		dt:     dt,
+		energy: func() float64 { return energy(q) },
+		run: func(steps, guard int, blowup float64) (float64, error) {
+			if guard > 0 {
+				return it.RunGuarded(q, 0, dt, steps, guard, blowup)
+			}
+			return it.Run(q, 0, dt, steps), nil
+		},
+	}
+}
+
+// equations sets up each equation's plane-wave run on m.
+var equations = map[string]func(m *mesh.Mesh, flux dg.FluxType, cfl float64, sink *obs.Sink) planeWave{
+	"acoustic": func(m *mesh.Mesh, flux dg.FluxType, cfl float64, sink *obs.Sink) planeWave {
+		mat := material.Acoustic{Kappa: 2.25, Rho: 1.0}
+		s := dg.NewAcousticSolver(m, material.UniformAcoustic(m.NumElem, mat), flux)
+		s.Obs = sink
+		q := dg.NewAcousticState(m)
+		dg.PlaneWaveX(m, mat, 1, q)
+		p := newPlaneWave(dg.NewAcousticIntegrator(s), q, s.MaxStableDt(cfl), s.Energy)
+		p.field, p.errName, p.pim = q.P, "plane-wave", opcount.Acoustic
+		p.exact = func(x, t float64) float64 { return dg.PlaneWaveXAt(mat, 1, x, t) }
+		return p
+	},
+	"elastic": func(m *mesh.Mesh, flux dg.FluxType, cfl float64, sink *obs.Sink) planeWave {
+		mat := material.Elastic{Lambda: 2, Mu: 1, Rho: 1}
+		s := dg.NewElasticSolver(m, material.UniformElastic(m.NumElem, mat), flux)
+		s.Obs = sink
+		q := dg.NewElasticState(m)
+		dg.PlaneWavePX(m, mat, 1, q)
+		p := newPlaneWave(dg.NewElasticIntegrator(s), q, s.MaxStableDt(cfl), s.Energy)
+		p.field, p.errName, p.pim = q.V[0], "P-wave", opcount.ElasticRiemann
+		if flux == dg.CentralFlux {
+			p.pim = opcount.ElasticCentral
+		}
+		p.exact = func(x, t float64) float64 { return dg.PlaneWavePXAt(mat, 1, x, t) }
+		p.detail = fmt.Sprintf(" (cp=%.2f cs=%.2f)", mat.PWaveSpeed(), mat.SWaveSpeed())
+		return p
+	},
+	"maxwell": func(m *mesh.Mesh, flux dg.FluxType, cfl float64, sink *obs.Sink) planeWave {
+		mat := material.Dielectric{Eps: 2.25, Mu: 1}
+		s := dg.NewMaxwellSolver(m, mat, flux)
+		s.Obs = sink
+		q := dg.NewMaxwellState(m)
+		dg.PlaneWaveEM(m, mat, 1, q)
+		p := newPlaneWave(dg.NewMaxwellIntegrator(s), q, s.MaxStableDt(cfl), s.Energy)
+		p.field, p.errName, p.pim = q.E[1], "EM plane-wave", opcount.Maxwell
+		p.exact = func(x, t float64) float64 { return dg.PlaneWaveEMAt(mat, 1, x, t) }
+		p.detail = fmt.Sprintf(" (c=%.3f, eta=%.3f)", mat.LightSpeed(), mat.Impedance())
+		return p
+	},
 }
 
 // openEventLog opens the -eventlog destination: "" disables (nil logger,

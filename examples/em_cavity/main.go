@@ -35,7 +35,7 @@ func main() {
 	transit := 1 / diel.LightSpeed() // time for one domain length
 	steps := int(math.Round(transit / dt))
 	dtExact := transit / float64(steps)
-	it.Run(q, dtExact, steps)
+	it.Run(q, 0, dtExact, steps)
 	var worst float64
 	for e := 0; e < m.NumElem; e++ {
 		for n := 0; n < m.NodesPerEl; n++ {
@@ -55,7 +55,7 @@ func main() {
 		dg.PlaneWaveEM(m, diel, 2, q)
 		it := dg.NewMaxwellIntegrator(s)
 		e0 := s.Energy(q)
-		it.Run(q, s.MaxStableDt(0.3), 100)
+		it.Run(q, 0, s.MaxStableDt(0.3), 100)
 		e1 := s.Energy(q)
 		fmt.Printf("%s flux: energy %.6f -> %.6f (drift %.2e)\n", flux, e0, e1, math.Abs(e1-e0)/e0)
 	}
@@ -81,7 +81,7 @@ func main() {
 	}
 	fm := sess.Maxwell()
 	fm.Load(qPim)
-	refIt.Run(qr, sdt, 3)
+	refIt.Run(qr, 0, sdt, 3)
 	fm.Run(3)
 	got := dg.NewMaxwellState(small)
 	fm.ReadState(got)

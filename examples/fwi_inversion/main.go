@@ -47,7 +47,7 @@ func forward(bedrockC float64) [][]float64 {
 	it := dg.NewAcousticIntegrator(s)
 	src := dg.NewPointSource(m, 0.5, 0.5, 0.85, 1)
 	src.PeakFreq, src.Delay = 4, 0.25
-	it.Source = func(t float64, rhsP []float64) { src.AddTo(t, rhsP, m.NodesPerEl) }
+	it.Source = func(t float64, rhs *dg.AcousticState) { src.AddTo(t, rhs.P, m.NodesPerEl) }
 
 	receivers := []*dg.Receiver{
 		dg.NewReceiver(m, 0.25, 0.5, 0.9),

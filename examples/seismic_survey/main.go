@@ -42,7 +42,7 @@ func main() {
 	// Shot near the surface; receivers along a surface line.
 	src := dg.NewPointSource(m, 0.5, 0.5, 0.9, 1.0)
 	src.PeakFreq, src.Delay = 5, 0.2
-	it.Source = func(t float64, rhsP []float64) { src.AddTo(t, rhsP, m.NodesPerEl) }
+	it.Source = func(t float64, rhs *dg.AcousticState) { src.AddTo(t, rhs.P, m.NodesPerEl) }
 	var receivers []*dg.Receiver
 	for _, x := range []float64{0.2, 0.4, 0.6, 0.8} {
 		receivers = append(receivers, dg.NewReceiver(m, x, 0.5, 0.95))

@@ -61,22 +61,6 @@ func NewAcousticState(m *mesh.Mesh) *AcousticState {
 	return s
 }
 
-// Scale multiplies every variable by a (used by the RK integrator).
-func (s *AcousticState) Scale(a float64) {
-	scale(s.P, a)
-	for d := range s.V {
-		scale(s.V[d], a)
-	}
-}
-
-// AddScaled accumulates s += a*t.
-func (s *AcousticState) AddScaled(a float64, t *AcousticState) {
-	addScaled(s.P, a, t.P)
-	for d := range s.V {
-		addScaled(s.V[d], a, t.V[d])
-	}
-}
-
 // Copy duplicates the state.
 func (s *AcousticState) Copy() *AcousticState {
 	c := &AcousticState{P: append([]float64(nil), s.P...)}

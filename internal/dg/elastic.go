@@ -43,26 +43,6 @@ func NewElasticState(m *mesh.Mesh) *ElasticState {
 	return s
 }
 
-// Scale multiplies every variable by a.
-func (s *ElasticState) Scale(a float64) {
-	for c := range s.S {
-		scale(s.S[c], a)
-	}
-	for d := range s.V {
-		scale(s.V[d], a)
-	}
-}
-
-// AddScaled accumulates s += a*t.
-func (s *ElasticState) AddScaled(a float64, t *ElasticState) {
-	for c := range s.S {
-		addScaled(s.S[c], a, t.S[c])
-	}
-	for d := range s.V {
-		addScaled(s.V[d], a, t.V[d])
-	}
-}
-
 // Copy duplicates the state.
 func (s *ElasticState) Copy() *ElasticState {
 	c := &ElasticState{}

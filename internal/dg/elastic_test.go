@@ -210,6 +210,7 @@ func TestElasticFreeSurfaceTractionBounded(t *testing.T) {
 	}
 }
 
+// Slices aliases the state's storage in S, V order; Copy is deep.
 func TestElasticStateOps(t *testing.T) {
 	m := mesh.New(0, 3, true)
 	a := NewElasticState(m)
@@ -218,10 +219,10 @@ func TestElasticStateOps(t *testing.T) {
 		a.V[0][i] = -float64(i)
 	}
 	b := a.Copy()
-	a.Scale(2)
-	a.AddScaled(1, b)
+	xs := a.Slices()
+	xs[SXY][2], xs[NumStress][2] = 6, -6
 	if a.S[SXY][2] != 6 || a.V[0][2] != -6 {
-		t.Errorf("state ops wrong: %g %g", a.S[SXY][2], a.V[0][2])
+		t.Errorf("Slices does not alias S, V in order: %g %g", a.S[SXY][2], a.V[0][2])
 	}
 	if b.S[SXY][2] != 2 {
 		t.Error("Copy not deep")

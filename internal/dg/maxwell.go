@@ -43,22 +43,6 @@ func NewMaxwellState(m *mesh.Mesh) *MaxwellState {
 	return s
 }
 
-// Scale multiplies every variable by a.
-func (s *MaxwellState) Scale(a float64) {
-	for d := 0; d < 3; d++ {
-		scale(s.E[d], a)
-		scale(s.H[d], a)
-	}
-}
-
-// AddScaled accumulates s += a*t.
-func (s *MaxwellState) AddScaled(a float64, t *MaxwellState) {
-	for d := 0; d < 3; d++ {
-		addScaled(s.E[d], a, t.E[d])
-		addScaled(s.H[d], a, t.H[d])
-	}
-}
-
 // Copy duplicates the state.
 func (s *MaxwellState) Copy() *MaxwellState {
 	c := &MaxwellState{}
@@ -232,39 +216,6 @@ func (s *MaxwellSolver) Energy(q *MaxwellState) float64 {
 		total += s.Op.IntegrateElement(u)
 	}
 	return total
-}
-
-// MaxwellIntegrator advances a Maxwell state with the shared LSRK scheme.
-type MaxwellIntegrator struct {
-	Solver *MaxwellSolver
-	aux    *MaxwellState
-	contr  *MaxwellState
-}
-
-// NewMaxwellIntegrator allocates the integrator.
-func NewMaxwellIntegrator(s *MaxwellSolver) *MaxwellIntegrator {
-	return &MaxwellIntegrator{
-		Solver: s,
-		aux:    NewMaxwellState(s.Op.M),
-		contr:  NewMaxwellState(s.Op.M),
-	}
-}
-
-// Step advances q by dt in five stages.
-func (it *MaxwellIntegrator) Step(q *MaxwellState, dt float64) {
-	for s := 0; s < NumStages; s++ {
-		it.Solver.RHS(q, it.contr)
-		it.aux.Scale(LSRK5A[s])
-		it.aux.AddScaled(dt, it.contr)
-		q.AddScaled(LSRK5B[s], it.aux)
-	}
-}
-
-// Run advances n steps.
-func (it *MaxwellIntegrator) Run(q *MaxwellState, dt float64, n int) {
-	for i := 0; i < n; i++ {
-		it.Step(q, dt)
-	}
 }
 
 // PlaneWaveEM initializes a +x-propagating plane wave with E along y and

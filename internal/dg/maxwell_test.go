@@ -46,7 +46,7 @@ func TestMaxwellPlaneWavePropagation(t *testing.T) {
 		it := NewMaxwellIntegrator(s)
 		dt := s.MaxStableDt(0.4)
 		const steps = 50
-		it.Run(q, dt, steps)
+		it.Run(q, 0, dt, steps)
 		if err := maxwellMaxErr(m, q, 1, dt*steps, glassLike); err > 3e-4 {
 			t.Errorf("flux=%v: EM plane wave error %g", flux, err)
 		}
@@ -63,7 +63,7 @@ func TestMaxwellEnergyConservedCentral(t *testing.T) {
 	if e0 <= 0 {
 		t.Fatal("nonpositive initial energy")
 	}
-	it.Run(q, s.MaxStableDt(0.3), 100)
+	it.Run(q, 0, s.MaxStableDt(0.3), 100)
 	e1 := s.Energy(q)
 	if rel := math.Abs(e1-e0) / e0; rel > 1e-6 {
 		t.Errorf("central flux EM energy drift %g", rel)
@@ -91,7 +91,7 @@ func TestMaxwellEnergyNeverGrowsRiemann(t *testing.T) {
 	prev := s.Energy(q)
 	dt := s.MaxStableDt(0.3)
 	for i := 0; i < 15; i++ {
-		it.Run(q, dt, 5)
+		it.Run(q, 0, dt, 5)
 		e := s.Energy(q)
 		if e > prev*(1+1e-9) {
 			t.Fatalf("Riemann EM flux grew energy at iter %d: %g -> %g", i, prev, e)
@@ -147,7 +147,7 @@ func TestMaxwellIsotropy(t *testing.T) {
 		}
 	}
 	it := NewMaxwellIntegrator(s)
-	it.Run(q, dt, steps)
+	it.Run(q, 0, dt, steps)
 	var worstZ float64
 	for e := 0; e < m.NumElem; e++ {
 		for n := 0; n < nn; n++ {
@@ -162,7 +162,7 @@ func TestMaxwellIsotropy(t *testing.T) {
 	qx := NewMaxwellState(m)
 	PlaneWaveEM(m, glassLike, 1, qx)
 	itx := NewMaxwellIntegrator(s)
-	itx.Run(qx, dt, steps)
+	itx.Run(qx, 0, dt, steps)
 	worstX := maxwellMaxErr(m, qx, 1, dt*steps, glassLike)
 	// Isotropy: the two directions err alike (the absolute size is set by
 	// the np=6 resolution, not the orientation).
@@ -174,6 +174,7 @@ func TestMaxwellIsotropy(t *testing.T) {
 	}
 }
 
+// Slices aliases the state's storage in E, H order; Copy is deep.
 func TestMaxwellStateOps(t *testing.T) {
 	m := mesh.New(0, 3, true)
 	a := NewMaxwellState(m)
@@ -182,10 +183,13 @@ func TestMaxwellStateOps(t *testing.T) {
 		a.H[2][i] = -float64(i)
 	}
 	b := a.Copy()
-	a.Scale(2)
-	a.AddScaled(1, b)
+	xs := a.Slices()
+	xs[0][2], xs[5][2] = 6, -6
 	if a.E[0][2] != 6 || a.H[2][2] != -6 {
-		t.Error("state ops wrong")
+		t.Error("Slices does not alias E, H in order")
+	}
+	if b.E[0][2] != 2 || b.H[2][2] != -2 {
+		t.Error("Copy not deep")
 	}
 }
 

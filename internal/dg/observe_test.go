@@ -38,7 +38,7 @@ func TestRHSObservedPerStage(t *testing.T) {
 			s.Obs = sink
 			q := NewMaxwellState(m)
 			PlaneWaveEM(m, material.Vacuum, 1, q)
-			NewMaxwellIntegrator(s).Run(q, s.MaxStableDt(0.4), steps)
+			NewMaxwellIntegrator(s).Run(q, 0, s.MaxStableDt(0.4), steps)
 		}},
 	} {
 		sink := obs.NewSink()

@@ -3,6 +3,8 @@ package dg
 import (
 	"fmt"
 	"math"
+
+	"wavepim/internal/mesh"
 )
 
 // The temporal integration scheme. The paper states "There are five
@@ -46,99 +48,13 @@ var (
 // launches) per time-step.
 const NumStages = 5
 
-// AcousticIntegrator advances an acoustic state with the low-storage RK
-// scheme. It owns the auxiliaries (Table 1: "Temporary storage for unknown
-// variables needed during the temporal integration step") and the
-// contributions buffer the RHS kernels fill.
-type AcousticIntegrator struct {
-	Solver *AcousticSolver
-	aux    *AcousticState // low-storage register ("auxiliaries")
-	contr  *AcousticState // RHS output ("contributions")
-	// Source, if non-nil, is evaluated at each stage time and added to the
-	// pressure RHS (a point source smeared over its element).
-	Source func(t float64, rhsP []float64)
+// State is a dG state: its variable arrays, always in the same order, each
+// aliasing the state's storage.
+type State interface {
+	Slices() [][]float64
 }
 
-// NewAcousticIntegrator allocates the integrator's storage.
-func NewAcousticIntegrator(s *AcousticSolver) *AcousticIntegrator {
-	return &AcousticIntegrator{
-		Solver: s,
-		aux:    NewAcousticState(s.Op.M),
-		contr:  NewAcousticState(s.Op.M),
-	}
-}
-
-// Step advances q from time t by dt in five stages.
-func (it *AcousticIntegrator) Step(q *AcousticState, t, dt float64) {
-	for s := 0; s < NumStages; s++ {
-		it.Solver.RHS(q, it.contr)
-		if it.Source != nil {
-			it.Source(t+LSRK5C[s]*dt, it.contr.P)
-		}
-		// aux = A[s]*aux + dt*contr ; q += B[s]*aux  (the Integration kernel)
-		it.aux.Scale(LSRK5A[s])
-		it.aux.AddScaled(dt, it.contr)
-		q.AddScaled(LSRK5B[s], it.aux)
-	}
-}
-
-// Run advances q for steps time-steps starting at time t0 and returns the
-// final time.
-func (it *AcousticIntegrator) Run(q *AcousticState, t0, dt float64, steps int) float64 {
-	t := t0
-	for i := 0; i < steps; i++ {
-		it.Step(q, t, dt)
-		t += dt
-	}
-	return t
-}
-
-// ElasticIntegrator is the elastic counterpart of AcousticIntegrator.
-type ElasticIntegrator struct {
-	Solver *ElasticSolver
-	aux    *ElasticState
-	contr  *ElasticState
-	Source func(t float64, rhsV [3][]float64)
-}
-
-// NewElasticIntegrator allocates the integrator's storage.
-func NewElasticIntegrator(s *ElasticSolver) *ElasticIntegrator {
-	return &ElasticIntegrator{
-		Solver: s,
-		aux:    NewElasticState(s.Op.M),
-		contr:  NewElasticState(s.Op.M),
-	}
-}
-
-// Step advances q from time t by dt in five stages.
-func (it *ElasticIntegrator) Step(q *ElasticState, t, dt float64) {
-	for s := 0; s < NumStages; s++ {
-		it.Solver.RHS(q, it.contr)
-		if it.Source != nil {
-			it.Source(t+LSRK5C[s]*dt, it.contr.V)
-		}
-		it.aux.Scale(LSRK5A[s])
-		it.aux.AddScaled(dt, it.contr)
-		q.AddScaled(LSRK5B[s], it.aux)
-	}
-}
-
-// Run advances q for steps time-steps starting at t0.
-func (it *ElasticIntegrator) Run(q *ElasticState, t0, dt float64, steps int) float64 {
-	t := t0
-	for i := 0; i < steps; i++ {
-		it.Step(q, t, dt)
-		t += dt
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Solver health guards (the top rung of the fault-recovery ladder)
-// ---------------------------------------------------------------------------
-
-// Slices returns every variable array of the state (for health checks and
-// norm computations).
+// Slices returns every variable array of the state.
 func (s *AcousticState) Slices() [][]float64 {
 	return [][]float64{s.P, s.V[0], s.V[1], s.V[2]}
 }
@@ -159,6 +75,72 @@ func (s *ElasticState) Slices() [][]float64 {
 func (s *MaxwellState) Slices() [][]float64 {
 	return [][]float64{s.E[0], s.E[1], s.E[2], s.H[0], s.H[1], s.H[2]}
 }
+
+// Integrator advances a state of any equation with the low-storage RK
+// scheme. It owns the auxiliaries (Table 1: "Temporary storage for unknown
+// variables needed during the temporal integration step") and the
+// contributions buffer the RHS kernels fill.
+type Integrator[S State] struct {
+	rhs   func(q, rhs S)
+	contr S           // RHS output ("contributions")
+	aux   [][]float64 // low-storage register ("auxiliaries")
+	contS [][]float64 // contr.Slices()
+	// Source, if non-nil, is evaluated at each stage time after the RHS
+	// and may add to it (a point source, a damping layer).
+	Source func(t float64, rhs S)
+}
+
+func newIntegrator[S State](rhs func(q, rhs S), newState func(*mesh.Mesh) S, m *mesh.Mesh) *Integrator[S] {
+	contr := newState(m)
+	return &Integrator[S]{rhs: rhs, contr: contr, contS: contr.Slices(), aux: newState(m).Slices()}
+}
+
+// NewAcousticIntegrator allocates an acoustic integrator's storage.
+func NewAcousticIntegrator(s *AcousticSolver) *Integrator[*AcousticState] {
+	return newIntegrator(s.RHS, NewAcousticState, s.Op.M)
+}
+
+// NewElasticIntegrator allocates an elastic integrator's storage.
+func NewElasticIntegrator(s *ElasticSolver) *Integrator[*ElasticState] {
+	return newIntegrator(s.RHS, NewElasticState, s.Op.M)
+}
+
+// NewMaxwellIntegrator allocates a Maxwell integrator's storage.
+func NewMaxwellIntegrator(s *MaxwellSolver) *Integrator[*MaxwellState] {
+	return newIntegrator(s.RHS, NewMaxwellState, s.Op.M)
+}
+
+// Step advances q from time t by dt in five stages.
+func (it *Integrator[S]) Step(q S, t, dt float64) {
+	qs := q.Slices()
+	for s := 0; s < NumStages; s++ {
+		it.rhs(q, it.contr)
+		if it.Source != nil {
+			it.Source(t+LSRK5C[s]*dt, it.contr)
+		}
+		// aux = A[s]*aux + dt*contr ; q += B[s]*aux  (the Integration kernel)
+		for v, aux := range it.aux {
+			scale(aux, LSRK5A[s])
+			addScaled(aux, dt, it.contS[v])
+			addScaled(qs[v], LSRK5B[s], aux)
+		}
+	}
+}
+
+// Run advances q for steps time-steps starting at time t0 and returns the
+// final time.
+func (it *Integrator[S]) Run(q S, t0, dt float64, steps int) float64 {
+	t := t0
+	for i := 0; i < steps; i++ {
+		it.Step(q, t, dt)
+		t += dt
+	}
+	return t
+}
+
+// ---------------------------------------------------------------------------
+// Solver health guards (the top rung of the fault-recovery ladder)
+// ---------------------------------------------------------------------------
 
 // CheckFinite reports whether every value in every slice is finite.
 func CheckFinite(xs ...[]float64) bool {
@@ -215,26 +197,7 @@ func CheckHealth(step int, refNormSq, factor float64, xs ...[]float64) error {
 // the error along with the time reached; the reference norm is the state's
 // norm at entry. This is the plain-solver counterpart of the Session-level
 // checkpoint/rollback ladder (which can also rewind, not just stop).
-func (it *AcousticIntegrator) RunGuarded(q *AcousticState, t0, dt float64, steps, checkEvery int, factor float64) (float64, error) {
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	ref := NormSq(q.Slices()...)
-	t := t0
-	for i := 0; i < steps; i++ {
-		it.Step(q, t, dt)
-		t += dt
-		if (i+1)%checkEvery == 0 || i == steps-1 {
-			if err := CheckHealth(i+1, ref, factor, q.Slices()...); err != nil {
-				return t, err
-			}
-		}
-	}
-	return t, nil
-}
-
-// RunGuarded is the elastic counterpart of AcousticIntegrator.RunGuarded.
-func (it *ElasticIntegrator) RunGuarded(q *ElasticState, t0, dt float64, steps, checkEvery int, factor float64) (float64, error) {
+func (it *Integrator[S]) RunGuarded(q S, t0, dt float64, steps, checkEvery int, factor float64) (float64, error) {
 	if checkEvery <= 0 {
 		checkEvery = 1
 	}

@@ -46,7 +46,7 @@ func TestFunctionalMaxwellMatchesReference(t *testing.T) {
 		fm.Load(qPim)
 
 		const steps = 2
-		it.Run(q, dt, steps)
+		it.Run(q, 0, dt, steps)
 		fm.Run(steps)
 		got := dg.NewMaxwellState(m)
 		fm.ReadState(got)

@@ -407,8 +407,8 @@ func (s *system) readVars(dst [][]float64) {
 // batched system's image, and zeroes its RK auxiliary, leaving constant
 // rows untouched. It is both the state half of Load and the restore half
 // of a checkpoint rollback: zeroing the auxiliaries at a step boundary is
-// exact, because LSRK5A[0] = 0 makes the first stage of the next step
-// overwrite them regardless of history.
+// exact, because the first stage's A coefficient is 0, so that stage
+// overwrites them regardless of history.
 func (s *system) writeVars(src [][]float64) {
 	nn, nv := s.Mesh.NodesPerEl, len(s.plan.vars)
 	for v, loc := range s.plan.vars {
