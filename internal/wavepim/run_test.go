@@ -1,10 +1,12 @@
 package wavepim
 
 import (
+	"context"
 	"testing"
 
 	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
+	"wavepim/internal/obs"
 	"wavepim/internal/pim/chip"
 )
 
@@ -51,6 +53,44 @@ func TestRunInvariants(t *testing.T) {
 				t.Errorf("%s on %s: unbatched plan must not pay per-stage DRAM", b.Name(), cfg.Name)
 			}
 		}
+	}
+}
+
+// The timed runner prices its run without committing engine phases, so the
+// engine's clock gauges (sim.total_seconds and the total and static
+// energies) stay unwritten rather than reading 0 beside the run's own
+// run.total_seconds; a functional session, which commits phases, still
+// writes them.
+func TestRunPublishesNoUncommittedClock(t *testing.T) {
+	clock := []string{"sim.total_seconds", "sim.total_energy_joules", "sim.static_energy_joules"}
+	sink := obs.NewSink()
+	opt := DefaultOptions()
+	opt.TimeSteps = 8
+	opt.Obs = sink
+	res := mustRun(t, opcount.Benchmark{Eq: opcount.Acoustic, Refinement: 4}, chip.Config2GB(), opt)
+	snap := sink.Reg.Snapshot()
+	if got := snap.Gauges["run.total_seconds"]; got != res.TotalSec || got <= 0 {
+		t.Errorf("run.total_seconds = %g, want the result's %g > 0", got, res.TotalSec)
+	}
+	for _, name := range clock {
+		if v, ok := snap.Gauges[name]; ok {
+			t.Errorf("timed run published %s = %g; its engine committed no phase", name, v)
+		}
+	}
+
+	sink = obs.NewSink()
+	s := sessionForTest(t, WithObs(sink))
+	if err := s.Run(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	snap = sink.Reg.Snapshot()
+	for _, name := range clock {
+		if v := snap.Gauges[name]; v <= 0 {
+			t.Errorf("functional session published %s = %g, want > 0", name, v)
+		}
+	}
+	if got, want := snap.Gauges["sim.total_seconds"], s.Engine().TotalTime(); got != want {
+		t.Errorf("sim.total_seconds = %g, engine clock %g", got, want)
 	}
 }
 
