@@ -37,17 +37,6 @@ type Heartbeater struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-
-	mu    sync.Mutex
-	fails int // consecutive beat failures
-}
-
-// Failures reports the current consecutive-failure streak (0 while the
-// coordinator is reachable).
-func (h *Heartbeater) Failures() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fails
 }
 
 func (h *Heartbeater) client() *http.Client {
@@ -98,6 +87,7 @@ func (h *Heartbeater) Start() error {
 		go func() {
 			defer close(h.done)
 			delay := interval
+			fails := 0 // consecutive beat failures
 			t := time.NewTimer(delay)
 			defer t.Stop()
 			for {
@@ -106,18 +96,13 @@ func (h *Heartbeater) Start() error {
 					return
 				case <-t.C:
 					if err := h.Register(); err != nil {
-						h.mu.Lock()
-						h.fails++
-						streak := h.fails
-						h.mu.Unlock()
-						delay = interval << uint(min(streak, 30))
+						fails++
+						delay = interval << uint(min(fails, 30))
 						if delay > maxBackoff || delay <= 0 {
 							delay = maxBackoff
 						}
 					} else {
-						h.mu.Lock()
-						h.fails = 0
-						h.mu.Unlock()
+						fails = 0
 						delay = interval
 					}
 					t.Reset(delay)
