@@ -11,7 +11,7 @@ import (
 	"wavepim/internal/pim/xbar"
 )
 
-// faultedEngine builds a functional engine with an injector attached to
+// faultedEngine builds an engine with an injector attached to
 // every block the chip materializes, plus a spare pool.
 func faultedEngine(t *testing.T, cfg fault.Config, rec fault.Recovery, spares []int, workers int) *Engine {
 	t.Helper()
@@ -21,7 +21,7 @@ func faultedEngine(t *testing.T, cfg fault.Config, rec fault.Recovery, spares []
 	}
 	inj := fault.NewInjector(cfg, rec)
 	ch.SetBlockHook(func(b *xbar.Block) { b.Faults = inj.ForBlock(b.ID) })
-	e := New(ch, true)
+	e := New(ch)
 	e.Faults = inj
 	e.SparePool = spares
 	e.Workers = workers
@@ -173,7 +173,7 @@ func TestProgRetriable(t *testing.T) {
 // — no fault phases, empty report, digest equal to a second identical run.
 func TestNilInjectorNoFaultPhases(t *testing.T) {
 	run := func() *Engine {
-		e := newEngine(t, true)
+		e := newEngine(t)
 		progs := loadAndAdd(e, 4, 64)
 		e.Sequence(e.ExecBlocks("add", progs))
 		return e
@@ -189,5 +189,54 @@ func TestNilInjectorNoFaultPhases(t *testing.T) {
 	}
 	if a.TimelineDigest() != b.TimelineDigest() {
 		t.Fatal("fault-free runs are not reproducible")
+	}
+}
+
+// TestReplayRepricesAfterRemap: a remap changes routes and blocks, so the
+// prices made before it go stale. Replaying them after a remap must charge
+// what fresh pricing charges and move and compute on the spare, not on the
+// retired block.
+func TestReplayRepricesAfterRemap(t *testing.T) {
+	// Blocks 0 and 5 share tile 0; spare 300 sits on tile 1, so the remap
+	// turns the copy into a cross-tile one.
+	e := faultedEngine(t, fault.Config{}, fault.Recovery{}, []int{300}, 1)
+	trs := []RowTransfer{{SrcBlock: 0, SrcRow: 1, DstBlock: 5, DstRow: 6, Words: 4}}
+	progs := map[int][]isa.Instr{5: {{Op: isa.OpAdd, RowStart: 0, RowCount: 4, DstOff: 2, SrcOff: 0, Src2Off: 1}}}
+	src := e.Chip.Block(0)
+	load := func(b *xbar.Block, base float32) {
+		for r := 0; r < 4; r++ {
+			src.SetFloat(1, r, base+float32(r))
+			b.SetFloat(r, 0, base)
+			b.SetFloat(r, 1, float32(r))
+		}
+	}
+	var xp TransferPrice
+	var bp BlocksPrice
+	old := e.Chip.Block(5)
+	load(old, 1)
+	before := e.ExecTransfersPriced("copy", trs, GroupCopies(trs), &xp)
+	e.ExecBlocksPriced("add", progs, &bp)
+
+	e.remapFailed([]int{5})
+	spare := e.Chip.Block(5)
+	if spare == old || e.Chip.Physical(5) != 300 {
+		t.Fatalf("logical block 5 resolves to physical %d, want spare 300", e.Chip.Physical(5))
+	}
+	load(spare, 10)
+	after := e.ExecTransfersPriced("copy", trs, GroupCopies(trs), &xp)
+	if fresh := e.ExecTransfers("copy", trs); after != fresh || after == before {
+		t.Errorf("replay after the remap charged %+v, fresh pricing %+v, before the remap %+v", after, fresh, before)
+	}
+	e.ExecBlocksPriced("add", progs, &bp)
+	for r := 0; r < 4; r++ {
+		if got, want := spare.GetFloat(6, r), 10+float32(r); got != want {
+			t.Errorf("spare row 6 word %d = %g, want the copied %g", r, got, want)
+		}
+		if got, want := spare.GetFloat(r, 2), 10+float32(r); got != want {
+			t.Errorf("spare row %d sum = %g, want %g", r, got, want)
+		}
+		if got, want := old.GetFloat(r, 2), 1+float32(r); got != want {
+			t.Errorf("retired block row %d sum = %g, want the pre-remap %g", r, got, want)
+		}
 	}
 }

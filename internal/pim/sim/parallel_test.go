@@ -42,12 +42,12 @@ func TestParallelExecBlocksMatchesSerial(t *testing.T) {
 	const nBlocks = 24
 	progs := variedProgs(nBlocks)
 
-	serial := newEngine(t, true)
+	serial := newEngine(t)
 	loadOperands(serial, nBlocks)
 	ps := serial.ExecBlocks("phase", progs)
 
 	for _, workers := range []int{2, 3, 8, 64} {
-		par := newEngine(t, true)
+		par := newEngine(t)
 		par.Workers = workers
 		loadOperands(par, nBlocks)
 		pp := par.ExecBlocks("phase", progs)
@@ -79,7 +79,7 @@ func TestParallelExecBlocksMatchesSerial(t *testing.T) {
 func TestParallelExecBlocksLUT(t *testing.T) {
 	const nBlocks, lutBlock = 16, 100
 	run := func(workers int) *Engine {
-		e := newEngine(t, true)
+		e := newEngine(t)
 		e.Workers = workers
 		e.Chip.Block(lutBlock).SetFloat(77/32, 77%32, 3.5)
 		progs := make(map[int][]isa.Instr, nBlocks)
@@ -145,7 +145,7 @@ func TestBlocksIndependent(t *testing.T) {
 // Unsafe programs still execute correctly (through the serial fallback)
 // with Workers set.
 func TestParallelFallbackOnDependentBlocks(t *testing.T) {
-	e := newEngine(t, true)
+	e := newEngine(t)
 	e.Workers = 8
 	src := e.Chip.Block(0)
 	src.SetFloat(3, 0, 8.75)

@@ -13,14 +13,16 @@ import (
 )
 
 // A phase's cost is a pure function of its transfer list or programs, the
-// chip configuration, the topology and the remap table. A caller that
-// replays the same phases many times on one engine prices each once
-// (PriceTransfers, PriceBlocks) and replays it with ExecTransfersPriced or
-// ExecBlocksPriced, which do only the data work and charge the stored
-// price. ExecTransfers and ExecBlocksCtx run the same pricing code on every
-// call. A replay is exact only while the remap table stays as it was at
-// pricing time: callers must not replay on an engine with a fault
-// injector, whose spare-block remapping changes routes and blocks.
+// chip configuration, the topology and the remap table. So every phase
+// that moves data runs one way: the caller keeps a price per phase
+// (TransferPrice, BlocksPrice, zero until first used), and each replay
+// (ExecTransfersPriced, ExecBlocksPriced) does only the data work and
+// charges the stored price. A price records the remap generation it was
+// made under; a spare-block remap changes routes and blocks, so a replay
+// of a price made before it prices the phase again first. The recovery
+// ladder runs inside the block replay and prices only its retries.
+// ExecTransfers prices a batch into the run's ledgers and moves nothing:
+// the timed runner's call.
 
 // ledgers are the tile and chip contention ledgers a transfer pricing
 // streams through, made on first use over the per-switch busy slices they
@@ -59,16 +61,16 @@ func addBusy(dst *[]float64, delta []float64) {
 // TransferPrice is what one transfer batch costs apart from the words it
 // moves: the phase's duration and energy, its transfer and word counts,
 // and each contention ledger's backpressure in ExecTransfers' merge order
-// (ascending tile, then the chip network). A price from PriceTransfers
-// also holds the per-switch busy seconds the batch adds and, when its
-// copies are independent, their grouping by destination block.
+// (ascending tile, then the chip network). A replay's price also holds
+// the per-switch busy seconds the batch adds and the remap generation it
+// was made under. The zero value is a price not yet made.
 type TransferPrice struct {
 	dur, energy        float64
 	transfers, words   int64
 	backpressured      int64
 	backpressureSec    []float64 // one entry per ledger schedule, in merge order
 	tileBusy, chipBusy []float64
-	groups             CopyGroups
+	gen                uint64
 }
 
 // xferRun is the index range [start, end) of a column run in a batch:
@@ -83,8 +85,8 @@ type xferRun struct{ start, end int }
 // ledger in ascending order, each in batch order: all tiles add into one
 // busy slice, whose float sums must not depend on how the batch
 // interleaves its tiles. ExecTransfers prices into the engine's own
-// ledgers; PriceTransfers into fresh ones, so their busy slices hold the
-// batch's own share.
+// ledgers; priceTransferReplay into fresh ones, so their busy slices hold
+// the batch's own share.
 func (e *Engine) priceTransfers(trs []RowTransfer, l *ledgers, p *TransferPrice) {
 	*p = TransferPrice{backpressureSec: p.backpressureSec[:0], transfers: int64(len(trs))}
 	var crossEndpoints float64
@@ -184,16 +186,26 @@ func (e *Engine) chargeTransfers(name string, p *TransferPrice) Phase {
 	return Phase{Name: name, Kind: "transfer", Dur: p.dur, EnergyJ: p.energy}
 }
 
-// PriceTransfers prices a transfer batch once, for ExecTransfersPriced to
-// replay on this engine. groups is the batch's GroupCopies: it depends
-// only on the batch, so a caller that prices one batch on many engines
-// groups it once.
-func (e *Engine) PriceTransfers(trs []RowTransfer, groups CopyGroups) *TransferPrice {
-	p := &TransferPrice{}
+// priceTransferReplay prices a batch into p for ExecTransfersPriced and
+// resolves the blocks it names.
+func (e *Engine) priceTransferReplay(trs []RowTransfer, p *TransferPrice) {
 	var l ledgers
 	e.priceTransfers(trs, &l, p)
-	p.tileBusy, p.chipBusy, p.groups = l.tileBusy, l.chipBusy, groups
-	return p
+	p.tileBusy, p.chipBusy, p.gen = l.tileBusy, l.chipBusy, e.gen
+	for i := range trs {
+		e.resolve(trs[i].SrcBlock)
+		e.resolve(trs[i].DstBlock)
+	}
+}
+
+// resolve fills the block table's entry for a logical block id.
+func (e *Engine) resolve(id int) {
+	if id >= len(e.blocks) {
+		e.blocks = append(e.blocks, make([]*xbar.Block, id+1-len(e.blocks))...)
+	}
+	if e.blocks[id] == nil {
+		e.blocks[id] = e.Chip.Block(id)
+	}
 }
 
 // CopyGroups holds, per destination block of a transfer batch, its column
@@ -273,25 +285,27 @@ func continuesRun(prev, tr RowTransfer) bool {
 		tr.SrcRow == prev.SrcRow+1 && tr.DstRow == prev.DstRow+1
 }
 
-// ExecTransfersPriced replays a batch priced by PriceTransfers: it moves
-// the words and charges the stored price, with the same counters
-// ExecTransfers emits. blocks resolves every block id the batch names.
+// ExecTransfersPriced moves a batch's words and charges its price p, with
+// the same counters ExecTransfers emits; a zero or stale p is priced
+// first. groups is the batch's GroupCopies, which depends only on the
+// batch: a caller that replays one batch on many engines groups it once.
 // Independent copies move a column run per call (xbar.Block.CopyRows),
 // each destination block's runs as one job on the worker pool when
 // Workers > 1; dependent ones move a row per call, in batch order.
-func (e *Engine) ExecTransfersPriced(name string, trs []RowTransfer, p *TransferPrice, blocks []*xbar.Block) Phase {
-	if !e.Functional {
-		return e.chargeTransfers(name, p)
+func (e *Engine) ExecTransfersPriced(name string, trs []RowTransfer, groups CopyGroups, p *TransferPrice) Phase {
+	if p.gen != e.gen {
+		e.priceTransferReplay(trs, p)
 	}
-	switch workers := e.execWorkers(len(p.groups)); {
-	case p.groups == nil:
+	blocks := e.blocks
+	switch workers := e.execWorkers(len(groups)); {
+	case groups == nil:
 		for _, tr := range trs {
 			blocks[tr.DstBlock].CopyWords(tr.DstRow, tr.DstOff, blocks[tr.SrcBlock], tr.SrcRow, tr.SrcOff, tr.Words)
 		}
 	case workers > 1:
-		pool(nil, len(p.groups), workers, func(g int) { copyRuns(trs, p.groups[g], blocks) })
+		pool(nil, len(groups), workers, func(g int) { copyRuns(trs, groups[g], blocks) })
 	default:
-		for _, runs := range p.groups {
+		for _, runs := range groups {
 			copyRuns(trs, runs, blocks)
 		}
 	}
@@ -308,36 +322,50 @@ func copyRuns(trs []RowTransfer, runs []xferRun, blocks []*xbar.Block) {
 
 // BlocksPrice is what one block phase costs apart from its data work: its
 // sorted block ids, whether its programs may run concurrently, each
-// block's nominal cost, and the merged phase totals.
+// block's nominal cost, the merged phase totals and the remap generation
+// it was made under. The zero value is a price not yet made.
 type BlocksPrice struct {
 	ids         []int
 	independent bool
 	costs       []blockCost
 	dur, energy float64
 	instrs      int64
+	gen         uint64
 }
 
-// PriceBlocks prices a block phase once, for ExecBlocksPriced to replay on
-// this engine.
-func (e *Engine) PriceBlocks(progs map[int][]isa.Instr) *BlocksPrice {
-	p := &BlocksPrice{ids: sortedBlocks(progs), independent: blocksIndependent(progs)}
+// priceBlocks prices a block phase into p and resolves its blocks.
+func (e *Engine) priceBlocks(progs map[int][]isa.Instr, p *BlocksPrice) {
+	*p = BlocksPrice{ids: sortedBlocks(progs), independent: blocksIndependent(progs), gen: e.gen}
 	p.costs = make([]blockCost, len(p.ids))
 	for i, id := range p.ids {
+		e.resolve(id)
 		c := &p.costs[i]
 		e.priceProgram(id, progs[id], &c.dur, &c.energy, c)
 	}
 	p.dur, p.energy, p.instrs = blockTotals(p.costs)
-	return p
 }
 
-// ExecBlocksPriced replays a block phase priced by PriceBlocks: it runs
-// the programs, on the worker pool when they are independent, and charges
-// the stored price with the same counters ExecBlocks emits. blocks
-// resolves every block id the phase runs on. Cancellation follows
-// ExecBlocks: once the context installed with SetContext is done, no
-// further program starts, the error is latched and a zero Phase returned.
-// The recovery ladder is not part of a replay.
-func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *BlocksPrice, blocks []*xbar.Block) Phase {
+// ExecBlocksPriced runs one program per block, all blocks in parallel (the
+// chip's defining property), and charges the phase's price p: its
+// duration is the longest program's and its energy the sum. A zero or
+// stale p is priced first.
+//
+// With Workers > 1 and programs that touch only their own block, the
+// programs run on a goroutine pool; the charge stays deterministic because
+// the price merged the per-block costs in ascending block order. A program
+// that panics on a pool worker panics again on the caller (see pool).
+//
+// Under a fault injector whose policy enables ECC, each program runs
+// under the recovery ladder (climbLadder), whose scrub, retry and remap
+// phases are queued for the commit that follows this phase.
+//
+// Cancellation: once the context installed with SetContext is done, no
+// further program starts, the error is latched (see Err) and a zero Phase
+// returned; the chip is left partially updated, as a real abort would.
+func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *BlocksPrice) Phase {
+	if p.gen != e.gen {
+		e.priceBlocks(progs, p)
+	}
 	ctx := e.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -347,20 +375,36 @@ func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *Blo
 	if !parallel {
 		workers = 1
 	}
-	if e.Functional {
-		pool(ctx.Done(), len(p.ids), workers, func(i int) {
-			id := p.ids[i]
-			e.runProgram(blocks[id], progs[id])
-		})
+	costs, blocks := p.costs, e.blocks
+	ladder := e.Faults != nil && e.Faults.Recovery().ECC
+	var rungs []rungCost
+	maxRetries := 0
+	if ladder {
+		// Retried instructions count into a copy of the nominal costs.
+		costs, rungs = append([]blockCost(nil), p.costs...), make([]rungCost, len(p.ids))
+		maxRetries = e.Faults.Recovery().MaxRetries
 	}
+	pool(ctx.Done(), len(p.ids), workers, func(i int) {
+		id := p.ids[i]
+		if ladder {
+			e.climbLadder(id, progs[id], &costs[i], &rungs[i], maxRetries)
+			return
+		}
+		e.runProgram(blocks[id], progs[id])
+	})
 	if err := ctx.Err(); err != nil {
 		if e.err == nil {
 			e.err = err
 		}
 		return Phase{}
 	}
-	e.InstrCount += p.instrs
-	e.noteBlocks(p.costs, parallel, workers)
+	instrs := p.instrs
+	if ladder {
+		_, _, instrs = blockTotals(costs)
+		e.mergeLadder(p.ids, rungs)
+	}
+	e.InstrCount += instrs
+	e.noteBlocks(costs, parallel, workers)
 	return Phase{Name: name, Kind: "blocks", Dur: p.dur, EnergyJ: p.energy}
 }
 

@@ -31,11 +31,12 @@ func independentBatch() []RowTransfer {
 	return batch
 }
 
-// A replay of PriceTransfers' price must leave what ExecTransfers leaves:
-// the same phases, moved words, counts, backpressure and sink values bit
-// for bit on every fabric, serial and on the pool. The per-switch busy
-// totals take each batch's share as one delta, so only they may differ in
-// their last bits.
+// A replay of a batch's stored price must charge what ExecTransfers'
+// run-ledger pricing charges and move what row-by-row copies in batch
+// order move: the same phases, cells, counts, backpressure and sink
+// values bit for bit on every fabric, serial and on the pool. The
+// per-switch busy totals take each batch's share as one delta, so only
+// they may differ in their last bits.
 func TestPricedTransfersMatchExecTransfers(t *testing.T) {
 	batches := append(pinBatches(17, xbar.WordsPerRow), independentBatch())
 	if copyGroups(batches[len(batches)-1]) == nil {
@@ -53,7 +54,7 @@ func TestPricedTransfersMatchExecTransfers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := New(ch, true)
+				e := New(ch)
 				e.Workers = workers
 				sinks[i] = obs.NewSink()
 				e.Obs = sinks[i]
@@ -68,18 +69,12 @@ func TestPricedTransfersMatchExecTransfers(t *testing.T) {
 				engines[i] = e
 			}
 			priced, plain := engines[0], engines[1]
-			blocks := make([]*xbar.Block, pinBlocks[len(pinBlocks)-1]+1)
-			for _, id := range pinBlocks {
-				blocks[id] = priced.Chip.Block(id)
-			}
-			prices := make([]*TransferPrice, len(batches))
-			for i, batch := range batches {
-				prices[i] = priced.PriceTransfers(batch, GroupCopies(batch))
-			}
+			prices := make([]TransferPrice, len(batches))
 			for round := 0; round < 2; round++ {
 				for i, batch := range batches {
-					a := priced.ExecTransfersPriced("pin", batch, prices[i], blocks)
+					a := priced.ExecTransfersPriced("pin", batch, GroupCopies(batch), &prices[i])
 					b := plain.ExecTransfers("pin", batch)
+					rowCopies(plain, batch)
 					if a != b {
 						t.Errorf("%s: batch %d phase %+v, ExecTransfers %+v", name, i, a, b)
 					}
@@ -144,8 +139,9 @@ func TestCopyGroupsIndependence(t *testing.T) {
 	}
 }
 
-// A replay of PriceBlocks' price runs the same programs and charges what
-// ExecBlocks charges, serial and on the pool, sink included.
+// Replays of one stored block price run the same programs and charge what
+// ExecBlocks, which prices afresh on every call, charges, serial and on
+// the pool, sink included.
 func TestPricedBlocksMatchExecBlocks(t *testing.T) {
 	const nBlocks = 24
 	progs := variedProgs(nBlocks)
@@ -153,7 +149,7 @@ func TestPricedBlocksMatchExecBlocks(t *testing.T) {
 		var engines [2]*Engine
 		var sinks [2]*obs.Sink
 		for i := range engines {
-			e := newEngine(t, true)
+			e := newEngine(t)
 			e.Workers = workers
 			sinks[i] = obs.NewSink()
 			e.Obs = sinks[i]
@@ -161,13 +157,9 @@ func TestPricedBlocksMatchExecBlocks(t *testing.T) {
 			engines[i] = e
 		}
 		priced, plain := engines[0], engines[1]
-		blocks := make([]*xbar.Block, nBlocks)
-		for id := range blocks {
-			blocks[id] = priced.Chip.Block(id)
-		}
-		price := priced.PriceBlocks(progs)
+		var price BlocksPrice
 		for round := 0; round < 3; round++ {
-			a := priced.ExecBlocksPriced("phase", progs, price, blocks)
+			a := priced.ExecBlocksPriced("phase", progs, &price)
 			b := plain.ExecBlocks("phase", progs)
 			if a != b {
 				t.Errorf("workers=%d: phase %+v, ExecBlocks %+v", workers, a, b)
@@ -218,7 +210,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		}
 	})
 	t.Run("ExecBlocks", func(t *testing.T) {
-		e := newEngine(t, true)
+		e := newEngine(t)
 		e.Workers = 2
 		progs := variedProgs(8)
 		progs[5] = []isa.Instr{{Op: isa.OpAdd, RowStart: xbar.Rows - 2, RowCount: 4}}
@@ -228,21 +220,18 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		}
 	})
 	t.Run("ExecTransfersPriced", func(t *testing.T) {
-		e := newEngine(t, true)
+		e := newEngine(t)
 		e.Workers = 2
 		var batch []RowTransfer
 		for dst := 1; dst <= 8; dst++ {
 			batch = append(batch, RowTransfer{SrcBlock: 0, DstBlock: dst, Words: 4})
 		}
-		p := e.PriceTransfers(batch, GroupCopies(batch))
-		blocks := make([]*xbar.Block, 9)
-		for id := range blocks {
-			if id != 6 { // block 6 unresolved: its copy panics
-				blocks[id] = e.Chip.Block(id)
-			}
-		}
-		if v := mustPanic(t, func() { e.ExecTransfersPriced("nil-block", batch, p, blocks) }); v == nil {
-			t.Error("no panic value")
+		groups := GroupCopies(batch)
+		batch[5].DstRow = xbar.Rows // grouped as in range: its copy panics
+		var p TransferPrice
+		v := mustPanic(t, func() { e.ExecTransfersPriced("bad-row", batch, groups, &p) })
+		if s, _ := v.(string); !strings.Contains(s, "out of bounds") {
+			t.Errorf("panic value %v, want the crossbar's row-range panic", v)
 		}
 	})
 }
@@ -306,8 +295,8 @@ func runBatch(seed int64) []RowTransfer {
 }
 
 // Replaying a batch as column runs (xbar.Block.CopyRows) leaves the cells
-// and phases that ExecTransfers' row-by-row copies leave, on every fabric,
-// serial and on the pool.
+// that row-by-row copies leave, and the phases ExecTransfers prices, on
+// every fabric, serial and on the pool.
 func TestColumnRunReplayMatchesRowReplay(t *testing.T) {
 	batches := [][]RowTransfer{runBatch(1), runBatch(2)}
 	for _, topo := range intercon.Names() {
@@ -321,7 +310,7 @@ func TestColumnRunReplayMatchesRowReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				engines[i] = New(ch, true)
+				engines[i] = New(ch)
 				engines[i].Workers = workers
 				for _, id := range pinBlocks {
 					b := ch.Block(id)
@@ -333,21 +322,20 @@ func TestColumnRunReplayMatchesRowReplay(t *testing.T) {
 				}
 			}
 			runs, plain := engines[0], engines[1]
-			blocks := make([]*xbar.Block, pinBlocks[len(pinBlocks)-1]+1)
-			for _, id := range pinBlocks {
-				blocks[id] = runs.Chip.Block(id)
-			}
 			for i, batch := range batches {
-				p := runs.PriceTransfers(batch, GroupCopies(batch))
+				groups := GroupCopies(batch)
 				n := 0
-				for _, g := range p.groups {
+				for _, g := range groups {
 					n += len(g)
 				}
-				if p.groups == nil || 10*n > 9*len(batch) {
+				if groups == nil || 10*n > 9*len(batch) {
 					t.Fatalf("%s: batch %d of %d transfers folds into %d runs", name, i, len(batch), n)
 				}
-				if a, b := runs.ExecTransfersPriced("runs", batch, p, blocks), plain.ExecTransfers("runs", batch); a != b {
-					t.Errorf("%s: batch %d phase %+v, row by row %+v", name, i, a, b)
+				var p TransferPrice
+				a, b := runs.ExecTransfersPriced("runs", batch, groups, &p), plain.ExecTransfers("runs", batch)
+				rowCopies(plain, batch)
+				if a != b {
+					t.Errorf("%s: batch %d phase %+v, ExecTransfers %+v", name, i, a, b)
 				}
 			}
 			for _, id := range pinBlocks {

@@ -7,11 +7,12 @@
 // granularity is equivalent to cycle-accurate simulation for these
 // workloads.
 //
-// The engine has two modes. In timing mode it only accounts cost. In
-// functional mode it additionally performs every data movement and
-// arithmetic operation on real float32 cell contents, which lets tests
-// check a PIM-executed dG time-step against the internal/dg reference
-// solver node for node.
+// A block or transfer phase is priced, then replayed: the replay performs
+// every data movement and arithmetic operation on real float32 cell
+// contents and charges the stored price, which lets tests check a
+// PIM-executed dG time-step against the internal/dg reference solver
+// node for node. ExecTransfers and ExecBlocksN only price, for the timed
+// runner, which moves no data.
 package sim
 
 import (
@@ -57,9 +58,8 @@ type RowTransfer struct {
 
 // Engine executes work on a chip and accumulates a timeline.
 type Engine struct {
-	Chip       *chip.Chip
-	Functional bool
-	// Workers > 1 fans the per-block work of ExecBlocks across that many
+	Chip *chip.Chip
+	// Workers > 1 fans the per-block work of block phases across that many
 	// goroutines — the software mirror of the chip's defining property that
 	// blocks execute in parallel. Results, timeline, and energy are
 	// bit-identical to the serial path: per-block contributions are merged
@@ -81,8 +81,8 @@ type Engine struct {
 	// accumulated in NORGateStats. Results are bit-identical to the
 	// host-float path (the substrate's fidelity is property-tested
 	// against hardware floats); timing and energy charging are
-	// unchanged. 0 keeps the host-float fast path. Timing-only engines
-	// ignore the setting.
+	// unchanged. 0 keeps the host-float fast path. ExecBlocksN runs no
+	// program and ignores the setting.
 	SlabWords int
 	// norUnits pools one gather/compute unit per in-flight instruction,
 	// so staging buffers, slab and header arenas and per-lane scratch
@@ -98,10 +98,10 @@ type Engine struct {
 	// post-merge section, so their order is stable across worker counts.
 	Log *eventlog.Logger
 
-	// Faults, when non-nil, enables the fault-injection recovery ladder
-	// in functional mode: after every block phase the engine scrubs
-	// (ECC), verify-retries failing programs, and remaps blocks that
-	// stay uncorrectable onto SparePool. Nil is the golden path.
+	// Faults, when non-nil, enables the fault-injection recovery ladder:
+	// after every block phase the engine scrubs (ECC), verify-retries
+	// failing programs, and remaps blocks that stay uncorrectable onto
+	// SparePool. Nil is the golden path.
 	Faults *fault.Injector
 	// SparePool lists reserved physical block ids, consumed in order by
 	// spare-block remapping.
@@ -123,7 +123,7 @@ type Engine struct {
 	digest         uint64
 	byName, byKind map[string]PhaseTotal
 
-	// ctx, when set via SetContext, makes ExecBlocks cancellable; the
+	// ctx, when set via SetContext, makes block phases cancellable; the
 	// first cancellation error is latched in err (see Err).
 	ctx context.Context
 	err error
@@ -152,6 +152,15 @@ type Engine struct {
 	xferBackpressureSec float64
 	tileCounts          []int
 	byTile              []int32
+
+	// gen is the remap generation: 1 from New on, bumped by every remap.
+	// A price records the generation it was made under, and a replay
+	// re-prices a price of another generation (a zero price's is 0).
+	// blocks resolves logical block ids for the replays: pricing fills it
+	// on the caller's goroutine, never on a pool worker, and a remap
+	// empties it.
+	gen    uint64
+	blocks []*xbar.Block
 }
 
 // InterconReport is the run-level congestion summary of the interconnect:
@@ -185,8 +194,8 @@ func (e *Engine) InterconReport() InterconReport {
 // chip's tiles (e.g. a fanout-4 H-tree over tiles, or a single chip-wide
 // bus for the Bus design). The chip validated the topology name, so the
 // factory cannot fail here.
-func New(ch *chip.Chip, functional bool) *Engine {
-	e := &Engine{Chip: ch, Functional: functional, tileCounts: make([]int, ch.Config.NumTiles())}
+func New(ch *chip.Chip) *Engine {
+	e := &Engine{Chip: ch, gen: 1, tileCounts: make([]int, ch.Config.NumTiles())}
 	if n := ch.Config.NumTiles(); n > 1 {
 		t, err := intercon.New(string(ch.Config.Interconnect), n,
 			intercon.Config{Fanout: ch.Config.Fanout})
@@ -202,13 +211,12 @@ func New(ch *chip.Chip, functional bool) *Engine {
 func (e *Engine) Now() float64 { return e.clock }
 
 // SetContext installs (or, with nil, removes) the context consulted by
-// ExecBlocks and the worker pool. A run driver sets it once for the whole
-// run so the per-phase call sites stay signature-compatible; ExecBlocksCtx
-// is the explicit-context form.
+// block phases and the worker pool. A run driver sets it once for the
+// whole run.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// Err returns the first cancellation error an ExecBlocks call observed
-// since the last Reset/ClearErr, or nil.
+// Err returns the first error a block phase latched since the last
+// Reset/ClearErr (a cancellation, or fault.ErrNoSpares), or nil.
 func (e *Engine) Err() error { return e.err }
 
 // ClearErr resets the latched cancellation error.
@@ -335,79 +343,11 @@ func InstrCost(in isa.Instr) (sec, joules float64) {
 // Work executors (they price work; Sequence/Parallel place it in time)
 // ---------------------------------------------------------------------------
 
-// ExecBlocks executes one program per block, all blocks in parallel (the
-// chip's defining property). Returns an unplaced Phase whose duration is
-// the longest per-block program and whose energy is the sum.
-//
-// With Workers > 1 the per-block programs run on a goroutine pool; the
-// commit stays deterministic because per-block durations, energies, and
-// instruction counts are accumulated privately and merged in ascending
-// block order (the serial path uses the same sorted order, so serial and
-// parallel runs produce identical floating-point sums). A program that
-// panics on a pool worker panics again on the caller (see pool).
-//
-// Cancellation: when a context was installed with SetContext, ExecBlocks
-// aborts between per-block programs once the context is done, latches the
-// error (see Err), and returns a zero Phase.
+// ExecBlocks prices one program per block and replays it once (see
+// ExecBlocksPriced): the one-shot form, for phases run a single time.
 func (e *Engine) ExecBlocks(name string, progs map[int][]isa.Instr) Phase {
-	ctx := e.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p, err := e.ExecBlocksCtx(ctx, name, progs)
-	if err != nil && e.err == nil {
-		e.err = err
-	}
-	return p
-}
-
-// ExecBlocksCtx is ExecBlocks with an explicit context: the worker pool
-// stops claiming blocks as soon as ctx is done and the call returns
-// ctx.Err() instead of finishing the batch (no phase is produced and
-// nothing is charged to the timeline). In functional mode a cancelled
-// batch leaves the chip partially updated, as a real abort would.
-func (e *Engine) ExecBlocksCtx(ctx context.Context, name string, progs map[int][]isa.Instr) (Phase, error) {
-	ids := sortedBlocks(progs)
-	costs := make([]blockCost, len(ids))
-	// The ladder runs when the engine executes real data under an
-	// injector whose recovery policy enables ECC scrubbing.
-	ladder := e.Functional && e.Faults != nil && e.Faults.Recovery().ECC
-	var rungs []rungCost
-	maxRetries := 0
-	if ladder {
-		rungs = make([]rungCost, len(ids))
-		maxRetries = e.Faults.Recovery().MaxRetries
-	}
-	runBlock := func(i int) {
-		id, c := ids[i], &costs[i]
-		prog := progs[id]
-		if ladder {
-			e.climbLadder(id, prog, c, &rungs[i], maxRetries)
-			return
-		}
-		e.priceProgram(id, prog, &c.dur, &c.energy, c)
-		if e.Functional {
-			e.runProgram(e.Chip.Block(id), prog)
-		}
-	}
-
-	workers := e.execWorkers(len(ids))
-	parallel := workers > 1 && blocksIndependent(progs)
-	if !parallel {
-		workers = 1
-	}
-	pool(ctx.Done(), len(ids), workers, runBlock)
-	if err := ctx.Err(); err != nil {
-		return Phase{}, err
-	}
-
-	dur, energy, instrs := blockTotals(costs)
-	e.InstrCount += instrs
-	if ladder {
-		e.mergeLadder(ids, rungs)
-	}
-	e.noteBlocks(costs, parallel, workers)
-	return Phase{Name: name, Kind: "blocks", Dur: dur, EnergyJ: energy}, nil
+	var p BlocksPrice
+	return e.ExecBlocksPriced(name, progs, &p)
 }
 
 // blockCost is one block program's nominal cost: its latency and energy
@@ -419,8 +359,8 @@ type blockCost struct {
 }
 
 // rungCost is one block's recovery-ladder accounting: scrub and retry
-// costs are kept out of its blockCost so the block phase stays nominal and
-// the overhead lands on dedicated sim.fault.* phases.
+// costs are kept out of the block phase's price so the phase stays
+// nominal and the overhead lands on dedicated sim.fault.* phases.
 type rungCost struct {
 	scrubSec, scrubJ                            float64
 	retrySec, retryJ                            float64
@@ -442,9 +382,8 @@ func sortedBlocks(progs map[int][]isa.Instr) []int {
 // priceProgram is the one pricing function of a block program: it adds
 // each instruction's latency and energy, in program order, to *sec and
 // *joules (plus the word's transit from the LUT block for OpLUT), and
-// counts the instructions into c. ExecBlocksCtx prices with it as it runs
-// a program, the recovery ladder re-prices retries with it, and
-// PriceBlocks keeps its result for ExecBlocksPriced.
+// counts the instructions into c. A block phase's price is made with it,
+// and the recovery ladder prices retries with it.
 func (e *Engine) priceProgram(blockID int, prog []isa.Instr, sec, joules *float64, c *blockCost) {
 	for _, in := range prog {
 		s, j := InstrCost(in)
@@ -472,8 +411,10 @@ func (e *Engine) runProgram(b *xbar.Block, prog []isa.Instr) {
 // after the program; on uncorrectable errors, rewind and re-execute
 // (verify-retry) up to the budget. Retry is only sound for self-contained
 // programs — a program touching foreign blocks cannot be rewound locally.
+// The program's nominal cost is in its phase's price; each retry is
+// priced into r, and its instructions are counted into c.
 func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *rungCost, maxRetries int) {
-	blk := e.Chip.Block(blockID)
+	blk := e.blocks[blockID]
 	retriable := progRetriable(blockID, prog)
 	var cellSnap []uint32
 	var pendSnap map[uint32]uint32
@@ -483,7 +424,6 @@ func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *run
 	} else {
 		retriable = false
 	}
-	e.priceProgram(blockID, prog, &c.dur, &c.energy, c)
 	e.runProgram(blk, prog)
 	for attempt := 0; ; attempt++ {
 		res := blk.Scrub()
@@ -715,7 +655,9 @@ func BlockLabel(id int) string {
 // budget onto spare blocks: the spare receives an ECC-corrected copy of
 // every word, the chip's logical->physical table redirects the id, and the
 // migration cost (full-array read + routed transfer + write) is queued as
-// a sim.fault.remap phase. Spare exhaustion latches fault.ErrNoSpares.
+// a sim.fault.remap phase. A remap changes routes and blocks, so it empties
+// the block table and makes every earlier price stale. Spare exhaustion
+// latches fault.ErrNoSpares.
 func (e *Engine) remapFailed(failed []int) {
 	for _, logical := range failed {
 		if e.sparesUsed >= len(e.SparePool) {
@@ -746,6 +688,8 @@ func (e *Engine) remapFailed(failed []int) {
 		sec := float64(xbar.Rows)*(params.BlockRowReadLatency+params.BlockRowWriteLatency) + tsec
 		joules := float64(xbar.Rows)*(params.RowBufferReadEnergyJ+params.RowBufferWriteEnergyJ) + tj
 		e.Chip.SetRemap(logical, spare)
+		clear(e.blocks)
+		e.gen++
 		e.Faults.NoteRemap(logical)
 		e.pendingFault = append(e.pendingFault,
 			Phase{Name: "sim.fault.remap", Kind: "fault", Dur: sec, EnergyJ: joules})
@@ -791,14 +735,11 @@ func (e *Engine) ExecEncoded(name string, streams map[int][]uint64) (Phase, erro
 }
 
 // ExecBlocksN prices one program template executed concurrently by n
-// identical blocks — the timing-mode fast path for large models, where the
-// per-block programs of a kernel phase are the same template replicated
-// across every element (duration is one program; energy scales with n). It
-// must not be used in functional mode.
+// identical blocks — the timed runner's fast path for large models, where
+// the per-block programs of a kernel phase are the same template
+// replicated across every element (duration is one program; energy scales
+// with n). It runs no program.
 func (e *Engine) ExecBlocksN(name string, prog []isa.Instr, n int, avgLUTHops int) Phase {
-	if e.Functional {
-		panic("sim: ExecBlocksN is timing-only; use ExecBlocks in functional mode")
-	}
 	var dur, energy float64
 	for _, in := range prog {
 		sec, j := InstrCost(in)
@@ -917,26 +858,15 @@ func (e *Engine) routeHops(src, dst int) int {
 	return 2*depth + 1 // up the source tile, across the chip router, down the destination tile
 }
 
-// ExecTransfers schedules a batch of inter-block transfers. Intra-tile
-// batches use the tile's contention-aware topology schedule and different
-// tiles overlap; cross-tile transfers are scheduled on the chip-level
-// H-tree over tiles (disjoint tile subtrees overlap, shared routes
-// contend). Functional mode also moves the words, in batch order.
+// ExecTransfers prices a batch of inter-block transfers into the run's
+// contention ledgers and charges it, moving no words: the timed runner's
+// call. Intra-tile batches use the tile's contention-aware topology
+// schedule and different tiles overlap; cross-tile transfers are
+// scheduled on the chip-level H-tree over tiles (disjoint tile subtrees
+// overlap, shared routes contend). ExecTransfersPriced moves the words.
 func (e *Engine) ExecTransfers(name string, trs []RowTransfer) Phase {
-	p := &e.xfer
-	e.priceTransfers(trs, &e.net, p)
-	if e.Functional {
-		for _, tr := range trs {
-			e.moveWords(tr)
-		}
-	}
-	return e.chargeTransfers(name, p)
-}
-
-// moveWords performs the functional data movement of one transfer.
-func (e *Engine) moveWords(tr RowTransfer) {
-	src := e.Chip.Block(tr.SrcBlock)
-	e.Chip.Block(tr.DstBlock).CopyWords(tr.DstRow, tr.DstOff, src, tr.SrcRow, tr.SrcOff, tr.Words)
+	e.priceTransfers(trs, &e.net, &e.xfer)
+	return e.chargeTransfers(name, &e.xfer)
 }
 
 // ExecDRAM prices an off-chip HBM2 transaction (batching's store/load

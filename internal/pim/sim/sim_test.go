@@ -10,13 +10,13 @@ import (
 	"wavepim/internal/pim/xbar"
 )
 
-func newEngine(t *testing.T, functional bool) *Engine {
+func newEngine(t *testing.T) *Engine {
 	t.Helper()
 	ch, err := chip.New(chip.Config512MB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ch, functional)
+	return New(ch)
 }
 
 // InstrCost must agree exactly with xbar's own accounting for every
@@ -52,7 +52,7 @@ func TestInstrCostMatchesXbar(t *testing.T) {
 }
 
 func TestExecBlocksParallelAcrossBlocks(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	add := isa.Instr{Op: isa.OpAdd, RowCount: 512, DstOff: 2, SrcOff: 0, Src2Off: 1}
 	// One block with 2 adds vs eight blocks with 2 adds each: same phase
 	// duration (blocks run concurrently), 8x the energy.
@@ -71,7 +71,7 @@ func TestExecBlocksParallelAcrossBlocks(t *testing.T) {
 }
 
 func TestSequenceAndParallelTimeline(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	add := isa.Instr{Op: isa.OpAdd, RowCount: 1, DstOff: 2, SrcOff: 0, Src2Off: 1}
 	mul := isa.Instr{Op: isa.OpMul, RowCount: 1, DstOff: 2, SrcOff: 0, Src2Off: 1}
 	a := e.ExecBlocks("a", map[int][]isa.Instr{0: {add}})
@@ -91,7 +91,7 @@ func TestSequenceAndParallelTimeline(t *testing.T) {
 }
 
 func TestFunctionalArithmetic(t *testing.T) {
-	e := newEngine(t, true)
+	e := newEngine(t)
 	b := e.Chip.Block(3)
 	b.SetFloat(0, 0, 1.5)
 	b.SetFloat(0, 1, 2.5)
@@ -107,12 +107,12 @@ func TestFunctionalArithmetic(t *testing.T) {
 }
 
 func TestFunctionalTransfer(t *testing.T) {
-	e := newEngine(t, true)
+	e := newEngine(t)
 	src := e.Chip.Block(0)
 	src.SetFloat(7, 4, 9.25)
-	p := e.ExecTransfers("move", []RowTransfer{
-		{SrcBlock: 0, SrcRow: 7, SrcOff: 4, DstBlock: 5, DstRow: 2, DstOff: 10, Words: 1},
-	})
+	trs := []RowTransfer{{SrcBlock: 0, SrcRow: 7, SrcOff: 4, DstBlock: 5, DstRow: 2, DstOff: 10, Words: 1}}
+	var price TransferPrice
+	p := e.ExecTransfersPriced("move", trs, GroupCopies(trs), &price)
 	e.Sequence(p)
 	if got := e.Chip.Block(5).GetFloat(2, 10); got != 9.25 {
 		t.Errorf("transfer got %g", got)
@@ -123,7 +123,7 @@ func TestFunctionalTransfer(t *testing.T) {
 }
 
 func TestTransfersDisjointTilesOverlap(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	// Same-tile pair vs two pairs in different tiles: different tiles
 	// should overlap (same makespan as a single pair, modulo endpoint
 	// costs).
@@ -140,7 +140,7 @@ func TestTransfersDisjointTilesOverlap(t *testing.T) {
 }
 
 func TestCrossTileSameRouteContends(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	tr := RowTransfer{SrcBlock: 0, SrcRow: 0, DstBlock: 300, DstRow: 0, Words: 32}
 	one := e.ExecTransfers("one", []RowTransfer{tr})
 	two := e.ExecTransfers("two", []RowTransfer{tr, tr})
@@ -154,7 +154,7 @@ func TestCrossTileDisjointRoutesOverlap(t *testing.T) {
 	// subtrees and should not serialize against each other. 512MB has 16
 	// tiles; tiles (0,1) and (4,5) sit under different level-0 chip
 	// switches.
-	e := newEngine(t, false)
+	e := newEngine(t)
 	a := RowTransfer{SrcBlock: 0, DstBlock: 300, Words: 32}             // tile 0 -> 1
 	b := RowTransfer{SrcBlock: 4 * 256, DstBlock: 5*256 + 3, Words: 32} // tile 4 -> 5
 	one := e.ExecTransfers("one", []RowTransfer{a})
@@ -165,7 +165,7 @@ func TestCrossTileDisjointRoutesOverlap(t *testing.T) {
 }
 
 func TestLUTInstructionFunctional(t *testing.T) {
-	e := newEngine(t, true)
+	e := newEngine(t)
 	lutBlock := 10
 	// LUT content: entry 77 = bits of 3.5. Entry k lives at row k/32,
 	// word k%32 (Algorithm 1's LUTBlockID*2^20 + index*32 addressing).
@@ -189,7 +189,7 @@ func TestLUTInstructionFunctional(t *testing.T) {
 }
 
 func TestExecDRAM(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	p := e.ExecDRAM("load", 900e9/2) // half a second's worth at 900 GB/s
 	if !CheckClose(p.Dur, 0.5, 1e-12) {
 		t.Errorf("DRAM duration %g want 0.5", p.Dur)
@@ -203,7 +203,7 @@ func TestExecDRAM(t *testing.T) {
 }
 
 func TestExecHost(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	p := e.ExecHost("sqrt", 1000, 1000)
 	h := params.ARMCortexA72
 	want := (1000*h.SqrtLatencySec + 1000*h.InverseLatencySec) / float64(h.Cores)
@@ -213,7 +213,7 @@ func TestExecHost(t *testing.T) {
 }
 
 func TestStaticEnergyScalesWithTime(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	e.Sequence(e.ExecDRAM("x", 9e9)) // 10 ms
 	se := e.StaticEnergy()
 	want := chip.SystemPowerW(e.Chip.Config) * e.TotalTime()
@@ -223,7 +223,7 @@ func TestStaticEnergyScalesWithTime(t *testing.T) {
 }
 
 func TestPhaseTimeBreakdown(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	e.Sequence(e.ExecDRAM("a", 9e9))
 	e.Sequence(e.ExecHost("b", 10, 10))
 	if e.PhaseTime("dram") <= 0 || e.PhaseTime("host") <= 0 {
@@ -235,7 +235,7 @@ func TestPhaseTimeBreakdown(t *testing.T) {
 }
 
 func TestResetClearsState(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	e.Sequence(e.ExecDRAM("a", 9e9))
 	e.Reset()
 	if e.TotalTime() != 0 || e.TotalEnergy != 0 || len(e.Timeline) != 0 || e.DRAMBytes != 0 {
@@ -246,7 +246,7 @@ func TestResetClearsState(t *testing.T) {
 // ExecEncoded decodes and executes a real 64-bit word stream with the
 // same results as the decoded-instruction path.
 func TestExecEncodedMatchesExecBlocks(t *testing.T) {
-	e := newEngine(t, true)
+	e := newEngine(t)
 	b := e.Chip.Block(2)
 	b.SetFloat(0, 0, 1.5)
 	b.SetFloat(0, 1, 2.0)
@@ -267,7 +267,7 @@ func TestExecEncodedMatchesExecBlocks(t *testing.T) {
 		t.Errorf("encoded execution got %g want 7", got)
 	}
 	// Cost identical to the decoded path.
-	e2 := newEngine(t, false)
+	e2 := newEngine(t)
 	p2 := e2.ExecBlocks("dec", map[int][]isa.Instr{2: prog})
 	if !CheckClose(p.Dur, p2.Dur, 1e-12) || !CheckClose(p.EnergyJ, p2.EnergyJ, 1e-12) {
 		t.Error("encoded and decoded paths disagree on cost")
@@ -275,7 +275,7 @@ func TestExecEncodedMatchesExecBlocks(t *testing.T) {
 }
 
 func TestExecEncodedRejectsGarbage(t *testing.T) {
-	e := newEngine(t, false)
+	e := newEngine(t)
 	if _, err := e.ExecEncoded("bad", map[int][]uint64{0: {^uint64(0)}}); err == nil {
 		t.Error("garbage word should fail to decode")
 	}

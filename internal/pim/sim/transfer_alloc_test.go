@@ -14,7 +14,7 @@ func TestExecTransfersAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ch, true)
+	e := New(ch)
 	multi := pinBatches(5, 32)[3]
 	var single []RowTransfer
 	for _, tr := range multi {

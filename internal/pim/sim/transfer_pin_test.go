@@ -62,8 +62,17 @@ func pinBatches(seed int64, maxWords int) [][]RowTransfer {
 	return out
 }
 
+// rowCopies moves a batch's words through the chip row by row, in batch
+// order: the data reference every replay of the batch must reproduce.
+func rowCopies(e *Engine, trs []RowTransfer) {
+	for _, tr := range trs {
+		e.Chip.Block(tr.DstBlock).CopyWords(tr.DstRow, tr.DstOff, e.Chip.Block(tr.SrcBlock), tr.SrcRow, tr.SrcOff, tr.Words)
+	}
+}
+
 // pinDigests runs the pinned batches on one fabric and hashes the
-// returned phases, the interconnect report and the moved cell words.
+// returned phases, the interconnect report and, for the batches that fit
+// in a row, the cell words rowCopies moves.
 func pinDigests(t *testing.T, topo string) (phases, report, cells uint64) {
 	t.Helper()
 	cfg := chip.Config2GB()
@@ -74,18 +83,18 @@ func pinDigests(t *testing.T, topo string) (phases, report, cells uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, functional := range []bool{true, false} {
+	for _, inRow := range []bool{true, false} { // in-row batches also move data
 		ch, err := chip.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(ch, functional)
+		e := New(ch)
 		e.Workers = runtime.GOMAXPROCS(0)
 		maxWords := xbar.WordsPerRow
-		if !functional {
+		if !inRow {
 			maxWords = 400
 		}
-		if functional {
+		if inRow {
 			for _, id := range pinBlocks {
 				b := ch.Block(id)
 				for row := 0; row < pinRows; row++ {
@@ -97,6 +106,9 @@ func pinDigests(t *testing.T, topo string) (phases, report, cells uint64) {
 		}
 		for _, batch := range pinBatches(17, maxWords) {
 			p := e.ExecTransfers("pin", batch)
+			if inRow {
+				rowCopies(e, batch)
+			}
 			word(hp, math.Float64bits(p.Dur))
 			word(hp, math.Float64bits(p.EnergyJ))
 		}
@@ -105,7 +117,7 @@ func pinDigests(t *testing.T, topo string) (phases, report, cells uint64) {
 			t.Fatal(err)
 		}
 		hr.Write(js)
-		if functional {
+		if inRow {
 			for _, id := range pinBlocks {
 				b := ch.Block(id)
 				for row := 0; row < pinRows; row++ {
@@ -120,7 +132,7 @@ func pinDigests(t *testing.T, topo string) (phases, report, cells uint64) {
 }
 
 // TestExecTransfersPinned pins ExecTransfers' priced phases, its
-// interconnect congestion report and the functional data movement on
+// interconnect congestion report and the reference data movement on
 // every fabric to literal digests, under GOMAXPROCS 1 and 2. A change that
 // moves one of them changed simulated behaviour, not just code.
 func TestExecTransfersPinned(t *testing.T) {

@@ -35,7 +35,7 @@ var blockKernels = []struct {
 	{"Broadcast/4words", kernelRows, func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 4) }},
 	// A one-word constant, as every bconst of an element RHS issues it.
 	{"Broadcast/1word", kernelRows, func(b, _ *Block) { b.Broadcast(kernelRows, 0, kernelRows, 8, 20, 1) }},
-	// A whole-row transfer per row, as moveWords issues it.
+	// A whole-row transfer per row, as a dependent batch's replay issues it.
 	{"CopyWords/row", kernelRows, func(b, src *Block) {
 		for r := 0; r < kernelRows; r++ {
 			b.CopyWords(r, 0, src, r, 0, WordsPerRow)

@@ -114,7 +114,7 @@ func TestFunctionalBatchedRejectsBadBatchSize(t *testing.T) {
 // auto-sized chip: the boundary copies read the same pre-stage values the
 // resident flux fetch reads, and every block program sees the same
 // operands. The fold must really happen: DRAM bytes are charged and the
-// chip materializes only the largest batch's blocks.
+// chip materializes only the blocks the largest batch uses.
 func TestBatchedSessionMatchesResident(t *testing.T) {
 	const steps = 2
 	m := mesh.New(3, 4, true)
@@ -131,12 +131,12 @@ func TestBatchedSessionMatchesResident(t *testing.T) {
 		flux           dg.FluxType
 		field          *material.AcousticField
 		tiles, batches int
-		batchBlocks    int // blocks of the largest batch
+		batchBlocks    int // blocks the largest batch's phases and variables use
 	}{
 		{"acoustic-riemann", opcount.Acoustic, dg.RiemannFlux, nil, 1, 2, 256},
 		{"acoustic-central", opcount.Acoustic, dg.CentralFlux, nil, 1, 2, 256},
-		{"elastic-riemann", opcount.ElasticRiemann, dg.RiemannFlux, nil, 3, 3, 768},
-		{"maxwell", opcount.Maxwell, FluxFor(opcount.Maxwell), nil, 1, 8, 256},
+		{"elastic-riemann", opcount.ElasticRiemann, dg.RiemannFlux, nil, 3, 3, 576},
+		{"maxwell", opcount.Maxwell, FluxFor(opcount.Maxwell), nil, 1, 8, 128},
 		{"acoustic-layers", opcount.Acoustic, dg.RiemannFlux, layers, 1, 2, 256},
 	}
 	for _, tc := range cases {

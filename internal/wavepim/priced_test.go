@@ -14,23 +14,44 @@ import (
 	"wavepim/internal/pim/sim"
 )
 
-// unpricedStep runs one time-step of s's plan through plain ExecTransfers
-// and ExecBlocks, pricing every phase as it goes: the reference a system's
-// priced Step must reproduce.
-func unpricedStep(s *system) {
+// referenceStep runs one time-step of s's plan the reference way, batch
+// by batch on a batched system: every block phase through ExecBlocks,
+// which prices it afresh, and every transfer batch through ExecTransfers'
+// run-ledger pricing and row-by-row copies in batch order. A system's
+// Step, which replays stored prices and copies column runs, must
+// reproduce it.
+func referenceStep(s *system) {
 	e := s.Engine
-	run := func(p phase) {
-		if p.progs != nil {
+	run := func(p phase, first int) {
+		switch {
+		case p.progs != nil:
 			e.Sequence(e.ExecBlocks(p.name, p.progs))
-			return
+		case len(p.transfers) > 0:
+			ph := e.ExecTransfers(p.name, p.transfers)
+			for _, tr := range p.transfers {
+				e.Chip.Block(tr.DstBlock).CopyWords(tr.DstRow, tr.DstOff, e.Chip.Block(tr.SrcBlock), tr.SrcRow, tr.SrcOff, tr.Words)
+			}
+			e.Sequence(ph)
 		}
-		e.Sequence(e.ExecTransfers(p.name, p.transfers))
+		s.copyFromHost(p, first)
+	}
+	stage := func(pp *pricedPlan, st, first int) {
+		for _, p := range pp.plan.rhs {
+			run(p, first)
+		}
+		run(pp.plan.integ[st], first)
 	}
 	for st := range s.plan.integ {
-		for _, p := range s.plan.rhs {
-			run(p)
+		if s.batches == nil {
+			stage(&s.pricedPlan, st, 0)
+			continue
 		}
-		run(s.plan.integ[st])
+		for _, b := range s.batches {
+			s.moveBatch(b, false)
+			stage(b.pricedPlan, st, b.first)
+			s.moveBatch(b, true)
+		}
+		s.img, s.next = s.next, s.img
 	}
 }
 
@@ -82,18 +103,17 @@ func loadedSystem(t *testing.T, i int, m *mesh.Mesh, topo string, workers int, s
 	return s
 }
 
-// A system's Step replays phases priced once at construction; it must
-// leave exactly what running the same plan phases through ExecTransfers
-// and ExecBlocks leaves: timeline, state, counts, backpressure and sink
-// values bit for bit, on every layout and fabric, with and without a
-// sink, serial and on the worker pool. Only the per-switch busy totals
-// may differ in their last bits: the replay adds each phase's busy seconds
-// as one delta, where ExecTransfers adds every transfer's occupancy to the
-// run total one by one. On the bus, whose one switch takes every transfer,
+// A system's Step replays phases priced once, on their first replay; it
+// must leave exactly what referenceStep leaves: timeline, state, counts,
+// backpressure and sink values bit for bit, on every layout and fabric,
+// with and without a sink, serial and on the worker pool. Only the
+// per-switch busy totals may differ in their last bits: the replay adds
+// each phase's busy seconds as one delta, where ExecTransfers adds every
+// transfer's occupancy to the run total one by one. On the bus, whose one switch takes every transfer,
 // the two orders drift apart by about 1e-12 relative per step (9.6e-13
 // after one step here, 2.2e-12 after two), so the comparison runs one
 // step.
-func TestPricedStepMatchesUnpriced(t *testing.T) {
+func TestPricedStepMatchesReference(t *testing.T) {
 	m := mesh.New(1, 4, true)
 	for i, l := range pricedLayouts {
 		for _, topo := range intercon.Names() {
@@ -107,7 +127,7 @@ func TestPricedStepMatchesUnpriced(t *testing.T) {
 					priced := loadedSystem(t, i, m, topo, workers, sinks[0])
 					plain := loadedSystem(t, i, m, topo, workers, sinks[1])
 					priced.Step()
-					unpricedStep(plain)
+					referenceStep(plain)
 					comparePricedRuns(t, name, priced, plain, sinks)
 				}
 			}
@@ -119,7 +139,7 @@ func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [
 	t.Helper()
 	pe, ue := priced.Engine, plain.Engine
 	if a, b := pe.TimelineDigest(), ue.TimelineDigest(); a != b {
-		t.Errorf("%s: timeline digest %#x, un-priced %#x", name, a, b)
+		t.Errorf("%s: timeline digest %#x, reference %#x", name, a, b)
 	}
 	state := func(s *system) uint64 {
 		vars := make([][]float64, len(s.plan.vars))
@@ -130,25 +150,25 @@ func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [
 		return stateHash(vars)
 	}
 	if a, b := state(priced), state(plain); a != b {
-		t.Errorf("%s: state hash %#x, un-priced %#x", name, a, b)
+		t.Errorf("%s: state hash %#x, reference %#x", name, a, b)
 	}
 	if pe.InstrCount != ue.InstrCount || pe.TransferCt != ue.TransferCt {
-		t.Errorf("%s: %d instructions and %d transfers, un-priced %d and %d",
+		t.Errorf("%s: %d instructions and %d transfers, reference %d and %d",
 			name, pe.InstrCount, pe.TransferCt, ue.InstrCount, ue.TransferCt)
 	}
 	pr, ur := pe.InterconReport(), ue.InterconReport()
 	if pr.Backpressured != ur.Backpressured || pr.BackpressureSec != ur.BackpressureSec {
-		t.Errorf("%s: backpressure %d/%v s, un-priced %d/%v s",
+		t.Errorf("%s: backpressure %d/%v s, reference %d/%v s",
 			name, pr.Backpressured, pr.BackpressureSec, ur.Backpressured, ur.BackpressureSec)
 	}
 	busyClose := func(what string, a, b []float64) {
 		if len(a) != len(b) {
-			t.Errorf("%s: %s switch-busy has %d switches, un-priced %d", name, what, len(a), len(b))
+			t.Errorf("%s: %s switch-busy has %d switches, reference %d", name, what, len(a), len(b))
 			return
 		}
 		for i := range a {
 			if !sim.CheckClose(a[i], b[i], 1e-12) {
-				t.Errorf("%s: %s switch %d busy %v s, un-priced %v s", name, what, i, a[i], b[i])
+				t.Errorf("%s: %s switch %d busy %v s, reference %v s", name, what, i, a[i], b[i])
 			}
 		}
 	}
@@ -157,16 +177,15 @@ func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [
 	if sinks[0] != nil {
 		a, b := sinks[0].Reg.Snapshot(), sinks[1].Reg.Snapshot()
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: sink snapshots differ:\npriced   %v\nunpriced %v", name, a, b)
+			t.Errorf("%s: sink snapshots differ:\npriced    %v\nreference %v", name, a, b)
 		}
 	}
 }
 
 // A batched system replays its transfer phases as column runs; the same
-// system with its transfer prices dropped runs them through ExecTransfers,
-// which copies row by row. One step of each must leave the same state and
-// timeline bit for bit: elastic-Riemann folded through a three-tile chip
-// in ragged batches, serial and on the worker pool.
+// system's referenceStep copies row by row. One step of each must leave
+// the same state and timeline bit for bit: elastic-Riemann folded through
+// a three-tile chip in ragged batches, serial and on the worker pool.
 func TestBatchedColumnRunsMatchRowCopies(t *testing.T) {
 	m := mesh.New(3, 4, true)
 	for _, workers := range []int{1, 2} {
@@ -190,16 +209,13 @@ func TestBatchedColumnRunsMatchRowCopies(t *testing.T) {
 			if runs == 0 {
 				t.Fatal("no transfer phase of the batch plan replays column runs")
 			}
-			if i == 1 {
-				for _, b := range s.sys.batches {
-					for j := range b.rhsPrices {
-						b.rhsPrices[j].xfer = nil
-					}
-				}
-			}
 			q, _ := elasticStates(m)
 			s.Elastic().Load(q)
-			s.Step()
+			if i == 0 {
+				s.Step()
+			} else {
+				referenceStep(s.sys)
+			}
 			s.Elastic().ReadState(q)
 			states[i], engines[i] = stateHash(q.Slices()), s.Engine()
 		}

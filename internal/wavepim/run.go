@@ -126,7 +126,7 @@ func newRunner(plan Plan, opt Options) *runner {
 		panic(err)
 	}
 	np := opcount.Np
-	eng := sim.New(ch, false)
+	eng := sim.New(ch)
 	eng.Obs = opt.Obs
 	r := &runner{
 		plan: plan, opt: opt,

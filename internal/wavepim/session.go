@@ -57,7 +57,6 @@ type sessionConfig struct {
 	slabWords int
 	topoName  string
 	topoSet   bool
-	topo      topoConfig
 	sink      *obs.Sink
 	acMat     material.Acoustic
 	elMat     material.Elastic
@@ -114,34 +113,18 @@ func WithChip(cfg chip.Config) Option {
 // either package.
 var ErrUnknownTopology = intercon.ErrUnknownTopology
 
-// topoConfig carries WithTopology's tuning knobs.
-type topoConfig struct {
-	fanout int
-}
-
-// TopologyOption tunes a WithTopology selection.
-type TopologyOption func(*topoConfig)
-
-// WithTopologyFanout sets the H-tree fanout (default 4; the other fabrics
-// ignore it — their switch concentration is fixed at 4 leaves per switch).
-func WithTopologyFanout(n int) TopologyOption {
-	return func(t *topoConfig) { t.fanout = n }
-}
-
 // WithTopology selects the tile interconnect by name — one of
 // intercon.Names(): "htree" (the paper's default), "bus", "mesh", "torus",
 // "flatfly", "dragonfly". The empty string keeps the default H-tree. It
 // overrides the topology of whatever chip configuration the session
 // resolves (pinned via WithChip or auto-sized), so callers pick fabric and
 // capacity independently. An unknown name fails NewSession with an error
-// satisfying errors.Is(err, ErrUnknownTopology).
-func WithTopology(name string, opts ...TopologyOption) Option {
+// satisfying errors.Is(err, ErrUnknownTopology). An H-tree's fanout is the
+// chip configuration's (Config.Fanout, pinned with WithChip).
+func WithTopology(name string) Option {
 	return func(c *sessionConfig) {
 		c.topoName = name
 		c.topoSet = true
-		for _, o := range opts {
-			o(&c.topo)
-		}
 	}
 }
 
@@ -298,7 +281,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	chipCfg := cfg.applyTopology(sessionChip(cfg, cfg.mesh.NumElem*plan.SlotsPerElem), topoKind)
 	key := PlanKey{Eq: keyEq, Flux: cfg.flux, Np: cfg.mesh.Np, EPerAxis: cfg.mesh.EPerAxis,
 		Chip: chipCfg.Name, Topo: chipCfg.Interconnect.String()}
-	sys, err := buildSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, sched)
+	sys, err := newSystem(chipCfg, cfg.mesh, cfg.flux, cfg.dt, plan, &key, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -327,9 +310,6 @@ func NewSession(opts ...Option) (*Session, error) {
 		if err := s.setupFaults(); err != nil {
 			return nil, err
 		}
-	}
-	if s.eng.Faults == nil {
-		sys.price()
 	}
 	return s, nil
 }
@@ -422,9 +402,6 @@ func (c sessionConfig) applyTopology(cc chip.Config, k chip.InterconnectKind) ch
 		return cc
 	}
 	cc.Interconnect = k
-	if c.topo.fanout > 0 {
-		cc.Fanout = c.topo.fanout
-	}
 	return cc
 }
 

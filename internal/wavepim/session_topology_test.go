@@ -43,14 +43,6 @@ func TestWithTopologyUnknown(t *testing.T) {
 	}
 }
 
-// TestWithTopologyFanout: the fanout knob reaches the chip config.
-func TestWithTopologyFanout(t *testing.T) {
-	s := sessionForTest(t, WithTopology("htree", WithTopologyFanout(2)))
-	if got := s.Engine().Chip.Config.Fanout; got != 2 {
-		t.Errorf("fanout = %d, want 2", got)
-	}
-}
-
 // TestFunctionalAnswerIdenticalAcrossTopologies is the cross-topology
 // conservation differential: the interconnect changes when data moves,
 // never what arrives — so the functional answer bits must be identical on

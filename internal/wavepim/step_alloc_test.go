@@ -52,8 +52,8 @@ func TestReplayedTransferPhaseAllocationFree(t *testing.T) {
 			continue
 		}
 		replayed++
-		pr := sys.rhsPrices[i].xfer
-		if n := testing.AllocsPerRun(5, func() { e.ExecTransfersPriced(p.name, p.transfers, pr, sys.blocks) }); n != 0 {
+		pr := &sys.rhsPrices[i].xfer
+		if n := testing.AllocsPerRun(5, func() { e.ExecTransfersPriced(p.name, p.transfers, p.groups, pr) }); n != 0 {
 			t.Errorf("replaying %s (%d transfers) allocates %.1f times", p.name, len(p.transfers), n)
 		}
 	}

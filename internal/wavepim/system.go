@@ -79,7 +79,7 @@ func chipFor(nBlocks int) (chip.Config, error) {
 // to the machine, so per-block functional execution uses every core. The
 // engine's merge order makes results identical to a serial run.
 func newFunctionalEngine(ch *chip.Chip) *sim.Engine {
-	e := sim.New(ch, true)
+	e := sim.New(ch)
 	e.Workers = runtime.GOMAXPROCS(0)
 	return e
 }
@@ -100,9 +100,8 @@ type system struct {
 	// plan cache, skipping compilation entirely.
 	CacheHit bool
 	// pricedPlan is the whole mesh's plan, or the one every full batch
-	// replays; blocks resolves every block id a plan names, once priced.
+	// replays.
 	pricedPlan
-	blocks []*xbar.Block
 
 	// A batched system (nil batches when resident) loads each batch from
 	// img, the host's DRAM image of every variable and then every RK
@@ -115,25 +114,27 @@ type system struct {
 	consts    func(e int, role BlockRole, b *xbar.Block)
 }
 
-// pricedPlan is a stepPlan and its phases' costs on one system's chip,
-// parallel to plan.rhs and plan.integ; a zero price runs its phase
-// un-priced. Prices are not in the shared plan because they depend on the
-// chip's fabric (an H-tree's fanout too), which PlanKey does not name.
+// pricedPlan is a stepPlan and its phases' costs on one system's engine,
+// parallel to plan.rhs and plan.integ: each is zero until the phase's
+// first replay prices it, and the engine prices it again after a
+// spare-block remap. Prices are not in the shared plan because they
+// depend on the chip's fabric (an H-tree's fanout too), which PlanKey
+// does not name.
 type pricedPlan struct {
 	plan        *stepPlan
 	rhsPrices   []phasePrice
 	integPrices [dg.NumStages]phasePrice
 }
 
-func unpriced(p *stepPlan) pricedPlan {
+func newPricedPlan(p *stepPlan) pricedPlan {
 	return pricedPlan{plan: p, rhsPrices: make([]phasePrice, len(p.rhs))}
 }
 
 // phasePrice is one plan phase's stored cost: a transfer batch's or a
 // block phase's.
 type phasePrice struct {
-	xfer   *sim.TransferPrice
-	blocks *sim.BlocksPrice
+	xfer   sim.TransferPrice
+	blocks sim.BlocksPrice
 }
 
 // batch is one fold of a batched system: the elements from first on, as
@@ -143,24 +144,16 @@ type batch struct {
 	*pricedPlan
 }
 
-// newSystem builds and prices the system of one layout on cfg.
+// newSystem builds the chip, engine, compiler and placement of one layout
+// on cfg. The mesh must be periodic (every element has six neighbors, as
+// in the paper's benchmark meshes). A mesh the chip holds gets one step
+// plan, from the plan cache under key, or uncached when key is nil. A
+// larger one folds through the chip in batches of whole z-slices
+// (fitSlices, MakePlan's rule): every full batch shares one plan, a
+// ragged last batch gets its own, and both are built uncached, because
+// PlanKey names no batch size. It materializes no block, so a caller may
+// still install a block hook.
 func newSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan Plan, key *PlanKey, sched scheduleBuilder) (*system, error) {
-	s, err := buildSystem(cfg, m, flux, dt, plan, key, sched)
-	if err == nil {
-		s.price()
-	}
-	return s, err
-}
-
-// buildSystem builds the chip, engine, compiler and placement of one
-// layout on cfg, un-priced. The mesh must be periodic (every element has
-// six neighbors, as in the paper's benchmark meshes). A mesh the chip
-// holds gets one step plan, from the plan cache under key, or uncached
-// when key is nil. A larger one folds through the chip in batches of whole
-// z-slices (fitSlices, MakePlan's rule): every full batch shares one plan,
-// a ragged last batch gets its own, and both are built uncached, because
-// PlanKey names no batch size.
-func buildSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, plan Plan, key *PlanKey, sched scheduleBuilder) (*system, error) {
 	if !m.Periodic {
 		return nil, fmt.Errorf("wavepim: functional runs require a periodic mesh")
 	}
@@ -188,15 +181,15 @@ func buildSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, pl
 		} else {
 			v, s.CacheHit = cachedPlan(*key, build)
 		}
-		s.pricedPlan = unpriced(v.(*stepPlan))
+		s.pricedPlan = newPricedPlan(v.(*stepPlan))
 		return s, nil
 	}
 	sc, size := sched(s.Comp), slices*m.EPerAxis*m.EPerAxis
-	s.pricedPlan = unpriced(sc.instantiate(m, s.Place, size))
+	s.pricedPlan = newPricedPlan(sc.instantiate(m, s.Place, size))
 	for first := 0; first < m.NumElem; first += size {
 		b := batch{first, &s.pricedPlan}
 		if rest := m.NumElem - first; rest < size {
-			tail := unpriced(sc.instantiate(m, s.Place, rest))
+			tail := newPricedPlan(sc.instantiate(m, s.Place, rest))
 			b.pricedPlan = &tail
 		}
 		s.batches = append(s.batches, b)
@@ -208,64 +201,36 @@ func buildSystem(cfg chip.Config, m *mesh.Mesh, flux dg.FluxType, dt float64, pl
 	return s, nil
 }
 
-// price prices every plan phase on the system's engine and resolves the
-// plans' blocks, so a step does only data work. A system whose engine has
-// a fault injector is never priced: spare-block remapping changes routes
-// and blocks mid-run, and the recovery ladder runs inside ExecBlocks.
-func (s *system) price() {
-	e := s.Engine
-	s.blocks = make([]*xbar.Block, s.Place.MaxBlockID()+1)
-	for id := range s.blocks {
-		s.blocks[id] = e.Chip.Block(id)
-	}
-	price := func(p phase) phasePrice {
-		if p.progs != nil {
-			return phasePrice{blocks: e.PriceBlocks(p.progs)}
-		}
-		return phasePrice{xfer: e.PriceTransfers(p.transfers, p.groups)}
-	}
-	plans := []*pricedPlan{&s.pricedPlan}
-	if n := len(s.batches); n > 0 && s.batches[n-1].pricedPlan != plans[0] {
-		plans = append(plans, s.batches[n-1].pricedPlan) // a ragged last batch
-	}
-	for _, pp := range plans {
-		for i, p := range pp.plan.rhs {
-			pp.rhsPrices[i] = price(p)
-		}
-		for st, p := range pp.plan.integ {
-			pp.integPrices[st] = price(p)
-		}
-	}
-}
-
-// exec runs one phase to completion on the engine's timeline: a replay of
-// its stored price when it has one, else the un-priced path. A batch
-// phase's boundary copies then read the elements from first on.
-func (s *system) exec(p phase, pr phasePrice, first int) {
+// exec runs one phase to completion on the engine's timeline, replaying
+// its stored price; a batch phase's boundary copies then read the elements
+// from first on.
+func (s *system) exec(p phase, pr *phasePrice, first int) {
 	e := s.Engine
 	switch {
-	case pr.blocks != nil:
-		e.Sequence(e.ExecBlocksPriced(p.name, p.progs, pr.blocks, s.blocks))
 	case p.progs != nil:
-		e.Sequence(e.ExecBlocks(p.name, p.progs))
-	case len(p.transfers) == 0: // every move crosses the batch boundary
-	case pr.xfer != nil:
-		e.Sequence(e.ExecTransfersPriced(p.name, p.transfers, pr.xfer, s.blocks))
-	default:
-		e.Sequence(e.ExecTransfers(p.name, p.transfers))
+		e.Sequence(e.ExecBlocksPriced(p.name, p.progs, &pr.blocks))
+	case len(p.transfers) > 0: // else every move crosses the batch boundary
+		e.Sequence(e.ExecTransfersPriced(p.name, p.transfers, p.groups, &pr.xfer))
 	}
+	s.copyFromHost(p, first)
+}
+
+// copyFromHost writes a batch phase's face moves from outside the batch
+// from the host image, charged as off-chip traffic.
+func (s *system) copyFromHost(p phase, first int) {
 	if len(p.host) == 0 {
 		return
 	}
 	var words int64
 	for _, c := range p.host {
 		at := (c.elem+first)%s.Mesh.NumElem*s.Mesh.NodesPerEl + c.node
+		b := s.Engine.Chip.Block(c.block)
 		for w, v := range c.vars {
-			s.blocks[c.block].SetFloat(c.row, c.col+w, s.img[v][at])
+			b.SetFloat(c.row, c.col+w, s.img[v][at])
 		}
 		words += int64(len(c.vars))
 	}
-	e.Sequence(e.ExecDRAM("boundary-slice", 4*words))
+	s.Engine.Sequence(s.Engine.ExecDRAM("boundary-slice", 4*words))
 }
 
 // RHSOnce executes the right-hand-side phases of one stage (duplication,
@@ -274,7 +239,7 @@ func (s *system) exec(p phase, pr phasePrice, first int) {
 // systems only.
 func (s *system) RHSOnce() {
 	for i, p := range s.plan.rhs {
-		s.exec(p, s.rhsPrices[i], 0)
+		s.exec(p, &s.rhsPrices[i], 0)
 	}
 }
 
@@ -303,9 +268,9 @@ func (s *system) Step() {
 // stage runs stage st of pp's plan on the elements from first on.
 func (s *system) stage(pp *pricedPlan, st, first int) {
 	for i, p := range pp.plan.rhs {
-		s.exec(p, pp.rhsPrices[i], first)
+		s.exec(p, &pp.rhsPrices[i], first)
 	}
-	s.exec(pp.plan.integ[st], pp.integPrices[st], first)
+	s.exec(pp.plan.integ[st], &pp.integPrices[st], first)
 }
 
 // Run executes n time-steps.
@@ -325,11 +290,12 @@ func (s *system) moveBatch(b batch, store bool) {
 		for k, col := range [2]int{loc.col, loc.aux} {
 			img, next := s.img[k*nv+v], s.next[k*nv+v]
 			for i, id := range loc.blocks {
+				blk := s.Engine.Chip.Block(id)
 				for n, at := 0, (b.first+i)*nn; n < nn; n, at = n+1, at+1 {
 					if store {
-						next[at] = s.blocks[id].GetFloat(n, col)
+						next[at] = blk.GetFloat(n, col)
 					} else {
-						s.blocks[id].SetFloat(n, col, img[at])
+						blk.SetFloat(n, col, img[at])
 					}
 				}
 			}
