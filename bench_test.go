@@ -320,10 +320,15 @@ func benchFP32Operands(n int) (a, b []uint32) {
 // BenchmarkNORFp32 runs fp32 add and multiply through the scalar gate path
 // (one lane at a time, 64 lanes per iteration) and through the slab
 // substrate at K=1 and K=DefaultSlabWords (one full slab of K*64 lanes per
-// iteration). The slab_k8_n64 rows run 64 lanes on a K=8 circuit, the
-// shape of every NOR call of a functional step (one 64-row arithmetic
-// instruction). Iterations cover different lane counts, so every case
-// reports ns/lane, which compares directly across paths and widths.
+// iteration). The slab_k8_n64 rows run 64 lanes on a K=8 circuit: one
+// 64-row arithmetic instruction on one block, the shape of a step's NOR
+// calls on a phase that runs per-block jobs. The slab_k8_n256 rows run
+// 256 lanes, the chunk shape of the benchmark's nor_functional step at
+// GOMAXPROCS=2: each of its block phases runs one program on 8 blocks of
+// 64 rows, cut into one chunk of 4 blocks per worker, and an instruction
+// is one slab call over a chunk. Iterations cover different lane counts,
+// so every case reports ns/lane, which compares directly across paths and
+// widths.
 func BenchmarkNORFp32(b *testing.B) {
 	for _, op := range []struct {
 		name   string
@@ -351,6 +356,7 @@ func BenchmarkNORFp32(b *testing.B) {
 			{"slab_k1", 1, nor.Lanes},
 			{fmt.Sprintf("slab_k%d", nor.DefaultSlabWords), nor.DefaultSlabWords, nor.DefaultSlabWords * nor.Lanes},
 			{fmt.Sprintf("slab_k%d_n64", nor.DefaultSlabWords), nor.DefaultSlabWords, nor.Lanes},
+			{fmt.Sprintf("slab_k%d_n256", nor.DefaultSlabWords), nor.DefaultSlabWords, 4 * nor.Lanes},
 		} {
 			b.Run(op.name+"/"+sc.name, func(b *testing.B) {
 				av, bv := benchFP32Operands(sc.n)

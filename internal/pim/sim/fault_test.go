@@ -215,7 +215,7 @@ func TestReplayRepricesAfterRemap(t *testing.T) {
 	old := e.Chip.Block(5)
 	load(old, 1)
 	before := e.ExecTransfersPriced("copy", trs, GroupCopies(trs), &xp)
-	e.ExecBlocksPriced("add", progs, &bp)
+	e.ExecBlocksPriced("add", groupPrograms(progs), &bp)
 
 	e.remapFailed([]int{5})
 	spare := e.Chip.Block(5)
@@ -227,7 +227,7 @@ func TestReplayRepricesAfterRemap(t *testing.T) {
 	if fresh := e.ExecTransfers("copy", trs); after != fresh || after == before {
 		t.Errorf("replay after the remap charged %+v, fresh pricing %+v, before the remap %+v", after, fresh, before)
 	}
-	e.ExecBlocksPriced("add", progs, &bp)
+	e.ExecBlocksPriced("add", groupPrograms(progs), &bp)
 	for r := 0; r < 4; r++ {
 		if got, want := spare.GetFloat(6, r), 10+float32(r); got != want {
 			t.Errorf("spare row 6 word %d = %g, want the copied %g", r, got, want)

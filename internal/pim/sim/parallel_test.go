@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 
 	"wavepim/internal/pim/isa"
@@ -136,7 +137,12 @@ func TestBlocksIndependent(t *testing.T) {
 		}, false},
 	}
 	for _, c := range cases {
-		if got := blocksIndependent(c.progs); got != c.want {
+		var ids []int
+		for id := range c.progs {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		if got := blocksIndependent(groupPrograms(c.progs), ids); got != c.want {
 			t.Errorf("%s: blocksIndependent = %v, want %v", c.name, got, c.want)
 		}
 	}

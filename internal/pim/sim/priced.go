@@ -303,7 +303,7 @@ func (e *Engine) ExecTransfersPriced(name string, trs []RowTransfer, groups Copy
 			blocks[tr.DstBlock].CopyWords(tr.DstRow, tr.DstOff, blocks[tr.SrcBlock], tr.SrcRow, tr.SrcOff, tr.Words)
 		}
 	case workers > 1:
-		pool(nil, len(groups), workers, func(g int) { copyRuns(trs, groups[g], blocks) })
+		pool(nil, len(groups), workers, func(_, g int) { copyRuns(trs, groups[g], blocks) })
 	default:
 		for _, runs := range groups {
 			copyRuns(trs, runs, blocks)
@@ -320,60 +320,164 @@ func copyRuns(trs []RowTransfer, runs []xferRun, blocks []*xbar.Block) {
 	}
 }
 
+// ProgGroup is one distinct program of a block phase and the blocks that
+// run it, in ascending order: the chip's controller sends each of its
+// instructions to all of them at once (Section 4.1).
+type ProgGroup struct {
+	Prog   []isa.Instr
+	Blocks []int
+}
+
+// groupPrograms turns per-block programs into the phase's ProgGroups: one
+// group per distinct program (the same backing array and length), ordered
+// by first block.
+func groupPrograms(progs map[int][]isa.Instr) []ProgGroup {
+	ids := make([]int, 0, len(progs))
+	for id := range progs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	type key struct {
+		first *isa.Instr
+		n     int
+	}
+	var groups []ProgGroup
+	index := map[key]int{}
+	for _, id := range ids {
+		prog := progs[id]
+		k := key{n: len(prog)}
+		if len(prog) > 0 {
+			k.first = &prog[0]
+		}
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, ProgGroup{Prog: prog})
+		}
+		groups[g].Blocks = append(groups[g].Blocks, id)
+	}
+	return groups
+}
+
 // BlocksPrice is what one block phase costs apart from its data work: its
-// sorted block ids, whether its programs may run concurrently, each
-// block's nominal cost, the merged phase totals and the remap generation
-// it was made under. The zero value is a price not yet made.
+// block ids in ascending order and each one's program, whether the
+// programs may run concurrently, each block's nominal cost, the merged
+// phase totals and the remap generation it was made under. A phase whose
+// replay runs instruction-major on the NOR slab (see chunkWorkers) also
+// holds its chunks and the worker count they were cut for. The zero
+// value is a price not yet made.
 type BlocksPrice struct {
 	ids         []int
+	progs       [][]isa.Instr
 	independent bool
+	chunks      []blockChunk
+	chunkedFor  int
 	costs       []blockCost
 	dur, energy float64
 	instrs      int64
 	gen         uint64
 }
 
-// priceBlocks prices a block phase into p and resolves its blocks.
-func (e *Engine) priceBlocks(progs map[int][]isa.Instr, p *BlocksPrice) {
-	*p = BlocksPrice{ids: sortedBlocks(progs), independent: blocksIndependent(progs), gen: e.gen}
+// blockChunk is one pool job of an instruction-major replay: a program
+// and a share of the blocks that run it.
+type blockChunk struct {
+	prog   []isa.Instr
+	blocks []*xbar.Block
+}
+
+// chunkWorkers is the number of pool workers an independent phase's
+// groups are cut into chunks for, or 0 when the phase keeps per-block
+// jobs: a phase replays instruction-major only on the NOR slab, whose
+// calls widen with the blocks they gather, when its programs are
+// independent, and with no fault injector, whose ladder rewinds one block
+// at a time.
+func (e *Engine) chunkWorkers(independent bool) int {
+	if e.SlabWords <= 0 || !independent || e.Faults != nil {
+		return 0
+	}
+	return max(e.Workers, 1)
+}
+
+// priceBlocks prices a block phase into p and resolves its blocks. Each
+// block's program is priced on its own, since its LUT transits depend on
+// where it sits, and the costs are kept in ascending block order, the
+// order every merge follows.
+func (e *Engine) priceBlocks(groups []ProgGroup, p *BlocksPrice) {
+	type entry struct {
+		id   int
+		prog []isa.Instr
+	}
+	var all []entry
+	for _, g := range groups {
+		for _, id := range g.Blocks {
+			all = append(all, entry{id, g.Prog})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
+	*p = BlocksPrice{ids: make([]int, len(all)), progs: make([][]isa.Instr, len(all)), gen: e.gen}
+	for i, en := range all {
+		p.ids[i], p.progs[i] = en.id, en.prog
+	}
+	p.independent = blocksIndependent(groups, p.ids)
 	p.costs = make([]blockCost, len(p.ids))
 	for i, id := range p.ids {
 		e.resolve(id)
 		c := &p.costs[i]
-		e.priceProgram(id, progs[id], &c.dur, &c.energy, c)
+		e.priceProgram(id, p.progs[i], &c.dur, &c.energy, c)
 	}
 	p.dur, p.energy, p.instrs = blockTotals(p.costs)
+	if w := e.chunkWorkers(p.independent); w > 0 {
+		p.chunks, p.chunkedFor = e.cutChunks(groups, w), w
+	}
 }
 
-// ExecBlocksPriced runs one program per block, all blocks in parallel (the
-// chip's defining property), and charges the phase's price p: its
-// duration is the longest program's and its energy the sum. A zero or
-// stale p is priced first.
+// cutChunks splits each group's blocks, in order, into one chunk per
+// worker (fewer when the group has fewer blocks), sizes differing by at
+// most one.
+func (e *Engine) cutChunks(groups []ProgGroup, workers int) []blockChunk {
+	var chunks []blockChunk
+	for _, g := range groups {
+		bs := make([]*xbar.Block, len(g.Blocks))
+		for i, id := range g.Blocks {
+			bs[i] = e.blocks[id]
+		}
+		n := min(workers, len(bs))
+		for c := 0; c < n; c++ {
+			chunks = append(chunks, blockChunk{g.Prog, bs[c*len(bs)/n : (c+1)*len(bs)/n]})
+		}
+	}
+	return chunks
+}
+
+// ExecBlocksPriced runs each group's program on its blocks, all blocks in
+// parallel (the chip's defining property), and charges the phase's price
+// p: its duration is the longest program's and its energy the sum. A zero
+// or stale p is priced first; so is one whose chunks were cut for another
+// worker count or path.
 //
-// With Workers > 1 and programs that touch only their own block, the
-// programs run on a goroutine pool; the charge stays deterministic because
-// the price merged the per-block costs in ascending block order. A program
-// that panics on a pool worker panics again on the caller (see pool).
+// A phase with chunks runs one pool job per chunk, which runs its program
+// one instruction at a time across its blocks (runProgram); any other
+// phase runs one job per block. With Workers > 1 and programs that touch
+// only their own block, the jobs run on a goroutine pool; the charge stays
+// deterministic because the price merged the per-block costs in ascending
+// block order. A program that panics on a pool worker panics again on the
+// caller (see pool).
 //
 // Under a fault injector whose policy enables ECC, each program runs
 // under the recovery ladder (climbLadder), whose scrub, retry and remap
 // phases are queued for the commit that follows this phase.
 //
 // Cancellation: once the context installed with SetContext is done, no
-// further program starts, the error is latched (see Err) and a zero Phase
+// further job starts, the error is latched (see Err) and a zero Phase
 // returned; the chip is left partially updated, as a real abort would.
-func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *BlocksPrice) Phase {
-	if p.gen != e.gen {
-		e.priceBlocks(progs, p)
+func (e *Engine) ExecBlocksPriced(name string, groups []ProgGroup, p *BlocksPrice) Phase {
+	if p.gen != e.gen || p.chunkedFor != e.chunkWorkers(p.independent) {
+		e.priceBlocks(groups, p)
 	}
 	ctx := e.ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	workers := e.execWorkers(len(p.ids))
-	parallel := workers > 1 && p.independent
-	if !parallel {
-		workers = 1
 	}
 	costs, blocks := p.costs, e.blocks
 	ladder := e.Faults != nil && e.Faults.Recovery().ECC
@@ -384,14 +488,33 @@ func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *Blo
 		costs, rungs = append([]blockCost(nil), p.costs...), make([]rungCost, len(p.ids))
 		maxRetries = e.Faults.Recovery().MaxRetries
 	}
-	pool(ctx.Done(), len(p.ids), workers, func(i int) {
-		id := p.ids[i]
-		if ladder {
-			e.climbLadder(id, progs[id], &costs[i], &rungs[i], maxRetries)
+	jobs := len(p.ids)
+	if p.chunks != nil {
+		jobs = len(p.chunks)
+	}
+	workers := e.execWorkers(jobs)
+	parallel := workers > 1 && p.independent
+	if !parallel {
+		workers = 1
+	}
+	units := e.norUnitsFor(workers)
+	pool(ctx.Done(), jobs, workers, func(w, i int) {
+		var u *xbar.NORUnit
+		if units != nil {
+			u = units[w]
+		}
+		if p.chunks != nil {
+			e.runProgram(u, p.chunks[i].blocks, p.chunks[i].prog)
 			return
 		}
-		e.runProgram(blocks[id], progs[id])
+		id := p.ids[i]
+		if ladder {
+			e.climbLadder(u, id, p.progs[i], &costs[i], &rungs[i], maxRetries)
+			return
+		}
+		e.runProgram(u, blocks[id:id+1], p.progs[i])
 	})
+	e.collectNOR(units)
 	if err := ctx.Err(); err != nil {
 		if e.err == nil {
 			e.err = err
@@ -408,13 +531,14 @@ func (e *Engine) ExecBlocksPriced(name string, progs map[int][]isa.Instr, p *Blo
 	return Phase{Name: name, Kind: "blocks", Dur: p.dur, EnergyJ: p.energy}
 }
 
-// pool runs job(0), …, job(n-1) on the caller and up to workers-1 more
-// goroutines, which claim indices in order; with workers <= 1 the caller
-// runs them in order alone. Once done is closed no further job starts. A
+// pool runs job(w, 0), …, job(w, n-1) on the caller (worker w = 0) and
+// up to workers-1 more goroutines (w = 1, 2, …), which claim indices in
+// order; with workers <= 1 the caller runs them in order alone. w lets a
+// job use state its worker owns. Once done is closed no further job starts. A
 // panicking job stops the pool and its panic is raised again on the
 // caller after every worker has returned, so it unwinds the caller's
 // stack, and reaches its recover, as a serial panic would.
-func pool(done <-chan struct{}, n, workers int, job func(int)) {
+func pool(done <-chan struct{}, n, workers int, job func(w, i int)) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			select {
@@ -422,7 +546,7 @@ func pool(done <-chan struct{}, n, workers int, job func(int)) {
 				return
 			default:
 			}
-			job(i)
+			job(0, i)
 		}
 		return
 	}
@@ -431,10 +555,10 @@ func pool(done <-chan struct{}, n, workers int, job func(int)) {
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer r.wg.Done()
-			r.work()
+			r.work(w)
 		}()
 	}
-	r.work()
+	r.work(0)
 	r.wg.Wait()
 	if r.stop.Load() {
 		panic(r.panicked)
@@ -446,16 +570,17 @@ func pool(done <-chan struct{}, n, workers int, job func(int)) {
 type poolRun struct {
 	done     <-chan struct{}
 	n        int
-	job      func(int)
+	job      func(w, i int)
 	next     atomic.Int64
 	stop     atomic.Bool
 	panicked any
 	wg       sync.WaitGroup
 }
 
-// work claims and runs jobs until none is left, done is closed, or a job
-// has panicked; it recovers its own job's panic for pool to raise again.
-func (r *poolRun) work() {
+// work claims and runs jobs as worker w until none is left, done is
+// closed, or a job has panicked; it recovers its own job's panic for pool
+// to raise again.
+func (r *poolRun) work(w int) {
 	defer func() {
 		if v := recover(); v != nil && r.stop.CompareAndSwap(false, true) {
 			r.panicked = v
@@ -471,6 +596,6 @@ func (r *poolRun) work() {
 		if i >= r.n {
 			return
 		}
-		r.job(i)
+		r.job(w, i)
 	}
 }

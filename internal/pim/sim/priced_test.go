@@ -159,7 +159,7 @@ func TestPricedBlocksMatchExecBlocks(t *testing.T) {
 		priced, plain := engines[0], engines[1]
 		var price BlocksPrice
 		for round := 0; round < 3; round++ {
-			a := priced.ExecBlocksPriced("phase", progs, &price)
+			a := priced.ExecBlocksPriced("phase", groupPrograms(progs), &price)
 			b := plain.ExecBlocks("phase", progs)
 			if a != b {
 				t.Errorf("workers=%d: phase %+v, ExecBlocks %+v", workers, a, b)
@@ -199,7 +199,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		var started sync.WaitGroup
 		started.Add(2)
 		v := mustPanic(t, func() {
-			pool(nil, 2, 2, func(i int) {
+			pool(nil, 2, 2, func(_, i int) {
 				started.Done()
 				started.Wait()
 				panic(fmt.Sprintf("job %d", i))

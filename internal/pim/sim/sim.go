@@ -21,8 +21,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"wavepim/internal/obs"
 	"wavepim/internal/obs/eventlog"
@@ -78,19 +76,21 @@ type Engine struct {
 	// into tiles of up to SlabWords*64 lanes, each run over only the
 	// words its lanes occupy, and computed by the gate-level
 	// IEEE-754 programs of internal/pim/nor, with gate activity
-	// accumulated in NORGateStats. Results are bit-identical to the
-	// host-float path (the substrate's fidelity is property-tested
-	// against hardware floats); timing and energy charging are
-	// unchanged. 0 keeps the host-float fast path. ExecBlocksN runs no
-	// program and ignores the setting.
+	// accumulated in NORGateStats. An independent phase without a fault
+	// injector gathers one instruction's operands from every block of a
+	// chunk into one slab call (see ExecBlocksPriced). Results are
+	// bit-identical to the host-float path (the substrate's fidelity is
+	// property-tested against hardware floats); timing and energy
+	// charging are unchanged. 0 keeps the host-float fast path.
+	// ExecBlocksN runs no program and ignores the setting.
 	SlabWords int
-	// norUnits pools one gather/compute unit per in-flight instruction,
-	// so staging buffers, slab and header arenas and per-lane scratch
-	// are reused under the worker pool: a warm unit allocates nothing.
-	norUnits sync.Pool
-	// norEvals/norSets/norResets accumulate gate-level activity from the
-	// slab path (atomically: block programs run concurrently).
-	norEvals, norSets, norResets int64
+	// norUnits holds one gather/compute unit per pool worker, made on
+	// the caller before a phase runs, so staging buffers, slab and header
+	// arenas and per-lane scratch are reused: a warm unit allocates
+	// nothing. nor sums the gate-level activity the units recorded,
+	// collected on the caller after each phase.
+	norUnits []*xbar.NORUnit
+	nor      nor.Stats
 
 	// Log, when non-nil, receives structured events: one per recovery
 	// rung firing (with block, rung, and simulated-time cost). Nil is
@@ -344,10 +344,11 @@ func InstrCost(in isa.Instr) (sec, joules float64) {
 // ---------------------------------------------------------------------------
 
 // ExecBlocks prices one program per block and replays it once (see
-// ExecBlocksPriced): the one-shot form, for phases run a single time.
+// ExecBlocksPriced): the one-shot form, for phases run a single time,
+// which groups blocks that share a program (groupPrograms).
 func (e *Engine) ExecBlocks(name string, progs map[int][]isa.Instr) Phase {
 	var p BlocksPrice
-	return e.ExecBlocksPriced(name, progs, &p)
+	return e.ExecBlocksPriced(name, groupPrograms(progs), &p)
 }
 
 // blockCost is one block program's nominal cost: its latency and energy
@@ -366,17 +367,6 @@ type rungCost struct {
 	retrySec, retryJ                            float64
 	detected, corrected, uncorrectable, retries int64
 	failed                                      bool
-}
-
-// sortedBlocks returns a phase's block ids in ascending order, the order
-// every per-block merge follows.
-func sortedBlocks(progs map[int][]isa.Instr) []int {
-	ids := make([]int, 0, len(progs))
-	for id := range progs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // priceProgram is the one pricing function of a block program: it adds
@@ -400,11 +390,42 @@ func (e *Engine) priceProgram(blockID int, prog []isa.Instr, sec, joules *float6
 	}
 }
 
-// runProgram performs one block program's data effects on block b.
-func (e *Engine) runProgram(b *xbar.Block, prog []isa.Instr) {
+// runProgram performs prog's data effects on every block of bs,
+// instruction by instruction, which leaves what running it block by block
+// leaves when the blocks' programs are independent (blocksIndependent);
+// a per-block job passes one block. With a NOR unit, each arithmetic
+// instruction is one slab call over all the blocks (xbar.NORUnit.ArithSel);
+// without one it runs in host floating point.
+func (e *Engine) runProgram(u *xbar.NORUnit, bs []*xbar.Block, prog []isa.Instr) {
 	for i := range prog {
-		e.execInstr(b, &prog[i])
+		in := &prog[i]
+		op, arith := arithOp(in.Op)
+		switch {
+		case arith && u != nil:
+			u.ArithSel(bs, op, in.RowStart, in.RowCount, in.DstOff, in.SrcOff, in.Src2Off)
+		case arith:
+			for _, b := range bs {
+				b.ArithSel(op, in.RowStart, in.RowCount, in.DstOff, in.SrcOff, in.Src2Off)
+			}
+		default:
+			for _, b := range bs {
+				e.execInstr(b, in)
+			}
+		}
 	}
+}
+
+// arithOp maps an arithmetic opcode of the ISA to the crossbar's.
+func arithOp(op isa.Opcode) (xbar.ArithOp, bool) {
+	switch op {
+	case isa.OpAdd:
+		return xbar.OpAdd, true
+	case isa.OpSub:
+		return xbar.OpSub, true
+	case isa.OpMul:
+		return xbar.OpMul, true
+	}
+	return 0, false
 }
 
 // climbLadder runs one block program under the recovery ladder: scrub
@@ -413,8 +434,9 @@ func (e *Engine) runProgram(b *xbar.Block, prog []isa.Instr) {
 // programs — a program touching foreign blocks cannot be rewound locally.
 // The program's nominal cost is in its phase's price; each retry is
 // priced into r, and its instructions are counted into c.
-func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *rungCost, maxRetries int) {
-	blk := e.blocks[blockID]
+func (e *Engine) climbLadder(u *xbar.NORUnit, blockID int, prog []isa.Instr, c *blockCost, r *rungCost, maxRetries int) {
+	bs := e.blocks[blockID : blockID+1]
+	blk := bs[0]
 	retriable := progRetriable(blockID, prog)
 	var cellSnap []uint32
 	var pendSnap map[uint32]uint32
@@ -424,7 +446,7 @@ func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *run
 	} else {
 		retriable = false
 	}
-	e.runProgram(blk, prog)
+	e.runProgram(u, bs, prog)
 	for attempt := 0; ; attempt++ {
 		res := blk.Scrub()
 		sec, j := fault.ScrubCost(int(res.Corrected))
@@ -453,7 +475,7 @@ func (e *Engine) climbLadder(blockID int, prog []isa.Instr, c *blockCost, r *run
 		blk.Restore(cellSnap)
 		blk.Faults.RestorePending(pendSnap)
 		e.priceProgram(blockID, prog, &r.retrySec, &r.retryJ, c)
-		e.runProgram(blk, prog)
+		e.runProgram(u, bs, prog)
 	}
 }
 
@@ -576,22 +598,25 @@ func (e *Engine) execWorkers(nBlocks int) int {
 }
 
 // blocksIndependent reports whether every program touches only its own
-// block's mutable state, so the programs can run concurrently. Reads from
-// foreign LUT blocks are allowed as long as no program in the phase runs on
-// (and could mutate) those blocks; memcpy and foreign-row read/write force
-// the serial path.
-func blocksIndependent(progs map[int][]isa.Instr) bool {
-	for blockID, prog := range progs {
-		for _, in := range prog {
+// block's mutable state, so the programs can run concurrently, or
+// instruction by instruction across blocks. ids lists every block of the
+// phase in ascending order. Reads from foreign LUT blocks are allowed as
+// long as no program in the phase runs on (and could mutate) those
+// blocks; memcpy and foreign-row read/write force the serial path.
+func blocksIndependent(groups []ProgGroup, ids []int) bool {
+	for _, g := range groups {
+		for _, in := range g.Prog {
 			switch in.Op {
 			case isa.OpMemcpy:
 				return false
 			case isa.OpRead, isa.OpWrite:
-				if in.Block != blockID {
-					return false
+				for _, id := range g.Blocks {
+					if in.Block != id {
+						return false
+					}
 				}
 			case isa.OpLUT:
-				if _, ok := progs[in.LUTBlock]; ok {
+				if i := sort.SearchInts(ids, in.LUTBlock); i < len(ids) && ids[i] == in.LUTBlock {
 					return false
 				}
 			}
@@ -767,7 +792,7 @@ func (e *Engine) ExecBlocksN(name string, prog []isa.Instr, n int, avgLUTHops in
 }
 
 // execInstr performs the data effects of one instruction of block b's
-// program.
+// program; runProgram runs the arithmetic ones.
 func (e *Engine) execInstr(b *xbar.Block, in *isa.Instr) {
 	switch in.Op {
 	case isa.OpNop:
@@ -777,12 +802,6 @@ func (e *Engine) execInstr(b *xbar.Block, in *isa.Instr) {
 		e.Chip.Block(in.Block).WriteRow(in.Row)
 	case isa.OpBroadcast:
 		b.Broadcast(in.Row, in.RowStart, in.RowCount, in.SrcOff, in.DstOff, in.WordCount)
-	case isa.OpAdd:
-		e.arith(b, xbar.OpAdd, in)
-	case isa.OpMul:
-		e.arith(b, xbar.OpMul, in)
-	case isa.OpSub:
-		e.arith(b, xbar.OpSub, in)
 	case isa.OpGroupBcast:
 		b.GroupBcast(in.RowStart, in.RowCount, in.SrcOff, in.DstOff, in.Stride, in.GroupSize, in.GroupIdx)
 	case isa.OpPattern:
@@ -801,37 +820,33 @@ func (e *Engine) execInstr(b *xbar.Block, in *isa.Instr) {
 	}
 }
 
-// arith dispatches one row-parallel arithmetic instruction: the host-float
-// fast path by default, or the gate-level NOR slab substrate when
-// SlabWords is set. Pool units are per-instruction, so the worker pool
-// never shares a circuit.
-func (e *Engine) arith(b *xbar.Block, op xbar.ArithOp, in *isa.Instr) {
+// norUnitsFor returns a NOR unit for each of n pool workers, made on the
+// caller; nil on the host-float path.
+func (e *Engine) norUnitsFor(n int) []*xbar.NORUnit {
 	if e.SlabWords <= 0 {
-		b.ArithSel(op, in.RowStart, in.RowCount, in.DstOff, in.SrcOff, in.Src2Off)
-		return
+		return nil
 	}
-	u, _ := e.norUnits.Get().(*xbar.NORUnit)
-	if u == nil || u.SlabWords() != e.SlabWords {
-		u = xbar.NewNORUnit(e.SlabWords)
+	if len(e.norUnits) > 0 && e.norUnits[0].SlabWords() != e.SlabWords {
+		e.norUnits = nil
 	}
-	u.C.Stats = nor.Stats{}
-	b.ArithSelNOR(u, op, in.RowStart, in.RowCount, in.DstOff, in.SrcOff, in.Src2Off)
-	st := u.C.Stats
-	atomic.AddInt64(&e.norEvals, st.NOREvals)
-	atomic.AddInt64(&e.norSets, st.Sets)
-	atomic.AddInt64(&e.norResets, st.Resets)
-	e.norUnits.Put(u)
+	for len(e.norUnits) < n {
+		e.norUnits = append(e.norUnits, xbar.NewNORUnit(e.SlabWords))
+	}
+	return e.norUnits[:n]
+}
+
+// collectNOR moves the gate activity the units recorded into the engine's
+// totals, once every worker has returned.
+func (e *Engine) collectNOR(units []*xbar.NORUnit) {
+	for _, u := range units {
+		e.nor.Add(u.C.Stats)
+		u.C.Stats = nor.Stats{}
+	}
 }
 
 // NORGateStats returns the gate-level activity accumulated by the slab
 // substrate since the last Reset (all zero on the host-float path).
-func (e *Engine) NORGateStats() nor.Stats {
-	return nor.Stats{
-		NOREvals: atomic.LoadInt64(&e.norEvals),
-		Sets:     atomic.LoadInt64(&e.norSets),
-		Resets:   atomic.LoadInt64(&e.norResets),
-	}
-}
+func (e *Engine) NORGateStats() nor.Stats { return e.nor }
 
 // transferCost prices a words-long movement between two blocks, including
 // the cross-tile path when they live in different tiles.
@@ -943,9 +958,7 @@ func (e *Engine) Reset() {
 	e.net = ledgers{}
 	e.xferBackpressured = 0
 	e.xferBackpressureSec = 0
-	atomic.StoreInt64(&e.norEvals, 0)
-	atomic.StoreInt64(&e.norSets, 0)
-	atomic.StoreInt64(&e.norResets, 0)
+	e.nor = nor.Stats{}
 }
 
 // PublishTotals writes the engine's run-level aggregates into the attached

@@ -6,10 +6,9 @@ import (
 )
 
 // NORUnit bundles a K-word slab circuit with the gather/scatter staging
-// buffers ArithSelNOR needs, so the sim engine can pool one unit per
+// buffers ArithSel needs, so the sim engine can own one unit per pool
 // worker and run arithmetic through the gate-level substrate without
-// per-instruction allocation. Units are not safe for concurrent use; the
-// engine hands each in-flight instruction its own.
+// per-instruction allocation. Units are not safe for concurrent use.
 type NORUnit struct {
 	C          *nor.SlabCircuit
 	av, bv, ov []uint32
@@ -34,54 +33,81 @@ func (u *NORUnit) buffers(n int) (a, b, out []uint32) {
 	return u.av[:n], u.bv[:n], u.ov[:n]
 }
 
-// ArithSelNOR executes the same row-parallel FP32 operation as ArithSel,
-// but produces every result through the bit-sliced NOR slab substrate
-// (internal/pim/nor) instead of host floating point: the rowCount operand
-// pairs are gathered into slabs of up to K words, each only as wide as
-// the rows it holds, and driven through the gate-level
-// IEEE-754 add/mul programs, whose bit-exactness against hardware floats
-// is established by that package's property tests. Subtraction flips the
-// second operand's sign plane and reuses the adder, exactly as the
-// in-array sequence does (IEEE a-b == a+(-b) for every finite input and
-// both zeros; NaN results canonicalize to the quiet NaN instead of
-// propagating payloads). Timing and energy charging are identical to
-// ArithSel — the substrate changes how the bits are computed, not what
-// the hardware costs. Gate-level activity accumulates in u.C.Stats.
-func (b *Block) ArithSelNOR(u *NORUnit, op ArithOp, rowStart, rowCount, dstOff, srcOff, src2Off int) {
-	b.checkRows(rowStart, rowCount)
-	b.checkOff(dstOff)
-	b.checkOff(srcOff)
-	b.checkOff(src2Off)
-	av, bv, out := u.buffers(rowCount)
-	for i := 0; i < rowCount; i++ {
-		r := rowStart + i
-		av[i] = b.cells[at(r, srcOff)]
-		bv[i] = b.cells[at(r, src2Off)]
+// ArithSel executes Block.ArithSel's row-parallel FP32 operation on the
+// same rows and columns of every block in bs, but computes every result
+// through the bit-sliced NOR slab substrate (internal/pim/nor) instead of
+// host floating point: the operand pairs of all the blocks are gathered
+// into one batch, run in slabs of up to K words through the gate-level
+// IEEE-754 add/mul programs (bit-exact against hardware floats by that
+// package's property tests), and scattered back. Each block is charged
+// exactly what its own ArithSel charges: the substrate changes how the
+// bits are computed, not what the hardware costs. A single block is a
+// batch of one. Subtraction flips the second operand's sign plane and
+// reuses the adder, as the in-array sequence does (IEEE a-b == a+(-b) for
+// every finite input and both zeros; NaN results canonicalize to the
+// quiet NaN instead of propagating payloads). Gate-level activity
+// accumulates in u.C.Stats; it is counted per lane, so it does not depend
+// on how blocks are batched.
+func (u *NORUnit) ArithSel(bs []*Block, op ArithOp, rowStart, rowCount, dstOff, srcOff, src2Off int) {
+	for _, b := range bs {
+		b.checkRows(rowStart, rowCount)
+		b.checkOff(dstOff)
+		b.checkOff(srcOff)
+		b.checkOff(src2Off)
 	}
-	var steps int64
+	av, bv, out := u.buffers(len(bs) * rowCount)
+	for k, b := range bs {
+		b.gather(av[k*rowCount:][:rowCount], rowStart, srcOff)
+		b.gather(bv[k*rowCount:][:rowCount], rowStart, src2Off)
+	}
+	steps := int64(params.NORStepsFPAdd32)
 	switch op {
 	case OpMul:
 		steps = params.NORStepsFPMul32
 		u.C.MulFP32Batch(av, bv, out)
 	case OpSub:
-		steps = params.NORStepsFPAdd32
 		for i := range bv {
 			bv[i] ^= 1 << 31
 		}
 		u.C.AddFP32Batch(av, bv, out)
 	default:
-		steps = params.NORStepsFPAdd32
 		u.C.AddFP32Batch(av, bv, out)
 	}
-	for i := 0; i < rowCount; i++ {
-		b.store(rowStart+i, dstOff, out[i])
+	for k, b := range bs {
+		b.scatter(rowStart, dstOff, out[k*rowCount:][:rowCount])
+		if op == OpMul {
+			b.Stats.MulOps += int64(rowCount)
+		} else {
+			b.Stats.AddOps += int64(rowCount)
+		}
+		b.Stats.NORSteps += steps
+		b.Stats.BusySec += float64(steps) * params.TNORSeconds
+		b.Stats.EnergyJ += float64(steps) * params.EnergyPerNORStep * float64(rowCount)
 	}
-	if op == OpMul {
-		b.Stats.MulOps += int64(rowCount)
-	} else {
-		b.Stats.AddOps += int64(rowCount)
+}
+
+// gather copies word off of the rows from row on into dst, a tile's run
+// of rows at a time.
+func (b *Block) gather(dst []uint32, row, off int) {
+	for len(dst) > 0 {
+		k := run(row, len(dst))
+		copy(dst[:k], b.cells[at(row, off):])
+		dst, row = dst[k:], row+k
 	}
-	b.Stats.NORSteps += steps
-	b.Stats.BusySec += float64(steps) * params.TNORSeconds
-	b.Stats.EnergyJ += float64(steps) * params.EnergyPerNORStep * float64(rowCount)
+}
+
+// scatter stores src into word off of the rows from row on, in row order,
+// through the fault injector when one is attached.
+func (b *Block) scatter(row, off int, src []uint32) {
+	if b.Faults != nil {
+		for i, v := range src {
+			b.store(row+i, off, v)
+		}
+		return
+	}
+	for len(src) > 0 {
+		k := run(row, len(src))
+		copy(b.cells[at(row, off):][:k], src[:k])
+		src, row = src[k:], row+k
+	}
 }

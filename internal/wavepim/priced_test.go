@@ -15,8 +15,7 @@ import (
 )
 
 // referenceStep runs one time-step of s's plan the reference way, batch
-// by batch on a batched system: every block phase through ExecBlocks,
-// which prices it afresh, and every transfer batch through ExecTransfers'
+// by batch on a batched system: every block phase priced afresh, and every transfer batch through ExecTransfers'
 // run-ledger pricing and row-by-row copies in batch order. A system's
 // Step, which replays stored prices and copies column runs, must
 // reproduce it.
@@ -25,7 +24,8 @@ func referenceStep(s *system) {
 	run := func(p phase, first int) {
 		switch {
 		case p.progs != nil:
-			e.Sequence(e.ExecBlocks(p.name, p.progs))
+			var fresh sim.BlocksPrice
+			e.Sequence(e.ExecBlocksPriced(p.name, p.progs, &fresh))
 		case len(p.transfers) > 0:
 			ph := e.ExecTransfers(p.name, p.transfers)
 			for _, tr := range p.transfers {

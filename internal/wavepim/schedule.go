@@ -1,6 +1,8 @@
 package wavepim
 
 import (
+	"sort"
+
 	"wavepim/internal/dg"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/isa"
@@ -13,7 +15,9 @@ import (
 // stage — which columns move between blocks, which program each block
 // runs, where the state lives, which constants each compute block holds —
 // is data here, and instantiate is the one place that turns it into the
-// per-block stepPlan the engine replays.
+// per-block stepPlan the engine replays. A slot's program is one
+// []isa.Instr shared by every element, so a block phase instantiates as
+// one sim.ProgGroup per slot.
 
 // intraMove marks a colMove that stays inside one element.
 const intraMove mesh.Face = -1
@@ -107,14 +111,17 @@ func (sc *layoutSchedule) instantiate(m *mesh.Mesh, place *Placement, n int) *st
 
 	instPhase := func(ph schedPhase) phase {
 		if ph.progs != nil {
-			progs := make(map[int][]isa.Instr, len(ph.progs)*len(base))
+			progs := []sim.ProgGroup{} // non-nil: a block phase even if every slot idles
 			for slot, prog := range ph.progs {
 				if prog == nil {
 					continue
 				}
-				for _, b := range base {
-					progs[b+slot] = prog
+				blocks := make([]int, len(base))
+				for e, b := range base {
+					blocks[e] = b + slot
 				}
+				sort.Ints(blocks)
+				progs = append(progs, sim.ProgGroup{Prog: prog, Blocks: blocks})
 			}
 			return phase{name: ph.name, progs: progs}
 		}

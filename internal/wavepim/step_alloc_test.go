@@ -9,27 +9,53 @@ import (
 	"wavepim/internal/dg"
 	"wavepim/internal/dg/opcount"
 	"wavepim/internal/mesh"
+	"wavepim/internal/pim/nor"
 )
 
 // A steady-state functional Step allocates a few times per phase for the
 // block phases' bookkeeping and nothing per transfer or per instruction:
 // the elastic-Riemann four-block layout moves hundreds of thousands of
-// words per step, so one allocation per transfer would blow the bound.
+// words per step, so one allocation per transfer would blow the bound. On
+// the NOR slab, an acoustic step's block phases replay chunks cut when
+// they were priced, and its worker-owned NOR units are warm, so the same
+// bound holds there, and for each block phase replayed alone.
 func TestStepAllocationsPerPhase(t *testing.T) {
 	m := mesh.New(1, 8, true)
-	s, err := NewSession(WithEquation(opcount.ElasticRiemann), WithMesh(m), WithDt(1e-3))
+	elastic, err := NewSession(WithEquation(opcount.ElasticRiemann), WithMesh(m), WithDt(1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q, _ := elasticStates(m)
-	s.Elastic().Load(q)
-	s.Step()
-	s.Step()
-	phases := len(s.Engine().Timeline) // a step keeps only its own phases
-	allocs := testing.AllocsPerRun(2, s.Step)
-	t.Logf("%d phases, %.0f allocations per step", phases, allocs)
-	if limit := float64(5 * phases); allocs >= limit {
-		t.Errorf("a step allocates %.0f times, want < %.0f (5 per phase over %d phases)", allocs, limit, phases)
+	elastic.Elastic().Load(q)
+	for _, c := range []struct {
+		name string
+		s    *Session
+	}{
+		{"elastic-riemann", elastic},
+		{"acoustic NOR slab", sessionForTest(t, WithNORSlab(nor.DefaultSlabWords))},
+	} {
+		s := c.s
+		s.Step()
+		s.Step()
+		phases := len(s.Engine().Timeline) // a step keeps only its own phases
+		allocs := testing.AllocsPerRun(2, s.Step)
+		t.Logf("%s: %d phases, %.0f allocations per step", c.name, phases, allocs)
+		if limit := float64(5 * phases); allocs >= limit {
+			t.Errorf("%s: a step allocates %.0f times, want < %.0f (5 per phase over %d phases)", c.name, allocs, limit, phases)
+		}
+		if s.Engine().SlabWords == 0 {
+			continue
+		}
+		sys, e := s.sys, s.Engine()
+		for i, p := range sys.plan.rhs {
+			if p.progs == nil {
+				continue
+			}
+			pr := &sys.rhsPrices[i].blocks
+			if n := testing.AllocsPerRun(2, func() { e.ExecBlocksPriced(p.name, p.progs, pr) }); n >= 5 {
+				t.Errorf("%s: replaying %s allocates %.1f times, want < 5", c.name, p.name, n)
+			}
+		}
 	}
 }
 

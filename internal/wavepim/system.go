@@ -7,7 +7,6 @@ import (
 	"wavepim/internal/dg"
 	"wavepim/internal/mesh"
 	"wavepim/internal/pim/chip"
-	"wavepim/internal/pim/isa"
 	"wavepim/internal/pim/sim"
 	"wavepim/internal/pim/xbar"
 )
@@ -22,12 +21,13 @@ import (
 // hold folds through it in batches of whole z-slices (Section 6.1).
 
 // phase is one engine phase of a time-step: a named transfer batch, or
-// (when progs is non-nil) a named set of per-block programs.
+// (when progs is non-nil) a named set of programs, each with the blocks
+// that run it.
 type phase struct {
 	name      string
 	transfers []sim.RowTransfer
 	groups    sim.CopyGroups // the transfers' sim.GroupCopies
-	progs     map[int][]isa.Instr
+	progs     []sim.ProgGroup
 	// host holds a batch plan's face moves from outside the batch: Figure
 	// 7's boundary-slice traffic, served from the host image.
 	host []hostCopy
