@@ -23,7 +23,7 @@
 //	GET  /v1/metrics           Prometheus text exposition (shared registry)
 //	GET  /v1/healthz           liveness
 //	GET  /v1/readyz            readiness (503 while draining)
-//	     /debug/pprof/*        Go runtime profiles (also under /v1)
+//	     /debug/pprof/*        Go runtime profiles (not under /v1)
 //
 // A JobSpec may carry "topology" (htree | bus | mesh | torus | flatfly |
 // dragonfly) to pick the tile interconnect; omitted means htree. A bad

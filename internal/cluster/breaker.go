@@ -157,14 +157,6 @@ func (b *Breakers) Failure(id string) (open bool) {
 	return wb.state == BreakerOpen
 }
 
-// Forget drops a worker's circuit (it deregistered; a future worker
-// under the same id starts closed).
-func (b *Breakers) Forget(id string) {
-	b.mu.Lock()
-	delete(b.m, id)
-	b.mu.Unlock()
-}
-
 // State returns the worker's current circuit state (closed if unknown).
 func (b *Breakers) State(id string) BreakerState {
 	b.mu.Lock()

@@ -76,12 +76,10 @@ type Counts struct {
 	Partitions uint64 `json:"partitions"`
 }
 
-// Transport is the fault-injecting RoundTripper. It wraps a base
-// transport (http.DefaultTransport unless overridden with Base) and is
-// safe for concurrent use.
+// Transport is the fault-injecting RoundTripper. It wraps
+// http.DefaultTransport and is safe for concurrent use.
 type Transport struct {
-	cfg  Config
-	base http.RoundTripper
+	cfg Config
 
 	mu          sync.Mutex
 	attempts    map[string]uint64
@@ -99,17 +97,9 @@ func New(cfg Config) *Transport {
 	}
 	return &Transport{
 		cfg:         cfg,
-		base:        http.DefaultTransport,
 		attempts:    map[string]uint64{},
 		partitioned: map[string]bool{},
 	}
-}
-
-// Base replaces the underlying transport (tests inject an
-// httptest-backed one) and returns the Transport for chaining.
-func (t *Transport) Base(rt http.RoundTripper) *Transport {
-	t.base = rt
-	return t
 }
 
 // Client wraps the transport in an http.Client with the given timeout.
@@ -244,7 +234,7 @@ func (b *truncatedBody) Close() error { return b.rc.Close() }
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	route := RouteOf(req)
 	if t.cfg.Only != "" && !strings.Contains(route, t.cfg.Only) {
-		return t.base.RoundTrip(req)
+		return http.DefaultTransport.RoundTrip(req)
 	}
 
 	t.mu.Lock()
@@ -283,7 +273,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			Request:       req,
 		}, nil
 	}
-	resp, err := t.base.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}

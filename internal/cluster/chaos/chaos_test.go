@@ -43,7 +43,7 @@ func TestChaosDeterministicDecisions(t *testing.T) {
 	defer ts.Close()
 
 	schedule := func(seed uint64) []string {
-		tr := New(Config{Seed: seed, DropProb: 0.4, ErrProb: 0.2}).Base(http.DefaultTransport)
+		tr := New(Config{Seed: seed, DropProb: 0.4, ErrProb: 0.2})
 		var out []string
 		for i := 0; i < 40; i++ {
 			code, _, err := doPost(t, tr, ts.URL+"/v1/runs", `{"id":"job-a"}`)
@@ -124,7 +124,7 @@ func TestChaosRouteIndependence(t *testing.T) {
 func TestChaosOnlyFilter(t *testing.T) {
 	ts := httptest.NewServer(fixedHandler("ok"))
 	defer ts.Close()
-	tr := New(Config{Seed: 1, DropProb: 1.0, Only: "POST /v1/runs"}).Base(http.DefaultTransport)
+	tr := New(Config{Seed: 1, DropProb: 1.0, Only: "POST /v1/runs"})
 
 	// GETs sail through even at DropProb 1.
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/runs/x", nil)
@@ -149,7 +149,7 @@ func TestChaosPartition(t *testing.T) {
 	ts := httptest.NewServer(fixedHandler("ok"))
 	defer ts.Close()
 	host := strings.TrimPrefix(ts.URL, "http://")
-	tr := New(Config{Seed: 9}).Base(http.DefaultTransport)
+	tr := New(Config{Seed: 9})
 
 	tr.Partition(host)
 	_, _, err := doPost(t, tr, ts.URL+"/v1/runs", `{"id":"p"}`)
@@ -176,7 +176,7 @@ func TestChaosTruncation(t *testing.T) {
 	long := strings.Repeat("x", 4096)
 	ts := httptest.NewServer(fixedHandler(long))
 	defer ts.Close()
-	tr := New(Config{Seed: 7, TruncateProb: 1.0}).Base(http.DefaultTransport)
+	tr := New(Config{Seed: 7, TruncateProb: 1.0})
 
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/runs/t", nil)
 	resp, err := tr.RoundTrip(req)
@@ -199,7 +199,7 @@ func TestChaosTruncation(t *testing.T) {
 func TestChaosSynthesizedError(t *testing.T) {
 	ts := httptest.NewServer(fixedHandler("ok"))
 	defer ts.Close()
-	tr := New(Config{Seed: 3, ErrProb: 1.0}).Base(http.DefaultTransport)
+	tr := New(Config{Seed: 3, ErrProb: 1.0})
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/runs/e", nil)
 	resp, err := tr.RoundTrip(req)
 	if err != nil {

@@ -106,8 +106,7 @@ type Admission struct {
 	notify chan struct{} // closed+replaced on every state change
 	closed bool
 
-	def    QuotaConfig
-	tenant map[string]QuotaConfig
+	def QuotaConfig
 
 	queues [int(numPriorities)][]*QueuedJob
 	queued map[string]int // per tenant
@@ -120,24 +119,9 @@ func NewAdmission(def QuotaConfig) *Admission {
 	return &Admission{
 		notify: make(chan struct{}),
 		def:    def.withDefaults(),
-		tenant: map[string]QuotaConfig{},
 		queued: map[string]int{},
 		active: map[string]int{},
 	}
-}
-
-// SetTenantQuota overrides the quota for one tenant.
-func (a *Admission) SetTenantQuota(tenant string, q QuotaConfig) {
-	a.mu.Lock()
-	a.tenant[tenant] = q.withDefaults()
-	a.mu.Unlock()
-}
-
-func (a *Admission) quotaLocked(tenant string) QuotaConfig {
-	if q, ok := a.tenant[tenant]; ok {
-		return q
-	}
-	return a.def
 }
 
 // wake signals every Next waiter. Caller holds mu.
@@ -154,9 +138,8 @@ func (a *Admission) Submit(j *QueuedJob) error {
 	if a.closed {
 		return fmt.Errorf("cluster: admission closed")
 	}
-	q := a.quotaLocked(j.Tenant)
-	if a.queued[j.Tenant] >= q.MaxQueued {
-		return &ErrQuota{Tenant: j.Tenant, Kind: "queued", Limit: q.MaxQueued}
+	if a.queued[j.Tenant] >= a.def.MaxQueued {
+		return &ErrQuota{Tenant: j.Tenant, Kind: "queued", Limit: a.def.MaxQueued}
 	}
 	a.queued[j.Tenant]++
 	a.queues[j.Priority] = append(a.queues[j.Priority], j)
@@ -215,7 +198,7 @@ func (a *Admission) Done(tenant string) {
 func (a *Admission) pickLocked() *QueuedJob {
 	for p := range a.queues {
 		for i, j := range a.queues[p] {
-			if a.active[j.Tenant] >= a.quotaLocked(j.Tenant).MaxActive {
+			if a.active[j.Tenant] >= a.def.MaxActive {
 				continue
 			}
 			a.queues[p] = append(a.queues[p][:i], a.queues[p][i+1:]...)

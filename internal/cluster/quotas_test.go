@@ -92,7 +92,6 @@ func TestAdmissionQueueQuota(t *testing.T) {
 // serves other tenants; Done releases the slot.
 func TestAdmissionActiveQuota(t *testing.T) {
 	a := NewAdmission(QuotaConfig{MaxQueued: 10, MaxActive: 1})
-	a.SetTenantQuota("bob", QuotaConfig{MaxQueued: 10, MaxActive: 2})
 	for _, j := range []*QueuedJob{
 		job("a1", "alice", PriorityHigh),
 		job("a2", "alice", PriorityHigh),

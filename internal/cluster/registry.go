@@ -89,27 +89,15 @@ func (g *Registry) dropLocked(id string) bool {
 	return true
 }
 
-// Expire drops every worker whose last heartbeat is older than the TTL
-// and returns their IDs (sorted).
-func (g *Registry) Expire() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.expireLocked()
-}
-
-func (g *Registry) expireLocked() []string {
+// expireLocked drops every worker whose last heartbeat is older than the
+// TTL. Caller holds mu.
+func (g *Registry) expireLocked() {
 	cutoff := g.now().Add(-g.ttl)
-	var dropped []string
 	for id, w := range g.workers {
 		if w.LastSeen.Before(cutoff) {
-			dropped = append(dropped, id)
+			g.dropLocked(id)
 		}
 	}
-	sort.Strings(dropped)
-	for _, id := range dropped {
-		g.dropLocked(id)
-	}
-	return dropped
 }
 
 // OwnerOf expires stale workers, then resolves the ring owner of a

@@ -112,16 +112,6 @@ func (r *Ring) Remove(node string) {
 // Len returns the number of member nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the members sorted by name.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the node owning a ring position, walking clockwise to
 // the first virtual point at or after key (wrapping at the top).
 func (r *Ring) Owner(key uint64) (string, bool) {

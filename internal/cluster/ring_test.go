@@ -244,25 +244,4 @@ func TestRingEdgeCases(t *testing.T) {
 	if _, ok := r.OwnerOf("job-1"); ok {
 		t.Fatal("drained ring claims an owner")
 	}
-	if nodes := r.Nodes(); len(nodes) != 0 {
-		t.Fatalf("drained ring lists nodes: %v", nodes)
-	}
-}
-
-// TestRingNodesSorted: Nodes is sorted for deterministic listings.
-func TestRingNodesSorted(t *testing.T) {
-	r := NewRing(0)
-	for _, w := range []string{"zeta", "alpha", "mid"} {
-		r.Add(w)
-	}
-	nodes := r.Nodes()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(nodes) != len(want) {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("nodes = %v, want %v", nodes, want)
-		}
-	}
 }

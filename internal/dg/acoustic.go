@@ -177,12 +177,6 @@ func (s *AcousticSolver) FluxKernel(q, rhs *AcousticState) {
 	}
 }
 
-// FluxKernelFace exposes per-face flux computation for the batched PIM
-// schedule (Figure 7 computes one axis/normal combination at a time).
-func (s *AcousticSolver) FluxKernelFace(q, rhs *AcousticState, e int, f mesh.Face) {
-	s.fluxFace(q, rhs, e, f)
-}
-
 func (s *AcousticSolver) fluxFace(q, rhs *AcousticState, e int, f mesh.Face) {
 	m := s.Op.M
 	nn := m.NodesPerEl

@@ -180,30 +180,58 @@ func TestAcousticRigidWallReflection(t *testing.T) {
 	}
 }
 
-func TestAcousticFluxKernelFaceDecomposition(t *testing.T) {
-	// Summing FluxKernelFace over all 6 faces must equal FluxKernel — the
-	// property the batched Figure 7 schedule depends on.
-	m, s := newAcoustic(t, 1, 4, RiemannFlux)
-	q := NewAcousticState(m)
-	PlaneWaveX(m, waterLike, 1, q)
-	// Perturb to break symmetry.
-	for i := range q.P {
-		q.V[1][i] = 0.1 * math.Sin(float64(i))
-	}
-	whole := NewAcousticState(m)
-	s.VolumeKernel(q, whole)
-	s.FluxKernel(q, whole)
-
-	parts := NewAcousticState(m)
-	s.VolumeKernel(q, parts)
-	for f := mesh.Face(0); f < mesh.NumFaces; f++ {
-		for e := 0; e < m.NumElem; e++ {
-			s.FluxKernelFace(q, parts, e, f)
+// fluxRHS returns the volume RHS of a perturbed state plus its flux,
+// whole (flux) or per face (face, face-major across elements).
+func fluxRHS[S State](m *mesh.Mesh, newState func(*mesh.Mesh) S, volume, flux func(q, rhs S),
+	face func(q, rhs S, e int, f mesh.Face), perFace bool) [][]float64 {
+	q, rhs := newState(m), newState(m)
+	for v, x := range q.Slices() {
+		for i := range x {
+			x[i] = math.Sin(0.37*float64(i) + float64(v)) // distinct, non-symmetric
 		}
 	}
-	for i := range whole.P {
-		if math.Abs(whole.P[i]-parts.P[i]) > 1e-12 {
-			t.Fatalf("per-face flux decomposition differs at %d: %g vs %g", i, whole.P[i], parts.P[i])
+	volume(q, rhs)
+	if !perFace {
+		flux(q, rhs)
+		return rhs.Slices()
+	}
+	for f := mesh.Face(0); f < mesh.NumFaces; f++ {
+		for e := 0; e < m.NumElem; e++ {
+			face(q, rhs, e, f)
+		}
+	}
+	return rhs.Slices()
+}
+
+// Summing fluxFace over the six faces, face by face across all elements,
+// must give FluxKernel's element-by-element result for every solver — the
+// property the per-axis flux schedules (Figure 7) depend on.
+func TestFluxFaceDecomposition(t *testing.T) {
+	m, as := newAcoustic(t, 1, 4, RiemannFlux)
+	es := NewElasticSolver(m, material.UniformElastic(m.NumElem, rockLike), RiemannFlux)
+	ms := NewMaxwellSolver(m, glassLike, RiemannFlux)
+	for _, tc := range []struct {
+		name string
+		rhs  func(perFace bool) [][]float64
+	}{
+		{"acoustic", func(perFace bool) [][]float64 {
+			return fluxRHS(m, NewAcousticState, as.VolumeKernel, as.FluxKernel, as.fluxFace, perFace)
+		}},
+		{"elastic", func(perFace bool) [][]float64 {
+			return fluxRHS(m, NewElasticState, es.VolumeKernel, es.FluxKernel, es.fluxFace, perFace)
+		}},
+		{"maxwell", func(perFace bool) [][]float64 {
+			return fluxRHS(m, NewMaxwellState, ms.VolumeKernel, ms.FluxKernel, ms.fluxFace, perFace)
+		}},
+	} {
+		whole, parts := tc.rhs(false), tc.rhs(true)
+		for v := range whole {
+			for i := range whole[v] {
+				if math.Abs(whole[v][i]-parts[v][i]) > 1e-12*(1+math.Abs(whole[v][i])) {
+					t.Fatalf("%s: per-face flux differs at variable %d node %d: %g vs %g",
+						tc.name, v, i, whole[v][i], parts[v][i])
+				}
+			}
 		}
 	}
 }

@@ -183,12 +183,6 @@ func (s *ElasticSolver) FluxKernel(q, rhs *ElasticState) {
 	}
 }
 
-// FluxKernelFace exposes per-face flux computation for the batched PIM
-// schedule.
-func (s *ElasticSolver) FluxKernelFace(q, rhs *ElasticState, e int, f mesh.Face) {
-	s.fluxFace(q, rhs, e, f)
-}
-
 func (s *ElasticSolver) fluxFace(q, rhs *ElasticState, e int, f mesh.Face) {
 	m := s.Op.M
 	nn := m.NodesPerEl

@@ -135,11 +135,6 @@ func (s *MaxwellSolver) FluxKernel(q, rhs *MaxwellState) {
 	}
 }
 
-// FluxKernelFace exposes per-face computation for schedule tests.
-func (s *MaxwellSolver) FluxKernelFace(q, rhs *MaxwellState, e int, f mesh.Face) {
-	s.fluxFace(q, rhs, e, f)
-}
-
 func (s *MaxwellSolver) fluxFace(q, rhs *MaxwellState, e int, f mesh.Face) {
 	m := s.Op.M
 	if !m.Periodic {

@@ -1,7 +1,7 @@
-// Package hostcpu models the two CPUs of the evaluation: the dual Xeon
-// Platinum 8160 baseline of Section 3.1 (whose p4est-based reference
-// implementation the paper's GPU speedups are measured against) and the
-// ARM Cortex-A72 host that feeds the PIM chip.
+// Package hostcpu models the CPU baseline of the evaluation: the dual Xeon
+// Platinum 8160 of Section 3.1, whose p4est-based reference implementation
+// the paper's GPU speedups are measured against. The ARM Cortex-A72 host
+// that feeds the PIM chip is priced by sim.Engine.ExecHost.
 package hostcpu
 
 import (
@@ -31,16 +31,4 @@ func BaselineRunTime(b opcount.Benchmark, timeSteps int) float64 {
 	flops := float64(opcount.OneLaunchEach(b).FLOPs) *
 		float64(params.IntegrationStagesPerStep) * float64(timeSteps)
 	return flops / (params.XeonPlatinum8160x2.PeakFP32FLOPS * eff)
-}
-
-// BaselineEnergy returns the CPU run's energy at the package power.
-func BaselineEnergy(b opcount.Benchmark, timeSteps int) float64 {
-	return BaselineRunTime(b, timeSteps) * params.XeonPlatinum8160x2.PowerW
-}
-
-// HostPreprocessTime returns the ARM host's time to precompute n sqrt and
-// m inverse values (the Section 4.3 offload), spread over its cores.
-func HostPreprocessTime(sqrts, inverses int) float64 {
-	h := params.ARMCortexA72
-	return (float64(sqrts)*h.SqrtLatencySec + float64(inverses)*h.InverseLatencySec) / float64(h.Cores)
 }

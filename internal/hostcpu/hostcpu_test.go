@@ -35,24 +35,3 @@ func TestLevel5LessEfficientThanLevel4(t *testing.T) {
 		t.Errorf("level5/level4 CPU time ratio %.2f, want > 8 (efficiency degradation)", r)
 	}
 }
-
-func TestBaselineEnergy(t *testing.T) {
-	b := opcount.Benchmark{Eq: opcount.Acoustic, Refinement: 4}
-	e := BaselineEnergy(b, 64)
-	want := BaselineRunTime(b, 64) * params.XeonPlatinum8160x2.PowerW
-	if e != want {
-		t.Errorf("energy %g want %g", e, want)
-	}
-}
-
-func TestHostPreprocessTime(t *testing.T) {
-	h := params.ARMCortexA72
-	got := HostPreprocessTime(100, 200)
-	want := (100*h.SqrtLatencySec + 200*h.InverseLatencySec) / float64(h.Cores)
-	if got != want {
-		t.Errorf("got %g want %g", got, want)
-	}
-	if HostPreprocessTime(0, 0) != 0 {
-		t.Error("zero work should cost zero time")
-	}
-}

@@ -229,10 +229,6 @@ func (m *Mesh) JacobianScale() float64 { return 2 / m.H }
 // (H/2)^3 — Table 1's jacobian_det_domain.
 func (m *Mesh) JacobianDet() float64 { return (m.H / 2) * (m.H / 2) * (m.H / 2) }
 
-// FaceJacobianDet is the surface Jacobian of a face, (H/2)^2 — Table 1's
-// jacobian_det_boundary.
-func (m *Mesh) FaceJacobianDet() float64 { return (m.H / 2) * (m.H / 2) }
-
 // Slice returns the element ids of z-slice s (all elements with ez == s),
 // the decomposition unit for Flux batching (Figure 7).
 func (m *Mesh) Slice(s int) []int {

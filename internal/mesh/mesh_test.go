@@ -202,9 +202,6 @@ func TestJacobians(t *testing.T) {
 	if got, want := m.JacobianDet(), math.Pow(1.0/32, 3); math.Abs(got-want) > 1e-18 {
 		t.Errorf("JacobianDet=%g want %g", got, want)
 	}
-	if got, want := m.FaceJacobianDet(), math.Pow(1.0/32, 2); math.Abs(got-want) > 1e-18 {
-		t.Errorf("FaceJacobianDet=%g want %g", got, want)
-	}
 }
 
 func TestFaceHelpers(t *testing.T) {

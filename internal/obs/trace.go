@@ -18,9 +18,6 @@ type Span struct {
 	Track int     // rendered as the trace's thread id (one lane per track)
 }
 
-// End returns the span end time.
-func (s Span) End() float64 { return s.Start + s.Dur }
-
 // Tracer records spans. A nil *Tracer discards everything. Safe for
 // concurrent use.
 //

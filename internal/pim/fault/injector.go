@@ -87,9 +87,6 @@ func NewInjector(cfg Config, rec Recovery) *Injector {
 	return &Injector{cfg: cfg, rec: rec, blocks: make(map[int]*BlockFaults)}
 }
 
-// Config returns the injection knobs.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Recovery returns the recovery policy.
 func (in *Injector) Recovery() Recovery { return in.rec }
 

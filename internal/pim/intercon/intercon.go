@@ -28,9 +28,9 @@ type Transfer struct {
 }
 
 // Topology routes transfers between leaf blocks. Beyond the path view
-// (AppendPath), implementations expose a channel view — SwitchCount, Radix,
-// and EgressHops — that the scheduler's ledger and the topology-sweep
-// reports are built on.
+// (AppendPath), implementations expose a channel view — SwitchCount and
+// EgressHops — that the scheduler's ledger and the topology-sweep reports
+// are built on.
 type Topology interface {
 	// Name returns the wire name of the topology (one of Names()).
 	Name() string
@@ -49,10 +49,6 @@ type Topology interface {
 	// switches span a fanout-sized neighborhood, while bus/express/global
 	// links drive longer wires and are correspondingly slower.
 	HopLatency() float64
-	// Radix is the port count of the busiest switch (attached leaves plus
-	// inter-switch links) — the channel-view size used for leakage scaling
-	// and sweep reports.
-	Radix() int
 	// EgressHops is the number of switch crossings from a leaf to the
 	// topology's chip-port gateway (for a tree, the depth). Cross-tile
 	// transfers pay this leg inside both endpoint tiles.
@@ -177,9 +173,6 @@ func (h *HTree) LeakagePowerW() float64 {
 // HopLatency implements Topology.
 func (h *HTree) HopLatency() float64 { return params.SwitchHopLatencySec }
 
-// Radix implements Topology: fanout children plus the parent link.
-func (h *HTree) Radix() int { return h.fanout + 1 }
-
 // EgressHops implements Topology: the tree depth (a leaf-to-root climb).
 func (h *HTree) EgressHops() int { return len(h.levelCount) }
 
@@ -247,9 +240,6 @@ func (b *Bus) LeakagePowerW() float64 { return params.PowerBusSwitchW }
 // tile-spanning wires, so each payload beat is slower than an H-tree
 // switch's neighborhood hop.
 func (b *Bus) HopLatency() float64 { return params.BusHopPenalty * params.SwitchHopLatencySec }
-
-// Radix implements Topology: every leaf hangs off the one switch.
-func (b *Bus) Radix() int { return b.leaves }
 
 // EgressHops implements Topology.
 func (b *Bus) EgressHops() int { return 1 }
@@ -365,25 +355,4 @@ func ScheduleBatch(topo Topology, batch []Transfer) Schedule {
 		l.Add(tr)
 	}
 	return l.Schedule()
-}
-
-// FilterMasked partitions a batch for a topology with masked-off (failed
-// or retired) leaves: transfers whose endpoints are all healthy are
-// routable; transfers touching a masked leaf — or a leaf outside the
-// topology — are returned separately so the caller can remap them instead
-// of panicking inside AppendPath. This is the route-around primitive of
-// spare-block remapping: a retired physical block disappears from the
-// schedulable set, and the cost models only ever see healthy endpoints.
-func FilterMasked(t Topology, batch []Transfer, masked map[int]bool) (routable, rejected []Transfer) {
-	n := t.Leaves()
-	for _, tr := range batch {
-		bad := tr.Src < 0 || tr.Src >= n || tr.Dst < 0 || tr.Dst >= n ||
-			masked[tr.Src] || masked[tr.Dst]
-		if bad {
-			rejected = append(rejected, tr)
-		} else {
-			routable = append(routable, tr)
-		}
-	}
-	return routable, rejected
 }

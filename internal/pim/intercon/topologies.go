@@ -76,7 +76,8 @@ func (m *Mesh) Leaves() int { return m.g.leaves }
 // SwitchCount implements Topology.
 func (m *Mesh) SwitchCount() int { return m.g.kx * m.g.ky }
 
-// Radix implements Topology: four mesh neighbors plus the attached leaves.
+// Radix is the port count of the busiest switch, which scales its leakage:
+// four mesh neighbors plus the attached leaves.
 func (m *Mesh) Radix() int { return gridConcentration + 4 }
 
 // LeakagePowerW implements Topology.
@@ -140,7 +141,7 @@ func (t *Torus) Leaves() int { return t.g.leaves }
 // SwitchCount implements Topology.
 func (t *Torus) SwitchCount() int { return t.g.kx * t.g.ky }
 
-// Radix implements Topology.
+// Radix is the port count of the busiest switch, which scales its leakage.
 func (t *Torus) Radix() int { return gridConcentration + 4 }
 
 // LeakagePowerW implements Topology.
@@ -210,7 +211,8 @@ func (f *FlattenedButterfly) Leaves() int { return f.g.leaves }
 // SwitchCount implements Topology.
 func (f *FlattenedButterfly) SwitchCount() int { return f.g.kx * f.g.ky }
 
-// Radix implements Topology: full row plus full column express links.
+// Radix is the port count of the busiest switch, which scales its leakage:
+// full row plus full column express links.
 func (f *FlattenedButterfly) Radix() int {
 	return gridConcentration + (f.g.kx - 1) + (f.g.ky - 1)
 }
@@ -287,8 +289,9 @@ func (d *Dragonfly) Leaves() int { return d.leaves }
 // SwitchCount implements Topology.
 func (d *Dragonfly) SwitchCount() int { return d.switches }
 
-// Radix implements Topology: intra-group all-to-all plus this switch's
-// share of the group's global links.
+// Radix is the port count of the busiest switch, which scales its leakage:
+// intra-group all-to-all plus this switch's share of the group's global
+// links.
 func (d *Dragonfly) Radix() int {
 	globalsPerSwitch := (d.groups - 1 + dragonflyGroupSize - 1) / dragonflyGroupSize
 	return gridConcentration + (dragonflyGroupSize - 1) + globalsPerSwitch

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Disassemble renders one decoded instruction in a readable assembly
 // syntax. The mnemonics mirror the micro-operation names of Sections 4.1
@@ -37,15 +34,6 @@ func Disassemble(in Instr) string {
 	return fmt.Sprintf("op(%d)?", uint8(in.Op))
 }
 
-// DisassembleWord decodes and renders a 64-bit instruction word.
-func DisassembleWord(w uint64) (string, error) {
-	in, err := Decode(w)
-	if err != nil {
-		return "", err
-	}
-	return Disassemble(in), nil
-}
-
 // Assemble encodes a whole program into its 64-bit word stream — the form
 // the host CPU actually sends to the chip's central controller.
 func Assemble(prog []Instr) ([]uint64, error) {
@@ -58,16 +46,6 @@ func Assemble(prog []Instr) ([]uint64, error) {
 		out[i] = w
 	}
 	return out, nil
-}
-
-// DisassembleProgram renders a full program, one instruction per line,
-// with word offsets.
-func DisassembleProgram(prog []Instr) string {
-	var b strings.Builder
-	for i, in := range prog {
-		fmt.Fprintf(&b, "%4d: %s\n", i, Disassemble(in))
-	}
-	return b.String()
 }
 
 // OpMix is an opcode histogram of a program — the measured counterpart of

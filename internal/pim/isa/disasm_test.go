@@ -2,7 +2,6 @@ package isa
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -26,7 +25,7 @@ func TestDisassembleForms(t *testing.T) {
 	}
 }
 
-// Assemble/DisassembleWord round trip: rendering an assembled word equals
+// Assemble/Decode round trip: rendering a decoded assembled word equals
 // rendering the original instruction.
 func TestAssembleDisassembleConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -42,11 +41,11 @@ func TestAssembleDisassembleConsistency(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	for i, w := range words {
-		got, err := DisassembleWord(w)
+		in, err := Decode(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := Disassemble(prog[i]); got != want {
+		if got, want := Disassemble(in), Disassemble(prog[i]); got != want {
 			t.Errorf("instr %d: %q vs %q", i, got, want)
 		}
 	}
@@ -55,13 +54,6 @@ func TestAssembleDisassembleConsistency(t *testing.T) {
 func TestAssembleRejectsBadInstr(t *testing.T) {
 	if _, err := Assemble([]Instr{{Op: OpRead, Row: 5000}}); err == nil {
 		t.Error("Assemble should propagate encoding errors")
-	}
-}
-
-func TestDisassembleProgram(t *testing.T) {
-	s := DisassembleProgram([]Instr{{Op: OpNop}, {Op: OpRead, Block: 1, Row: 2}})
-	if !strings.Contains(s, "0: nop") || !strings.Contains(s, "1: read    b1 r2") {
-		t.Errorf("program disassembly wrong:\n%s", s)
 	}
 }
 

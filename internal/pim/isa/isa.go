@@ -309,49 +309,3 @@ func Decode(w uint64) (Instr, error) {
 	}
 	return in, nil
 }
-
-// LUTSteps expands a decoded LUT instruction into the micro-operation
-// sequence of Algorithm 1, with byte-granularity locations exactly as the
-// paper specifies (block size 1024x1024 bits, 32-bit precision).
-type LUTStep struct {
-	Kind     string // "read" or "write"
-	Location int64  // bit address
-	Size     int    // bits
-}
-
-// ExpandLUT returns the Algorithm 1 step sequence for in (which must be an
-// OpLUT instruction); the index value read by step R_1 is supplied by the
-// caller (the simulator) to form R_2's location.
-func ExpandLUT(in Instr, index uint32) ([3]LUTStep, error) {
-	if in.Op != OpLUT {
-		return [3]LUTStep{}, fmt.Errorf("isa: ExpandLUT on %v", in.Op)
-	}
-	return [3]LUTStep{
-		{Kind: "read", Location: int64(in.Row)*1024 + int64(in.SrcOff)*32, Size: 32},
-		{Kind: "read", Location: int64(in.LUTBlock)*1024*1024 + int64(index)*32, Size: 32},
-		{Kind: "write", Location: int64(in.Row)*1024 + int64(in.DstOff)*32, Size: 32},
-	}, nil
-}
-
-// Program is an instruction sequence with convenience constructors used by
-// the wavepim compiler.
-type Program struct {
-	Instrs []Instr
-}
-
-// Append adds instructions to the program.
-func (p *Program) Append(ins ...Instr) { p.Instrs = append(p.Instrs, ins...) }
-
-// Len returns the instruction count.
-func (p *Program) Len() int { return len(p.Instrs) }
-
-// CountOp returns how many instructions have the given opcode.
-func (p *Program) CountOp(op Opcode) int {
-	var n int
-	for _, in := range p.Instrs {
-		if in.Op == op {
-			n++
-		}
-	}
-	return n
-}

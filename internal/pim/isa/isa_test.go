@@ -140,44 +140,6 @@ func TestDecodeRejectsBadOpcode(t *testing.T) {
 	}
 }
 
-func TestExpandLUTAlgorithm1(t *testing.T) {
-	// Algorithm 1's address arithmetic, verbatim:
-	//  R_1 at RowAddress*1024 + Offset_S*32
-	//  R_2 at LUTBlockID*1024*1024 + index*32
-	//  W_1 at RowAddress*1024 + Offset_D*32
-	in := Instr{Op: OpLUT, Row: 7, SrcOff: 3, LUTBlock: 2, DstOff: 9}
-	steps, err := ExpandLUT(in, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps[0].Kind != "read" || steps[0].Location != 7*1024+3*32 || steps[0].Size != 32 {
-		t.Errorf("R_1 = %+v", steps[0])
-	}
-	if steps[1].Kind != "read" || steps[1].Location != 2*1024*1024+100*32 {
-		t.Errorf("R_2 = %+v", steps[1])
-	}
-	if steps[2].Kind != "write" || steps[2].Location != 7*1024+9*32 {
-		t.Errorf("W_1 = %+v", steps[2])
-	}
-}
-
-func TestExpandLUTRejectsNonLUT(t *testing.T) {
-	if _, err := ExpandLUT(Instr{Op: OpAdd}, 0); err == nil {
-		t.Error("ExpandLUT on non-LUT instruction should fail")
-	}
-}
-
-func TestProgramHelpers(t *testing.T) {
-	var p Program
-	p.Append(Instr{Op: OpAdd}, Instr{Op: OpMul}, Instr{Op: OpAdd})
-	if p.Len() != 3 {
-		t.Errorf("Len = %d", p.Len())
-	}
-	if p.CountOp(OpAdd) != 2 || p.CountOp(OpMul) != 1 || p.CountOp(OpLUT) != 0 {
-		t.Error("CountOp wrong")
-	}
-}
-
 // Property: every encodable instruction decodes to itself.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seed int64) bool {

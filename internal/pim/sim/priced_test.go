@@ -95,7 +95,7 @@ func TestPricedTransfersMatchExecTransfers(t *testing.T) {
 					t.Fatalf("%s: %d switches, ExecTransfers %d", name, len(busy[0]), len(busy[1]))
 				}
 				for s := range busy[0] {
-					if !CheckClose(busy[0][s], busy[1][s], 1e-12) {
+					if !checkClose(busy[0][s], busy[1][s], 1e-12) {
 						t.Errorf("%s: switch %d busy %v s, ExecTransfers %v s", name, s, busy[0][s], busy[1][s])
 					}
 				}

@@ -108,20 +108,19 @@ type Engine struct {
 	SparePool  []int
 	sparesUsed int
 	// pendingFault queues the ECC/retry/remap phases produced inside a
-	// block phase; Sequence/Parallel drain it right after the triggering
+	// block phase; Sequence drains it right after the triggering
 	// phase commits, so recovery costs land on the simulated timeline.
 	pendingFault []Phase
 
 	// Timeline holds the committed phases since the last Reset; a caller
 	// that keeps only recent ones may truncate it. digest (the running
-	// TimelineDigest over committed phases), byName and byKind cover every
-	// phase committed since the last Reset.
-	Timeline       []Phase
-	TotalEnergy    float64
-	clock          float64
-	committed      int64
-	digest         uint64
-	byName, byKind map[string]PhaseTotal
+	// TimelineDigest over committed phases) covers every phase committed
+	// since the last Reset.
+	Timeline    []Phase
+	TotalEnergy float64
+	clock       float64
+	committed   int64
+	digest      uint64
 
 	// ctx, when set via SetContext, makes block phases cancellable; the
 	// first cancellation error is latched in err (see Err).
@@ -207,20 +206,14 @@ func New(ch *chip.Chip) *Engine {
 	return e
 }
 
-// Now returns the current clock.
-func (e *Engine) Now() float64 { return e.clock }
-
 // SetContext installs (or, with nil, removes) the context consulted by
-// block phases and the worker pool. A run driver sets it once for the
-// whole run.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
+// block phases and the worker pool, and clears the error the previous run
+// latched. A run driver sets it once for the whole run.
+func (e *Engine) SetContext(ctx context.Context) { e.ctx, e.err = ctx, nil }
 
-// Err returns the first error a block phase latched since the last
-// Reset/ClearErr (a cancellation, or fault.ErrNoSpares), or nil.
+// Err returns the first error a block phase latched since the last Reset
+// or SetContext (a cancellation, or fault.ErrNoSpares), or nil.
 func (e *Engine) Err() error { return e.err }
-
-// ClearErr resets the latched cancellation error.
-func (e *Engine) ClearErr() { e.err = nil }
 
 // trackOf maps a phase kind to a stable trace lane, so Chrome renders
 // compute, transfer, DRAM, and host activity as separate rows.
@@ -269,19 +262,6 @@ func (e *Engine) commit(p Phase, start float64) Phase {
 // Sequence lays a phase at the current clock.
 func (e *Engine) Sequence(p Phase) Phase {
 	out := e.commit(p, e.clock)
-	e.drainFaultPhases()
-	return out
-}
-
-// Parallel lays several phases at the same start time (the pipelining of
-// Section 6.3: flux data fetch, host preprocessing and Volume compute
-// overlap); the clock advances by the longest.
-func (e *Engine) Parallel(ps ...Phase) []Phase {
-	start := e.clock
-	out := make([]Phase, 0, len(ps))
-	for _, p := range ps {
-		out = append(out, e.commit(p, start))
-	}
 	e.drainFaultPhases()
 	return out
 }
@@ -340,7 +320,7 @@ func InstrCost(in isa.Instr) (sec, joules float64) {
 }
 
 // ---------------------------------------------------------------------------
-// Work executors (they price work; Sequence/Parallel place it in time)
+// Work executors (they price work; Sequence places it in time)
 // ---------------------------------------------------------------------------
 
 // ExecBlocks prices one program per block and replays it once (see
@@ -738,27 +718,6 @@ func (e *Engine) FaultReport() fault.Report {
 	return r
 }
 
-// ExecEncoded executes assembled 64-bit instruction streams — the actual
-// host-to-controller interface of the ISA-based design. The central
-// controller decodes each word before dispatching it to the block's
-// decoder, exactly as Section 4.1 describes ("Instructions are sent from
-// the host, and are pre-processed by the decoder on the PIM chip").
-func (e *Engine) ExecEncoded(name string, streams map[int][]uint64) (Phase, error) {
-	progs := make(map[int][]isa.Instr, len(streams))
-	for blockID, words := range streams {
-		prog := make([]isa.Instr, len(words))
-		for i, w := range words {
-			in, err := isa.Decode(w)
-			if err != nil {
-				return Phase{}, fmt.Errorf("sim: block %d word %d: %w", blockID, i, err)
-			}
-			prog[i] = in
-		}
-		progs[blockID] = prog
-	}
-	return e.ExecBlocks(name, progs), nil
-}
-
 // ExecBlocksN prices one program template executed concurrently by n
 // identical blocks — the timed runner's fast path for large models, where
 // the per-block programs of a kernel phase are the same template
@@ -911,35 +870,13 @@ func (e *Engine) StaticEnergy() float64 {
 // TotalTime returns the current makespan.
 func (e *Engine) TotalTime() float64 { return e.clock }
 
-// PhaseTime sums, in commit order, the durations of the phases of the
-// given kind committed since the last Reset (for breakdown reporting).
-func (e *Engine) PhaseTime(kind string) float64 { return e.byKind[kind].Dur }
-
-// PhaseTotal is the running count, duration and energy of the committed
-// phases sharing a name or a kind, each summed in commit order.
-type PhaseTotal struct {
-	Count        int64
-	Dur, EnergyJ float64
-}
-
-// NameTotal returns the running total of the phases named name committed
-// since the last Reset.
-func (e *Engine) NameTotal(name string) PhaseTotal { return e.byName[name] }
-
-// noteCommit folds a committed phase into the running digest and totals.
+// noteCommit folds a committed phase into the running digest.
 func (e *Engine) noteCommit(p Phase) {
 	if e.committed == 0 {
 		e.digest = fnvOffset
-		e.byName, e.byKind = map[string]PhaseTotal{}, map[string]PhaseTotal{}
 	}
 	e.committed++
 	e.digest = digestPhase(e.digest, p)
-	e.byName[p.Name] = e.byName[p.Name].add(p)
-	e.byKind[p.Kind] = e.byKind[p.Kind].add(p)
-}
-
-func (t PhaseTotal) add(p Phase) PhaseTotal {
-	return PhaseTotal{Count: t.Count + 1, Dur: t.Dur + p.Dur, EnergyJ: t.EnergyJ + p.EnergyJ}
 }
 
 // Reset clears the timeline and counters but keeps the chip (and its
@@ -947,7 +884,7 @@ func (t PhaseTotal) add(p Phase) PhaseTotal {
 // state, not run state.
 func (e *Engine) Reset() {
 	e.Timeline = nil
-	e.committed, e.byName, e.byKind = 0, nil, nil
+	e.committed = 0
 	e.TotalEnergy = 0
 	e.clock = 0
 	e.InstrCount = 0
@@ -1038,13 +975,4 @@ func digestPhase(h uint64, p Phase) uint64 {
 		}
 	}
 	return h
-}
-
-// CheckClose is a test helper: true when a and b agree within rel.
-func CheckClose(a, b, rel float64) bool {
-	if a == b {
-		return true
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= rel*den
 }

@@ -79,9 +79,6 @@ func F(v float64, prec int) string {
 	return fmt.Sprintf("%.*f", prec, v)
 }
 
-// Sci formats a float in scientific notation.
-func Sci(v float64) string { return fmt.Sprintf("%.3g", v) }
-
 // Ratio formats "12.34x" style multipliers.
 func Ratio(v float64) string { return fmt.Sprintf("%.2fx", v) }
 

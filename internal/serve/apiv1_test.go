@@ -51,7 +51,7 @@ func TestV1EndpointsReachable(t *testing.T) {
 	for _, path := range []string{
 		"/v1/runs", "/v1/runs/" + id, "/v1/runs/" + id + "/events",
 		"/v1/runs/" + id + "/trace", "/v1/metrics", "/v1/healthz", "/v1/readyz",
-		"/v1/debug/pprof/", "/debug/pprof/",
+		"/debug/pprof/",
 	} {
 		resp, err := noRedirect.Get(ts.URL + path)
 		if err != nil {
@@ -66,7 +66,8 @@ func TestV1EndpointsReachable(t *testing.T) {
 }
 
 // TestLegacyPathsGone: the pre-/v1 unversioned surface is not mounted;
-// every legacy path answers 404, never a redirect.
+// every legacy path answers 404, never a redirect. So does pprof under
+// /v1: it has one mount, at /debug/pprof/.
 func TestLegacyPathsGone(t *testing.T) {
 	_, ts := testServer(t, 1, 4)
 	for _, tc := range []struct{ method, path string }{
@@ -77,6 +78,8 @@ func TestLegacyPathsGone(t *testing.T) {
 		{"GET", "/metrics"},
 		{"GET", "/healthz"},
 		{"GET", "/readyz"},
+		{"GET", "/v1/debug/pprof/"},
+		{"GET", "/v1/debug/pprof/profile"},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(""))
 		if err != nil {

@@ -12,10 +12,10 @@ import (
 	"wavepim/internal/obs/eventlog"
 )
 
-// Handler builds the daemon's mux. The API lives under /v1. pprof stays
-// at its conventional /debug/pprof/ root (the pprof handlers parse the
-// profile name out of that exact path) and is additionally reachable
-// under /v1 via a prefix strip.
+// Handler builds the daemon's mux. The API lives under /v1. pprof has one
+// mount, at its conventional /debug/pprof/ root: the pprof handlers parse
+// the profile name out of that exact path, and the index page links to
+// profiles under it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -32,7 +32,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/v1/debug/pprof/", http.StripPrefix("/v1", http.HandlerFunc(pprof.Index)))
 	return mux
 }
 

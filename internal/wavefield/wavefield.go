@@ -1,13 +1,11 @@
 // Package wavefield provides field sampling and output utilities for the
 // wave solvers: uniform-grid snapshots of a nodal field, planar
-// cross-sections, and writers (CSV for analysis, PGM and ASCII art for
-// quick looks). The examples use it to turn simulations into inspectable
-// artifacts.
+// cross-sections, and ASCII art for quick looks. The examples use it to
+// turn simulations into inspectable artifacts.
 package wavefield
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -121,49 +119,6 @@ func nearestPoint(pts []float64, r float64) int {
 		}
 	}
 	return best
-}
-
-// WriteCSV writes the snapshot as rows of comma-separated values.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	for j := 0; j < s.Ny; j++ {
-		for i := 0; i < s.Nx; i++ {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%g", s.At(i, j)); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WritePGM writes the snapshot as a binary 8-bit PGM image, normalizing
-// the data range to [0, 255].
-func (s *Snapshot) WritePGM(w io.Writer) error {
-	lo, hi := s.MinMax()
-	span := hi - lo
-	if span == 0 {
-		span = 1
-	}
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", s.Nx, s.Ny); err != nil {
-		return err
-	}
-	buf := make([]byte, s.Nx)
-	for j := 0; j < s.Ny; j++ {
-		for i := 0; i < s.Nx; i++ {
-			buf[i] = byte((s.At(i, j) - lo) / span * 255)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ASCII renders the snapshot as terminal art with a symmetric diverging

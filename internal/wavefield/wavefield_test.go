@@ -1,7 +1,6 @@
 package wavefield
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -68,44 +67,6 @@ func TestMinMaxAndRMS(t *testing.T) {
 	}
 	if want := math.Sqrt(10.0 / 4); math.Abs(s.RMS()-want) > 1e-15 {
 		t.Errorf("RMS = %g want %g", s.RMS(), want)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := &Snapshot{Nx: 2, Ny: 2, Data: []float64{1, 2, 3, 4.5}}
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "1,2\n3,4.5\n" {
-		t.Errorf("CSV = %q", got)
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	s := &Snapshot{Nx: 3, Ny: 2, Data: []float64{0, 0.5, 1, 1, 0.5, 0}}
-	var buf bytes.Buffer
-	if err := s.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P5\n3 2\n255\n")) {
-		t.Fatalf("bad PGM header: %q", out[:12])
-	}
-	pixels := out[len("P5\n3 2\n255\n"):]
-	if len(pixels) != 6 {
-		t.Fatalf("want 6 pixels, got %d", len(pixels))
-	}
-	if pixels[0] != 0 || pixels[2] != 255 {
-		t.Errorf("normalization wrong: %v", pixels)
-	}
-}
-
-func TestWritePGMConstantField(t *testing.T) {
-	s := &Snapshot{Nx: 2, Ny: 1, Data: []float64{7, 7}}
-	var buf bytes.Buffer
-	if err := s.WritePGM(&buf); err != nil {
-		t.Fatal(err) // zero span must not divide by zero
 	}
 }
 

@@ -60,14 +60,6 @@ func NewCompiler(p Plan, np int, flux dg.FluxType) *Compiler {
 
 func (c *Compiler) nn() int { return c.Np * c.Np * c.Np }
 
-func (c *Compiler) stride(axis mesh.Axis) int {
-	s := 1
-	for i := 0; i < int(axis); i++ {
-		s *= c.Np
-	}
-	return s
-}
-
 // ---------------------------------------------------------------------------
 // Program builder helpers
 // ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"wavepim/internal/dg"
 	"wavepim/internal/mesh"
+	"wavepim/internal/obs"
 	"wavepim/internal/pim/fault"
 )
 
@@ -20,6 +22,14 @@ func faultRun(t *testing.T, steps int, cfg fault.Config, opts ...Option) (*Sessi
 	return s, s.Run(context.Background(), steps)
 }
 
+// phaseCount returns how many phases of the given kind and name a session
+// committed, read from its sink's sim.phase.span_seconds{kind,phase}
+// histogram, which the engine observes once per committed phase.
+func phaseCount(sink *obs.Sink, kind, name string) int64 {
+	key := fmt.Sprintf("sim.phase.span_seconds{kind=%q,phase=%q}", kind, name)
+	return sink.Reg.Snapshot().Histograms[key].Count
+}
+
 // TestFaultedRunHealsAndCompletes: a seeded stuck+flip scenario completes
 // through the recovery ladder with observable detection and correction,
 // and the result still tracks the fault-free reference (the ladder heals,
@@ -28,7 +38,8 @@ func TestFaultedRunHealsAndCompletes(t *testing.T) {
 	// Seed 4 at these rates is a run the ladder can save but only by using
 	// every rung: ECC corrections plus two checkpoint rollbacks.
 	cfg := fault.Config{Seed: 4, FlipProb: 1e-5, StuckProb: 1e-6}
-	s, err := faultRun(t, 4, cfg)
+	sink := obs.NewSink()
+	s, err := faultRun(t, 4, cfg, WithObs(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +74,8 @@ func TestFaultedRunHealsAndCompletes(t *testing.T) {
 	}
 
 	// Recovery costs must be visible on the simulated timeline.
-	ecc := s.Engine().NameTotal("sim.fault.ecc").Count > 0
-	ckpt := s.Engine().NameTotal("sim.fault.checkpoint").Count > 0
+	ecc := phaseCount(sink, "fault", "sim.fault.ecc") > 0
+	ckpt := phaseCount(sink, "dram", "sim.fault.checkpoint") > 0
 	if !ecc || !ckpt {
 		t.Fatalf("missing recovery phases on the timeline (ecc=%v checkpoint=%v)", ecc, ckpt)
 	}
@@ -125,7 +136,8 @@ func TestRollbackThenUnrecoverable(t *testing.T) {
 	rec.MaxRollbacks = 1
 	rec.BlowupFactor = 10
 	cfg := fault.Config{Seed: 13, FlipProb: 5e-3}
-	s, err := faultRun(t, 8, cfg, WithRecovery(rec))
+	sink := obs.NewSink()
+	s, err := faultRun(t, 8, cfg, WithRecovery(rec), WithObs(sink))
 	if !errors.Is(err, fault.ErrUnrecoverable) {
 		t.Fatalf("want ErrUnrecoverable, got %v", err)
 	}
@@ -133,7 +145,7 @@ func TestRollbackThenUnrecoverable(t *testing.T) {
 	if r.Rollbacks != int64(rec.MaxRollbacks) {
 		t.Fatalf("want the full rollback budget spent (%d), got %s", rec.MaxRollbacks, r)
 	}
-	if s.Engine().NameTotal("sim.fault.rollback").Count == 0 {
+	if phaseCount(sink, "dram", "sim.fault.rollback") == 0 {
 		t.Fatal("no sim.fault.rollback phase on the timeline")
 	}
 }

@@ -49,7 +49,7 @@ func TestSessionNORSlabBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if a, b := base.Engine().Now(), slab.Engine().Now(); a != b {
+		if a, b := base.Engine().TotalTime(), slab.Engine().TotalTime(); a != b {
 			t.Fatalf("K=%d clock: host %v, slab %v", k, a, b)
 		}
 		if a, b := base.Engine().TotalEnergy, slab.Engine().TotalEnergy; a != b {

@@ -2,6 +2,7 @@ package wavepim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -135,6 +136,11 @@ func TestPricedStepMatchesReference(t *testing.T) {
 	}
 }
 
+// closeRel reports whether a and b agree within the relative tolerance rel.
+func closeRel(a, b, rel float64) bool {
+	return a == b || math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
+}
+
 func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [2]*obs.Sink) {
 	t.Helper()
 	pe, ue := priced.Engine, plain.Engine
@@ -167,7 +173,7 @@ func comparePricedRuns(t *testing.T, name string, priced, plain *system, sinks [
 			return
 		}
 		for i := range a {
-			if !sim.CheckClose(a[i], b[i], 1e-12) {
+			if !closeRel(a[i], b[i], 1e-12) {
 				t.Errorf("%s: %s switch %d busy %v s, reference %v s", name, what, i, a[i], b[i])
 			}
 		}

@@ -408,12 +408,6 @@ func (c sessionConfig) applyTopology(cc chip.Config, k chip.InterconnectKind) ch
 // Engine exposes the underlying execution engine (clock, energy, stats).
 func (s *Session) Engine() *sim.Engine { return s.eng }
 
-// Obs returns the attached sink (nil when uninstrumented).
-func (s *Session) Obs() *obs.Sink { return s.cfg.sink }
-
-// Equation returns the equation the session was built for.
-func (s *Session) Equation() opcount.Equation { return s.cfg.eq }
-
 // Topology returns the normalized name of the tile interconnect the
 // session's chip was built with ("htree" unless overridden).
 func (s *Session) Topology() string { return s.eng.Chip.Config.Interconnect.String() }

@@ -69,7 +69,7 @@ func TestSessionMatchesLegacyAcoustic(t *testing.T) {
 			t.Fatalf("P[%d]: system %v, session %v", i, qa.P[i], qb.P[i])
 		}
 	}
-	if a, b := direct.Engine.Now(), s.Engine().Now(); a != b {
+	if a, b := direct.Engine.TotalTime(), s.Engine().TotalTime(); a != b {
 		t.Fatalf("clock: system %v, session %v", a, b)
 	}
 	if a, b := direct.Engine.InstrCount, s.Engine().InstrCount; a != b {
@@ -207,10 +207,10 @@ func TestSessionContextCancel(t *testing.T) {
 	if err := s.Run(ctx, 100); err != context.Canceled {
 		t.Fatalf("Run under canceled context: got %v, want context.Canceled", err)
 	}
-	// The engine latched the error; a fresh context clears the way again.
-	s.Engine().ClearErr()
+	// The engine latched the error; the next Run installs a fresh context,
+	// which clears it, so the same session runs again.
 	if err := s.Run(context.Background(), 1); err != nil {
-		t.Fatalf("Run after ClearErr: %v", err)
+		t.Fatalf("Run after a cancelled Run: %v", err)
 	}
 }
 
