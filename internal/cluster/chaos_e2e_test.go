@@ -511,8 +511,8 @@ func TestJournalCrashRestartLosesNothing(t *testing.T) {
 		!strings.Contains(body, `"journal":true`) || !strings.Contains(body, `"requeued"`) {
 		t.Fatalf("readyz after replay: %d %s", code, body)
 	}
-	// Finished jobs return their reports — and their merged traces, which
-	// rode the journal as compacted JSON and were re-indented on replay —
+	// Finished jobs return their reports — and their merged traces, merged
+	// on read from the spans and worker trace the journal carried —
 	// byte-identically.
 	for _, id := range fast {
 		code, body := get("/v1/jobs/" + id)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"wavepim/internal/cluster/trace"
 )
 
 // Handler builds the coordinator's mux. The API lives under /v1.
@@ -15,9 +17,9 @@ import (
 //	GET  /v1/jobs             list jobs in submission order
 //	GET  /v1/jobs/{id}        one job (finished: the worker's report, verbatim)
 //	GET  /v1/jobs/{id}/events the job's event stream, proxied from its worker
-//	GET  /v1/jobs/{id}/trace  the merged cluster-level Chrome trace (409 while
-//	                          the job is live; replayed terminal jobs serve
-//	                          their digest-verified journaled timeline)
+//	GET  /v1/jobs/{id}/trace  the merged cluster-level Chrome trace, merged on
+//	                          read (409 while the job is live; replayed
+//	                          terminal jobs merge their journaled timeline)
 //	POST /v1/register         worker heartbeat (RegisterRequest JSON)
 //	POST /v1/deregister       worker draining handoff
 //	GET  /v1/workers          live membership, sorted by id
@@ -124,10 +126,11 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, req *http.Request) {
 
 // handleJobTrace serves the job's merged cluster-level Chrome trace —
 // the coordinator's stage timeline (process 1) plus the owning worker's
-// span trace (process 2), one document. Live jobs answer 409 (retryable:
-// the trace is merged at the terminal transition); a terminal job that
-// lost its trace (journal replay with a failed digest check, or a merge
-// error) answers 404.
+// span trace (process 2), one document, merged on each read from the
+// spans and worker bytes the job keeps. Live jobs answer 409 (retryable:
+// the timeline is complete only at the terminal transition); a terminal
+// job without spans (restored from a journal record that predates them)
+// or whose worker trace the merge rejects answers 404.
 func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 	j, ok := c.Job(req.PathValue("id"))
 	if !ok {
@@ -135,18 +138,20 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	terminal, doc, status := j.terminal(), j.traceDoc, j.status
+	terminal, status, worker, workerTrace := j.terminal(), j.status, j.worker, j.workerTrace
+	ctx, spans := j.trace.ctx, j.trace.spans
 	j.mu.Unlock()
 	if !terminal {
 		coordError(w, http.StatusConflict, CodeNotReady, true, "job is %s; trace not merged yet", status)
 		return
 	}
-	if doc == nil {
+	var doc bytes.Buffer
+	if len(spans) == 0 || trace.Merge(&doc, ctx, spans, worker, workerTrace) != nil {
 		coordError(w, http.StatusNotFound, CodeNotFound, false, "job has no trace")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
+	w.Write(doc.Bytes())
 }
 
 // handleJobEvents proxies the owning worker's SSE stream for a job.

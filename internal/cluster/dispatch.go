@@ -55,9 +55,8 @@ type cjob struct {
 	cached   bool      // served from the content-addressed result cache
 	result   []byte    // owning worker's terminal GET /runs/{id} bytes
 
-	trace    *jobTrace    // live coordinator-side timeline (nil on replayed terminal jobs)
-	stages   StageSeconds // latency decomposition, final at terminal
-	traceDoc []byte       // merged cluster-level Chrome trace (terminal jobs)
+	trace       *jobTrace // coordinator-side timeline; a replayed terminal job holds its journaled spans
+	workerTrace []byte    // owning worker's Chrome trace, as fetched (nil: none)
 }
 
 // evKind names a job lifecycle event.
@@ -170,18 +169,12 @@ type JobView struct {
 func (j *cjob) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	stages := j.stages
-	if j.trace != nil && !j.terminal() {
-		// Live jobs report the decomposition accumulated so far (closed
-		// spans only; E2E stays zero until the job is terminal).
-		stages = j.trace.stageSeconds()
-	}
 	return JobView{
 		ID: j.id, Status: j.status, Tenant: j.tenant, Priority: j.priority.String(),
 		Worker: j.worker, Error: j.errMsg, Cached: j.cached, Attempts: j.attempts,
 		Digest: fmt.Sprintf("%016x", j.digest),
 		Trace:  fmt.Sprintf("%016x", trace.ID(j.id)),
-		Stages: stages,
+		Stages: j.trace.stageSeconds(),
 	}
 }
 
@@ -494,12 +487,10 @@ func (c *Coordinator) emit(qj *QueuedJob, j *cjob, ev event) error {
 			tl.endAttempt(ev.since, ev.at, ev.annot)
 		}
 		tl.finalize(ev.at, outcome)
-		j.stages = tl.stageSeconds()
-		j.traceDoc = tl.merged(j.worker, ev.workerTrace)
-		stages := j.stages
+		j.workerTrace = ev.workerTrace
 		rec = JournalRecord{T: JournalTerminal, ID: j.id, Worker: j.worker,
 			Status: j.status, Error: j.errMsg, Cached: j.cached, Attempts: j.attempts,
-			Result: j.result, Stages: &stages, Trace: j.traceDoc, TraceDigest: traceDigestHex(j.traceDoc)}
+			Result: j.result, Spans: tl.spans, WorkerTrace: j.workerTrace}
 	}
 
 	attempts, prio := j.attempts, j.priority.String()
@@ -552,7 +543,7 @@ func (c *Coordinator) emit(qj *QueuedJob, j *cjob, ev event) error {
 			c.byDigest.LoadOrStore(j.digest, j)
 		}
 		c.metrics.CounterVec("wavepimctl.jobs", "status").With(outcome).Inc()
-		c.observeStages(prio, outcome, *rec.Stages)
+		c.observeStages(prio, outcome, tl.stageSeconds())
 		lv := eventlog.Info
 		if rec.Status == "failed" {
 			lv = eventlog.Error
@@ -696,14 +687,10 @@ func (c *Coordinator) replayJournal(recs []JournalRecord) {
 			// A terminal record carries the job's total charge, part of
 			// which its retry records have already folded.
 			ev.attempts -= j.attempts
-			if rec.Stages != nil {
-				j.stages = *rec.Stages
-			}
-			// The journal stores the merged trace compacted (RawMessage
-			// round-trips through json.Marshal compact it); re-indenting
-			// reproduces the served bytes, and the recorded digest proves
-			// it before the trace becomes queryable again.
-			j.traceDoc = restoreTraceDoc(rec.Trace, rec.TraceDigest)
+			// A record without spans (one written before terminal records
+			// carried them) restores a job with no trace.
+			j.trace = &jobTrace{ctx: trace.New(j.id), spans: rec.Spans}
+			j.workerTrace = rec.WorkerTrace
 		}
 		j.advance(ev)
 	}

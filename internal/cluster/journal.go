@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"wavepim/internal/cluster/trace"
 )
 
 // The coordinator's crash-safety layer: an append-only JSONL job journal.
@@ -14,15 +16,16 @@ import (
 // building, every successful forward writes a "dispatch" record, every
 // bounce writes a "retry" record carrying the retry it charged and its
 // cause, and every terminal transition writes a "terminal" record
-// carrying the worker's report bytes, the last owner and the retries
-// charged in total. On startup the journal is replayed: each record
-// folds through the same transition the live job took (cjob.advance), so
-// jobs with a terminal record are restored exactly as they were served
-// (reports byte-for-byte), and jobs without one are re-admitted to the
-// dispatch queues — a job that was mid-flight when the process died is
-// re-POSTed under its idempotent id, so the owning worker returns the
-// existing run instead of executing twice. A re-admitted job keeps the
-// retries its records charged, so a restart never refills its budget.
+// carrying the worker's report bytes, the last owner, the retries
+// charged in total and the job's timeline. On startup the journal is
+// replayed: each record folds through the same transition the live job
+// took (cjob.advance), so jobs with a terminal record are restored
+// exactly as they were served (reports and traces byte-for-byte), and
+// jobs without one are re-admitted to the dispatch queues — a job that
+// was mid-flight when the process died is re-POSTed under its idempotent
+// id, so the owning worker returns the existing run instead of executing
+// twice. A re-admitted job keeps the retries its records charged, so a
+// restart never refills its budget.
 //
 // Durability is fsync-batched (group commit): concurrent Appends ride a
 // single write+fsync performed by one flusher goroutine, and each Append
@@ -51,13 +54,14 @@ type JournalRecord struct {
 	Attempts int             `json:"attempts,omitempty"` // retry: retries charged by it; terminal: in total
 	Result   json.RawMessage `json:"result,omitempty"`   // terminal: the worker's report bytes
 
-	// Distributed-tracing payload of a terminal record: the job's latency
-	// decomposition, the merged cluster-level Chrome trace (compacted by
-	// the record marshal; re-indented on replay), and the digest of the
-	// served bytes that proves the re-indent (see restoreTraceDoc).
-	Stages      *StageSeconds   `json:"stages,omitempty"`
-	Trace       json.RawMessage `json:"trace,omitempty"`
-	TraceDigest string          `json:"trace_digest,omitempty"`
+	// The job's timeline, on a terminal record: the coordinator's spans
+	// and the owning worker's Chrome trace as fetched (nil: none). Replay
+	// rebuilds the job's trace from them, and GET /v1/jobs/{id}/trace
+	// merges them on read. The record marshal compacts WorkerTrace, which
+	// cannot change the served bytes: the merge decodes the worker's
+	// events before it encodes anything.
+	Spans       []trace.Span    `json:"spans,omitempty"`
+	WorkerTrace json.RawMessage `json:"worker_trace,omitempty"`
 }
 
 // Journal is the append-only JSONL file with group-commit durability.

@@ -3,12 +3,17 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"wavepim/internal/cluster/trace"
 )
 
 // TestJournalRoundTrip: appended records come back in order on reopen.
@@ -290,5 +295,84 @@ func TestReplayKeepsRetryCharges(t *testing.T) {
 	}
 	if n := fw3.posts.Load(); n != 0 {
 		t.Fatalf("exhausted job was dispatched %d times after replay", n)
+	}
+}
+
+// TestReplayTerminalWithoutUsableTrace: two terminal records this
+// coordinator cannot build a trace from still restore their jobs. One is
+// in the format that journaled a merged document, its digest and the
+// decomposition instead of spans (encoding/json skips those fields); the
+// other carries a worker trace that is valid JSON the merge rejects. Each
+// job keeps its report byte for byte and its /v1/jobs row, and its trace
+// answers 404 not_found.
+func TestReplayTerminalWithoutUsableTrace(t *testing.T) {
+	legacyReport := `{"id":"legacy","status":"done","report":"legacy-bytes"}`
+	badReport := `{"id":"badworker","status":"failed","error":"boom"}`
+	lines := []string{
+		`{"t":"submit","id":"legacy","spec":{"id":"legacy","equation":"acoustic","steps":2}}`,
+		`{"t":"retry","id":"legacy","error":"worker w1 bounced job: 503","attempts":1}`,
+		`{"t":"dispatch","id":"legacy","worker":"w1"}`,
+		`{"t":"terminal","id":"legacy","worker":"w1","status":"done","attempts":1,"result":` + legacyReport +
+			`,"stages":{"queue_sec":0.5,"dispatch_sec":0.25,"exec_sec":1,"e2e_sec":2}` +
+			`,"trace":{"traceEvents":[{"name":"job","ph":"X","pid":1,"tid":0}],"displayTimeUnit":"ns"}` +
+			`,"trace_digest":"0123456789abcdef"}`,
+		`{"t":"submit","id":"badworker","spec":{"id":"badworker","equation":"acoustic","steps":3}}`,
+		`{"t":"dispatch","id":"badworker","worker":"w2"}`,
+		`{"t":"terminal","id":"badworker","worker":"w2","status":"failed","error":"boom","result":` + badReport +
+			`,"spans":[{"stage":"admission","occurrence":0,"start":0,"dur":0.001,"annot":"normal"},` +
+			`{"stage":"exec","occurrence":0,"start":0.002,"dur":0.25,"annot":"worker:w2"},` +
+			`{"stage":"job","occurrence":0,"start":0,"dur":0.5,"annot":"failed"}]` +
+			`,"worker_trace":{"traceEvents":"x"}}`,
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	c := NewCoordinator(CoordinatorOptions{TTL: time.Minute, Replay: recs})
+	t.Cleanup(c.Close)
+	if st := c.Replay(); st.Restored != 2 || st.Requeued != 0 || st.Dropped != 0 {
+		t.Fatalf("replay stats %+v", st)
+	}
+	h := c.Handler()
+	get := func(path string) (int, string) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr.Code, rr.Body.String()
+	}
+
+	row := func(id, status, worker, errMsg string, attempts, steps int, stages StageSeconds) JobView {
+		return JobView{ID: id, Status: status, Priority: "normal", Worker: worker, Error: errMsg,
+			Attempts: attempts,
+			Digest:   fmt.Sprintf("%016x", JobSpec{ID: id, Equation: "acoustic", Steps: steps}.Digest()),
+			Trace:    fmt.Sprintf("%016x", trace.ID(id)),
+			Stages:   stages}
+	}
+	wantRows := []JobView{
+		row("legacy", "done", "w1", "", 1, 2, StageSeconds{}),
+		row("badworker", "failed", "w2", "boom", 0, 3, StageSeconds{ExecSec: 0.25, E2ESec: 0.5}),
+	}
+	code, body := get("/v1/jobs")
+	var rows []JobView
+	if err := json.Unmarshal([]byte(body), &rows); code != 200 || err != nil {
+		t.Fatalf("GET /v1/jobs: %d %v %s", code, err, body)
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatalf("replayed rows\n%+v\nwant\n%+v", rows, wantRows)
+	}
+
+	for id, report := range map[string]string{"legacy": legacyReport, "badworker": badReport} {
+		if code, body := get("/v1/jobs/" + id); code != 200 || body != report {
+			t.Errorf("GET /v1/jobs/%s: %d %s, want 200 %s", id, code, body, report)
+		}
+		code, body := get("/v1/jobs/" + id + "/trace")
+		var e APIError
+		if err := json.Unmarshal([]byte(body), &e); code != 404 || err != nil || e.Code != CodeNotFound || e.Retryable {
+			t.Errorf("GET /v1/jobs/%s/trace: %d %s, want 404 %s", id, code, body, CodeNotFound)
+		}
 	}
 }

@@ -11,8 +11,8 @@
 // X-Wavepim-Trace header, records one Span per job lifecycle stage
 // (admission, per-priority queue wait, each dispatch attempt with its
 // retry/backoff/breaker annotation, worker execution, report fetch),
-// then merges its own timeline with the worker's Chrome trace into one
-// cluster-level Chrome trace served at /v1/jobs/{id}/trace.
+// and GET /v1/jobs/{id}/trace merges that timeline with the worker's
+// Chrome trace into one cluster-level Chrome trace each time it is read.
 package trace
 
 import (
@@ -101,13 +101,15 @@ func Parse(v string) (Context, error) {
 // Span is one completed coordinator-side stage of a job's timeline.
 // Start and Dur are seconds relative to the trace epoch (the job's
 // submission instant), so a frozen coordinator clock yields all-zero
-// times and byte-stable output.
+// times and byte-stable output. The coordinator's journal carries spans
+// as JSON; encoding/json writes each float64 in its shortest exact form,
+// so a decoded span is bit-identical to the one encoded.
 type Span struct {
-	Stage      string  // one of the Stage* constants
-	Occurrence int     // 0-based occurrence index of this stage
-	Start      float64 // seconds since the trace epoch
-	Dur        float64 // seconds
-	Annot      string  // sanitized annotation: priority, retry cause, breaker state, worker id
+	Stage      string  `json:"stage"`           // one of the Stage* constants
+	Occurrence int     `json:"occurrence"`      // 0-based occurrence index of this stage
+	Start      float64 `json:"start"`           // seconds since the trace epoch
+	Dur        float64 `json:"dur"`             // seconds
+	Annot      string  `json:"annot,omitempty"` // sanitized annotation: priority, retry cause, breaker state, worker id
 }
 
 // chromeEvent is one trace_event entry. Field order is fixed by the
@@ -217,19 +219,6 @@ func Merge(w io.Writer, ctx Context, spans []Span, workerID string, workerTrace 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
-}
-
-// Digest content-addresses a merged trace (FNV-1a then splitmix64) —
-// journaled alongside the bytes so a replayed timeline can be verified
-// before it is served.
-func Digest(traceBytes []byte) uint64 {
-	const prime = 1099511628211
-	h := fnv1a("tracedoc:", "")
-	for _, c := range traceBytes {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return mix64(h)
 }
 
 // Valid reports whether b parses as a Chrome trace document with at

@@ -107,12 +107,6 @@ func TestMergeDeterministicAndNested(t *testing.T) {
 	if strings.Contains(out, `"pid": 7`) {
 		t.Fatalf("worker event kept its original pid:\n%s", out)
 	}
-	if Digest(a.Bytes()) != Digest(b.Bytes()) {
-		t.Fatal("digest not deterministic")
-	}
-	if Digest(a.Bytes()) == Digest(a.Bytes()[1:]) {
-		t.Fatal("digest insensitive to content")
-	}
 }
 
 func TestMergeRejectsMalformedWorkerTrace(t *testing.T) {

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"wavepim/internal/cluster/trace"
@@ -13,32 +10,28 @@ import (
 // internal/cluster/trace for the identity scheme and the merge format).
 // Each tracked job carries a jobTrace: an append-only list of completed
 // stage spans plus the two stages that can be open at any moment — the
-// queue wait and the worker execution. All mutation happens under the
-// owning cjob's mutex; span times are seconds relative to the job's
-// submission instant, so a frozen coordinator clock yields an all-zero,
-// byte-stable timeline.
+// queue wait and the worker execution. The span list is the job's only
+// timeline record: the latency decomposition is summed from it, the
+// journal carries it, and GET /v1/jobs/{id}/trace merges it on read. All
+// mutation happens under the owning cjob's mutex; span times are seconds
+// relative to the job's submission instant, so a frozen coordinator clock
+// yields an all-zero, byte-stable timeline.
 
 // jobTrace is one job's coordinator-side timeline.
 type jobTrace struct {
 	ctx   trace.Context
 	epoch time.Time // submission instant; the trace's time zero
 
-	spans  []trace.Span
-	counts map[string]int // per-stage occurrence counters
+	spans []trace.Span
 
 	queueStart time.Time // open queue wait (zero: none)
 	queueAnnot string
 	execStart  time.Time // open worker execution (zero: none)
 	execAnnot  string
-
-	// Accumulated stage seconds for the latency decomposition. The
-	// dispatch bucket absorbs everything between queue and execution:
-	// attempts, stalls, backoffs, and the report fetch.
-	queueSec, dispatchSec, execSec float64
 }
 
 func newJobTrace(id string, now time.Time) *jobTrace {
-	return &jobTrace{ctx: trace.New(id), epoch: now, counts: map[string]int{}}
+	return &jobTrace{ctx: trace.New(id), epoch: now}
 }
 
 // rel converts an absolute instant to trace-relative seconds.
@@ -49,26 +42,22 @@ func (tl *jobTrace) rel(t time.Time) float64 {
 	return t.Sub(tl.epoch).Seconds()
 }
 
-// record appends one completed span and feeds its duration into the
-// stage decomposition. Caller holds the owning cjob's mutex.
+// record appends one completed span; its occurrence is the number of
+// earlier spans of its stage. Caller holds the owning cjob's mutex.
 func (tl *jobTrace) record(stage string, start, end time.Time, annot string) {
-	s := trace.Span{
+	n := 0
+	for _, s := range tl.spans {
+		if s.Stage == stage {
+			n++
+		}
+	}
+	tl.spans = append(tl.spans, trace.Span{
 		Stage:      stage,
-		Occurrence: tl.counts[stage],
+		Occurrence: n,
 		Start:      tl.rel(start),
 		Dur:        tl.rel(end) - tl.rel(start),
 		Annot:      annot,
-	}
-	tl.counts[stage]++
-	tl.spans = append(tl.spans, s)
-	switch stage {
-	case trace.StageQueue:
-		tl.queueSec += s.Dur
-	case trace.StageExec:
-		tl.execSec += s.Dur
-	case trace.StageDispatch, trace.StageStall, trace.StageBackoff, trace.StageReport:
-		tl.dispatchSec += s.Dur
-	}
+	})
 }
 
 // openQueue starts a queue-wait span (annotated with the job's class).
@@ -120,39 +109,28 @@ func (tl *jobTrace) endAttempt(since, at time.Time, annot string) {
 func (tl *jobTrace) finalize(now time.Time, status string) {
 	tl.closeQueue(now)
 	tl.closeExec(now, "")
-	tl.spans = append(tl.spans, trace.Span{
-		Stage: trace.StageJob, Occurrence: 0,
-		Start: 0, Dur: tl.rel(now), Annot: status,
-	})
+	tl.record(trace.StageJob, tl.epoch, now, status)
 }
 
-// stageSeconds snapshots the latency decomposition. E2E is zero until
+// stageSeconds sums the closed spans into the latency decomposition. The
+// dispatch bucket absorbs everything between queue and execution:
+// attempts, stalls, backoffs, and the report fetch. E2E is zero until
 // finalize has run (it is the root span's duration).
 func (tl *jobTrace) stageSeconds() StageSeconds {
-	ss := StageSeconds{
-		QueueSec:    tl.queueSec,
-		DispatchSec: tl.dispatchSec,
-		ExecSec:     tl.execSec,
-	}
+	var ss StageSeconds
 	for _, s := range tl.spans {
-		if s.Stage == trace.StageJob {
+		switch s.Stage {
+		case trace.StageQueue:
+			ss.QueueSec += s.Dur
+		case trace.StageExec:
+			ss.ExecSec += s.Dur
+		case trace.StageDispatch, trace.StageStall, trace.StageBackoff, trace.StageReport:
+			ss.DispatchSec += s.Dur
+		case trace.StageJob:
 			ss.E2ESec = s.Dur
-			break
 		}
 	}
 	return ss
-}
-
-// merged renders the cluster-level Chrome trace for this timeline plus
-// the owning worker's trace (either may be absent). Returns nil on a
-// malformed worker document — the coordinator's own spans are never
-// worth serving with a parse error behind them.
-func (tl *jobTrace) merged(workerID string, workerTrace []byte) []byte {
-	var buf bytes.Buffer
-	if err := trace.Merge(&buf, tl.ctx, tl.spans, workerID, workerTrace); err != nil {
-		return nil
-	}
-	return buf.Bytes()
 }
 
 // StageSeconds is the per-job latency decomposition in the /v1/jobs
@@ -182,34 +160,4 @@ func (c *Coordinator) observeStages(priority, outcome string, ss StageSeconds) {
 	for i, fam := range stageFamilies {
 		c.metrics.HistogramVec(fam, "priority", "outcome").With(priority, outcome).Observe(vals[i])
 	}
-}
-
-// traceDigestHex content-addresses a merged trace for the journal ("" for
-// a job without one).
-func traceDigestHex(doc []byte) string {
-	if len(doc) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%016x", trace.Digest(doc))
-}
-
-// restoreTraceDoc rebuilds the served merged-trace bytes from a journaled
-// terminal record. The journal stores the document compacted (a
-// json.RawMessage is compacted when the record is marshaled), so the
-// restore re-indents it exactly the way trace.Merge's encoder does and
-// then proves the result against the recorded digest — a mismatch drops
-// the trace (nil) rather than serving bytes that never existed.
-func restoreTraceDoc(compact json.RawMessage, digestHex string) []byte {
-	if len(compact) == 0 || digestHex == "" {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, "", " "); err != nil {
-		return nil
-	}
-	buf.WriteByte('\n')
-	if traceDigestHex(buf.Bytes()) != digestHex {
-		return nil
-	}
-	return buf.Bytes()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wavepim/internal/dg"
+	"wavepim/internal/obs"
 	"wavepim/internal/pim/nor"
 )
 
@@ -17,8 +18,9 @@ var pinnedNORGateStats = nor.Stats{NOREvals: 13761843424, Sets: 7620772520, Rese
 // WithNORSlab is a pure substrate swap: a run whose arithmetic goes
 // gate-by-gate through the slab NOR datapath must reproduce the default
 // (host-float) run bit-for-bit — state, clock, energy, and instruction
-// accounting — while recording real gate activity. K=1 is the one-word
-// bit-sliced width; DefaultSlabWords is the tuned one.
+// accounting — while recording real gate activity, which Run publishes
+// as the sim.nor.gate_* gauges. K=1 is the one-word bit-sliced width;
+// DefaultSlabWords is the tuned one.
 func TestSessionNORSlabBitIdentical(t *testing.T) {
 	base := sessionForTest(t)
 	if err := base.Run(context.Background(), 2); err != nil {
@@ -32,7 +34,8 @@ func TestSessionNORSlabBitIdentical(t *testing.T) {
 	base.Acoustic().ReadState(qa)
 
 	for _, k := range []int{1, nor.DefaultSlabWords} {
-		slab := sessionForTest(t, WithNORSlab(k))
+		sink := obs.NewSink()
+		slab := sessionForTest(t, WithNORSlab(k), WithObs(sink))
 		if slab.Engine().SlabWords != k {
 			t.Fatalf("engine SlabWords = %d, want %d", slab.Engine().SlabWords, k)
 		}
@@ -60,8 +63,19 @@ func TestSessionNORSlabBitIdentical(t *testing.T) {
 		}
 
 		// Gate totals are per lane, so the slab width must not change them.
-		if st := slab.Engine().NORGateStats(); st != pinnedNORGateStats {
+		st := slab.Engine().NORGateStats()
+		if st != pinnedNORGateStats {
 			t.Fatalf("K=%d gate stats %+v, pinned %+v", k, st, pinnedNORGateStats)
+		}
+		gauges := sink.Reg.Snapshot().Gauges
+		for name, want := range map[string]int64{
+			"sim.nor.gate_evals":  st.NOREvals,
+			"sim.nor.gate_sets":   st.Sets,
+			"sim.nor.gate_resets": st.Resets,
+		} {
+			if got := gauges[name]; got != float64(want) {
+				t.Errorf("K=%d %s gauge %v, NORGateStats %d", k, name, got, want)
+			}
 		}
 	}
 }

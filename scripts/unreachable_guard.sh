@@ -67,7 +67,6 @@ pim/nor.(*SlabCircuit).nor2 -- two-input gate of SlabCircuit.NOR
 pim/nor.SlabBits.Lane -- test hook: reads one lane of a slab
 pim/nor.lanesFromBits -- lane transpose of the slab test entry points
 pim/nor.lanesToBits -- lane transpose of the slab test entry points
-pim/nor.Stats.Publish -- NOR gate counters as registry counters, checked by publish_test.go
 pim/sim.(*Engine).Reset -- test hook: a fresh timeline over the same chip
 pim/chip.Config.MaxParallelRows -- Table 3 row parallelism, checked against params
 pim/fault.(*BlockFaults).Counts -- test hook: a block's injected-fault counts
