@@ -6,6 +6,8 @@
 //	wavepim -bench acoustic_4 -chip 2GB
 //	wavepim -bench elastic-riemann_5 -chip 16GB -interconnect bus -pipelined=false
 //
+// A timing -steps below 1 prints a message naming the flag and exits 2.
+//
 // Functional mode executes a small simulation entirely inside simulated
 // crossbar cells and verifies the result against the reference dG solver:
 //
@@ -90,6 +92,10 @@ func main() {
 		return
 	}
 
+	if *steps < 1 {
+		fmt.Fprintf(os.Stderr, "-steps %d: want at least 1\n", *steps)
+		os.Exit(2)
+	}
 	b, ok := parseBench(*benchName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *benchName)

@@ -9,7 +9,9 @@
 // Every equation (acoustic, elastic, maxwell) runs through the same LSRK
 // integrator, so -guard N works for each: it checks the solver's health
 // (finite values, squared-norm growth within -blowup) every N steps and
-// exits 1 when a check fails.
+// exits 1 when a check fails. A -steps below 1, a -cfl that is not a
+// finite number above 0, or a negative -guard prints a message naming the
+// flag and exits 2.
 //
 // With -trace and/or -metrics it additionally times the matching PIM
 // benchmark and exports observability output: -trace writes a Chrome
@@ -50,6 +52,18 @@ func main() {
 	topology := flag.String("topology", "htree", "traced PIM run's tile interconnect: htree, bus, mesh, torus, flatfly, dragonfly")
 	flag.Parse()
 
+	if *steps < 1 {
+		fmt.Fprintf(os.Stderr, "-steps %d: want at least 1\n", *steps)
+		os.Exit(2)
+	}
+	if !(*cfl > 0) || math.IsInf(*cfl, 1) {
+		fmt.Fprintf(os.Stderr, "-cfl %g: want a finite number above 0\n", *cfl)
+		os.Exit(2)
+	}
+	if *guard < 0 {
+		fmt.Fprintf(os.Stderr, "-guard %d: want 0 (off) or a positive step count\n", *guard)
+		os.Exit(2)
+	}
 	topoKind, err := chip.ParseInterconnect(*topology)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-topology: %v\n", err)

@@ -157,16 +157,6 @@ func (b *Breakers) Failure(id string) (open bool) {
 	return wb.state == BreakerOpen
 }
 
-// State returns the worker's current circuit state (closed if unknown).
-func (b *Breakers) State(id string) BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if wb, ok := b.m[id]; ok {
-		return wb.state
-	}
-	return BreakerClosed
-}
-
 // Snapshot lists every tracked circuit sorted by worker id (the order
 // the breaker_state gauge vec publishes in).
 func (b *Breakers) Snapshot() []BreakerView {

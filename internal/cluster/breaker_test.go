@@ -12,6 +12,17 @@ func (c *tickClock) now() time.Time          { return c.at }
 func (c *tickClock) advance(d time.Duration) { c.at = c.at.Add(d) }
 func newTickClock() *tickClock               { return &tickClock{at: time.Unix(1_700_000_000, 0)} }
 
+// breakerState is the worker's circuit state in b's Snapshot, closed if
+// b does not track the worker.
+func breakerState(b *Breakers, id string) BreakerState {
+	for _, v := range b.Snapshot() {
+		if v.Worker == id {
+			return v.State
+		}
+	}
+	return BreakerClosed
+}
+
 // TestBreakerOpensAfterThreshold: the circuit stays closed through
 // Threshold-1 consecutive failures, opens on the Threshold-th, and a
 // success anywhere resets the streak.
@@ -31,7 +42,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		b.Failure("w1")
 	}
-	if st := b.State("w1"); st != BreakerClosed {
+	if st := breakerState(b, "w1"); st != BreakerClosed {
 		t.Fatalf("state %v after reset + 2 failures", st)
 	}
 	if open := b.Failure("w1"); !open {
@@ -40,7 +51,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if b.Allow("w1") {
 		t.Fatal("open circuit admitted a dispatch")
 	}
-	if st := b.State("w1"); st != BreakerOpen {
+	if st := breakerState(b, "w1"); st != BreakerOpen {
 		t.Fatalf("state %v, want open", st)
 	}
 }
@@ -59,7 +70,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if !b.Allow("w1") {
 		t.Fatal("probe refused after the delay elapsed")
 	}
-	if st := b.State("w1"); st != BreakerHalfOpen {
+	if st := breakerState(b, "w1"); st != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", st)
 	}
 	// Only one probe at a time: a second dispatcher is refused.
@@ -68,7 +79,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// Failed probe re-opens immediately and restarts the probe timer.
 	b.Failure("w1")
-	if st := b.State("w1"); st != BreakerOpen {
+	if st := breakerState(b, "w1"); st != BreakerOpen {
 		t.Fatalf("state %v after failed probe, want open", st)
 	}
 	if b.Allow("w1") {
@@ -79,7 +90,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatal("second probe refused")
 	}
 	b.Success("w1")
-	if st := b.State("w1"); st != BreakerClosed {
+	if st := breakerState(b, "w1"); st != BreakerClosed {
 		t.Fatalf("state %v after successful probe, want closed", st)
 	}
 	if !b.Allow("w1") {

@@ -46,11 +46,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// coordError writes the typed APIError envelope.
-func coordError(w http.ResponseWriter, status int, code string, retryable bool, format string, args ...any) {
-	WriteAPIError(w, status, code, retryable, format, args...)
-}
-
 // writeTerminal writes a finished job: the worker's report bytes
 // verbatim when present (so two reads of the same finished job — or a
 // resubmission of its id — are byte-identical), the view otherwise.
@@ -69,7 +64,7 @@ func writeTerminal(w http.ResponseWriter, j *cjob) {
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec JobSpec
 	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&spec); err != nil {
-		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "bad job spec: %v", err)
+		WriteAPIError(w, http.StatusBadRequest, CodeBadRequest, false, "bad job spec: %v", err)
 		return
 	}
 	j, existed, err := c.Submit(spec)
@@ -78,11 +73,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		var bad *SpecError
 		switch {
 		case errors.As(err, &quota):
-			coordError(w, http.StatusTooManyRequests, CodeQuota, true, "%v", err)
+			WriteAPIError(w, http.StatusTooManyRequests, CodeQuota, true, "%v", err)
 		case errors.As(err, &bad):
-			coordError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
+			WriteAPIError(w, http.StatusBadRequest, CodeBadRequest, false, "%v", err)
 		default:
-			coordError(w, http.StatusServiceUnavailable, CodeDraining, true, "%v", err)
+			WriteAPIError(w, http.StatusServiceUnavailable, CodeDraining, true, "%v", err)
 		}
 		return
 	}
@@ -110,7 +105,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) handleJob(w http.ResponseWriter, req *http.Request) {
 	j, ok := c.Job(req.PathValue("id"))
 	if !ok {
-		coordError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
+		WriteAPIError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
 		return
 	}
 	j.mu.Lock()
@@ -134,7 +129,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, req *http.Request) {
 func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 	j, ok := c.Job(req.PathValue("id"))
 	if !ok {
-		coordError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
+		WriteAPIError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
 		return
 	}
 	j.mu.Lock()
@@ -142,12 +137,12 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 	ctx, spans := j.trace.ctx, j.trace.spans
 	j.mu.Unlock()
 	if !terminal {
-		coordError(w, http.StatusConflict, CodeNotReady, true, "job is %s; trace not merged yet", status)
+		WriteAPIError(w, http.StatusConflict, CodeNotReady, true, "job is %s; trace not merged yet", status)
 		return
 	}
 	var doc bytes.Buffer
 	if len(spans) == 0 || trace.Merge(&doc, ctx, spans, worker, workerTrace) != nil {
-		coordError(w, http.StatusNotFound, CodeNotFound, false, "job has no trace")
+		WriteAPIError(w, http.StatusNotFound, CodeNotFound, false, "job has no trace")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -158,7 +153,7 @@ func (c *Coordinator) handleJobTrace(w http.ResponseWriter, req *http.Request) {
 func (c *Coordinator) handleJobEvents(w http.ResponseWriter, req *http.Request) {
 	j, ok := c.Job(req.PathValue("id"))
 	if !ok {
-		coordError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
+		WriteAPIError(w, http.StatusNotFound, CodeNotFound, false, "no such job")
 		return
 	}
 	j.mu.Lock()
@@ -172,24 +167,24 @@ func (c *Coordinator) handleJobEvents(w http.ResponseWriter, req *http.Request) 
 		}
 	}
 	if workerURL == "" {
-		coordError(w, http.StatusNotFound, CodeNotFound, false, "job has no live worker (status %s)", j.view().Status)
+		WriteAPIError(w, http.StatusNotFound, CodeNotFound, false, "job has no live worker (status %s)", j.view().Status)
 		return
 	}
 	// SSE streams outlive any sane control-plane timeout; use a bare
 	// client and tie the upstream to the downstream request context.
 	up, err := http.NewRequestWithContext(req.Context(), "GET", workerURL+"/v1/runs/"+j.id+"/events", nil)
 	if err != nil {
-		coordError(w, http.StatusBadGateway, CodeUpstream, true, "%v", err)
+		WriteAPIError(w, http.StatusBadGateway, CodeUpstream, true, "%v", err)
 		return
 	}
 	resp, err := http.DefaultTransport.RoundTrip(up)
 	if err != nil {
-		coordError(w, http.StatusBadGateway, CodeUpstream, true, "worker stream: %v", err)
+		WriteAPIError(w, http.StatusBadGateway, CodeUpstream, true, "worker stream: %v", err)
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		coordError(w, http.StatusBadGateway, CodeUpstream, true, "worker stream: status %d", resp.StatusCode)
+		WriteAPIError(w, http.StatusBadGateway, CodeUpstream, true, "worker stream: status %d", resp.StatusCode)
 		return
 	}
 	SSEHeaders(w)
@@ -200,11 +195,11 @@ func (c *Coordinator) handleJobEvents(w http.ResponseWriter, req *http.Request) 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	var r RegisterRequest
 	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<16)).Decode(&r); err != nil {
-		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "bad register body: %v", err)
+		WriteAPIError(w, http.StatusBadRequest, CodeBadRequest, false, "bad register body: %v", err)
 		return
 	}
 	if r.ID == "" || r.URL == "" {
-		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "register needs id and url")
+		WriteAPIError(w, http.StatusBadRequest, CodeBadRequest, false, "register needs id and url")
 		return
 	}
 	isNew := c.reg.Heartbeat(r.ID, r.URL)
@@ -215,7 +210,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request) {
 	var r RegisterRequest
 	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<16)).Decode(&r); err != nil {
-		coordError(w, http.StatusBadRequest, CodeBadRequest, false, "bad deregister body: %v", err)
+		WriteAPIError(w, http.StatusBadRequest, CodeBadRequest, false, "bad deregister body: %v", err)
 		return
 	}
 	was := c.reg.Deregister(r.ID)
@@ -258,7 +253,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	var own bytes.Buffer
 	if err := c.metrics.WriteProm(&own); err != nil {
-		coordError(w, http.StatusInternalServerError, CodeInternal, false, "%v", err)
+		WriteAPIError(w, http.StatusInternalServerError, CodeInternal, false, "%v", err)
 		return
 	}
 	sources := []PromSource{{Label: "", Text: own.String()}}
@@ -271,7 +266,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	var merged bytes.Buffer
 	if err := MergeProm(&merged, sources); err != nil {
-		coordError(w, http.StatusBadGateway, CodeUpstream, true, "merge: %v", err)
+		WriteAPIError(w, http.StatusBadGateway, CodeUpstream, true, "merge: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -285,7 +280,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	select {
 	case <-c.ctx.Done():
-		coordError(w, http.StatusServiceUnavailable, CodeDraining, true, "closed")
+		WriteAPIError(w, http.StatusServiceUnavailable, CodeDraining, true, "closed")
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(struct {

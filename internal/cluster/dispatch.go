@@ -336,9 +336,6 @@ func NewCoordinator(o CoordinatorOptions) *Coordinator {
 // Registry exposes cluster membership (the HTTP layer and tests use it).
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Breakers exposes the per-worker circuit breakers.
-func (c *Coordinator) Breakers() *Breakers { return c.breakers }
-
 // Replay reports what the startup journal replay did.
 func (c *Coordinator) Replay() ReplayStats {
 	c.mu.Lock()

@@ -194,7 +194,7 @@ func TestBreakerShieldsDispatch(t *testing.T) {
 	if v.Status != "done" {
 		t.Fatalf("view %+v", v)
 	}
-	if st := c.Breakers().State("w1"); st != BreakerClosed {
+	if st := breakerState(c.breakers, "w1"); st != BreakerClosed {
 		t.Fatalf("breaker %v after recovery", st)
 	}
 	// The circuit opened after the second bounce, so the third POST (the

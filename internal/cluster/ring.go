@@ -109,9 +109,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Len returns the number of member nodes.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // Owner returns the node owning a ring position, walking clockwise to
 // the first virtual point at or after key (wrapping at the top).
 func (r *Ring) Owner(key uint64) (string, bool) {

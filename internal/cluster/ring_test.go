@@ -227,19 +227,19 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 	r.Add("only")
 	r.Add("only") // duplicate add is a no-op
-	if r.Len() != 1 {
-		t.Fatalf("Len after duplicate add = %d", r.Len())
+	if len(r.nodes) != 1 {
+		t.Fatalf("Len after duplicate add = %d", len(r.nodes))
 	}
 	if o, ok := r.OwnerOf("job-1"); !ok || o != "only" {
 		t.Fatalf("single-node ring: %q %v", o, ok)
 	}
 	r.Remove("ghost") // removing an absent node is a no-op
-	if r.Len() != 1 {
-		t.Fatalf("Len after ghost remove = %d", r.Len())
+	if len(r.nodes) != 1 {
+		t.Fatalf("Len after ghost remove = %d", len(r.nodes))
 	}
 	r.Remove("only")
-	if r.Len() != 0 {
-		t.Fatalf("Len after final remove = %d", r.Len())
+	if len(r.nodes) != 0 {
+		t.Fatalf("Len after final remove = %d", len(r.nodes))
 	}
 	if _, ok := r.OwnerOf("job-1"); ok {
 		t.Fatal("drained ring claims an owner")

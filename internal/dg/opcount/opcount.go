@@ -100,18 +100,6 @@ const (
 	NumKernels
 )
 
-func (k Kernel) String() string {
-	switch k {
-	case KernelVolume:
-		return "Volume"
-	case KernelFlux:
-		return "Flux"
-	case KernelIntegration:
-		return "Integration"
-	}
-	return fmt.Sprintf("Kernel(%d)", int(k))
-}
-
 // Cost is the per-element cost of launching one kernel once.
 type Cost struct {
 	FLOPs      int64 // ordinary single-precision operations

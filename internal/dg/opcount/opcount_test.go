@@ -130,10 +130,3 @@ func TestCostArithmetic(t *testing.T) {
 		t.Error("Scale wrong")
 	}
 }
-
-func TestKernelStrings(t *testing.T) {
-	if KernelVolume.String() != "Volume" || KernelFlux.String() != "Flux" ||
-		KernelIntegration.String() != "Integration" {
-		t.Error("kernel names wrong")
-	}
-}

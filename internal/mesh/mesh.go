@@ -79,11 +79,6 @@ type Mesh struct {
 	Periodic   bool       // wrap neighbors across the domain boundary
 }
 
-// NodesPerFace is the number of nodes on one element face (Np^2). For the
-// paper's 512-node elements this is 64, matching Figure 2's "up-to
-// 6x64x32b" neighbor traffic.
-func (m *Mesh) NodesPerFace() int { return m.Np * m.Np }
-
 // MaxRefinement is the deepest refinement level New accepts.
 const MaxRefinement = 10
 

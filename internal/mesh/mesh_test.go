@@ -25,8 +25,8 @@ func TestNodesPerElement(t *testing.T) {
 	if m.NodesPerEl != 512 {
 		t.Errorf("NodesPerEl=%d want 512 (the paper's 512-node element)", m.NodesPerEl)
 	}
-	if m.NodesPerFace() != 64 {
-		t.Errorf("NodesPerFace=%d want 64 (Figure 2: 6x64x32b)", m.NodesPerFace())
+	if n := len(m.FaceNodes(FaceXMinus)); n != 64 {
+		t.Errorf("%d nodes per face, want 64 (Figure 2: 6x64x32b)", n)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestFaceNodesMatchAcrossInterface(t *testing.T) {
 		}
 		mine := m.FaceNodes(f)
 		theirs := m.FaceNodes(f.Opposite())
-		if len(mine) != m.NodesPerFace() {
-			t.Fatalf("face %v: %d nodes, want %d", f, len(mine), m.NodesPerFace())
+		if len(mine) != m.Np*m.Np {
+			t.Fatalf("face %v: %d nodes, want %d", f, len(mine), m.Np*m.Np)
 		}
 		for g := range mine {
 			x1, y1, z1 := m.NodePosition(id, mine[g])

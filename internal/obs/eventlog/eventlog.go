@@ -77,7 +77,6 @@ type fieldKind uint8
 const (
 	kindStr fieldKind = iota
 	kindInt
-	kindUint
 	kindFloat
 	kindBool
 )
@@ -88,7 +87,6 @@ type Field struct {
 	kind fieldKind
 	s    string
 	i    int64
-	u    uint64
 	f    float64
 	b    bool
 }
@@ -101,9 +99,6 @@ func Int(k string, v int) Field { return Field{Key: k, kind: kindInt, i: int64(v
 
 // Int64 builds an int64 field.
 func Int64(k string, v int64) Field { return Field{Key: k, kind: kindInt, i: v} }
-
-// Uint64 builds a uint64 field.
-func Uint64(k string, v uint64) Field { return Field{Key: k, kind: kindUint, u: v} }
 
 // F64 builds a float64 field.
 func F64(k string, v float64) Field { return Field{Key: k, kind: kindFloat, f: v} }
@@ -174,14 +169,8 @@ func (l *Logger) With(fields ...Field) *Logger {
 	return &Logger{c: l.c, base: base}
 }
 
-// Enabled reports whether events at lv would be written (false for nil).
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.c.level
-}
+// Level helpers over Log. All no-op on a nil logger.
 
-// Debugf-style helpers. All no-op on a nil logger.
-
-func (l *Logger) Debug(msg string, fields ...Field) { l.Log(Debug, msg, fields...) }
 func (l *Logger) Info(msg string, fields ...Field)  { l.Log(Info, msg, fields...) }
 func (l *Logger) Warn(msg string, fields ...Field)  { l.Log(Warn, msg, fields...) }
 func (l *Logger) Error(msg string, fields ...Field) { l.Log(Error, msg, fields...) }
@@ -229,8 +218,6 @@ func appendField(buf []byte, f Field) []byte {
 		buf = appendJSONString(buf, f.s)
 	case kindInt:
 		buf = strconv.AppendInt(buf, f.i, 10)
-	case kindUint:
-		buf = strconv.AppendUint(buf, f.u, 10)
 	case kindFloat:
 		// JSON has no Inf/NaN; quote them rather than emit invalid JSON.
 		if f.f != f.f || f.f > 1.797e308 || f.f < -1.797e308 {

@@ -38,10 +38,10 @@ func TestFieldTypes(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, Debug)
 	l.SetClock(fixedClock())
-	l.Debug("types",
+	l.Log(Debug, "types",
 		Str("s", "a\"b\\c\nd\te"),
 		Int64("i", -12),
-		Uint64("u", 18446744073709551615),
+		Int64("u", math.MinInt64),
 		F64("f", 0.25),
 		F64("inf", math.Inf(1)),
 		F64("nan", math.NaN()),
@@ -60,9 +60,9 @@ func TestFieldTypes(t *testing.T) {
 	if ev["inf"] != "+Inf" || ev["nan"] != "NaN" {
 		t.Fatalf("non-finite floats: inf=%v nan=%v", ev["inf"], ev["nan"])
 	}
-	// Uint64 max survives textually (json numbers lose precision past 2^53).
-	if !strings.Contains(buf.String(), `"u":18446744073709551615`) {
-		t.Fatalf("uint64 mangled: %s", buf.String())
+	// Int64 min survives textually (json numbers lose precision past 2^53).
+	if !strings.Contains(buf.String(), `"u":-9223372036854775808`) {
+		t.Fatalf("int64 mangled: %s", buf.String())
 	}
 }
 
@@ -70,16 +70,13 @@ func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, Warn)
 	l.SetClock(fixedClock())
-	l.Debug("d")
+	l.Log(Debug, "d")
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("want 2 lines, got %v", lines)
-	}
-	if !l.Enabled(Error) || l.Enabled(Info) {
-		t.Fatal("Enabled disagrees with filtering")
 	}
 	for lv, name := range map[Level]string{Debug: "debug", Info: "info", Warn: "warn", Error: "error"} {
 		if lv.String() != name || ParseLevel(name) != lv {
@@ -120,9 +117,7 @@ func TestNilLogger(t *testing.T) {
 	if l.WithRun("r") != nil || l.With(Str("a", "b")) != nil {
 		t.Fatal("derivations of nil must stay nil")
 	}
-	if l.Enabled(Error) {
-		t.Fatal("nil logger claims to be enabled")
-	}
+	l.Log(Error, "x")
 }
 
 func TestConcurrentLogging(t *testing.T) {

@@ -20,10 +20,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -393,46 +391,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		return err
 	}
 	return r.Err()
-}
-
-// Names returns the sorted instrument names of one kind ("counter",
-// "gauge", "histogram", "countervec", "gaugevec", "histogramvec") — a
-// test and reporting convenience.
-func (r *Registry) Names(kind string) []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	switch kind {
-	case "counter":
-		for n := range r.ctrs {
-			out = append(out, n)
-		}
-	case "gauge":
-		for n := range r.gauges {
-			out = append(out, n)
-		}
-	case "histogram":
-		for n := range r.hists {
-			out = append(out, n)
-		}
-	case "countervec":
-		for n := range r.ctrVecs {
-			out = append(out, n)
-		}
-	case "gaugevec":
-		for n := range r.gaugeVecs {
-			out = append(out, n)
-		}
-	case "histogramvec":
-		for n := range r.histVecs {
-			out = append(out, n)
-		}
-	default:
-		panic(fmt.Sprintf("obs: unknown instrument kind %q", kind))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -150,9 +150,6 @@ func TestSnapshotJSON(t *testing.T) {
 	if hs := snap.Histograms["h"]; hs.Count != 1 || hs.Sum != 0.25 {
 		t.Errorf("histograms = %v", snap.Histograms)
 	}
-	if got := r.Names("counter"); len(got) != 2 || got[0] != "a.first" {
-		t.Errorf("Names = %v", got)
-	}
 }
 
 func TestChromeTraceExport(t *testing.T) {

@@ -42,14 +42,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return r.Err()
 }
 
-// WriteProm exports the sink's registry (empty exposition from nil).
-func (s *Sink) WriteProm(w io.Writer) error {
-	if s == nil {
-		return (*Registry)(nil).WriteProm(w)
-	}
-	return s.Reg.WriteProm(w)
-}
-
 // promFamily is one exposition unit: a TYPE header plus its sample lines.
 type promFamily struct {
 	name  string // sanitized family name (without _total et al.)

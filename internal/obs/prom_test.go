@@ -346,10 +346,6 @@ func TestWritePromNil(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("nil registry wrote %q", b.String())
 	}
-	var s *Sink
-	if err := s.WriteProm(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("nil sink wrote %q (%v)", b.String(), err)
-	}
 }
 
 func TestPromName(t *testing.T) {

@@ -26,11 +26,10 @@ type Span struct {
 // a fixed-capacity ring that keeps only the most recent spans — the mode
 // long-running services use so a week of scraping cannot grow RSS.
 type Tracer struct {
-	mu      sync.Mutex
-	spans   []Span
-	cap     int   // 0: unbounded append mode; >0: ring of this size
-	start   int   // ring mode: index of the oldest span
-	dropped int64 // ring mode: spans overwritten so far
+	mu    sync.Mutex
+	spans []Span
+	cap   int // 0: unbounded append mode; >0: ring of this size
+	start int // ring mode: index of the oldest span
 }
 
 // NewTracer creates an empty, unbounded tracer.
@@ -53,7 +52,6 @@ func (t *Tracer) WithCap(n int) *Tracer {
 	t.cap = n
 	t.spans = nil
 	t.start = 0
-	t.dropped = 0
 	t.mu.Unlock()
 	return t
 }
@@ -68,7 +66,6 @@ func (t *Tracer) Record(s Span) {
 	if t.cap > 0 && len(t.spans) == t.cap {
 		t.spans[t.start] = s
 		t.start = (t.start + 1) % t.cap
-		t.dropped++
 	} else {
 		t.spans = append(t.spans, s)
 	}
@@ -108,17 +105,6 @@ func (t *Tracer) Tail(n int) []Span {
 	return all[len(all)-n:]
 }
 
-// Dropped reports how many spans the ring has overwritten (0 in
-// unbounded mode or for nil).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Len returns the number of recorded spans (0 for nil).
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -137,7 +123,6 @@ func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.spans = nil
 	t.start = 0
-	t.dropped = 0
 	t.mu.Unlock()
 }
 

@@ -344,14 +344,6 @@ func (s *Sink) CounterVec(name string, keys ...string) *CounterVec {
 	return s.Reg.CounterVec(name, keys...)
 }
 
-// GaugeVec resolves a registry gauge family; nil from a nil sink.
-func (s *Sink) GaugeVec(name string, keys ...string) *GaugeVec {
-	if s == nil {
-		return nil
-	}
-	return s.Reg.GaugeVec(name, keys...)
-}
-
 // HistogramVec resolves a registry histogram family; nil from a nil sink.
 func (s *Sink) HistogramVec(name string, keys ...string) *HistogramVec {
 	if s == nil {

@@ -89,9 +89,6 @@ func (c Config) NumBlocks() int { return int(c.CapacityBytes / BlockBytes) }
 // NumTiles is the number of 256-block tiles.
 func (c Config) NumTiles() int { return c.NumBlocks() / params.BlocksPerTile }
 
-// MaxParallelRows is the chip-wide row parallelism (16M for 2 GB).
-func (c Config) MaxParallelRows() int64 { return params.MaxParallelRows(c.CapacityBytes) }
-
 // Validate checks the configuration invariants.
 func (c Config) Validate() error {
 	if c.CapacityBytes <= 0 || c.CapacityBytes%(int64(BlockBytes)*params.BlocksPerTile) != 0 {
@@ -300,13 +297,6 @@ func (ch *Chip) LocalID(blockID int) int { return ch.Physical(blockID) % params.
 
 // Topology returns the interconnect of a tile.
 func (ch *Chip) Topology(tile int) intercon.Topology { return ch.topos[tile] }
-
-// AllocatedBlocks returns how many blocks have been materialized.
-func (ch *Chip) AllocatedBlocks() int {
-	n := 0
-	ch.materialized(func(*xbar.Block) { n++ })
-	return n
-}
 
 // TotalBlockStats sums the stats of all materialized blocks. Blocks are
 // visited in ascending id order so the float accumulations (BusySec,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wavepim/internal/params"
+	"wavepim/internal/pim/intercon"
 	"wavepim/internal/pim/xbar"
 )
 
@@ -35,7 +36,7 @@ func TestConfigGeometry(t *testing.T) {
 
 func TestMaxParallelRows2GB(t *testing.T) {
 	// Section 7.1: "the maximum parallelism (2GB/1,024b = 16M)".
-	if got := Config2GB().MaxParallelRows(); got != 16<<20 {
+	if got := params.MaxParallelRows(Config2GB().CapacityBytes); got != 16<<20 {
 		t.Errorf("2GB parallel rows = %d, want 16M", got)
 	}
 }
@@ -107,18 +108,27 @@ func TestSystemPowerIncludesDRAM(t *testing.T) {
 	}
 }
 
+// allocatedBlocks counts the blocks ch has materialized: SetBlockHook
+// runs a new hook at once on every one of them.
+func allocatedBlocks(ch *Chip) int {
+	n := 0
+	ch.SetBlockHook(func(*xbar.Block) { n++ })
+	ch.SetBlockHook(nil)
+	return n
+}
+
 func TestChipLazyBlocks(t *testing.T) {
 	ch, err := New(Config16GB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.AllocatedBlocks() != 0 {
+	if allocatedBlocks(ch) != 0 {
 		t.Error("no blocks should be allocated up front")
 	}
 	b := ch.Block(100000)
 	b.SetFloat(0, 0, 1.5)
-	if ch.AllocatedBlocks() != 1 {
-		t.Errorf("allocated %d blocks, want 1", ch.AllocatedBlocks())
+	if n := allocatedBlocks(ch); n != 1 {
+		t.Errorf("allocated %d blocks, want 1", n)
 	}
 	if ch.Block(100000).GetFloat(0, 0) != 1.5 {
 		t.Error("block identity not stable")
@@ -136,8 +146,10 @@ func TestTileMapping(t *testing.T) {
 	if ch.LocalID(256) != 0 || ch.LocalID(511) != 255 {
 		t.Error("LocalID wrong")
 	}
-	if ch.Topology(0).Leaves() != params.BlocksPerTile {
-		t.Error("tile topology leaf count wrong")
+	// Each tile's fabric spans the tile's blocks: the chip's fanout-4
+	// H-tree matches one built over BlocksPerTile leaves.
+	if got, want := ch.Topology(0).SwitchCount(), intercon.NewHTree(params.BlocksPerTile, 4).SwitchCount(); got != want {
+		t.Errorf("tile topology has %d switches, want %d", got, want)
 	}
 }
 
@@ -192,7 +204,7 @@ func TestBlockConcurrentMaterialize(t *testing.T) {
 	}
 	hooked := make(map[int]int) // written by the hook, under the chip lock
 	ch.SetBlockHook(func(b *xbar.Block) { hooked[b.ID]++ })
-	if ch.blocks.Load() != nil || ch.AllocatedBlocks() != 0 {
+	if ch.blocks.Load() != nil || len(hooked) != 0 {
 		t.Fatal("block table made before the first Block call")
 	}
 	const workers, ids = 8, 96
@@ -219,7 +231,7 @@ func TestBlockConcurrentMaterialize(t *testing.T) {
 			t.Errorf("block %d: ID %d, hook ran %d times", id*170, got[0][id].ID, hooked[id*170])
 		}
 	}
-	if n := ch.AllocatedBlocks(); n != ids || len(hooked) != ids {
+	if n := allocatedBlocks(ch); n != ids || len(hooked) != ids {
 		t.Errorf("%d blocks materialized, %d hooked, want %d", n, len(hooked), ids)
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/bits"
 	"testing"
 )
@@ -230,11 +231,11 @@ func TestReportJSONDeterministic(t *testing.T) {
 		in.NoteCheckpoint()
 		in.NoteRemap(4)
 		in.NoteRollback()
-		var buf bytes.Buffer
-		if err := in.Report().WriteJSON(&buf); err != nil {
+		b, err := json.MarshalIndent(in.Report(), "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

@@ -1,10 +1,8 @@
 package fault
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -182,14 +180,6 @@ func (r Report) String() string {
 		r.Counts.Detected, r.Counts.Corrected, r.Counts.Uncorrectable,
 		r.Counts.Retries, r.Remaps, r.Checkpoints, r.Rollbacks,
 		r.SparesUsed, r.SparesLeft)
-}
-
-// WriteJSON marshals the report deterministically (struct field order,
-// trailing newline) so reports can be diffed byte-for-byte.
-func (r Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // ParseSpec parses the CLI fault spec "seed=N,flip=P,stuck=P,wear=N".

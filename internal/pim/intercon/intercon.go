@@ -43,8 +43,6 @@ type Topology interface {
 	SwitchCount() int
 	// LeakagePowerW is the static power of all switches.
 	LeakagePowerW() float64
-	// Leaves is the number of leaf blocks.
-	Leaves() int
 	// HopLatency is the per-payload per-hop latency: H-tree and mesh
 	// switches span a fanout-sized neighborhood, while bus/express/global
 	// links drive longer wires and are correspondingly slower.
@@ -151,9 +149,6 @@ func NewHTree(leaves, fanout int) *HTree {
 // Name implements Topology.
 func (h *HTree) Name() string { return "htree" }
 
-// Leaves implements Topology.
-func (h *HTree) Leaves() int { return h.leaves }
-
 // SwitchCount implements Topology. For the paper's 256-block tile with
 // fanout 4 this is 64+16+4+1 = 85, matching Table 3.
 func (h *HTree) SwitchCount() int {
@@ -226,9 +221,6 @@ func NewBus(leaves int) *Bus {
 
 // Name implements Topology.
 func (b *Bus) Name() string { return "bus" }
-
-// Leaves implements Topology.
-func (b *Bus) Leaves() int { return b.leaves }
 
 // SwitchCount implements Topology.
 func (b *Bus) SwitchCount() int { return 1 }

@@ -70,9 +70,6 @@ func NewMesh(leaves int) *Mesh { return &Mesh{g: newGrid(leaves)} }
 // Name implements Topology.
 func (m *Mesh) Name() string { return "mesh" }
 
-// Leaves implements Topology.
-func (m *Mesh) Leaves() int { return m.g.leaves }
-
 // SwitchCount implements Topology.
 func (m *Mesh) SwitchCount() int { return m.g.kx * m.g.ky }
 
@@ -134,9 +131,6 @@ func NewTorus(leaves int) *Torus { return &Torus{g: newGrid(leaves)} }
 
 // Name implements Topology.
 func (t *Torus) Name() string { return "torus" }
-
-// Leaves implements Topology.
-func (t *Torus) Leaves() int { return t.g.leaves }
 
 // SwitchCount implements Topology.
 func (t *Torus) SwitchCount() int { return t.g.kx * t.g.ky }
@@ -204,9 +198,6 @@ func NewFlattenedButterfly(leaves int) *FlattenedButterfly {
 
 // Name implements Topology.
 func (f *FlattenedButterfly) Name() string { return "flatfly" }
-
-// Leaves implements Topology.
-func (f *FlattenedButterfly) Leaves() int { return f.g.leaves }
 
 // SwitchCount implements Topology.
 func (f *FlattenedButterfly) SwitchCount() int { return f.g.kx * f.g.ky }
@@ -282,9 +273,6 @@ func NewDragonfly(leaves int) *Dragonfly {
 
 // Name implements Topology.
 func (d *Dragonfly) Name() string { return "dragonfly" }
-
-// Leaves implements Topology.
-func (d *Dragonfly) Leaves() int { return d.leaves }
 
 // SwitchCount implements Topology.
 func (d *Dragonfly) SwitchCount() int { return d.switches }

@@ -2,7 +2,6 @@ package nor
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -74,22 +73,6 @@ func LaneMask(n int) Word {
 		return ^Word(0)
 	}
 	return Word(1)<<uint(n) - 1
-}
-
-func lanesToBits(v []float32) []uint32 {
-	out := make([]uint32, len(v))
-	for i, x := range v {
-		out[i] = math.Float32bits(x)
-	}
-	return out
-}
-
-func lanesFromBits(v []uint32) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = math.Float32frombits(x)
-	}
-	return out
 }
 
 // DefaultSlabWords is the slab width used when callers do not choose one:
@@ -423,23 +406,6 @@ func (c *SlabCircuit) nor1(mask, a []Word) []Word {
 	c.charge(evals, sets)
 	return out
 }
-
-func (c *SlabCircuit) nor2(mask, a, b []Word) []Word {
-	out := c.grab()
-	mask, a, b = mask[:len(out)], a[:len(out)], b[:len(out)]
-	var evals, sets int64
-	for i := range out {
-		o := ^(a[i] | b[i])
-		out[i] = o
-		evals += int64(bits.OnesCount64(mask[i]))
-		sets += int64(bits.OnesCount64(o & mask[i]))
-	}
-	c.charge(evals, sets)
-	return out
-}
-
-// NOR is the two-input primitive over the masked lanes.
-func (c *SlabCircuit) NOR(mask, a, b []Word) []Word { return c.nor2(mask, a, b) }
 
 // NOT is NOR with one input.
 func (c *SlabCircuit) NOT(mask, a []Word) []Word { return c.nor1(mask, a) }
@@ -779,11 +745,6 @@ func (c *SlabCircuit) ones() SlabBits {
 	one := c.planes(1)
 	one[0] = c.maskNot(c.zero)
 	return one
-}
-
-// IncBits returns a+1 per lane over len(a) planes plus carry-out.
-func (c *SlabCircuit) IncBits(mask []Word, a SlabBits) SlabBits {
-	return c.AddBits(mask, a, c.ones(), c.zero)
 }
 
 // OrReduce ORs all planes together per lane: a chain of ORs from zero,

@@ -135,29 +135,6 @@ func (c *SlabCircuit) selWord(sel, x, y []Word) []Word {
 	return o
 }
 
-func (c *SlabCircuit) checkSlabArgs(a, b []uint32) int {
-	n := checkArgLens(a, b)
-	if n > c.SlabLanes() {
-		panic("nor: operand pairs exceed slab lanes")
-	}
-	return n
-}
-
-func checkArgLens(a, b []uint32) int {
-	if len(a) != len(b) {
-		panic("nor: lane operand lengths differ")
-	}
-	return len(a)
-}
-
-// MulFP32Slab multiplies up to K*64 float32 bit-pattern pairs lane-wise.
-// Slabs handed out earlier are invalidated (the arena is reset).
-func (c *SlabCircuit) MulFP32Slab(a, b []uint32) []uint32 {
-	out := make([]uint32, c.checkSlabArgs(a, b))
-	c.MulFP32Batch(a, b, out)
-	return out
-}
-
 // mulTile multiplies one tile of lanes; startTile has sized the slabs.
 func (c *SlabCircuit) mulTile(a, b, out []uint32) {
 	n := len(a)
@@ -244,14 +221,6 @@ func (c *SlabCircuit) mulTile(a, b, out []uint32) {
 
 	rounded := c.roundRNESlab(live, m, guard, sticky)
 	c.packSlabOut(live, sign, eR, rounded[:25], out)
-}
-
-// AddFP32Slab adds up to K*64 float32 bit-pattern pairs lane-wise. Slabs
-// handed out earlier are invalidated (the arena is reset).
-func (c *SlabCircuit) AddFP32Slab(a, b []uint32) []uint32 {
-	out := make([]uint32, c.checkSlabArgs(a, b))
-	c.AddFP32Batch(a, b, out)
-	return out
 }
 
 // addTile adds one tile of lanes; startTile has sized the slabs.
@@ -443,9 +412,9 @@ func (c *SlabCircuit) MulFP32Batch(a, b, out []uint32) { c.batch(a, b, out, true
 func (c *SlabCircuit) AddFP32Batch(a, b, out []uint32) { c.batch(a, b, out, false) }
 
 func (c *SlabCircuit) batch(a, b, out []uint32, mul bool) {
-	n := checkArgLens(a, b)
-	if len(out) != n {
-		panic("nor: batch output length mismatch")
+	n := len(out)
+	if len(a) != n || len(b) != n {
+		panic("nor: batch operand and output lengths differ")
 	}
 	tile := c.SlabLanes()
 	for lo := 0; lo < n; lo += tile {
@@ -458,18 +427,4 @@ func (c *SlabCircuit) batch(a, b, out []uint32, mul bool) {
 		}
 	}
 	c.ResetArena()
-}
-
-// MulFloat32Batch and AddFloat32Batch are convenience wrappers over
-// float32 values.
-func (c *SlabCircuit) MulFloat32Batch(a, b []float32) []float32 {
-	out := make([]uint32, len(a))
-	c.MulFP32Batch(lanesToBits(a), lanesToBits(b), out)
-	return lanesFromBits(out)
-}
-
-func (c *SlabCircuit) AddFloat32Batch(a, b []float32) []float32 {
-	out := make([]uint32, len(a))
-	c.AddFP32Batch(lanesToBits(a), lanesToBits(b), out)
-	return lanesFromBits(out)
 }

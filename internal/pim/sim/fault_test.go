@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -91,11 +92,11 @@ func TestLadderSerialParallelIdentical(t *testing.T) {
 		if err := e.Err(); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := e.FaultReport().WriteJSON(&buf); err != nil {
+		b, err := json.MarshalIndent(e.FaultReport(), "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return e.TimelineDigest(), buf.Bytes()
+		return e.TimelineDigest(), b
 	}
 	dSerial, rSerial := run(1)
 	dPar, rPar := run(8)

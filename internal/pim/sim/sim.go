@@ -112,10 +112,9 @@ type Engine struct {
 	// phase commits, so recovery costs land on the simulated timeline.
 	pendingFault []Phase
 
-	// Timeline holds the committed phases since the last Reset; a caller
-	// that keeps only recent ones may truncate it. digest (the running
-	// TimelineDigest over committed phases) covers every phase committed
-	// since the last Reset.
+	// Timeline holds the committed phases; a caller that keeps only recent
+	// ones may truncate it. digest (the running TimelineDigest over
+	// committed phases) covers every phase the engine committed.
 	Timeline    []Phase
 	TotalEnergy float64
 	clock       float64
@@ -211,8 +210,8 @@ func New(ch *chip.Chip) *Engine {
 // latched. A run driver sets it once for the whole run.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx, e.err = ctx, nil }
 
-// Err returns the first error a block phase latched since the last Reset
-// or SetContext (a cancellation, or fault.ErrNoSpares), or nil.
+// Err returns the first error a block phase latched since the engine was
+// built or the last SetContext (a cancellation, or fault.ErrNoSpares), or nil.
 func (e *Engine) Err() error { return e.err }
 
 // trackOf maps a phase kind to a stable trace lane, so Chrome renders
@@ -804,7 +803,7 @@ func (e *Engine) collectNOR(units []*xbar.NORUnit) {
 }
 
 // NORGateStats returns the gate-level activity accumulated by the slab
-// substrate since the last Reset (all zero on the host-float path).
+// substrate (all zero on the host-float path).
 func (e *Engine) NORGateStats() nor.Stats { return e.nor }
 
 // transferCost prices a words-long movement between two blocks, including
@@ -879,29 +878,10 @@ func (e *Engine) noteCommit(p Phase) {
 	e.digest = digestPhase(e.digest, p)
 }
 
-// Reset clears the timeline and counters but keeps the chip (and its
-// data). Remaps and spare-pool consumption survive a Reset — they are chip
-// state, not run state.
-func (e *Engine) Reset() {
-	e.Timeline = nil
-	e.committed = 0
-	e.TotalEnergy = 0
-	e.clock = 0
-	e.InstrCount = 0
-	e.TransferCt = 0
-	e.DRAMBytes = 0
-	e.err = nil
-	e.pendingFault = nil
-	e.net = ledgers{}
-	e.xferBackpressured = 0
-	e.xferBackpressureSec = 0
-	e.nor = nor.Stats{}
-}
-
 // PublishTotals writes the engine's run-level aggregates into the attached
 // sink's registry (no-op without a sink). Run drivers call it once at the
 // end of a run. The clock gauges (time, total and static energy) are
-// written only when a phase was committed since the last Reset: a driver
+// written only when the engine committed a phase: a driver
 // that prices its run without committing phases (the timed runner) leaves
 // the clock at 0, which is no measurement of that run.
 func (e *Engine) PublishTotals() {
@@ -936,8 +916,8 @@ func (e *Engine) PublishTotals() {
 	}
 }
 
-// TimelineDigest is an FNV-1a hash of every phase committed since the
-// last Reset (names, kinds, and exact float bit patterns of
+// TimelineDigest is an FNV-1a hash of every phase the engine committed
+// (names, kinds, and exact float bit patterns of
 // start/duration/energy), kept as a running hash so it covers phases a
 // caller dropped from Timeline. Two runs are timeline-identical iff their
 // digests match — the reproducibility check of the fault determinism gate.

@@ -223,12 +223,3 @@ func TestStaticEnergyScalesWithTime(t *testing.T) {
 		t.Errorf("static energy %g want %g", se, want)
 	}
 }
-
-func TestResetClearsState(t *testing.T) {
-	e := newEngine(t)
-	e.Sequence(e.ExecDRAM("a", 9e9))
-	e.Reset()
-	if e.TotalTime() != 0 || e.TotalEnergy != 0 || len(e.Timeline) != 0 || e.DRAMBytes != 0 {
-		t.Error("Reset incomplete")
-	}
-}

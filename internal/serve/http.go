@@ -35,12 +35,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError writes the cluster API's typed error envelope
-// ({code, message, retryable}); see internal/cluster/api.go.
-func httpError(w http.ResponseWriter, status int, code string, retryable bool, format string, args ...any) {
-	cluster.WriteAPIError(w, status, code, retryable, format, args...)
-}
-
 // handleSubmit accepts a job. When the spec carries a client id, the
 // submission is idempotent: an id the server already tracks returns the
 // existing run (200) instead of enqueueing a duplicate (202). This is
@@ -48,12 +42,12 @@ func httpError(w http.ResponseWriter, status int, code string, retryable bool, f
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec JobSpec
 	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "bad job spec: %v", err)
+		cluster.WriteAPIError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "bad job spec: %v", err)
 		return
 	}
 	spec, err := spec.Normalize()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "%v", err)
+		cluster.WriteAPIError(w, http.StatusBadRequest, cluster.CodeBadRequest, false, "%v", err)
 		return
 	}
 	// A coordinator-dispatched job carries its trace context; the worker
@@ -77,7 +71,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 				// The id is taken by a run with different content. Returning
 				// the existing run would silently hand the caller someone
 				// else's results; refuse instead.
-				httpError(w, http.StatusConflict, cluster.CodeConflict, false,
+				cluster.WriteAPIError(w, http.StatusConflict, cluster.CodeConflict, false,
 					"job id %q already tracked with different content", clientID)
 				return
 			}
@@ -88,7 +82,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	if s.draining {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, cluster.CodeDraining, true, "shutting down")
+		cluster.WriteAPIError(w, http.StatusServiceUnavailable, cluster.CodeDraining, true, "shutting down")
 		return
 	}
 	id := clientID
@@ -107,7 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		s.mu.Unlock()
 		s.reg.CounterVec("wavepimd.runs", "status").With("rejected").Inc()
-		httpError(w, http.StatusServiceUnavailable, cluster.CodeQueueFull, true, "job queue full")
+		cluster.WriteAPIError(w, http.StatusServiceUnavailable, cluster.CodeQueueFull, true, "job queue full")
 		return
 	}
 	s.mu.Unlock()
@@ -140,7 +134,7 @@ func (s *Server) lookup(req *http.Request) (*run, bool) {
 func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req)
 	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
+		cluster.WriteAPIError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -154,7 +148,7 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req)
 	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
+		cluster.WriteAPIError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
 		return
 	}
 	r.mu.Lock()
@@ -190,7 +184,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req)
 	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
+		cluster.WriteAPIError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
 		return
 	}
 	r.mu.Lock()
@@ -198,7 +192,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	status := r.status
 	r.mu.Unlock()
 	if sink == nil {
-		httpError(w, http.StatusConflict, cluster.CodeNotReady, true, "run is %s; trace not available yet", status)
+		cluster.WriteAPIError(w, http.StatusConflict, cluster.CodeNotReady, true, "run is %s; trace not available yet", status)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -208,14 +202,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleFlight(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req)
 	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
+		cluster.WriteAPIError(w, http.StatusNotFound, cluster.CodeNotFound, false, "no such run")
 		return
 	}
 	r.mu.Lock()
 	dump := r.dump
 	r.mu.Unlock()
 	if dump == nil {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, false, "run has no flight dump")
+		cluster.WriteAPIError(w, http.StatusNotFound, cluster.CodeNotFound, false, "run has no flight dump")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -240,7 +234,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, cluster.CodeDraining, true, "draining")
+		cluster.WriteAPIError(w, http.StatusServiceUnavailable, cluster.CodeDraining, true, "draining")
 		return
 	}
 	io.WriteString(w, "ready\n")

@@ -103,14 +103,3 @@ func (c *Compiler) Flux12Var(f mesh.Face) []isa.Instr {
 	b.add(ExColContrib, ExColContrib, ExColAcc)
 	return b.ins
 }
-
-// Elastic12CriticalVolume returns the longest per-block Volume program of
-// the twelve-block layout (the diag/velocity blocks' three dot products).
-func (c *Compiler) Elastic12CriticalVolume() []isa.Instr {
-	diag := c.Volume12Diag(mesh.AxisX)
-	vel := c.Volume12Vel()
-	if len(diag) >= len(vel) {
-		return diag
-	}
-	return vel
-}

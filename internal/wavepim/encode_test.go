@@ -94,7 +94,9 @@ func TestProgramSizeRelations(t *testing.T) {
 		t.Error("Riemann one-block flux should exceed central")
 	}
 	fourBlockCritical := len(cc.VolumeElasticVel()) // 9 dots
-	twelveCritical := len(cc.Elastic12CriticalVolume())
+	// The twelve-block layout's longest per-block Volume program: the
+	// diag/velocity blocks' three dot products.
+	twelveCritical := max(len(cc.Volume12Diag(mesh.AxisX)), len(cc.Volume12Vel()))
 	if twelveCritical >= fourBlockCritical {
 		t.Errorf("twelve-block volume critical path (%d) should beat four-block (%d)",
 			twelveCritical, fourBlockCritical)

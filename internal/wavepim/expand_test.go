@@ -78,7 +78,7 @@ func TestExpandedUsesFourBlocksAndTransfers(t *testing.T) {
 	}
 	fe.Load(q)
 	fe.Run(1)
-	if got := fe.Engine.Chip.AllocatedBlocks(); got != 4*m.NumElem {
+	if got := allocatedBlocks(fe.Engine.Chip); got != 4*m.NumElem {
 		t.Errorf("allocated %d blocks, want %d", got, 4*m.NumElem)
 	}
 	if fe.Engine.TransferCt == 0 {

@@ -1,8 +1,8 @@
 package wavepim
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -143,11 +143,11 @@ func TestFaultedSessionsPinned(t *testing.T) {
 				if got := stateHash(read()); got != tc.values {
 					t.Errorf("state hash = %#x, want %#x", got, tc.values)
 				}
-				var buf bytes.Buffer
-				if err := s.FaultReport().WriteJSON(&buf); err != nil {
+				b, err := json.MarshalIndent(s.FaultReport(), "", "  ")
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got := buf.String(); got != tc.report {
+				if got := string(b) + "\n"; got != tc.report {
 					t.Errorf("fault report:\n%s\nwant:\n%s", got, tc.report)
 				}
 			})

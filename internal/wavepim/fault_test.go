@@ -3,6 +3,7 @@ package wavepim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -91,11 +92,11 @@ func TestFaultedRunByteReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := s.FaultReport().WriteJSON(&buf); err != nil {
+		b, err := json.MarshalIndent(s.FaultReport(), "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), s.Engine().TimelineDigest()
+		return b, s.Engine().TimelineDigest()
 	}
 	r1, d1 := run()
 	r2, d2 := run()

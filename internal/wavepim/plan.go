@@ -134,16 +134,6 @@ func PaperTable5() map[string]map[string]string {
 	}
 }
 
-// table5Key maps a benchmark to its Table 5 row (the table collapses the
-// two elastic flux variants into one "Elastic" row per level: the fitting
-// decision depends only on variable count, not on the flux solver).
-func table5Key(b opcount.Benchmark) string {
-	if b.Eq == opcount.Acoustic {
-		return fmt.Sprintf("Acoustic_%d", b.Refinement)
-	}
-	return fmt.Sprintf("Elastic_%d", b.Refinement)
-}
-
 // Table5String renders the planner's decision in the paper's notation,
 // with "B" shown alone for the naive-batched acoustic cases as Table 5
 // prints it.

@@ -408,10 +408,6 @@ func (c sessionConfig) applyTopology(cc chip.Config, k chip.InterconnectKind) ch
 // Engine exposes the underlying execution engine (clock, energy, stats).
 func (s *Session) Engine() *sim.Engine { return s.eng }
 
-// Topology returns the normalized name of the tile interconnect the
-// session's chip was built with ("htree" unless overridden).
-func (s *Session) Topology() string { return s.eng.Chip.Config.Interconnect.String() }
-
 // PlanCacheHit reports whether this session's compiled plan was served
 // from the process-wide plan cache (true for every session after the
 // first with the same equation, flux, order, mesh extent and chip —
@@ -657,11 +653,4 @@ func (s *Session) Publish() {
 	sink.Gauge("wavepim.plan_cache.hits").Set(float64(pc.Hits))
 	sink.Gauge("wavepim.plan_cache.misses").Set(float64(pc.Misses))
 	sink.Gauge("wavepim.plan_cache.entries").Set(float64(pc.Entries))
-}
-
-// WriteTrace writes the engine's recorded phase spans as a Chrome
-// trace_event JSON document (chrome://tracing, Perfetto). No spans are
-// recorded without an attached sink.
-func (s *Session) WriteTrace(w io.Writer) error {
-	return s.cfg.sink.WriteTrace(w)
 }

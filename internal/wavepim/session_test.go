@@ -134,7 +134,7 @@ func TestSessionTraceGolden(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := sink.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 

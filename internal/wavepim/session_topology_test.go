@@ -17,12 +17,12 @@ import (
 func TestWithTopologySelection(t *testing.T) {
 	for _, name := range intercon.Names() {
 		s := sessionForTest(t, WithTopology(name))
-		if got := s.Topology(); got != name {
+		if got := s.Engine().Chip.Config.Interconnect.String(); got != name {
 			t.Errorf("WithTopology(%q): session reports %q", name, got)
 		}
 	}
 	// The default (no option) is the paper's H-tree.
-	if got := sessionForTest(t).Topology(); got != "htree" {
+	if got := sessionForTest(t).Engine().Chip.Config.Interconnect.String(); got != "htree" {
 		t.Errorf("default topology = %q, want htree", got)
 	}
 }

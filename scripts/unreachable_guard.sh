@@ -30,72 +30,38 @@ cd "$root"
 
 # One entry a line: a file or directory (path from the repo root, a
 # directory ending in /) or a function as the guard prints it, then " -- "
-# and the reason it stays although no binary reaches it.
+# and the reason it stays although no binary reaches it. An entry is a
+# test oracle or a model of the paper, and its reason names the test or
+# the model; a test that needs a hook goes through production API instead.
 allow=$(
   cat <<'EOF'
 internal/pim/nor/circuit.go -- scalar NOR circuit, the oracle of every slab test
 internal/pim/nor/fp32.go -- scalar NOR fp32 datapath, the oracle of every slab test
 internal/pim/nor/intops.go -- scalar NOR integer primitives, the oracle of every slab test
 internal/pim/nor/newton.go -- Newton-Raphson divide/sqrt, the Section 4.3 ablation bench_test.go runs
-internal/cluster/chaos/ -- seeded fault-injecting transport, a test harness for the coordinator
+internal/cluster/chaos/ -- seeded fault-injecting transport, the harness of TestCoordinatorLifecyclePinned's chaos tables
 internal/wavepim/batching.go -- Figure 6/7 batch model, kept until ROADMAP item 14 decides batching
 internal/wavepim/lutload.go -- LoadWithLUT/VerifyLUTLoaded, the functional proof of Algorithm 1
 mesh.(*Mesh).Slice -- z-slice decomposition, kept until ROADMAP item 14 decides batching
+mesh.(*Mesh).NumSlices -- z-slice count of the batch model, kept until ROADMAP item 14 decides batching
 wavepim.NewFunctionalAcousticExpanded -- Figure 8/9 expanded layout, checked against dg
 wavepim.expandedSchedule -- schedule of NewFunctionalAcousticExpanded
-wavepim.(*FunctionalAcoustic).ReadRHS -- RHS read-back the functional-vs-dg tests compare
+wavepim.(*FunctionalAcoustic).ReadRHS -- RHS read-back TestFunctionalAcousticRHSMatchesReference compares with dg
 wavepim.(*Compiler).ReadAcousticContrib -- reads one element's RHS for ReadRHS
-wavepim.(*system).RHSOnce -- one RHS evaluation the functional-vs-dg tests compare
-wavepim.WithChip -- test hook: pins a session's chip (one-tile batched sessions)
-pim/sim.(*Engine).ExecBlocks -- one-shot reference path the priced replay is checked against
+wavepim.(*system).RHSOnce -- one RHS evaluation TestFunctionalAcousticRHSMatchesReference compares with dg
+wavepim.WithChip -- pins a one-tile chip, so TestBatchedSessionMatchesResident can compare batched with resident sessions
+wavepim.resetPlanCache -- empties the process-wide plan cache, so each TestPlanCache* test starts cold
+pim/sim.(*Engine).ExecBlocks -- one-shot reference path TestPricedBlocksMatchExecBlocks checks the priced replay against
 pim/sim.groupPrograms -- groups ExecBlocks' programs
-pim/chip.(*Chip).AllocatedBlocks -- test hook: blocks a layout allocated
-pim/fault.(*BlockFaults).Pending -- test hook: faults a block has not yet scrubbed
+pim/fault.(*BlockFaults).Pending -- unscrubbed faults, what TestScrubCorrectsTransients checks the scrubber against
+pim/fault.(*BlockFaults).Counts -- a block's injected faults, which TestBlockKernelsMatchReference compares with its model
+pim/nor.SlabBits.Lane -- one lane of a slab, which TestSlabIntBlocksDifferential compares with the scalar circuit
+cluster.(*Coordinator).Registry -- worker registry TestCoordinatorLifecyclePinned registers through
 gpu.Model.MemoryBound -- the paper's claim that the GPU baseline is memory bound
 quad.(*Rule).Differentiate -- GLL differentiation, checked against the derivative matrix
 quad.(*Rule).Integrate -- GLL quadrature, checked for polynomial exactness
 pim/isa.Decode -- inverse of Encode, the round-trip oracle of the encoding tests
 pim/isa.field -- bit-field reader of Decode
-pim/nor.(*SlabCircuit).AddFloat32Batch -- slab entry point the slab-vs-scalar tests drive
-pim/nor.(*SlabCircuit).MulFloat32Batch -- slab entry point the slab-vs-scalar tests drive
-pim/nor.(*SlabCircuit).AddFP32Slab -- slab entry point the slab-vs-scalar tests drive
-pim/nor.(*SlabCircuit).MulFP32Slab -- slab entry point the slab-vs-scalar tests drive
-pim/nor.(*SlabCircuit).checkSlabArgs -- argument check of the slab test entry points
-pim/nor.(*SlabCircuit).IncBits -- slab primitive the slab-vs-scalar tests check
-pim/nor.(*SlabCircuit).NOR -- slab gate the slab-vs-scalar tests check
-pim/nor.(*SlabCircuit).nor2 -- two-input gate of SlabCircuit.NOR
-pim/nor.SlabBits.Lane -- test hook: reads one lane of a slab
-pim/nor.lanesFromBits -- lane transpose of the slab test entry points
-pim/nor.lanesToBits -- lane transpose of the slab test entry points
-pim/sim.(*Engine).Reset -- test hook: a fresh timeline over the same chip
-pim/chip.Config.MaxParallelRows -- Table 3 row parallelism, checked against params
-pim/fault.(*BlockFaults).Counts -- test hook: a block's injected-fault counts
-pim/fault.Report.WriteJSON -- test hook: the byte-reproducibility check of fault reports
-pim/intercon.(*HTree).Leaves -- Topology interface method tests size batches by
-pim/intercon.(*Bus).Leaves -- Topology interface method tests size batches by
-pim/intercon.(*Mesh).Leaves -- Topology interface method tests size batches by
-pim/intercon.(*Torus).Leaves -- Topology interface method tests size batches by
-pim/intercon.(*FlattenedButterfly).Leaves -- Topology interface method tests size batches by
-pim/intercon.(*Dragonfly).Leaves -- Topology interface method tests size batches by
-cluster.(*Breakers).State -- test hook: one worker's circuit state
-cluster.(*Coordinator).Breakers -- test hook: the coordinator's circuit breakers
-cluster.(*Coordinator).Registry -- test hook: the coordinator's worker registry
-cluster.(*Ring).Len -- test hook: ring membership count
-dg/opcount.Kernel.String -- fmt.Stringer of Kernel, used in test messages
-mesh.(*Mesh).NodesPerFace -- test hook: face node count
-mesh.(*Mesh).NumSlices -- test hook: z-slice count of the batch model
-obs/eventlog.(*Logger).Debug -- level API the eventlog level-filter tests check
-obs/eventlog.(*Logger).Enabled -- level API the eventlog level-filter tests check
-obs/eventlog.Uint64 -- typed field the eventlog encoding tests check
-obs.(*Registry).Names -- test hook: registered instrument names
-obs.(*Sink).WriteProm -- test hook: a sink's Prometheus exposition
-obs.(*Sink).GaugeVec -- test hook: labeled gauges on a sink
-obs.(*Tracer).Dropped -- test hook: spans a bounded tracer dropped
-wavepim.(*Compiler).Elastic12CriticalVolume -- twelve-block elastic critical path, checked by encode_test.go
-wavepim.table5Key -- test hook: Table 5 layout lookup key
-wavepim.resetPlanCache -- test hook: empties the plan cache
-wavepim.(*Session).Topology -- test hook: the session's fabric name
-wavepim.(*Session).WriteTrace -- test hook: a session's Chrome trace
 EOF
 )
 
